@@ -1,13 +1,13 @@
-//! Ablation A4 (extension beyond the paper): thread-parallel sharded `S_*`.
+//! Ablation A4 (extension beyond the paper): `S_*` on shard workers.
 //!
 //! Distinct connected components are independent, so the shared-component
-//! engine parallelizes embarrassingly. We measure wall-clock scaling of the
-//! pipelined [`ParallelShared`] runner from 1 to 8 shards against the
-//! sequential `S_UniBin`, verifying output equality as we go.
+//! engine parallelizes embarrassingly. We measure wall-clock scaling of
+//! [`SharedMulti`]'s pipelined `offer_batch` on 1 to 8 shards (`Sh_UniBin(n)`)
+//! against the inline `S_UniBin`, verifying output equality as we go.
 
 use firehose_bench::{f1, Dataset, Report, Scale};
 use firehose_core::engine::AlgorithmKind;
-use firehose_core::multi::{MultiDiversifier, ParallelShared, SharedMulti, Subscriptions};
+use firehose_core::multi::{MultiDiversifier, SharedMulti, Subscriptions};
 use firehose_core::{EngineConfig, Thresholds};
 use std::time::Instant;
 
@@ -49,15 +49,15 @@ fn main() {
     );
     r.row(&["sequential".into(), f1(seq_ms), "1.0".into(), "-".into()]);
 
-    let mut largest = 0usize;
+    let largest = sequential.largest_component_size();
     for shards in [1usize, 2, 4, 8] {
-        eprintln!("[a4] parallel with {shards} shard(s) ...");
-        let mut parallel =
-            ParallelShared::new(AlgorithmKind::UniBin, config, &graph, subs.clone(), shards)
-                .expect("thread count is positive");
-        largest = parallel.largest_component_size();
+        eprintln!("[a4] {shards} shard(s) ...");
+        let mut sharded = SharedMulti::builder(AlgorithmKind::UniBin, config, &graph, subs.clone())
+            .shards(shards)
+            .build()
+            .expect("shard count is positive");
         let t0 = Instant::now();
-        let got = parallel.process_stream(&data.workload.posts);
+        let got = sharded.offer_batch(&data.workload.posts);
         let par_ms = t0.elapsed().as_secs_f64() * 1_000.0;
         let identical = got == expected;
         r.row(&[
@@ -66,7 +66,7 @@ fn main() {
             f1(seq_ms / par_ms.max(1e-9)),
             identical.to_string(),
         ]);
-        assert!(identical, "parallel output diverged at {shards} shards");
+        assert!(identical, "sharded output diverged at {shards} shards");
     }
     r.finish();
     println!(

@@ -33,7 +33,7 @@ use firehose_core::checkpoint::{
     run_with_checkpoints, CheckpointManager, CheckpointPolicy,
 };
 use firehose_core::engine::{build_engine, AlgorithmKind};
-use firehose_core::multi::{MultiDiversifier, ShardedMulti, SharedMulti, Subscriptions};
+use firehose_core::multi::{MultiDiversifier, SharedMulti, Subscriptions};
 use firehose_core::{Decision, EngineConfig, Thresholds};
 use firehose_datagen::{
     generate_subscriptions, SocialGenConfig, SubscriptionGenConfig, SyntheticSocialGraph, Workload,
@@ -221,8 +221,13 @@ fn main() {
         };
         let mut mgr = CheckpointManager::new(&dir, tight).expect("open checkpoint dir");
         let crash_at = multi_posts * 13 / 20;
-        let mut doomed = ShardedMulti::new(kind, config, &graph, subscriptions.clone(), shards)
-            .expect("build Sh_*");
+        let on_shards = || {
+            SharedMulti::builder(kind, config, &graph, subscriptions.clone())
+                .shards(shards)
+                .build()
+                .expect("build Sh_*")
+        };
+        let mut doomed = on_shards();
         let t0 = Instant::now();
         for post in &stream[..crash_at] {
             doomed.offer(post);
@@ -239,8 +244,7 @@ fn main() {
         let write_ms = t0.elapsed().as_secs_f64() * 1_000.0 / write_reps as f64;
         drop(doomed); // the crash: workers, rings and engines are all gone
 
-        let mut fresh = ShardedMulti::new(kind, config, &graph, subscriptions.clone(), shards)
-            .expect("rebuild Sh_*");
+        let mut fresh = on_shards();
         let t0 = Instant::now();
         let (manifest, skipped_gens) =
             restore_latest_valid_multi(&dir, &mut fresh).expect("restore multi");

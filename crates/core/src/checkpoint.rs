@@ -366,12 +366,13 @@ pub fn restore_engine_from_slice(
     Ok((engine, manifest))
 }
 
-/// The restore-compatibility family of a multi-strategy name. The
-/// sequential shared strategy (`S_X`), its batch-parallel runner
-/// (`P_X(n)`), and the persistent sharded runtime (`Sh_X(n)`) all write
-/// identical FHSNAP04 state, so checkpoints move freely between them at any
-/// worker/shard count. `M_X` states are keyed per user and remain their own
-/// family.
+/// The restore-compatibility family of a multi-strategy name. The shared
+/// strategy writes identical FHSNAP04 state whether it runs inline (`S_X`)
+/// or on shards (`Sh_X(n)`), so checkpoints move freely between executors
+/// at any shard count. `P_X(n)` is the name a removed batch-parallel runner
+/// of the same strategy wrote into its manifests; its checkpoints carry the
+/// same state and still restore. `M_X` states are keyed per user and remain
+/// their own family.
 fn strategy_family(name: &str) -> String {
     for prefix in ["P_", "Sh_"] {
         if let Some(rest) = name.strip_prefix(prefix) {
@@ -383,8 +384,8 @@ fn strategy_family(name: &str) -> String {
 }
 
 /// Load a multi-strategy checkpoint into an already-constructed strategy of
-/// the same shape (same kind, graph and subscriptions — the runner and its
-/// worker count may differ — `S_X`, `P_X(n)` and `Sh_X(n)` share one
+/// the same shape (same kind, graph and subscriptions — the executor and its
+/// shard count may differ: `S_X` and `Sh_X(n)` share one
 /// restore-compatibility family). Cross-checks the
 /// manifest's strategy family and `posts_processed` against the target.
 ///
@@ -1086,9 +1087,9 @@ mod tests {
         );
     }
 
-    /// The sharded↔sequential compatibility matrix: a checkpoint taken by
-    /// any shared-family runner restores into any other, at any shard
-    /// count, and continues byte-identically.
+    /// The executor compatibility matrix: a checkpoint taken by the shared
+    /// strategy under either executor restores into the other, at any
+    /// shard count, and continues byte-identically.
     #[test]
     fn multi_checkpoint_crosses_runner_families() {
         let g = UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]);
@@ -1103,9 +1104,13 @@ mod tests {
                 )
             })
             .collect();
-        let mut sharded =
-            crate::multi::ShardedMulti::new(AlgorithmKind::UniBin, config(), &g, subs.clone(), 4)
-                .unwrap();
+        let on_shards = |kind, shards| {
+            SharedMulti::builder(kind, config(), &g, subs.clone())
+                .shards(shards)
+                .build()
+                .unwrap()
+        };
+        let mut sharded = on_shards(AlgorithmKind::UniBin, 4);
         for p in &stream[..30] {
             sharded.offer(p);
         }
@@ -1125,17 +1130,13 @@ mod tests {
             seq2.offer(p);
         }
         let seq_buf = checkpoint_multi_to_vec(&seq2, 1).unwrap();
-        let mut sharded2 =
-            crate::multi::ShardedMulti::new(AlgorithmKind::UniBin, config(), &g, subs.clone(), 2)
-                .unwrap();
+        let mut sharded2 = on_shards(AlgorithmKind::UniBin, 2);
         restore_multi_from_slice(&seq_buf, &mut sharded2).unwrap();
         let got: Vec<_> = stream[30..].iter().map(|p| sharded2.offer(p)).collect();
         assert_eq!(got, expected);
 
         // A different kind is still rejected across families.
-        let mut wrong =
-            crate::multi::ShardedMulti::new(AlgorithmKind::CliqueBin, config(), &g, subs, 2)
-                .unwrap();
+        let mut wrong = on_shards(AlgorithmKind::CliqueBin, 2);
         assert!(matches!(
             restore_multi_from_slice(&buf, &mut wrong),
             Err(SnapshotError::StructureMismatch(_))

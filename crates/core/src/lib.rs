@@ -29,9 +29,9 @@
 //!
 //! [`multi`] scales the model to a whole service: `M_*` engines process each
 //! user independently, `S_*` engines share one engine per distinct connected
-//! component of the users' author-similarity subgraphs (Section 5), and a
-//! sharded parallel runner (an extension, see `DESIGN.md`) spreads distinct
-//! components across threads.
+//! component of the users' author-similarity subgraphs (Section 5), and
+//! `Sh_*` runs those same component engines on persistent shard workers (an
+//! extension, see `DESIGN.md` §10).
 //!
 //! # Quickstart
 //!
@@ -89,8 +89,8 @@ pub mod prelude {
     pub use crate::metrics::EngineMetrics;
     pub use crate::multi::{
         BuildError, ChurnStats, IndependentBuilder, IndependentMulti, MultiDecision,
-        MultiDiversifier, ParallelBuilder, ParallelShared, ShardFailure, ShardedBuilder,
-        ShardedMulti, SharedBuilder, SharedMulti, SubscriptionError, Subscriptions, UserId,
+        MultiDiversifier, ShardFailure, SharedBuilder, SharedMulti, SubscriptionError,
+        Subscriptions, UserId,
     };
     pub use crate::service::{
         ChurnOp, FirehoseService, FirehoseServiceBuilder, OverloadConfig, OverloadPolicy,
@@ -116,7 +116,7 @@ pub use engine::{build_engine, AlgorithmKind, Diversifier};
 pub use metrics::EngineMetrics;
 pub use obs::{
     export_engine_metrics, export_guard_stats, export_kernel_info, export_memory_mode, EngineObs,
-    MultiObs, ShardObs,
+    MultiObs,
 };
 pub use quality::{evaluate, DeltaBounds, GateVerdict, MetricDelta, QualityGate, QualityReport};
 pub use service::{

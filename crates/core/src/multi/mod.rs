@@ -13,11 +13,12 @@
 //!   that exact component, so one engine per **distinct component** serves
 //!   them all.
 //!
-//! Both produce identical per-user streams (tested in `tests/`); [`parallel`]
-//! adds a sharded, thread-parallel runner for `S_*` (an extension beyond the
-//! paper).
+//! Both produce identical per-user streams (tested in `tests/`).
+//! [`SharedBuilder::shards`] moves `SharedMulti`'s component engines onto
+//! persistent worker threads (`Sh_*`, an extension beyond the paper) without
+//! changing a single decision.
 //!
-//! All three strategies support **live churn** —
+//! Both strategies support **live churn** —
 //! [`subscribe`](MultiDiversifier::subscribe),
 //! [`unsubscribe`](MultiDiversifier::unsubscribe),
 //! [`add_user`](MultiDiversifier::add_user) and
@@ -26,16 +27,13 @@
 //! `registry` instead of rebuilding every engine (see `DESIGN.md` §9).
 
 mod independent;
-pub mod parallel;
 pub(crate) mod registry;
-pub(crate) mod ring;
-pub mod sharded;
+mod ring;
+mod sharded;
 mod shared;
 mod subscriptions;
 
 pub use independent::{IndependentBuilder, IndependentMulti};
-pub use parallel::{ParallelBuilder, ParallelShared};
-pub use sharded::{ShardedBuilder, ShardedMulti};
 pub use shared::{SharedBuilder, SharedMulti};
 pub use subscriptions::{SubscriptionError, Subscriptions, UserId};
 
@@ -57,7 +55,7 @@ pub struct MultiDecision {
 /// Errors constructing a multi-user strategy through its builder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
-    /// `ParallelShared` / `ShardedMulti` need at least one worker thread.
+    /// [`SharedBuilder::shards`] needs at least one worker thread.
     ZeroThreads,
     /// `IndependentMulti` per-user configs must match the user count.
     ConfigCountMismatch {
@@ -73,7 +71,7 @@ pub enum BuildError {
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::ZeroThreads => write!(f, "at least one worker thread required"),
+            Self::ZeroThreads => write!(f, "at least one shard worker thread required"),
             Self::ConfigCountMismatch { configs, users } => {
                 write!(f, "{configs} per-user configs for {users} users")
             }
@@ -196,8 +194,8 @@ pub trait MultiDiversifier {
     }
 
     /// Offer a whole time-ordered batch. The default maps
-    /// [`offer`](Self::offer); [`ParallelShared`] overrides it with its
-    /// sharded pipeline, which is the only way it parallelizes.
+    /// [`offer`](Self::offer); [`SharedMulti`] on shards overrides it to
+    /// keep a window of posts in flight across its workers.
     fn offer_batch(&mut self, posts: &[Post]) -> Vec<MultiDecision> {
         posts.iter().map(|p| self.offer(p)).collect()
     }
@@ -236,10 +234,10 @@ pub trait MultiDiversifier {
     }
 
     /// Aggregated approximate-backend counters across all internal engines.
-    /// `None` when engines run exact — and for the thread-backed strategies
-    /// (`P_*`, `Sh_*`), which do not ship per-engine probe counters across
-    /// their shard channels; the `firehose_memory_mode` gauge still reports
-    /// the configured mode there.
+    /// `None` when engines run exact — and for `Sh_*` while its engines are
+    /// deployed, since shards do not ship per-engine probe counters across
+    /// their rings; the `firehose_memory_mode` gauge still reports the
+    /// configured mode there.
     fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
         None
     }

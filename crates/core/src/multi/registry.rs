@@ -1,5 +1,5 @@
 //! Refcounted component registry: the live-churn core of the shared
-//! strategies (`S_*` / `P_*`), see `DESIGN.md` §9.
+//! strategy (`S_*` / `Sh_*`), see `DESIGN.md` §9.
 //!
 //! The registry owns one [`CompactEngine`] per **distinct** connected
 //! component of some user's subscription subgraph, refcounted by the users
@@ -29,7 +29,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use firehose_graph::UndirectedGraph;
-use firehose_stream::{AuthorId, PostRecord, Timestamp};
+use firehose_stream::{AuthorId, Post, PostRecord, Timestamp};
 
 use crate::config::EngineConfig;
 use crate::engine::{order_window_records, AlgorithmKind};
@@ -38,14 +38,77 @@ use crate::multi::independent::CompactEngine;
 use crate::multi::shared::user_components;
 use crate::multi::subscriptions::{SubscriptionError, Subscriptions, UserId};
 use crate::multi::{
-    component_key, load_engine_blob, read_multi_state, write_multi_state, ChurnStats, MultiState,
+    component_key, load_engine_blob, read_multi_state, write_multi_state, ChurnStats,
+    MultiDecision, MultiState,
 };
 use crate::snapshot::SnapshotError;
 
+/// Exact change of one engine's [`EngineMetrics`] across an operation. The
+/// monotone counters are wrapping differences; `copies` is signed because
+/// sweeps evict.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Delta {
+    posts_processed: u64,
+    posts_emitted: u64,
+    comparisons: u64,
+    insertions: u64,
+    evictions: u64,
+    pub(crate) copies: i64,
+}
+
+impl Delta {
+    /// Run `f` on `engine`; returns its result and the change it made to
+    /// the engine's counters.
+    pub(crate) fn of<R>(
+        engine: &mut CompactEngine,
+        f: impl FnOnce(&mut CompactEngine) -> R,
+    ) -> (R, Self) {
+        let before = *engine.metrics();
+        let result = f(engine);
+        let after = engine.metrics();
+        let delta = Self {
+            posts_processed: after.posts_processed.wrapping_sub(before.posts_processed),
+            posts_emitted: after.posts_emitted.wrapping_sub(before.posts_emitted),
+            comparisons: after.comparisons.wrapping_sub(before.comparisons),
+            insertions: after.insertions.wrapping_sub(before.insertions),
+            evictions: after.evictions.wrapping_sub(before.evictions),
+            copies: after.copies_stored as i64 - before.copies_stored as i64,
+        };
+        (result, delta)
+    }
+
+    pub(crate) fn add(&mut self, other: &Delta) {
+        self.posts_processed += other.posts_processed;
+        self.posts_emitted += other.posts_emitted;
+        self.comparisons += other.comparisons;
+        self.insertions += other.insertions;
+        self.evictions += other.evictions;
+        self.copies += other.copies;
+    }
+
+    /// Advance a running counter total by this change (peaks untouched).
+    pub(crate) fn apply_to(&self, total: &mut EngineMetrics) {
+        total.posts_processed += self.posts_processed;
+        total.posts_emitted += self.posts_emitted;
+        total.comparisons += self.comparisons;
+        total.insertions += self.insertions;
+        total.evictions += self.evictions;
+        total.copies_stored = total.copies_stored.saturating_add_signed(self.copies);
+    }
+}
+
+/// The per-engine step of an offer, shared by both executors: consult one
+/// component engine and report whether it emitted plus the exact counter
+/// change. An engine that does not own the record's author (the routing
+/// table and the engine disagree) answers "not emitted" with a zero delta
+/// rather than taking down the stream.
+pub(crate) fn offer_engine(engine: &mut CompactEngine, record: PostRecord) -> (bool, Delta) {
+    Delta::of(engine, |e| e.offer(record).is_some_and(|v| v.is_emitted()))
+}
+
 /// A live component's bookkeeping, kept apart from its engine so routing
-/// data (`members`, `users`) can be read while the engine is mutably
-/// borrowed — the parallel runner lends the engines to worker threads while
-/// the main thread keeps routing.
+/// data (`members`, `users`) stays readable while the engine is deployed on
+/// a shard worker.
 pub(crate) struct ComponentMeta {
     /// Sorted member authors — the component's identity.
     pub(crate) members: Vec<AuthorId>,
@@ -359,6 +422,57 @@ impl ComponentRegistry {
         Ok(())
     }
 
+    /// The sequential per-post loop (Section 5): sweep if due, fingerprint
+    /// once, consult the engine of every component owning the author, and
+    /// fan each emitting component out to its users. Returns whether a
+    /// sweep ran.
+    pub(crate) fn offer(&mut self, post: &Post, out: &mut MultiDecision) -> bool {
+        out.delivered_to.clear();
+        let swept = self.sweep_due(post.timestamp);
+        if swept {
+            self.sweep(post.timestamp);
+        }
+        let record = post.to_record(self.config.simhash);
+        let mut delta_copies = 0i64;
+        // Each component runs once. A user has at most one component
+        // containing this author, so the fan-outs are disjoint.
+        for &cid in &self.author_components[post.author as usize] {
+            let Some(engine) = self.engines[cid as usize].as_mut() else {
+                continue;
+            };
+            let (emitted, delta) = offer_engine(engine, record);
+            delta_copies += delta.copies;
+            if emitted {
+                self.deliver(cid, out);
+            }
+        }
+        self.close_post(delta_copies, out);
+        swept
+    }
+
+    /// Whether the periodic global eviction sweep (every `λt/2` of stream
+    /// time) is due before a post at `now`.
+    pub(crate) fn sweep_due(&self, now: Timestamp) -> bool {
+        let sweep_every = (self.config.thresholds.lambda_t / 2).max(1);
+        now.saturating_sub(self.last_sweep) >= sweep_every
+    }
+
+    /// Append the users of emitting component `cid` to `out`.
+    pub(crate) fn deliver(&self, cid: u32, out: &mut MultiDecision) {
+        if let Some(meta) = &self.meta[cid as usize] {
+            out.delivered_to.extend_from_slice(&meta.users);
+        }
+    }
+
+    /// Finish one post, in post order: fold its net copies change into the
+    /// live/peak ledger and put the delivery list in ascending user order.
+    pub(crate) fn close_post(&mut self, delta_copies: i64, out: &mut MultiDecision) {
+        self.live_copies = self.live_copies.saturating_add_signed(delta_copies);
+        self.peak_live_copies = self.peak_live_copies.max(self.live_copies);
+        out.delivered_to.sort_unstable();
+        debug_assert!(out.delivered_to.windows(2).all(|w| w[0] != w[1]));
+    }
+
     /// Evict expired records from every live engine and recompute the
     /// authoritative live-copy count.
     pub(crate) fn sweep(&mut self, now: Timestamp) {
@@ -372,6 +486,34 @@ impl ComponentRegistry {
         self.peak_live_copies = self.peak_live_copies.max(self.live_copies);
     }
 
+    /// Rebuild a fresh, empty engine for every live component whose engine
+    /// slot is empty — the engines a dead shard worker took with it. The
+    /// lost windows' contents are gone — a facade holding a checkpoint
+    /// restores them via `load_state`; without one the engines warm back up
+    /// from the live stream (graceful degradation). Returns how many were
+    /// rebuilt.
+    pub(crate) fn rebuild_missing_engines(&mut self) -> u64 {
+        let mut rebuilt = 0u64;
+        for (meta, slot) in self.meta.iter().zip(self.engines.iter_mut()) {
+            if let (Some(meta), None) = (meta, &slot) {
+                *slot = Some(CompactEngine::build(
+                    self.kind,
+                    self.config,
+                    &self.graph,
+                    &meta.members,
+                ));
+                rebuilt += 1;
+            }
+        }
+        if rebuilt > 0 {
+            // The sequential live-copies ledger counted the lost windows;
+            // re-anchor it to what actually survived. The peak watermark
+            // keeps its history.
+            self.live_copies = self.metrics_total().copies_stored;
+        }
+        rebuilt
+    }
+
     /// Aggregated counters across all live engines, with the summed
     /// per-engine peaks replaced by the tracked simultaneous peak.
     pub(crate) fn metrics_total(&self) -> EngineMetrics {
@@ -379,6 +521,12 @@ impl ComponentRegistry {
         for e in self.engines.iter().flatten() {
             total.merge(e.metrics());
         }
+        self.with_live_peak(total)
+    }
+
+    /// Replace the peaks of a summed counter total by the tracked
+    /// simultaneous peak.
+    pub(crate) fn with_live_peak(&self, mut total: EngineMetrics) -> EngineMetrics {
         total.peak_copies = self.peak_live_copies.max(total.copies_stored);
         total.peak_memory_bytes = total.peak_copies * PostRecord::SIZE_BYTES as u64;
         total

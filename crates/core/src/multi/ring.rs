@@ -1,28 +1,22 @@
-//! Bounded lock-free SPSC rings — the shard ingest transport of
-//! [`ShardedMulti`](crate::multi::ShardedMulti).
+//! Bounded lock-free SPSC rings — the transport between the
+//! [`SharedMulti`](crate::multi::SharedMulti) control thread and its shard
+//! workers.
 //!
 //! A classic Lamport queue with cached counterpart indices: the producer
 //! caches the consumer's head (and vice versa) so the common case touches
 //! only one shared cache line per operation. Capacity is a power of two and
-//! fixed at construction — the ring never allocates after `channel()`, which
-//! is what keeps the per-post ingest path allocation-free.
-//!
-//! The module has **zero external dependencies** (`std` only, no registry
-//! crates). `std::sync::mpsc` remains available as a fallback transport:
-//! set `FIREHOSE_RING=mpsc` to route every shard channel through
-//! [`std::sync::mpsc::sync_channel`] instead (same bounded semantics,
-//! different implementation) — the differential tests run both.
+//! fixed at construction — the ring never allocates after `spsc()`, which
+//! is what keeps the per-post ingest path allocation-free. Plain `std`
+//! atomics only, so it runs on every platform `std` does.
 //!
 //! Blocking is layered *outside* the ring: a [`Doorbell`] parks a consumer
 //! that has seen the ring empty and wakes it from the producer side, so the
-//! ring itself stays wait-free and the doorbell logic is shared by both
-//! transports.
+//! ring itself stays wait-free.
 
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::TrySendError;
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Pad to a cache line so the producer's and consumer's indices never
@@ -142,7 +136,7 @@ impl<T> SpscReceiver<T> {
 }
 
 // ---------------------------------------------------------------------
-// Doorbell: consumer parking, transport-independent.
+// Doorbell: consumer parking.
 // ---------------------------------------------------------------------
 
 /// Wakes a parked ring consumer. The consumer *must* re-check the ring
@@ -223,80 +217,6 @@ impl Doorbell {
                 self.sleeping.store(false, Ordering::SeqCst);
                 return;
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Transport selection: SPSC ring (default) or std::sync::mpsc fallback.
-// ---------------------------------------------------------------------
-
-/// Which transport shard channels use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RingMode {
-    /// The in-tree lock-free SPSC ring (default).
-    Spsc,
-    /// [`std::sync::mpsc::sync_channel`] — the portable fallback path.
-    Mpsc,
-}
-
-/// The transport selected by `FIREHOSE_RING` (`spsc` | `mpsc`), cached for
-/// the process lifetime like `FIREHOSE_KERNEL`. Unknown values fall back to
-/// the default ring.
-pub(crate) fn ring_mode() -> RingMode {
-    static MODE: OnceLock<RingMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("FIREHOSE_RING").as_deref() {
-        Ok("mpsc") => RingMode::Mpsc,
-        _ => RingMode::Spsc,
-    })
-}
-
-/// Sending half of a shard channel, either transport.
-pub(crate) enum Tx<T> {
-    Spsc(SpscSender<T>),
-    Mpsc(std::sync::mpsc::SyncSender<T>),
-}
-
-/// Receiving half of a shard channel, either transport.
-pub(crate) enum Rx<T> {
-    Spsc(SpscReceiver<T>),
-    Mpsc(std::sync::mpsc::Receiver<T>),
-}
-
-/// A bounded channel of at least `capacity` slots in the given mode.
-pub(crate) fn channel<T>(capacity: usize, mode: RingMode) -> (Tx<T>, Rx<T>) {
-    match mode {
-        RingMode::Spsc => {
-            let (tx, rx) = spsc(capacity);
-            (Tx::Spsc(tx), Rx::Spsc(rx))
-        }
-        RingMode::Mpsc => {
-            let (tx, rx) = std::sync::mpsc::sync_channel(capacity.max(2).next_power_of_two());
-            (Tx::Mpsc(tx), Rx::Mpsc(rx))
-        }
-    }
-}
-
-impl<T> Tx<T> {
-    /// Non-blocking push; hands `v` back when the channel is full (or, for
-    /// the mpsc fallback, disconnected — callers treat both as "retry or
-    /// fail upward").
-    pub(crate) fn try_push(&self, v: T) -> Result<(), T> {
-        match self {
-            Tx::Spsc(tx) => tx.try_push(v),
-            Tx::Mpsc(tx) => tx.try_send(v).map_err(|e| match e {
-                TrySendError::Full(v) | TrySendError::Disconnected(v) => v,
-            }),
-        }
-    }
-}
-
-impl<T> Rx<T> {
-    /// Non-blocking pop.
-    pub(crate) fn try_pop(&self) -> Option<T> {
-        match self {
-            Rx::Spsc(rx) => rx.try_pop(),
-            Rx::Mpsc(rx) => rx.try_recv().ok(),
         }
     }
 }
@@ -424,28 +344,5 @@ mod tests {
         // The announcement was cleared, so a fresh park also returns.
         bell.prepare_park();
         bell.park();
-    }
-
-    #[test]
-    fn both_transports_share_semantics() {
-        for mode in [RingMode::Spsc, RingMode::Mpsc] {
-            let (tx, rx) = channel::<u32>(4, mode);
-            for i in 0..4 {
-                tx.try_push(i).unwrap();
-            }
-            assert!(tx.try_push(4).is_err(), "{mode:?} full");
-            for i in 0..4 {
-                assert_eq!(rx.try_pop(), Some(i), "{mode:?}");
-            }
-            assert_eq!(rx.try_pop(), None, "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn ring_mode_defaults_to_spsc() {
-        // The env var is unset (or set to spsc) in the test environment;
-        // either way the cached mode must be a valid variant.
-        let mode = ring_mode();
-        assert!(matches!(mode, RingMode::Spsc | RingMode::Mpsc));
     }
 }

@@ -1,65 +1,67 @@
-//! `Sh_*`: the persistent sharded runner for the shared-component strategy.
+//! The shard worker pool: the `Shards` executor of
+//! [`SharedMulti`](crate::multi::SharedMulti) (`Sh_*`).
 //!
-//! [`ShardedMulti`] produces decisions, emissions, and counters **identical
-//! to [`SharedMulti`](crate::multi::SharedMulti)** while running component
-//! engines on N long-lived worker threads. Connected components never share
-//! engines (the paper's Section 5 independence argument), so engines
-//! partition by slot id (`cid % shards`) with no cross-shard traffic on the
-//! offer path.
+//! The pool runs the component engines on N long-lived worker threads and
+//! produces decisions, emissions, and counters **identical to the inline
+//! executor**. Connected components never share engines (the paper's
+//! Section 5 independence argument), so engines partition by slot id
+//! (`cid % shards`) with no cross-shard traffic on the offer path.
 //!
 //! ## Topology
 //!
-//! The control thread owns the component registry — routing tables,
-//! component metadata, subscriptions, and the churn ledger — while the
-//! engines themselves live in one of two places:
+//! The control thread — [`SharedMulti`](crate::multi::SharedMulti), which
+//! lends its component registry to every call here — keeps the routing
+//! tables, component metadata, subscriptions, and the churn ledger, while
+//! the engines themselves live in one of two places:
 //!
 //! * **deployed** (steady state): each live engine is owned by the worker
 //!   for shard `cid % shards`, shipped over that shard's bounded SPSC
 //!   request ring (the `ring` module); the registry's engine slots are
 //!   empty.
 //! * **parked** (churn/restore): all engines are recalled into their
-//!   registry slots, the *unchanged* sequential churn machinery runs
-//!   (merge/split re-homing through the existing warm-start path), and the
-//!   surviving engines are redeployed.
+//!   registry slots — exactly where the inline executor keeps them — the
+//!   *unchanged* sequential churn machinery runs (merge/split re-homing
+//!   through the existing warm-start path), and the surviving engines are
+//!   redeployed.
 //!
 //! ## Offer protocol
 //!
-//! Per post, the control thread replays `SharedMulti::offer_into` exactly:
-//! the sweep check runs first against the sequential `λt/2` schedule and, if
-//! due, an in-band `Req::Sweep` marker is sent to **every** shard before
-//! the post's records (the `Item::Sweep` discipline of
-//! [`parallel`](crate::multi::parallel)); the post is fingerprinted once on
-//! the control thread (so SimHash pipelines with coverage scans on the
-//! shards); one `Req::Offer` per owning component is routed to its shard;
-//! responses carry exact per-engine counter deltas, which the control thread
-//! folds into an O(1) metrics cache and the sequential live/peak ledger in
-//! post order. [`offer_batch`](crate::multi::MultiDiversifier::offer_batch)
-//! keeps a bounded window of posts in flight, which is where the
-//! multi-core throughput comes from.
+//! Per post, the control thread replays the registry's sequential offer
+//! loop: the sweep check runs first against the sequential `λt/2` schedule
+//! and, if due, an in-band `Req::Sweep` marker is sent to **every** shard
+//! before the post's records; the post is fingerprinted once on the control
+//! thread (so SimHash pipelines with coverage scans on the shards); one
+//! `Req::Offer` per owning component is routed to its shard, where the
+//! worker runs the same per-engine step the inline loop does; responses
+//! carry exact per-engine counter deltas, which the control thread folds
+//! into an O(1) metrics cache and the sequential live/peak ledger in post
+//! order. `offer_batch` keeps a bounded window of posts in flight, which is
+//! where the multi-core throughput comes from.
 //!
 //! ## Checkpoints
 //!
 //! `save_state` asks every shard to serialize its engines in parallel
 //! (`Req::SaveBlobs`) and stitches the per-shard blob sets into one
-//! FHSNAP04 state keyed by component hash — byte-identical to what
-//! `SharedMulti` writes, so sharded state restores into a sequential
-//! strategy and vice versa (see `checkpoint.rs` strategy families).
+//! FHSNAP04 state keyed by component hash — byte-identical to what the
+//! inline executor writes, so state moves freely between executors and
+//! shard counts.
 //!
 //! ## Supervision
 //!
-//! A worker panic no longer poisons the engine. Each worker runs under
+//! A worker panic does not poison the engine. Each worker runs under
 //! `catch_unwind` with a drop guard that flips its `ShardHealth` `dead`
 //! flag while the stack unwinds; the control thread notices on its next
 //! wait, counts the in-flight offers that died with the worker, respawns
 //! the thread on fresh rings, recalls the surviving shards' engines,
 //! rebuilds the lost ones empty, and redeploys. The episode is reported
-//! through [`MultiDiversifier::take_shard_failure`] so a facade holding a
-//! checkpoint can restore the lost window state and replay the lost posts
-//! (`FirehoseService` does exactly that). An optional watchdog
-//! ([`ShardedBuilder::watchdog`]) escalates *stalled* shards — a frozen
-//! heartbeat with responses outstanding — through the same restart path.
-//! Deterministic chaos schedules ([`ShardedBuilder::chaos`]) inject seeded
-//! panics and stalls mid-request for resilience tests and
+//! through [`MultiDiversifier::take_shard_failure`](crate::multi::MultiDiversifier::take_shard_failure)
+//! so a facade holding a checkpoint can restore the lost window state and
+//! replay the lost posts (`FirehoseService` does exactly that). An optional
+//! watchdog ([`SharedBuilder::watchdog`](crate::multi::SharedBuilder::watchdog))
+//! escalates *stalled* shards — a frozen heartbeat with responses
+//! outstanding — through the same restart path. Deterministic chaos
+//! schedules ([`SharedBuilder::chaos`](crate::multi::SharedBuilder::chaos))
+//! inject seeded panics and stalls mid-request for resilience tests and
 //! `resilience_bench`.
 
 use std::collections::{HashSet, VecDeque};
@@ -67,23 +69,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use firehose_graph::UndirectedGraph;
+use firehose_obs::Counter;
 use firehose_stream::{
     AuthorId, Post, PostRecord, ShardFault, ShardFaultKind, ShardFaultPlan, Timestamp,
 };
 
-use crate::config::EngineConfig;
-use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::independent::CompactEngine;
-use crate::multi::registry::ComponentRegistry;
-use crate::multi::ring::{self, Doorbell, RingMode, Rx, Tx};
-use crate::multi::subscriptions::{SubscriptionError, Subscriptions, UserId};
-use crate::multi::{
-    component_key, write_multi_state, BuildError, ChurnStats, MultiDecision, MultiDiversifier,
-    ShardFailure,
-};
-use crate::obs::{MultiObs, ShardedObs};
+use crate::multi::registry::{offer_engine, ComponentRegistry, Delta};
+use crate::multi::ring::{self, Doorbell, SpscReceiver, SpscSender};
+use crate::multi::{component_key, write_multi_state, MultiDecision, ShardFailure};
+use crate::obs::ShardedObs;
 
 /// Request/response ring capacity per shard. Pushes past a full ring drain
 /// responses and retry, so this bounds memory, not correctness.
@@ -168,90 +164,39 @@ struct ShardHealth {
     processed: AtomicU64,
 }
 
-/// Exact change of one engine's [`EngineMetrics`] across an operation. The
-/// monotone counters are wrapping differences; `copies` is signed because
-/// sweeps evict.
-#[derive(Debug, Clone, Copy, Default)]
-struct Delta {
-    posts_processed: u64,
-    posts_emitted: u64,
-    comparisons: u64,
-    insertions: u64,
-    evictions: u64,
-    copies: i64,
+impl ShardHealth {
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::SeqCst)
+    }
 }
 
-impl Delta {
-    fn diff(before: &EngineMetrics, after: &EngineMetrics) -> Self {
-        Self {
-            posts_processed: after.posts_processed.wrapping_sub(before.posts_processed),
-            posts_emitted: after.posts_emitted.wrapping_sub(before.posts_emitted),
-            comparisons: after.comparisons.wrapping_sub(before.comparisons),
-            insertions: after.insertions.wrapping_sub(before.insertions),
-            evictions: after.evictions.wrapping_sub(before.evictions),
-            copies: after.copies_stored as i64 - before.copies_stored as i64,
+/// One shard's ring pair plus its wakeup doorbell.
+struct ShardLink {
+    req: SpscSender<Req>,
+    resp: SpscReceiver<Resp>,
+    bell: Arc<Doorbell>,
+}
+
+impl ShardLink {
+    /// Push `req` and ring the doorbell, retrying while the request ring is
+    /// full. `while_full` runs before each retry: it must drain whatever
+    /// responses the worker may be blocked on, and returns `false` to give
+    /// up (the worker is dead), which hands the request back.
+    fn push(&self, mut req: Req, mut while_full: impl FnMut() -> bool) -> Result<(), Req> {
+        loop {
+            match self.req.try_push(req) {
+                Ok(()) => {
+                    self.bell.ring();
+                    return Ok(());
+                }
+                Err(r) if while_full() => {
+                    req = r;
+                    std::thread::yield_now();
+                }
+                Err(r) => return Err(r),
+            }
         }
     }
-
-    fn add(&mut self, other: &Delta) {
-        self.posts_processed += other.posts_processed;
-        self.posts_emitted += other.posts_emitted;
-        self.comparisons += other.comparisons;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-        self.copies += other.copies;
-    }
-}
-
-/// Control-side sum of the deployed engines' non-peak counters: rebuilt
-/// from the engines at every deploy, advanced by response [`Delta`]s while
-/// they are away. Makes [`ShardedMulti::metrics`] O(1) — required because
-/// the checkpoint manager polls it after every post.
-#[derive(Debug, Clone, Copy, Default)]
-struct CounterCache {
-    posts_processed: u64,
-    posts_emitted: u64,
-    comparisons: u64,
-    insertions: u64,
-    evictions: u64,
-    copies_stored: u64,
-}
-
-impl CounterCache {
-    fn absorb(&mut self, m: &EngineMetrics) {
-        self.posts_processed += m.posts_processed;
-        self.posts_emitted += m.posts_emitted;
-        self.comparisons += m.comparisons;
-        self.insertions += m.insertions;
-        self.evictions += m.evictions;
-        self.copies_stored += m.copies_stored;
-    }
-
-    fn apply(&mut self, d: &Delta) {
-        self.posts_processed += d.posts_processed;
-        self.posts_emitted += d.posts_emitted;
-        self.comparisons += d.comparisons;
-        self.insertions += d.insertions;
-        self.evictions += d.evictions;
-        self.copies_stored = add_signed(self.copies_stored, d.copies);
-    }
-}
-
-/// Saturating `u64 + i64`, mirroring the sequential ledger's saturating
-/// arithmetic.
-fn add_signed(base: u64, d: i64) -> u64 {
-    if d >= 0 {
-        base.saturating_add(d as u64)
-    } else {
-        base.saturating_sub(d.unsigned_abs())
-    }
-}
-
-/// One shard's channel pair plus its wakeup doorbell.
-struct ShardLink {
-    req: Tx<Req>,
-    resp: Rx<Resp>,
-    bell: Arc<Doorbell>,
 }
 
 /// One post's in-flight bookkeeping: how many responses are still due, the
@@ -263,121 +208,14 @@ struct PendingPost {
     emitted_cids: Vec<u32>,
 }
 
-/// Builder for [`ShardedMulti`]; see [`ShardedMulti::builder`].
-pub struct ShardedBuilder<'g> {
-    kind: AlgorithmKind,
-    config: EngineConfig,
-    graph: &'g UndirectedGraph,
-    subscriptions: Subscriptions,
-    warm_start: bool,
-    shards: usize,
-    watchdog: Option<Duration>,
-    chaos: ShardFaultPlan,
-    /// Test override for the channel transport; `None` = `FIREHOSE_RING`.
-    pub(crate) mode: Option<RingMode>,
-}
-
-impl ShardedBuilder<'_> {
-    /// Whether engines spawned by churn inherit their predecessors'
-    /// in-window records (default `true`); see
-    /// [`IndependentBuilder::warm_start`](crate::multi::IndependentBuilder::warm_start).
-    pub fn warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
-        self
-    }
-
-    /// Number of worker shards (default 1). Must be at least 1.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Stall-watchdog deadline: when a shard owes responses and its
-    /// heartbeat does not advance for this long, the worker is declared
-    /// stalled, abandoned, and respawned. Unset (the default) disables
-    /// stall detection; panics are always supervised.
-    pub fn watchdog(mut self, deadline: Duration) -> Self {
-        self.watchdog = Some(deadline);
-        self
-    }
-
-    /// Schedule deterministic thread-level chaos faults (seeded worker
-    /// panics and stalls) for resilience testing. Each worker lifetime
-    /// consumes at most one scheduled fault at spawn; once a shard's queue
-    /// drains, its workers run clean. Stall faults need
-    /// [`watchdog`](Self::watchdog) set, or the control thread waits
-    /// forever.
-    pub fn chaos(mut self, plan: ShardFaultPlan) -> Self {
-        self.chaos = plan;
-        self
-    }
-
-    /// Build the registry, spawn the workers, and deploy the engines.
-    pub fn build(self) -> Result<ShardedMulti, BuildError> {
-        if self.shards == 0 {
-            return Err(BuildError::ZeroThreads);
-        }
-        let registry = ComponentRegistry::new(
-            self.kind,
-            self.config,
-            Arc::new(self.graph.clone()),
-            self.subscriptions,
-            self.warm_start,
-        );
-        let mode = self.mode.unwrap_or_else(ring::ring_mode);
-        let mut chaos: Vec<VecDeque<ShardFault>> = vec![VecDeque::new(); self.shards];
-        for fault in self.chaos.faults {
-            if fault.shard < self.shards {
-                chaos[fault.shard].push_back(fault);
-            }
-        }
-        let mut links = Vec::with_capacity(self.shards);
-        let mut workers = Vec::with_capacity(self.shards);
-        let mut health = Vec::with_capacity(self.shards);
-        for (shard, queue) in chaos.iter_mut().enumerate() {
-            let fault = queue.pop_front();
-            let (link, handle, h) = spawn_worker(shard, mode, fault);
-            links.push(link);
-            workers.push(Some(handle));
-            health.push(h);
-        }
-        let mut multi = ShardedMulti {
-            registry,
-            links,
-            workers,
-            health,
-            mode,
-            chaos,
-            watchdog: self.watchdog,
-            shards: self.shards,
-            deployed: false,
-            seq: 0,
-            cache: CounterCache::default(),
-            re_homes: 0,
-            restarts: 0,
-            lost_offers: 0,
-            outstanding: vec![0; self.shards],
-            quarantined: vec![0; self.shards],
-            failure: None,
-            obs: None,
-            shard_obs: Vec::new(),
-        };
-        // `ensure_deployed`, not `deploy`: a chaos fault with a tiny
-        // threshold can kill a worker during this very first deployment.
-        multi.ensure_deployed();
-        Ok(multi)
-    }
-}
-
 /// Spawn one shard worker on fresh rings, optionally carrying a scheduled
 /// chaos fault for this lifetime.
 fn spawn_worker(
     shard: usize,
-    mode: RingMode,
     fault: Option<ShardFault>,
 ) -> (ShardLink, std::thread::JoinHandle<()>, Arc<ShardHealth>) {
-    let (req_tx, req_rx) = ring::channel::<Req>(RING_CAPACITY, mode);
-    let (resp_tx, resp_rx) = ring::channel::<Resp>(RING_CAPACITY, mode);
+    let (req_tx, req_rx) = ring::spsc::<Req>(RING_CAPACITY);
+    let (resp_tx, resp_rx) = ring::spsc::<Resp>(RING_CAPACITY);
     let bell = Arc::new(Doorbell::new());
     let health = Arc::new(ShardHealth::default());
     let worker_bell = Arc::clone(&bell);
@@ -397,95 +235,111 @@ fn spawn_worker(
     )
 }
 
-/// The persistent sharded shared-component engine (`Sh_UniBin(4)` etc.).
-pub struct ShardedMulti {
-    /// Routing, metadata, subscriptions, churn ledger — always
-    /// authoritative. Engine slots are empty while deployed.
-    registry: ComponentRegistry,
+/// The persistent shard workers and the control-side state that tracks
+/// them. Owns no registry: every operation borrows the caller's.
+pub(super) struct ShardPool {
     links: Vec<ShardLink>,
     /// Current worker handles; `None` briefly during a respawn.
     workers: Vec<Option<std::thread::JoinHandle<()>>>,
     /// Per-shard health records shared with the workers.
     health: Vec<Arc<ShardHealth>>,
-    /// Ring transport, kept so respawned workers get the same kind.
-    mode: RingMode,
     /// Remaining scheduled chaos faults per shard; each worker lifetime
     /// consumes at most one at spawn.
     chaos: Vec<VecDeque<ShardFault>>,
     /// Stall-detection deadline; `None` disables the watchdog.
     watchdog: Option<Duration>,
-    shards: usize,
     /// Whether engines currently live on the workers.
     deployed: bool,
     /// Post sequence number, shared by offers and sweep markers.
     seq: u64,
-    /// O(1) metrics cache for the deployed engines.
-    cache: CounterCache,
-    /// Churn-spawned engines whose warm-start seeds came from a retired
-    /// engine on a different shard (approximate — see `count_re_homes`).
-    re_homes: u64,
-    /// Worker respawns over this strategy's lifetime.
+    /// Summed non-peak counters of the deployed engines: rebuilt from the
+    /// engines at every deploy, advanced by response [`Delta`]s while they
+    /// are away. Makes [`metrics`](Self::metrics) O(1) — required because
+    /// the checkpoint manager polls it after every post.
+    cache: EngineMetrics,
+    /// Worker respawns over this pool's lifetime.
     restarts: u64,
-    /// Offer/sweep responses lost to worker deaths (lifetime total).
-    lost_offers: u64,
     /// Offer/sweep requests awaiting a response, per shard.
     outstanding: Vec<u64>,
-    /// Ingest-guard quarantines attributed per shard.
-    quarantined: Vec<u64>,
     /// Pending failure report for `take_shard_failure`.
     failure: Option<ShardFailure>,
-    obs: Option<MultiObs>,
+    /// The strategy-level sweep counter, when observed.
+    sweeps: Option<Counter>,
     /// Per-shard instruments; empty when unobserved.
     shard_obs: Vec<ShardedObs>,
 }
 
-impl ShardedMulti {
-    /// Build with `shards` workers over the given subscriptions.
-    pub fn new(
-        kind: AlgorithmKind,
-        config: EngineConfig,
-        graph: &UndirectedGraph,
-        subscriptions: Subscriptions,
+impl ShardPool {
+    /// Spawn `shards` workers (at least 1) and deploy `reg`'s engines to
+    /// them.
+    pub(super) fn spawn(
         shards: usize,
-    ) -> Result<Self, BuildError> {
-        Self::builder(kind, config, graph, subscriptions)
-            .shards(shards)
-            .build()
-    }
-
-    /// Start building a `Sh_*` strategy; see [`ShardedBuilder`].
-    pub fn builder(
-        kind: AlgorithmKind,
-        config: EngineConfig,
-        graph: &UndirectedGraph,
-        subscriptions: Subscriptions,
-    ) -> ShardedBuilder<'_> {
-        ShardedBuilder {
-            kind,
-            config,
-            graph,
-            subscriptions,
-            warm_start: true,
-            shards: 1,
-            watchdog: None,
-            chaos: ShardFaultPlan::none(),
-            mode: None,
+        watchdog: Option<Duration>,
+        plan: ShardFaultPlan,
+        reg: &mut ComponentRegistry,
+    ) -> Self {
+        let mut chaos: Vec<VecDeque<ShardFault>> = vec![VecDeque::new(); shards];
+        for fault in plan.faults {
+            if fault.shard < shards {
+                chaos[fault.shard].push_back(fault);
+            }
         }
+        let mut links = Vec::with_capacity(shards);
+        let mut workers = Vec::with_capacity(shards);
+        let mut health = Vec::with_capacity(shards);
+        for (shard, queue) in chaos.iter_mut().enumerate() {
+            let (link, handle, h) = spawn_worker(shard, queue.pop_front());
+            links.push(link);
+            workers.push(Some(handle));
+            health.push(h);
+        }
+        let mut pool = ShardPool {
+            links,
+            workers,
+            health,
+            chaos,
+            watchdog,
+            deployed: false,
+            seq: 0,
+            cache: EngineMetrics::default(),
+            restarts: 0,
+            outstanding: vec![0; shards],
+            failure: None,
+            sweeps: None,
+            shard_obs: Vec::new(),
+        };
+        // `ensure_deployed`, not `deploy`: a chaos fault with a tiny
+        // threshold can kill a worker during this very first deployment.
+        pool.ensure_deployed(reg);
+        pool
     }
 
-    /// Attach strategy-level and per-shard instruments (ring depth,
-    /// deployed-engine occupancy, sweep and re-home counters) to `registry`.
-    pub fn attach_obs(&mut self, registry: &firehose_obs::Registry) {
-        let name = MultiDiversifier::name(self);
-        self.obs = Some(MultiObs::register(registry, &name));
-        self.shard_obs = (0..self.shards)
-            .map(|s| ShardedObs::register(registry, &name, s))
+    /// Attach per-shard instruments (ring depth, deployed-engine occupancy,
+    /// sweep and re-home counters) to `registry`; `sweeps` is the
+    /// strategy-level sweep counter the pool bumps once per sweep.
+    pub(super) fn attach_obs(
+        &mut self,
+        registry: &firehose_obs::Registry,
+        strategy: &str,
+        reg: &ComponentRegistry,
+        sweeps: Counter,
+    ) {
+        self.sweeps = Some(sweeps);
+        self.shard_obs = (0..self.links.len())
+            .map(|s| ShardedObs::register(registry, strategy, s))
             .collect();
-        // Publish the current occupancy immediately.
-        let mut occupancy = vec![0i64; self.shards];
-        for (cid, meta) in self.registry.meta.iter().enumerate() {
+        self.publish_occupancy(reg);
+    }
+
+    /// Publish how many live components each shard owns.
+    fn publish_occupancy(&self, reg: &ComponentRegistry) {
+        if self.shard_obs.is_empty() {
+            return;
+        }
+        let mut occupancy = vec![0i64; self.links.len()];
+        for (cid, meta) in reg.meta.iter().enumerate() {
             if meta.is_some() {
-                occupancy[cid % self.shards] += 1;
+                occupancy[cid % self.links.len()] += 1;
             }
         }
         for (o, n) in self.shard_obs.iter().zip(occupancy) {
@@ -493,46 +347,17 @@ impl ShardedMulti {
         }
     }
 
-    /// Number of distinct components (= number of engines).
-    pub fn component_count(&self) -> usize {
-        self.registry.component_count()
-    }
-
     /// Number of worker shards.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Churn-spawned engines whose warm-start seeds crossed a shard
-    /// boundary (cumulative).
-    pub fn re_homes(&self) -> u64 {
-        self.re_homes
-    }
-
-    /// Worker respawns over this strategy's lifetime.
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Offer/sweep responses lost to worker deaths (lifetime total).
-    pub fn lost_offers(&self) -> u64 {
-        self.lost_offers
-    }
-
-    /// Ingest-guard quarantines attributed per shard (see
-    /// [`MultiDiversifier::note_quarantined`]).
-    pub fn shard_quarantined(&self) -> &[u64] {
-        &self.quarantined
+    pub(super) fn shards(&self) -> usize {
+        self.links.len()
     }
 
     fn any_dead(&self) -> bool {
-        self.health.iter().any(|h| h.dead.load(Ordering::SeqCst))
+        self.health.iter().any(|h| h.is_dead())
     }
 
     fn first_dead(&self) -> Option<usize> {
-        self.health
-            .iter()
-            .position(|h| h.dead.load(Ordering::SeqCst))
+        self.health.iter().position(|h| h.is_dead())
     }
 
     /// Current per-shard heartbeat counters.
@@ -549,12 +374,12 @@ impl ShardedMulti {
     /// respawns it). Returns whether any shard was escalated.
     fn abandon_stalled(&mut self, base: &[u64]) -> bool {
         let mut any = false;
-        for (shard, &seen) in base.iter().enumerate().take(self.shards) {
+        for (shard, &seen) in base.iter().enumerate().take(self.links.len()) {
             if self.outstanding[shard] == 0 {
                 continue;
             }
             let h = &self.health[shard];
-            if h.dead.load(Ordering::SeqCst) || h.processed.load(Ordering::SeqCst) != seen {
+            if h.is_dead() || h.processed.load(Ordering::SeqCst) != seen {
                 continue;
             }
             h.abandoned.store(true, Ordering::SeqCst);
@@ -569,36 +394,27 @@ impl ShardedMulti {
     /// progress. Returns `false` (dropping the request) once a worker is
     /// dead — the caller escalates to recovery, which discards `pending`
     /// anyway.
-    fn push_req(
-        &mut self,
-        shard: usize,
-        mut req: Req,
-        pending: &mut VecDeque<PendingPost>,
-    ) -> bool {
+    fn push_req(&mut self, shard: usize, req: Req, pending: &mut VecDeque<PendingPost>) -> bool {
         let awaits_response = matches!(req, Req::Offer { .. } | Req::Sweep { .. });
-        loop {
-            match self.links[shard].req.try_push(req) {
-                Ok(()) => break,
-                Err(r) => {
-                    req = r;
-                    if self.any_dead() {
-                        return false;
-                    }
-                    drain_responses(
-                        &self.links,
-                        &self.shard_obs,
-                        pending,
-                        &mut self.cache,
-                        &mut self.outstanding,
-                    );
-                    std::thread::yield_now();
-                }
+        let pushed = self.links[shard].push(req, || {
+            if self.health.iter().any(|h| h.is_dead()) {
+                return false;
             }
+            drain_responses(
+                &self.links,
+                &self.shard_obs,
+                pending,
+                &mut self.cache,
+                &mut self.outstanding,
+            );
+            true
+        });
+        if pushed.is_err() {
+            return false;
         }
         if awaits_response {
             self.outstanding[shard] += 1;
         }
-        self.links[shard].bell.ring();
         if let Some(o) = self.shard_obs.get(shard) {
             o.ring_depth.add(1);
         }
@@ -608,7 +424,12 @@ impl ShardedMulti {
     /// Issue one post's sweep marker (if due) and offers, pushing its
     /// bookkeeping onto `pending`. Returns `false` if a worker death cut
     /// the fan-out short.
-    fn issue_post(&mut self, post: &Post, pending: &mut VecDeque<PendingPost>) -> bool {
+    fn issue_post(
+        &mut self,
+        reg: &mut ComponentRegistry,
+        post: &Post,
+        pending: &mut VecDeque<PendingPost>,
+    ) -> bool {
         self.seq += 1;
         let seq = self.seq;
         // The pending entry must exist BEFORE any request is pushed:
@@ -625,10 +446,9 @@ impl ShardedMulti {
         });
         // Sequential sweep schedule, checked before the post's records and
         // delivered in-band ahead of them on every shard.
-        let sweep_every = (self.registry.config().thresholds.lambda_t / 2).max(1);
-        if post.timestamp.saturating_sub(self.registry.last_sweep) >= sweep_every {
-            self.registry.last_sweep = post.timestamp;
-            for shard in 0..self.shards {
+        if reg.sweep_due(post.timestamp) {
+            reg.last_sweep = post.timestamp;
+            for shard in 0..self.links.len() {
                 pending.back_mut().expect("just pushed").expected += 1;
                 if !self.push_req(
                     shard,
@@ -644,17 +464,15 @@ impl ShardedMulti {
                     o.sweeps.inc();
                 }
             }
-            if let Some(obs) = &self.obs {
-                obs.sweeps.inc();
+            if let Some(sweeps) = &self.sweeps {
+                sweeps.inc();
             }
         }
         // Fingerprint once on the control thread; coverage scans overlap on
         // the shards.
-        let record = post.to_record(self.registry.config().simhash);
-        let fanout = self.registry.author_components[post.author as usize].len();
-        for i in 0..fanout {
-            let cid = self.registry.author_components[post.author as usize][i];
-            let shard = cid as usize % self.shards;
+        let record = post.to_record(reg.config().simhash);
+        for &cid in &reg.author_components[post.author as usize] {
+            let shard = cid as usize % self.links.len();
             pending.back_mut().expect("just pushed").expected += 1;
             if !self.push_req(shard, Req::Offer { seq, cid, record }, pending) {
                 return false;
@@ -713,20 +531,18 @@ impl ShardedMulti {
     /// Finalize the oldest pending post **in post order**: fold its signed
     /// copies delta into the sequential live/peak ledger and expand its
     /// emitting components to user ids.
-    fn finalize_front(&mut self, pending: &mut VecDeque<PendingPost>, out: &mut MultiDecision) {
+    fn finalize_front(
+        reg: &mut ComponentRegistry,
+        pending: &mut VecDeque<PendingPost>,
+        out: &mut MultiDecision,
+    ) {
         let p = pending.pop_front().expect("front pending post");
         debug_assert_eq!(p.expected, 0);
-        let reg = &mut self.registry;
-        reg.live_copies = add_signed(reg.live_copies, p.delta_copies);
-        reg.peak_live_copies = reg.peak_live_copies.max(reg.live_copies);
         out.delivered_to.clear();
         for cid in p.emitted_cids {
-            if let Some(meta) = reg.meta[cid as usize].as_ref() {
-                out.delivered_to.extend_from_slice(&meta.users);
-            }
+            reg.deliver(cid, out);
         }
-        out.delivered_to.sort_unstable();
-        debug_assert!(out.delivered_to.windows(2).all(|w| w[0] != w[1]));
+        reg.close_post(p.delta_copies, out);
     }
 
     /// Ship every parked engine to its shard (`cid % shards`) and rebuild
@@ -734,47 +550,33 @@ impl ShardedMulti {
     /// setting the deployed flag when a worker is (or goes) dead: the
     /// in-hand engine returns to its slot, already-shipped engines stay out
     /// and are reclaimed by the next `park`.
-    fn deploy(&mut self) -> bool {
+    fn deploy(&mut self, reg: &mut ComponentRegistry) -> bool {
         debug_assert!(!self.deployed);
         if self.any_dead() {
             return false;
         }
-        let mut cache = CounterCache::default();
-        let mut occupancy = vec![0i64; self.shards];
-        for cid in 0..self.registry.engines.len() {
-            let Some(engine) = self.registry.engines[cid].take() else {
+        let mut cache = EngineMetrics::default();
+        for cid in 0..reg.engines.len() {
+            let Some(engine) = reg.engines[cid].take() else {
                 continue;
             };
-            cache.absorb(engine.metrics());
-            let shard = cid % self.shards;
-            occupancy[shard] += 1;
-            let mut req = Req::Deploy {
+            cache.merge(engine.metrics());
+            let shard = cid % self.links.len();
+            let req = Req::Deploy {
                 cid: cid as u32,
                 engine: Box::new(engine),
             };
-            loop {
-                match self.links[shard].req.try_push(req) {
-                    Ok(()) => break,
-                    Err(r) => {
-                        if self.any_dead() {
-                            let Req::Deploy { engine, .. } = r else {
-                                unreachable!("deploy pushes only Deploy requests")
-                            };
-                            self.registry.engines[cid] = Some(*engine);
-                            return false;
-                        }
-                        req = r;
-                        std::thread::yield_now();
-                    }
-                }
+            if let Err(req) = self.links[shard].push(req, || !self.any_dead()) {
+                let Req::Deploy { engine, .. } = req else {
+                    unreachable!("the request handed back is the one pushed")
+                };
+                reg.engines[cid] = Some(*engine);
+                return false;
             }
-            self.links[shard].bell.ring();
         }
         self.cache = cache;
         self.deployed = true;
-        for (o, n) in self.shard_obs.iter().zip(occupancy) {
-            o.engines.set(n);
-        }
+        self.publish_occupancy(reg);
         true
     }
 
@@ -784,58 +586,48 @@ impl ShardedMulti {
     /// abandoned by a failure are dropped. After this the registry is
     /// authoritative for every engine that survived.
     ///
-    /// Pushes here use a dedicated retry loop, not [`push_req`]: earlier
-    /// shards may already be streaming [`Resp::Engine`]s back while later
-    /// `Recall`s are still being pushed, and the offer-path
-    /// [`drain_responses`] rejects engine responses by design. Each live
+    /// The pushes here drain with [`receive_parked_responses`], not
+    /// [`push_req`]'s [`drain_responses`]: earlier shards may already be
+    /// streaming [`Resp::Engine`]s back while later `Recall`s are still
+    /// being pushed, and the offer path rejects engine responses by design. Each live
     /// shard closes its recall with a [`Resp::Recalled`] barrier, so when
     /// every live shard has answered, nothing of the pre-park era is left
     /// in any ring.
-    fn park(&mut self) {
-        let mut done = vec![false; self.shards];
-        for shard in 0..self.shards {
-            if self.health[shard].dead.load(Ordering::SeqCst) {
+    fn park(&mut self, reg: &mut ComponentRegistry) {
+        let mut done = vec![false; self.links.len()];
+        for shard in 0..self.links.len() {
+            if self.health[shard].is_dead() {
                 continue;
             }
-            let mut req = Req::Recall;
-            loop {
-                match self.links[shard].req.try_push(req) {
-                    Ok(()) => break,
-                    Err(r) => {
-                        req = r;
-                        if self.health[shard].dead.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        receive_parked_responses(
-                            &self.links,
-                            &self.shard_obs,
-                            &mut self.registry,
-                            &mut self.outstanding,
-                            &mut done,
-                        );
-                        std::thread::yield_now();
-                    }
+            // A push given up on means the shard died meanwhile; the wait
+            // below skips it like any other dead shard.
+            let _ = self.links[shard].push(Req::Recall, || {
+                if self.health[shard].is_dead() {
+                    return false;
                 }
-            }
-            self.links[shard].bell.ring();
+                receive_parked_responses(
+                    &self.links,
+                    &self.shard_obs,
+                    reg,
+                    &mut self.outstanding,
+                    &mut done,
+                );
+                true
+            });
         }
         loop {
             // Snapshot deaths before draining: a worker's pre-death pushes
             // are visible once its dead flag is, so a drain that runs after
             // seeing the flag has popped everything it ever sent.
-            let dead: Vec<bool> = self
-                .health
-                .iter()
-                .map(|h| h.dead.load(Ordering::SeqCst))
-                .collect();
+            let dead: Vec<bool> = self.health.iter().map(|h| h.is_dead()).collect();
             let progress = receive_parked_responses(
                 &self.links,
                 &self.shard_obs,
-                &mut self.registry,
+                reg,
                 &mut self.outstanding,
                 &mut done,
             );
-            if (0..self.shards).all(|s| done[s] || dead[s]) {
+            if (0..self.links.len()).all(|s| done[s] || dead[s]) {
                 break;
             }
             if !progress {
@@ -854,13 +646,13 @@ impl ShardedMulti {
     /// the failure episode for `take_shard_failure`. On return all workers
     /// are alive and all surviving state is parked. Degenerates to a plain
     /// park when nothing died.
-    fn heal_parked(&mut self, lost_posts: u64) {
+    fn heal_parked(&mut self, reg: &mut ComponentRegistry, lost_posts: u64) {
         let mut episode_shard = self.first_dead();
         let mut lost_offers = 0u64;
         let mut lost_engines = 0u64;
         let mut restarted = 0u64;
         loop {
-            self.park();
+            self.park(reg);
             if !self.any_dead() {
                 break;
             }
@@ -869,8 +661,8 @@ impl ShardedMulti {
             // parked worker handles no requests, so the second park is
             // always clean.
             episode_shard = episode_shard.or_else(|| self.first_dead());
-            for s in 0..self.shards {
-                if self.health[s].dead.load(Ordering::SeqCst) && self.outstanding[s] > 0 {
+            for s in 0..self.links.len() {
+                if self.health[s].is_dead() && self.outstanding[s] > 0 {
                     lost_offers += self.outstanding[s];
                     if let Some(o) = self.shard_obs.get(s) {
                         o.lost_offers.add(self.outstanding[s]);
@@ -879,7 +671,7 @@ impl ShardedMulti {
                 }
             }
             restarted += self.restart_dead_workers();
-            lost_engines += self.rebuild_missing_engines();
+            lost_engines += reg.rebuild_missing_engines();
         }
         if restarted == 0 {
             return;
@@ -892,7 +684,6 @@ impl ShardedMulti {
         for o in &self.shard_obs {
             o.ring_depth.set(0);
         }
-        self.lost_offers += lost_offers;
         let restarts = self.restarts;
         let f = self.failure.get_or_insert_with(|| ShardFailure {
             shard: episode_shard.unwrap_or(0),
@@ -911,8 +702,8 @@ impl ShardedMulti {
     /// runaway thread is leaked rather than waited on forever.
     fn restart_dead_workers(&mut self) -> u64 {
         let mut restarted = 0;
-        for shard in 0..self.shards {
-            if !self.health[shard].dead.load(Ordering::SeqCst) {
+        for shard in 0..self.links.len() {
+            if !self.health[shard].is_dead() {
                 continue;
             }
             let abandoned = self.health[shard].abandoned.load(Ordering::SeqCst);
@@ -926,7 +717,7 @@ impl ShardedMulti {
             let fault = self.chaos[shard].pop_front();
             // Replacing the link retires the old rings (and whatever stale
             // requests they still held) once the old worker's ends drop.
-            let (link, handle, health) = spawn_worker(shard, self.mode, fault);
+            let (link, handle, health) = spawn_worker(shard, fault);
             self.links[shard] = link;
             self.workers[shard] = Some(handle);
             self.health[shard] = health;
@@ -939,49 +730,17 @@ impl ShardedMulti {
         restarted
     }
 
-    /// Rebuild a fresh, empty engine for every live component whose engine
-    /// died with its worker. The lost windows' contents are gone — a facade
-    /// holding a checkpoint restores them via `load_state`; without one the
-    /// engines warm back up from the live stream (graceful degradation).
-    fn rebuild_missing_engines(&mut self) -> u64 {
-        let mut rebuilt = 0u64;
-        for cid in 0..self.registry.engines.len() {
-            if self.registry.engines[cid].is_some() {
-                continue;
-            }
-            let members = match self.registry.meta[cid].as_ref() {
-                Some(meta) => meta.members.clone(),
-                None => continue,
-            };
-            self.registry.engines[cid] = Some(CompactEngine::build(
-                self.registry.kind(),
-                *self.registry.config(),
-                &self.registry.graph,
-                &members,
-            ));
-            rebuilt += 1;
-        }
-        if rebuilt > 0 {
-            // The sequential live-copies ledger counted the lost windows;
-            // re-anchor it to what actually survived. The peak watermark
-            // keeps its history.
-            self.registry.live_copies = self.registry.metrics_total().copies_stored;
-        }
-        rebuilt
-    }
-
     /// Full failure recovery: park what survived, respawn dead workers,
     /// rebuild lost engines, redeploy — looping because a scheduled chaos
     /// fault (or a deterministic crash bug) can kill a fresh worker during
     /// the redeploy itself. Panics after [`MAX_RESTART_STORM`] consecutive
     /// failed redeploys: a worker that cannot survive receiving its engines
     /// is a crash loop no supervisor can fix.
-    fn recover_and_redeploy(&mut self, lost_posts: u64) {
-        let mut lost_posts = lost_posts;
+    fn recover_and_redeploy(&mut self, reg: &mut ComponentRegistry, mut lost_posts: u64) {
         for _ in 0..MAX_RESTART_STORM {
-            self.heal_parked(lost_posts);
+            self.heal_parked(reg, lost_posts);
             lost_posts = 0; // counted once
-            if self.deploy() {
+            if self.deploy(reg) {
                 return;
             }
         }
@@ -994,10 +753,10 @@ impl ShardedMulti {
 
     /// Offer-path failure handling: everything still pending is lost (a
     /// dead worker can never answer); clear it and run full recovery.
-    fn recover(&mut self, pending: &mut VecDeque<PendingPost>) {
+    fn recover(&mut self, reg: &mut ComponentRegistry, pending: &mut VecDeque<PendingPost>) {
         let lost_posts = pending.len() as u64;
         pending.clear();
-        self.recover_and_redeploy(lost_posts);
+        self.recover_and_redeploy(reg, lost_posts);
     }
 
     /// Pop every available save response, keying each blob by its
@@ -1007,6 +766,7 @@ impl ShardedMulti {
     /// traffic).
     fn receive_saved_blobs(
         &self,
+        reg: &ComponentRegistry,
         engines: &mut Vec<(u64, Vec<u8>)>,
         first_err: &mut Option<std::io::Error>,
     ) -> usize {
@@ -1018,7 +778,7 @@ impl ShardedMulti {
                         n += 1;
                         match blob {
                             Ok(bytes) => {
-                                let meta = self.registry.meta[cid as usize]
+                                let meta = reg.meta[cid as usize]
                                     .as_ref()
                                     .expect("deployed engine has meta");
                                 engines.push((component_key(&meta.members), bytes));
@@ -1039,9 +799,9 @@ impl ShardedMulti {
 
     /// Recover the deployed invariant — after a failed restore left the
     /// engine parked, or after a worker death that has not yet been healed.
-    fn ensure_deployed(&mut self) {
-        if self.any_dead() || (!self.deployed && !self.deploy()) {
-            self.recover_and_redeploy(0);
+    fn ensure_deployed(&mut self, reg: &mut ComponentRegistry) {
+        if self.any_dead() || (!self.deployed && !self.deploy(reg)) {
+            self.recover_and_redeploy(reg, 0);
         }
     }
 
@@ -1050,31 +810,35 @@ impl ShardedMulti {
     /// full recovery.
     fn abort_pending(
         &mut self,
+        reg: &mut ComponentRegistry,
         pending: &mut VecDeque<PendingPost>,
         decisions: &mut Vec<MultiDecision>,
     ) {
         for _ in 0..pending.len() {
             decisions.push(MultiDecision::default());
         }
-        self.recover(pending);
+        self.recover(reg, pending);
     }
 
     /// Park (healing any dead workers first), run a churn operation against
     /// the sequential registry machinery, count cross-shard re-homes, and
     /// redeploy.
-    fn with_parked<R>(&mut self, f: impl FnOnce(&mut ComponentRegistry) -> R) -> R {
-        self.heal_parked(0);
-        let before: Vec<(u32, AuthorId)> = self
-            .registry
+    pub(super) fn with_parked<R>(
+        &mut self,
+        reg: &mut ComponentRegistry,
+        f: impl FnOnce(&mut ComponentRegistry) -> R,
+    ) -> R {
+        self.heal_parked(reg, 0);
+        let before: Vec<(u32, AuthorId)> = reg
             .meta
             .iter()
             .enumerate()
             .filter_map(|(cid, m)| m.as_ref().map(|m| (cid as u32, m.members[0])))
             .collect();
-        let result = f(&mut self.registry);
-        self.count_re_homes(&before);
-        if !self.deploy() {
-            self.recover_and_redeploy(0);
+        let result = f(reg);
+        self.count_re_homes(reg, &before);
+        if !self.deploy(reg) {
+            self.recover_and_redeploy(reg, 0);
         }
         result
     }
@@ -1085,32 +849,213 @@ impl ShardedMulti {
     /// own absorption test), so "retired first member ∈ new members" is the
     /// seed-provenance signal. Approximate when a freed slot is recycled
     /// within the same operation.
-    fn count_re_homes(&mut self, before: &[(u32, AuthorId)]) {
+    fn count_re_homes(&self, reg: &ComponentRegistry, before: &[(u32, AuthorId)]) {
         let retired: Vec<(u32, AuthorId)> = before
             .iter()
             .copied()
-            .filter(|&(cid, _)| self.registry.meta[cid as usize].is_none())
+            .filter(|&(cid, _)| reg.meta[cid as usize].is_none())
             .collect();
         if retired.is_empty() {
             return;
         }
         let live_before: HashSet<u32> = before.iter().map(|&(cid, _)| cid).collect();
-        for (cid, meta) in self.registry.meta.iter().enumerate() {
+        for (cid, meta) in reg.meta.iter().enumerate() {
             let Some(meta) = meta else { continue };
             if live_before.contains(&(cid as u32)) {
                 continue;
             }
-            let new_shard = cid % self.shards;
+            let new_shard = cid % self.links.len();
             let moved = retired.iter().any(|&(old, first)| {
-                old as usize % self.shards != new_shard
+                old as usize % self.links.len() != new_shard
                     && meta.members.binary_search(&first).is_ok()
             });
-            if moved {
-                self.re_homes += 1;
-                if let Some(o) = self.shard_obs.get(new_shard) {
-                    o.re_homes.inc();
-                }
+            if let (true, Some(o)) = (moved, self.shard_obs.get(new_shard)) {
+                o.re_homes.inc();
             }
+        }
+    }
+}
+
+impl ShardPool {
+    /// Offer one post: issue it, wait for its responses, and finalize it.
+    /// A post that dies with a worker reports an empty delivery; the failure
+    /// episode (including that lost post) is available via
+    /// [`take_shard_failure`](Self::take_shard_failure).
+    pub(super) fn offer_into(
+        &mut self,
+        reg: &mut ComponentRegistry,
+        post: &Post,
+        out: &mut MultiDecision,
+    ) {
+        self.ensure_deployed(reg);
+        let mut pending = VecDeque::with_capacity(1);
+        if self.issue_post(reg, post, &mut pending) && self.wait_front(&mut pending) {
+            Self::finalize_front(reg, &mut pending, out);
+        } else {
+            out.delivered_to.clear();
+            self.recover(reg, &mut pending);
+        }
+    }
+
+    /// The pipelined throughput path: keeps up to `MAX_IN_FLIGHT` posts
+    /// in flight so fingerprinting, routing, and the shards' coverage scans
+    /// overlap.
+    pub(super) fn offer_batch(
+        &mut self,
+        reg: &mut ComponentRegistry,
+        posts: &[Post],
+    ) -> Vec<MultiDecision> {
+        self.ensure_deployed(reg);
+        let mut decisions: Vec<MultiDecision> = Vec::with_capacity(posts.len());
+        let mut pending: VecDeque<PendingPost> = VecDeque::with_capacity(MAX_IN_FLIGHT);
+        for post in posts {
+            // Opportunistically retire completed posts, then respect the
+            // in-flight window.
+            drain_responses(
+                &self.links,
+                &self.shard_obs,
+                &mut pending,
+                &mut self.cache,
+                &mut self.outstanding,
+            );
+            while pending.front().is_some_and(|p| p.expected == 0) || pending.len() >= MAX_IN_FLIGHT
+            {
+                self.retire_front(reg, &mut pending, &mut decisions);
+            }
+            if !self.issue_post(reg, post, &mut pending) {
+                self.abort_pending(reg, &mut pending, &mut decisions);
+            }
+        }
+        while !pending.is_empty() {
+            self.retire_front(reg, &mut pending, &mut decisions);
+        }
+        decisions
+    }
+
+    /// Wait for the oldest pending post and append its decision — or, when
+    /// a worker died under it, abort everything pending.
+    fn retire_front(
+        &mut self,
+        reg: &mut ComponentRegistry,
+        pending: &mut VecDeque<PendingPost>,
+        decisions: &mut Vec<MultiDecision>,
+    ) {
+        if self.wait_front(pending) {
+            let mut out = MultiDecision::default();
+            Self::finalize_front(reg, pending, &mut out);
+            decisions.push(out);
+        } else {
+            self.abort_pending(reg, pending, decisions);
+        }
+    }
+
+    /// Aggregated counters across all engines, wherever they are.
+    pub(super) fn metrics(&self, reg: &ComponentRegistry) -> EngineMetrics {
+        if self.deployed {
+            reg.with_live_peak(self.cache)
+        } else {
+            reg.metrics_total()
+        }
+    }
+
+    /// Stitched checkpoint: every shard serializes its engines in parallel
+    /// and the control thread assembles the `(component key, blob)` pairs
+    /// into the standard FHSNAP04 state — byte-identical to
+    /// `ComponentRegistry::save_state` over the same engines.
+    pub(super) fn save_state(
+        &self,
+        reg: &ComponentRegistry,
+        w: &mut dyn std::io::Write,
+    ) -> std::io::Result<()> {
+        if !self.deployed {
+            return reg.save_state(w);
+        }
+        if self.any_dead() {
+            return Err(shard_failed_error());
+        }
+        let total = reg.component_count();
+        let mut engines: Vec<(u64, Vec<u8>)> = Vec::with_capacity(total);
+        let mut first_err: Option<std::io::Error> = None;
+        let mut received = 0usize;
+        // Like `park`, the push loop drains this path's own responses:
+        // earlier shards may already be streaming blobs back while later
+        // `SaveBlobs` are still being pushed.
+        for link in &self.links {
+            let pushed = link.push(Req::SaveBlobs, || {
+                if self.any_dead() {
+                    return false;
+                }
+                received += self.receive_saved_blobs(reg, &mut engines, &mut first_err);
+                true
+            });
+            if pushed.is_err() {
+                return Err(shard_failed_error());
+            }
+        }
+        while received < total {
+            let n = self.receive_saved_blobs(reg, &mut engines, &mut first_err);
+            if n == 0 {
+                if self.any_dead() {
+                    return Err(shard_failed_error());
+                }
+                std::thread::yield_now();
+            }
+            received += n;
+        }
+        if let Some(e) = first_err {
+            return Err(e);
+        }
+        write_multi_state(
+            w,
+            &reg.churn,
+            &reg.subscriptions,
+            [reg.last_sweep, reg.live_copies, reg.peak_live_copies],
+            &mut engines,
+        )
+    }
+
+    /// Park, load the registry, redeploy. On error the engines stay parked;
+    /// the next operation redeploys whatever state the registry was left
+    /// with (the trait contract requires a rebuild anyway).
+    pub(super) fn load_state(
+        &mut self,
+        reg: &mut ComponentRegistry,
+        r: &mut dyn std::io::Read,
+    ) -> Result<(), crate::snapshot::SnapshotError> {
+        self.heal_parked(reg, 0);
+        let result = reg.load_state(r);
+        if result.is_ok() && !self.deploy(reg) {
+            self.recover_and_redeploy(reg, 0);
+        }
+        result
+    }
+
+    /// Take the pending failure report. An unhealed death (e.g. detected
+    /// by a failed `save_state`, which must not mutate) is healed here so
+    /// the report is complete.
+    pub(super) fn take_shard_failure(
+        &mut self,
+        reg: &mut ComponentRegistry,
+    ) -> Option<ShardFailure> {
+        if self.any_dead() {
+            self.recover_and_redeploy(reg, 0);
+        }
+        self.failure.take()
+    }
+
+    /// Attribute an ingest-guard quarantine to the shard that would have
+    /// processed the author's first owning component; authors with no
+    /// subscribers hash straight to a shard so every quarantine lands
+    /// somewhere.
+    pub(super) fn note_quarantined(&self, reg: &ComponentRegistry, author: AuthorId) {
+        let shard = reg
+            .author_components
+            .get(author as usize)
+            .and_then(|cids| cids.first())
+            .map(|&cid| cid as usize % self.links.len())
+            .unwrap_or(author as usize % self.links.len());
+        if let Some(o) = self.shard_obs.get(shard) {
+            o.quarantined.inc();
         }
     }
 }
@@ -1122,7 +1067,7 @@ fn drain_responses(
     links: &[ShardLink],
     shard_obs: &[ShardedObs],
     pending: &mut VecDeque<PendingPost>,
-    cache: &mut CounterCache,
+    cache: &mut EngineMetrics,
     outstanding: &mut [u64],
 ) -> bool {
     let mut progress = false;
@@ -1143,7 +1088,7 @@ fn drain_responses(
                 Resp::Swept { seq, delta } => (seq, None, delta),
                 _ => unreachable!("recall/save responses cannot overlap the offer path"),
             };
-            cache.apply(&delta);
+            delta.apply_to(cache);
             let front_seq = pending.front().expect("pending post for response").seq;
             let p = &mut pending[(seq - front_seq) as usize];
             p.delta_copies += delta.copies;
@@ -1201,8 +1146,8 @@ fn receive_parked_responses(
 /// the unwind itself; the post-`catch_unwind` store covers the (impossible
 /// today, cheap forever) case of the guard being skipped.
 fn worker_loop(
-    rx: Rx<Req>,
-    tx: Tx<Resp>,
+    rx: SpscReceiver<Req>,
+    tx: SpscSender<Resp>,
     bell: Arc<Doorbell>,
     health: Arc<ShardHealth>,
     fault: Option<ShardFault>,
@@ -1232,8 +1177,8 @@ fn worker_loop(
 /// request, and fires its scheduled chaos fault (if any) once enough
 /// requests have been handled.
 fn worker_run(
-    rx: Rx<Req>,
-    tx: Tx<Resp>,
+    rx: SpscReceiver<Req>,
+    tx: SpscSender<Resp>,
     bell: Arc<Doorbell>,
     health: &ShardHealth,
     fault: Option<ShardFault>,
@@ -1284,11 +1229,7 @@ fn worker_run(
         match req {
             Req::Offer { seq, cid, record } => {
                 let (emitted, delta) = match engines.get_mut(&cid) {
-                    Some(engine) => {
-                        let before = *engine.metrics();
-                        let emitted = engine.offer(record).is_some_and(|v| v.is_emitted());
-                        (emitted, Delta::diff(&before, engine.metrics()))
-                    }
+                    Some(engine) => offer_engine(engine, record),
                     // Routing said live but the engine is not here: answer
                     // (the control thread counts responses) without work.
                     None => (false, Delta::default()),
@@ -1305,9 +1246,7 @@ fn worker_run(
             Req::Sweep { seq, now } => {
                 let mut delta = Delta::default();
                 for engine in engines.values_mut() {
-                    let before = *engine.metrics();
-                    engine.evict_expired(now);
-                    delta.add(&Delta::diff(&before, engine.metrics()));
+                    delta.add(&Delta::of(engine, |e| e.evict_expired(now)).1);
                 }
                 if !respond(Resp::Swept { seq, delta }) {
                     return;
@@ -1353,7 +1292,7 @@ fn worker_run(
 /// Returns `None` once the watchdog has abandoned this worker — the
 /// doorbell's 50ms park timeout bounds how long an abandoned worker sleeps
 /// before noticing.
-fn next_req(rx: &Rx<Req>, bell: &Doorbell, health: &ShardHealth) -> Option<Req> {
+fn next_req(rx: &SpscReceiver<Req>, bell: &Doorbell, health: &ShardHealth) -> Option<Req> {
     let mut idle: u32 = 0;
     loop {
         if let Some(req) = rx.try_pop() {
@@ -1381,263 +1320,22 @@ fn next_req(rx: &Rx<Req>, bell: &Doorbell, health: &ShardHealth) -> Option<Req> 
     }
 }
 
-impl MultiDiversifier for ShardedMulti {
-    fn offer(&mut self, post: &Post) -> MultiDecision {
-        let mut out = MultiDecision::default();
-        self.offer_into(post, &mut out);
-        out
-    }
-
-    fn offer_into(&mut self, post: &Post, out: &mut MultiDecision) {
-        self.ensure_deployed();
-        let started = self.obs.is_some().then(Instant::now);
-        let mut pending = VecDeque::with_capacity(1);
-        let ok = self.issue_post(post, &mut pending) && self.wait_front(&mut pending);
-        if ok {
-            self.finalize_front(&mut pending, out);
-        } else {
-            // The post died with a worker: report an empty delivery and
-            // heal. The failure episode (including this lost post) is
-            // available via `take_shard_failure`.
-            out.delivered_to.clear();
-            self.recover(&mut pending);
-        }
-        if let (Some(t0), Some(obs)) = (started, &self.obs) {
-            obs.offer_latency.record_duration(t0.elapsed());
-            obs.live_copies.set(self.registry.live_copies as i64);
-        }
-    }
-
-    /// The pipelined throughput path: keeps up to `MAX_IN_FLIGHT` posts
-    /// in flight so fingerprinting, routing, and the shards' coverage scans
-    /// overlap. Decisions, counters, and the sweep schedule are identical
-    /// to offering the posts one at a time.
-    fn offer_batch(&mut self, posts: &[Post]) -> Vec<MultiDecision> {
-        self.ensure_deployed();
-        let mut decisions: Vec<MultiDecision> = Vec::with_capacity(posts.len());
-        let mut pending: VecDeque<PendingPost> = VecDeque::with_capacity(MAX_IN_FLIGHT);
-        let mut out = MultiDecision::default();
-        for post in posts {
-            // Opportunistically retire completed posts, then respect the
-            // in-flight window.
-            drain_responses(
-                &self.links,
-                &self.shard_obs,
-                &mut pending,
-                &mut self.cache,
-                &mut self.outstanding,
-            );
-            while pending.front().is_some_and(|p| p.expected == 0) {
-                self.finalize_front(&mut pending, &mut out);
-                decisions.push(std::mem::take(&mut out));
-            }
-            let mut ok = true;
-            while ok && pending.len() >= MAX_IN_FLIGHT {
-                ok = self.wait_front(&mut pending);
-                if ok {
-                    self.finalize_front(&mut pending, &mut out);
-                    decisions.push(std::mem::take(&mut out));
-                }
-            }
-            if !ok {
-                self.abort_pending(&mut pending, &mut decisions);
-            }
-            if !self.issue_post(post, &mut pending) {
-                self.abort_pending(&mut pending, &mut decisions);
-            }
-        }
-        while !pending.is_empty() {
-            if self.wait_front(&mut pending) {
-                self.finalize_front(&mut pending, &mut out);
-                decisions.push(std::mem::take(&mut out));
-            } else {
-                self.abort_pending(&mut pending, &mut decisions);
-            }
-        }
-        if let Some(obs) = &self.obs {
-            obs.live_copies.set(self.registry.live_copies as i64);
-        }
-        decisions
-    }
-
-    fn subscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
-        self.with_parked(|reg| reg.subscribe(user, author))
-    }
-
-    fn unsubscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
-        self.with_parked(|reg| reg.unsubscribe(user, author))
-    }
-
-    fn add_user(&mut self, authors: &[AuthorId]) -> Result<UserId, SubscriptionError> {
-        self.with_parked(|reg| reg.add_user(authors))
-    }
-
-    fn remove_user(&mut self, user: UserId) -> Result<(), SubscriptionError> {
-        self.with_parked(|reg| reg.remove_user(user))
-    }
-
-    fn churn_stats(&self) -> ChurnStats {
-        self.registry.churn
-    }
-
-    fn subscriptions(&self) -> &Subscriptions {
-        &self.registry.subscriptions
-    }
-
-    fn metrics(&self) -> EngineMetrics {
-        if !self.deployed {
-            return self.registry.metrics_total();
-        }
-        let c = &self.cache;
-        let mut total = EngineMetrics {
-            posts_processed: c.posts_processed,
-            posts_emitted: c.posts_emitted,
-            comparisons: c.comparisons,
-            insertions: c.insertions,
-            evictions: c.evictions,
-            copies_stored: c.copies_stored,
-            peak_copies: 0,
-            peak_memory_bytes: 0,
-        };
-        total.peak_copies = self.registry.peak_live_copies.max(total.copies_stored);
-        total.peak_memory_bytes = total.peak_copies * PostRecord::SIZE_BYTES as u64;
-        total
-    }
-
-    fn name(&self) -> String {
-        format!("Sh_{}({})", self.registry.kind(), self.shards)
-    }
-
-    /// Stitched sharded checkpoint: every shard serializes its engines in
-    /// parallel and the control thread assembles the `(component key, blob)`
-    /// pairs into the standard FHSNAP04 state — byte-identical to
-    /// `SharedMulti::save_state` over the same engines.
-    fn save_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        if !self.deployed {
-            return self.registry.save_state(w);
-        }
-        if self.any_dead() {
-            return Err(shard_failed_error());
-        }
-        let total = self.registry.component_count();
-        let mut engines: Vec<(u64, Vec<u8>)> = Vec::with_capacity(total);
-        let mut first_err: Option<std::io::Error> = None;
-        let mut received = 0usize;
-        // Like `park`, the push loop drains this path's own responses:
-        // earlier shards may already be streaming blobs back while later
-        // `SaveBlobs` are still being pushed.
-        for link in &self.links {
-            let mut req = Req::SaveBlobs;
-            loop {
-                match link.req.try_push(req) {
-                    Ok(()) => break,
-                    Err(r) => {
-                        req = r;
-                        if self.any_dead() {
-                            return Err(shard_failed_error());
-                        }
-                        received += self.receive_saved_blobs(&mut engines, &mut first_err);
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            link.bell.ring();
-        }
-        while received < total {
-            let n = self.receive_saved_blobs(&mut engines, &mut first_err);
-            if n == 0 {
-                if self.any_dead() {
-                    return Err(shard_failed_error());
-                }
-                std::thread::yield_now();
-            }
-            received += n;
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        write_multi_state(
-            w,
-            &self.registry.churn,
-            &self.registry.subscriptions,
-            [
-                self.registry.last_sweep,
-                self.registry.live_copies,
-                self.registry.peak_live_copies,
-            ],
-            &mut engines,
-        )
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut dyn std::io::Read,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.heal_parked(0);
-        let result = self.registry.load_state(r);
-        if result.is_ok() && !self.deploy() {
-            self.recover_and_redeploy(0);
-        }
-        // On error we stay parked; the next operation redeploys whatever
-        // state the registry was left with (the trait contract requires a
-        // rebuild anyway).
-        result
-    }
-
-    fn take_shard_failure(&mut self) -> Option<ShardFailure> {
-        // An unhealed death (e.g. detected by a failed `save_state`, which
-        // must not mutate) is healed here so the report is complete.
-        if self.any_dead() {
-            self.recover_and_redeploy(0);
-        }
-        self.failure.take()
-    }
-
-    fn note_quarantined(&mut self, author: AuthorId) {
-        // Attribute the quarantine to the shard that would have processed
-        // the author's first owning component; authors with no subscribers
-        // hash straight to a shard so every quarantine lands somewhere.
-        let shard = self
-            .registry
-            .author_components
-            .get(author as usize)
-            .and_then(|cids| cids.first())
-            .map(|&cid| cid as usize % self.shards)
-            .unwrap_or(author as usize % self.shards);
-        self.quarantined[shard] += 1;
-        if let Some(o) = self.shard_obs.get(shard) {
-            o.quarantined.inc();
-        }
-    }
-}
-
 /// The typed error a failed sharded operation surfaces: the caller should
 /// drain [`MultiDiversifier::take_shard_failure`] and retry.
 fn shard_failed_error() -> std::io::Error {
     std::io::Error::other("a shard worker failed; recovery pending (take_shard_failure)")
 }
 
-impl Drop for ShardedMulti {
+impl Drop for ShardPool {
     fn drop(&mut self) {
-        for (shard, link) in self.links.iter().enumerate() {
-            if self.health[shard].dead.load(Ordering::SeqCst) {
+        for (link, health) in self.links.iter().zip(&self.health) {
+            if health.is_dead() {
                 continue; // nobody is listening
             }
-            let mut req = Req::Shutdown;
-            loop {
-                match link.req.try_push(req) {
-                    Ok(()) => break,
-                    Err(r) => {
-                        req = r;
-                        if self.health[shard].dead.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        while link.resp.try_pop().is_some() {}
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            link.bell.ring();
+            let _ = link.push(Req::Shutdown, || {
+                while link.resp.try_pop().is_some() {}
+                !health.is_dead()
+            });
         }
         for (shard, worker) in self.workers.iter_mut().enumerate() {
             let Some(worker) = worker.take() else {
@@ -1665,8 +1363,11 @@ impl Drop for ShardedMulti {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Thresholds;
-    use crate::multi::SharedMulti;
+    use crate::config::{EngineConfig, Thresholds};
+    use crate::engine::AlgorithmKind;
+    use crate::multi::shared::Executor;
+    use crate::multi::{BuildError, MultiDiversifier, SharedMulti, Subscriptions};
+    use firehose_graph::UndirectedGraph;
     use firehose_stream::minutes;
 
     fn config() -> EngineConfig {
@@ -1694,38 +1395,100 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn matches_sequential_shared_multi() {
+    /// The executors under test: inline (the reference) and 1/2/4 shards.
+    const EXECUTORS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(4)];
+
+    fn build(kind: AlgorithmKind, shards: Option<usize>) -> SharedMulti {
         let (graph, subs) = figure7();
-        let stream = posts(120);
+        let mut builder = SharedMulti::builder(kind, config(), &graph, subs);
+        if let Some(n) = shards {
+            builder = builder.shards(n);
+        }
+        builder.build().unwrap()
+    }
+
+    fn sharded(shards: usize) -> SharedMulti {
+        build(AlgorithmKind::UniBin, Some(shards))
+    }
+
+    fn pool(multi: &SharedMulti) -> &ShardPool {
+        match &multi.exec {
+            Executor::Shards(pool) => pool,
+            Executor::Inline => panic!("built without shards"),
+        }
+    }
+
+    /// Everything observable about one run of the fixed workload.
+    #[derive(Debug, PartialEq)]
+    struct Run {
+        decisions: Vec<MultiDecision>,
+        /// `save_state` bytes taken just before post `SAVE_AT`.
+        state: Vec<u8>,
+        metrics: EngineMetrics,
+        churn: crate::multi::ChurnStats,
+    }
+
+    const SAVE_AT: usize = 60;
+
+    /// 120 posts with four churn ops and a mid-stream state capture woven
+    /// in; sweeps fire throughout (90 s spacing against λt/2 = 15 min).
+    fn run(kind: AlgorithmKind, shards: Option<usize>) -> Run {
+        let mut multi = build(kind, shards);
+        let mut state = Vec::new();
+        let mut decisions = Vec::new();
+        for (i, post) in posts(120).iter().enumerate() {
+            match i {
+                10 => assert!(multi.subscribe(0, 4).unwrap()),
+                25 => assert!(multi.unsubscribe(1, 0).unwrap()),
+                40 => assert_eq!(multi.add_user(&[2, 3]).unwrap(), 2),
+                50 => multi.remove_user(0).unwrap(),
+                SAVE_AT => multi.save_state(&mut state).unwrap(),
+                _ => {}
+            }
+            decisions.push(multi.offer(post));
+        }
+        Run {
+            decisions,
+            state,
+            metrics: multi.metrics(),
+            churn: multi.churn_stats(),
+        }
+    }
+
+    /// Decisions, counters, the churn ledger and checkpoint bytes do not
+    /// depend on the executor, and state saved under any executor restores
+    /// into any other and continues identically.
+    #[test]
+    fn executors_are_indistinguishable() {
         for kind in AlgorithmKind::ALL {
-            let mut seq = SharedMulti::new(kind, config(), &graph, subs.clone());
-            let expected: Vec<_> = stream.iter().map(|p| seq.offer(p)).collect();
-            for shards in [1, 2, 4] {
-                let mut sh =
-                    ShardedMulti::new(kind, config(), &graph, subs.clone(), shards).unwrap();
-                let got: Vec<_> = stream.iter().map(|p| sh.offer(p)).collect();
-                assert_eq!(got, expected, "{kind} at {shards} shards");
-                assert_eq!(sh.metrics(), seq.metrics(), "{kind} at {shards} shards");
+            let reference = run(kind, None);
+            for shards in EXECUTORS {
+                let got = run(kind, shards);
+                assert_eq!(got, reference, "{kind} on {shards:?}");
+                for target in EXECUTORS {
+                    let mut restored = build(kind, target);
+                    restored.load_state(&mut &got.state[..]).unwrap();
+                    let tail: Vec<_> = posts(120)[SAVE_AT..]
+                        .iter()
+                        .map(|p| restored.offer(p))
+                        .collect();
+                    assert_eq!(
+                        tail,
+                        reference.decisions[SAVE_AT..],
+                        "{kind}: {shards:?} state continued on {target:?}"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn offer_batch_matches_one_at_a_time() {
-        let (graph, subs) = figure7();
         let stream = posts(200);
-        let mut seq = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs.clone());
+        let mut seq = build(AlgorithmKind::UniBin, None);
         let expected: Vec<_> = stream.iter().map(|p| seq.offer(p)).collect();
         for shards in [1, 3] {
-            let mut sh = ShardedMulti::new(
-                AlgorithmKind::UniBin,
-                config(),
-                &graph,
-                subs.clone(),
-                shards,
-            )
-            .unwrap();
+            let mut sh = sharded(shards);
             let got = sh.offer_batch(&stream);
             assert_eq!(got, expected, "{shards} shards");
             assert_eq!(sh.metrics(), seq.metrics(), "{shards} shards");
@@ -1733,124 +1496,11 @@ mod tests {
     }
 
     #[test]
-    fn churn_matches_sequential() {
-        let (graph, subs) = figure7();
-        let stream = posts(60);
-        let mut seq = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs.clone());
-        let mut sh =
-            ShardedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs.clone(), 2).unwrap();
-        for (i, post) in stream.iter().enumerate() {
-            match i {
-                10 => {
-                    assert_eq!(seq.subscribe(0, 4).unwrap(), sh.subscribe(0, 4).unwrap());
-                }
-                25 => {
-                    assert_eq!(
-                        seq.unsubscribe(1, 0).unwrap(),
-                        sh.unsubscribe(1, 0).unwrap()
-                    );
-                }
-                40 => {
-                    assert_eq!(
-                        seq.add_user(&[2, 3]).unwrap(),
-                        sh.add_user(&[2, 3]).unwrap()
-                    );
-                }
-                50 => {
-                    seq.remove_user(0).unwrap();
-                    sh.remove_user(0).unwrap();
-                }
-                _ => {}
-            }
-            assert_eq!(seq.offer(post), sh.offer(post), "post {i}");
-        }
-        assert_eq!(seq.churn_stats(), sh.churn_stats());
-        assert_eq!(seq.metrics(), sh.metrics());
-    }
-
-    #[test]
-    fn checkpoint_bytes_identical_to_shared_multi() {
-        let (graph, subs) = figure7();
-        let stream = posts(80);
-        let mut seq = SharedMulti::new(AlgorithmKind::NeighborBin, config(), &graph, subs.clone());
-        let mut sh = ShardedMulti::new(
-            AlgorithmKind::NeighborBin,
-            config(),
-            &graph,
-            subs.clone(),
-            3,
-        )
-        .unwrap();
-        for post in &stream {
-            seq.offer(post);
-            sh.offer(post);
-        }
-        let mut a = Vec::new();
-        seq.save_state(&mut a).unwrap();
-        let mut b = Vec::new();
-        sh.save_state(&mut b).unwrap();
-        assert_eq!(a, b, "stitched sharded state must match sequential bytes");
-    }
-
-    #[test]
-    fn state_round_trips_across_shard_counts_and_strategies() {
-        let (graph, subs) = figure7();
-        let stream = posts(100);
-        let mut sh =
-            ShardedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs.clone(), 4).unwrap();
-        let head = &stream[..60];
-        let tail = &stream[60..];
-        for post in head {
-            sh.offer(post);
-        }
-        let mut state = Vec::new();
-        sh.save_state(&mut state).unwrap();
-        let expected_tail: Vec<_> = {
-            let mut cont = sh;
-            tail.iter().map(|p| cont.offer(p)).collect()
-        };
-        // Sharded → sharded at a different shard count.
-        let mut sh2 =
-            ShardedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs.clone(), 2).unwrap();
-        sh2.load_state(&mut &state[..]).unwrap();
-        let got: Vec<_> = tail.iter().map(|p| sh2.offer(p)).collect();
-        assert_eq!(got, expected_tail, "sharded(4) → sharded(2)");
-        // Sharded → sequential.
-        let mut seq = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs.clone());
-        seq.load_state(&mut &state[..]).unwrap();
-        let got: Vec<_> = tail.iter().map(|p| seq.offer(p)).collect();
-        assert_eq!(got, expected_tail, "sharded → sequential");
-        // Sequential → sharded.
-        let mut seq2 = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs.clone());
-        for post in head {
-            seq2.offer(post);
-        }
-        let mut seq_state = Vec::new();
-        seq2.save_state(&mut seq_state).unwrap();
-        let mut sh3 = ShardedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs, 3).unwrap();
-        sh3.load_state(&mut &seq_state[..]).unwrap();
-        let got: Vec<_> = tail.iter().map(|p| sh3.offer(p)).collect();
-        assert_eq!(got, expected_tail, "sequential → sharded");
-    }
-
-    #[test]
-    fn mpsc_fallback_transport_matches() {
-        let (graph, subs) = figure7();
-        let stream = posts(80);
-        let mut seq = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs.clone());
-        let expected: Vec<_> = stream.iter().map(|p| seq.offer(p)).collect();
-        let mut builder =
-            ShardedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subs).shards(2);
-        builder.mode = Some(RingMode::Mpsc);
-        let mut sh = builder.build().unwrap();
-        let got: Vec<_> = stream.iter().map(|p| sh.offer(p)).collect();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
     fn zero_shards_rejected() {
         let (graph, subs) = figure7();
-        let err = ShardedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs, 0)
+        let err = SharedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subs)
+            .shards(0)
+            .build()
             .err()
             .unwrap();
         assert_eq!(err, BuildError::ZeroThreads);
@@ -1858,16 +1508,14 @@ mod tests {
 
     #[test]
     fn name_reports_shards() {
-        let (graph, subs) = figure7();
-        let sh = ShardedMulti::new(AlgorithmKind::CliqueBin, config(), &graph, subs, 4).unwrap();
+        let sh = build(AlgorithmKind::CliqueBin, Some(4));
         assert_eq!(MultiDiversifier::name(&sh), "Sh_CliqueBin(4)");
     }
 
     #[test]
     fn observed_run_counts_and_quiescent_rings() {
         let registry = firehose_obs::Registry::new();
-        let (graph, subs) = figure7();
-        let mut sh = ShardedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs, 2).unwrap();
+        let mut sh = sharded(2);
         sh.attach_obs(&registry);
         let stream = posts(50);
         for post in &stream {
@@ -1887,12 +1535,18 @@ mod tests {
             );
         }
         // Occupancy gauges account for every live engine.
-        let occupancy: i64 = sh.shard_obs.iter().map(|o| o.engines.get()).sum();
+        let occupancy: i64 = pool(&sh).shard_obs.iter().map(|o| o.engines.get()).sum();
         assert_eq!(occupancy as usize, sh.component_count());
-        // Offer latency recorded per post.
-        assert_eq!(
-            sh.obs.as_ref().unwrap().offer_latency.count(),
-            stream.len() as u64
+        // Offer latency recorded per post, and the strategy-level sweep
+        // counter advanced by the pool (posts 10, 20, 30, 40: 90 s spacing
+        // against λt/2 = 15 min).
+        assert!(
+            text.contains("firehose_multi_offer_latency_ns_count{strategy=\"Sh_UniBin(2)\"} 50"),
+            "{text}"
+        );
+        assert!(
+            text.contains("firehose_sweeps_total{strategy=\"Sh_UniBin(2)\"} 4"),
+            "{text}"
         );
     }
 
@@ -1903,7 +1557,7 @@ mod tests {
     fn worker_panic_recovers_and_reports() {
         let (graph, subs) = figure7();
         let stream = posts(60);
-        let mut sh = ShardedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subs)
+        let mut sh = SharedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subs)
             .shards(2)
             .chaos(ShardFaultPlan::single(0, 8, ShardFaultKind::Panic))
             .build()
@@ -1913,7 +1567,10 @@ mod tests {
             decisions.push(sh.offer(post));
         }
         assert_eq!(decisions.len(), stream.len(), "every post gets a decision");
-        assert!(sh.restarts() >= 1, "the dead worker must have respawned");
+        assert!(
+            pool(&sh).restarts >= 1,
+            "the dead worker must have respawned"
+        );
         let failure = sh.take_shard_failure().expect("episode must be reported");
         assert_eq!(failure.shard, 0);
         assert!(failure.restarts >= 1);
@@ -1944,7 +1601,7 @@ mod tests {
             // the first scheduled kill always fires.
             let plan = ShardFaultPlan::seeded(seed, 2, 3, 100);
             let mut sh =
-                ShardedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subs.clone())
+                SharedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subs.clone())
                     .shards(2)
                     .chaos(plan)
                     .build()
@@ -1955,7 +1612,10 @@ mod tests {
                 stream.len(),
                 "seed {seed}: decisions must stay aligned with posts"
             );
-            assert!(sh.restarts() >= 1, "seed {seed}: at least one kill fired");
+            assert!(
+                pool(&sh).restarts >= 1,
+                "seed {seed}: at least one kill fired"
+            );
         }
     }
 
@@ -1963,7 +1623,7 @@ mod tests {
     fn watchdog_escalates_stalled_shard() {
         let (graph, subs) = figure7();
         let stream = posts(40);
-        let mut sh = ShardedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subs)
+        let mut sh = SharedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subs)
             .shards(2)
             .watchdog(Duration::from_millis(50))
             .chaos(ShardFaultPlan::single(1, 6, ShardFaultKind::Stall))
@@ -1972,7 +1632,10 @@ mod tests {
         for post in &stream {
             sh.offer(post);
         }
-        assert!(sh.restarts() >= 1, "the stalled worker must be respawned");
+        assert!(
+            pool(&sh).restarts >= 1,
+            "the stalled worker must be respawned"
+        );
         let failure = sh.take_shard_failure().expect("stall episode reported");
         assert_eq!(failure.shard, 1);
     }
@@ -1986,7 +1649,7 @@ mod tests {
         let graph = UndirectedGraph::from_edges(1, std::iter::empty::<(u32, u32)>());
         let subs = Subscriptions::new(1, vec![vec![0]]).unwrap();
         let p = 4u64;
-        let mut sh = ShardedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subs)
+        let mut sh = SharedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subs)
             .shards(1)
             .chaos(ShardFaultPlan::single(0, 1 + p, ShardFaultKind::Panic))
             .build()
@@ -2006,12 +1669,17 @@ mod tests {
 
     #[test]
     fn quarantines_attributed_to_owning_shard() {
-        let (graph, subs) = figure7();
-        let mut sh = ShardedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs, 2).unwrap();
+        let registry = firehose_obs::Registry::new();
+        let mut sh = sharded(2);
+        sh.attach_obs(&registry);
         sh.note_quarantined(0);
         sh.note_quarantined(0);
         sh.note_quarantined(3);
-        let total: u64 = sh.shard_quarantined().iter().sum();
+        let total: u64 = pool(&sh)
+            .shard_obs
+            .iter()
+            .map(|o| o.quarantined.get())
+            .sum();
         assert_eq!(total, 3);
     }
 
@@ -2022,7 +1690,12 @@ mod tests {
         // one component whose seeds come from many slots.
         let graph = UndirectedGraph::from_edges(8, (0..7).map(|i| (i, i + 1)));
         let subs = Subscriptions::new(8, vec![vec![0, 2, 4, 6]]).unwrap();
-        let mut sh = ShardedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs, 2).unwrap();
+        let mut sh = SharedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subs)
+            .shards(2)
+            .build()
+            .unwrap();
+        let registry = firehose_obs::Registry::new();
+        sh.attach_obs(&registry);
         // Populate windows so merges warm-start.
         for (i, author) in [0u32, 2, 4, 6].iter().enumerate() {
             sh.offer(&Post::new(
@@ -2035,8 +1708,9 @@ mod tests {
         for author in [1u32, 3, 5, 7] {
             sh.subscribe(0, author).unwrap();
         }
+        let re_homes: u64 = pool(&sh).shard_obs.iter().map(|o| o.re_homes.get()).sum();
         assert!(
-            sh.re_homes() > 0,
+            re_homes > 0,
             "merging singletons across slots must cross a shard boundary at 2 shards"
         );
     }

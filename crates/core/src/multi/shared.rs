@@ -11,22 +11,28 @@
 //! 3. runs one single-user engine per distinct component, and
 //! 4. delivers an emitted post of component `g` to every user of `g`.
 //!
-//! The decomposition lives in a refcounted
-//! [`ComponentRegistry`](crate::multi::registry::ComponentRegistry) and is
+//! The decomposition lives in a refcounted `ComponentRegistry` and is
 //! maintained *incrementally* under subscription churn — see `DESIGN.md` §9.
+//!
+//! [`SharedMulti`] is the one driver of that registry. *Where* the engines
+//! run is an executor choice, not a strategy: inline on the calling thread
+//! (`S_*`), or on persistent shard workers (`Sh_*`, the `sharded` module;
+//! see `DESIGN.md` §10).
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use firehose_graph::{UndirectedGraph, UnionFind};
-use firehose_stream::{AuthorId, Post};
+use firehose_stream::{AuthorId, Post, ShardFaultPlan};
 
 use crate::config::EngineConfig;
 use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::registry::ComponentRegistry;
+use crate::multi::sharded::ShardPool;
 use crate::multi::subscriptions::{SubscriptionError, Subscriptions, UserId};
-use crate::multi::{BuildError, ChurnStats, MultiDecision, MultiDiversifier};
+use crate::multi::{BuildError, ChurnStats, MultiDecision, MultiDiversifier, ShardFailure};
 use crate::obs::MultiObs;
 
 /// Decompose a user's (sorted) subscription set into connected components of
@@ -65,6 +71,9 @@ pub struct SharedBuilder<'g> {
     graph: &'g UndirectedGraph,
     subscriptions: Subscriptions,
     warm_start: bool,
+    shards: Option<usize>,
+    watchdog: Option<Duration>,
+    chaos: ShardFaultPlan,
 }
 
 impl SharedBuilder<'_> {
@@ -76,30 +85,93 @@ impl SharedBuilder<'_> {
         self
     }
 
-    /// Build the component decomposition and the per-component engines.
+    /// Run the component engines on `shards` persistent worker threads
+    /// (`Sh_*`) instead of inline on the calling thread (`S_*`, the
+    /// default). Decisions, counters and checkpoint bytes are identical
+    /// either way. Must be at least 1.
+    pub fn shards(mut self, shards: usize) -> Self {
+        self.shards = Some(shards);
+        self
+    }
+
+    /// Stall-watchdog deadline for shard workers: when a shard owes
+    /// responses and its heartbeat does not advance for this long, the
+    /// worker is declared stalled, abandoned, and respawned. Unset (the
+    /// default) disables stall detection; panics are always supervised.
+    /// Ignored without [`shards`](Self::shards).
+    pub fn watchdog(mut self, deadline: Duration) -> Self {
+        self.watchdog = Some(deadline);
+        self
+    }
+
+    /// Schedule deterministic thread-level chaos faults (seeded worker
+    /// panics and stalls) for resilience testing. Each worker lifetime
+    /// consumes at most one scheduled fault at spawn; once a shard's queue
+    /// drains, its workers run clean. Stall faults need
+    /// [`watchdog`](Self::watchdog) set, or the control thread waits
+    /// forever. Ignored without [`shards`](Self::shards).
+    pub fn chaos(mut self, plan: ShardFaultPlan) -> Self {
+        self.chaos = plan;
+        self
+    }
+
+    /// Build the component decomposition and the per-component engines;
+    /// with [`shards`](Self::shards), also spawn the workers and deploy the
+    /// engines to them.
     pub fn build(self) -> Result<SharedMulti, BuildError> {
+        if self.shards == Some(0) {
+            return Err(BuildError::ZeroThreads);
+        }
+        let mut registry = ComponentRegistry::new(
+            self.kind,
+            self.config,
+            Arc::new(self.graph.clone()),
+            self.subscriptions,
+            self.warm_start,
+        );
+        let exec = match self.shards {
+            None => Executor::Inline,
+            Some(shards) => Executor::Shards(Box::new(ShardPool::spawn(
+                shards,
+                self.watchdog,
+                self.chaos,
+                &mut registry,
+            ))),
+        };
         Ok(SharedMulti {
-            registry: ComponentRegistry::new(
-                self.kind,
-                self.config,
-                Arc::new(self.graph.clone()),
-                self.subscriptions,
-                self.warm_start,
-            ),
+            registry,
+            exec,
             obs: None,
         })
     }
 }
 
-/// The shared-component multi-user engine.
+/// Where the component engines run. Components never share engines (the
+/// paper's Section 5 independence argument), so this is an execution
+/// detail: both executors drive the same registry and produce identical
+/// decisions, counters and checkpoint bytes.
+pub(super) enum Executor {
+    /// On the calling thread; the engines stay in their registry slots.
+    Inline,
+    /// On persistent shard workers; the engines are deployed to the pool
+    /// between churn operations.
+    Shards(Box<ShardPool>),
+}
+
+/// The shared-component multi-user engine: `S_UniBin` etc. inline,
+/// `Sh_UniBin(4)` etc. on shard workers.
 pub struct SharedMulti {
-    pub(crate) registry: ComponentRegistry,
+    /// Routing, metadata, subscriptions, churn ledger — always
+    /// authoritative. The engine slots are empty while deployed to shards.
+    registry: ComponentRegistry,
+    pub(super) exec: Executor,
     /// Strategy-level instruments, when attached.
     obs: Option<MultiObs>,
 }
 
 impl SharedMulti {
-    /// Build the component decomposition and the per-component engines.
+    /// Build the component decomposition and the per-component engines,
+    /// running inline.
     pub fn new(
         kind: AlgorithmKind,
         config: EngineConfig,
@@ -111,7 +183,7 @@ impl SharedMulti {
             .expect("default build cannot fail")
     }
 
-    /// Start building an `S_*` strategy; see [`SharedBuilder`].
+    /// Start building an `S_*` / `Sh_*` strategy; see [`SharedBuilder`].
     pub fn builder(
         kind: AlgorithmKind,
         config: EngineConfig,
@@ -124,14 +196,23 @@ impl SharedMulti {
             graph,
             subscriptions,
             warm_start: true,
+            shards: None,
+            watchdog: None,
+            chaos: ShardFaultPlan::none(),
         }
     }
 
     /// Attach strategy-level instruments (offer-latency histogram, sweep
-    /// counter, live-copies gauge) labelled `{strategy="S_<kind>"}` to
-    /// `registry`.
+    /// counter, live-copies gauge) labelled `{strategy="<name>"}` to
+    /// `registry`, plus the per-shard `firehose_sharded_*` /
+    /// `firehose_shard_*` instruments when running on shards.
     pub fn attach_obs(&mut self, registry: &firehose_obs::Registry) {
-        self.obs = Some(MultiObs::register(registry, &MultiDiversifier::name(self)));
+        let name = MultiDiversifier::name(self);
+        let obs = MultiObs::register(registry, &name);
+        if let Executor::Shards(pool) = &mut self.exec {
+            pool.attach_obs(registry, &name, &self.registry, obs.sweeps.clone());
+        }
+        self.obs = Some(obs);
     }
 
     /// Number of distinct components (= number of engines).
@@ -139,9 +220,26 @@ impl SharedMulti {
         self.registry.component_count()
     }
 
+    /// Author count of the largest single component — the parallelism
+    /// ceiling: a component cannot be split across shards (its posts cover
+    /// each other), so by Amdahl's law the speedup is bounded by the largest
+    /// component's share of the total work.
+    pub fn largest_component_size(&self) -> usize {
+        self.registry.largest_component_size()
+    }
+
     /// The subscription relation.
     pub fn subscriptions(&self) -> &Subscriptions {
         &self.registry.subscriptions
+    }
+
+    /// Run a churn operation against the registry; the shard executor
+    /// recalls its engines first and redeploys the survivors after.
+    fn churn<R>(&mut self, op: impl FnOnce(&mut ComponentRegistry) -> R) -> R {
+        match &mut self.exec {
+            Executor::Inline => op(&mut self.registry),
+            Executor::Shards(pool) => pool.with_parked(&mut self.registry, op),
+        }
     }
 }
 
@@ -153,64 +251,52 @@ impl MultiDiversifier for SharedMulti {
     }
 
     fn offer_into(&mut self, post: &Post, out: &mut MultiDecision) {
-        out.delivered_to.clear();
-        let started = self.obs.is_some().then(std::time::Instant::now);
-        // Periodic global eviction sweep across all component engines.
-        let sweep_every = (self.registry.config().thresholds.lambda_t / 2).max(1);
-        if post.timestamp.saturating_sub(self.registry.last_sweep) >= sweep_every {
-            self.registry.sweep(post.timestamp);
-            if let Some(obs) = &self.obs {
-                obs.sweeps.inc();
-            }
-        }
-
-        let record = post.to_record(self.registry.config().simhash);
-        let reg = &mut self.registry;
-        // Each component runs once; its verdict fans out to all its users.
-        // A user has at most one component containing this author, so the
-        // fan-outs are disjoint.
-        for &cid in &reg.author_components[post.author as usize] {
-            // `author_components` says this slot is live and contains the
-            // author; if the maps ever disagree, skip the component rather
-            // than take down the whole stream.
-            let Some(engine) = reg.engines[cid as usize].as_mut() else {
-                continue;
-            };
-            let before = engine.metrics().copies_stored;
-            let Some(verdict) = engine.offer(record) else {
-                continue;
-            };
-            let after = engine.metrics().copies_stored;
-            reg.live_copies = (reg.live_copies + after).saturating_sub(before);
-            if verdict.is_emitted() {
-                if let Some(meta) = &reg.meta[cid as usize] {
-                    out.delivered_to.extend_from_slice(&meta.users);
+        let started = self.obs.is_some().then(Instant::now);
+        match &mut self.exec {
+            Executor::Inline => {
+                if self.registry.offer(post, out) {
+                    if let Some(obs) = &self.obs {
+                        obs.sweeps.inc();
+                    }
                 }
             }
+            Executor::Shards(pool) => pool.offer_into(&mut self.registry, post, out),
         }
-        reg.peak_live_copies = reg.peak_live_copies.max(reg.live_copies);
         if let (Some(t0), Some(obs)) = (started, &self.obs) {
             obs.offer_latency.record_duration(t0.elapsed());
-            obs.live_copies.set(reg.live_copies as i64);
+            obs.live_copies.set(self.registry.live_copies as i64);
         }
-        out.delivered_to.sort_unstable();
-        debug_assert!(out.delivered_to.windows(2).all(|w| w[0] != w[1]));
+    }
+
+    /// On shards this is the pipelined throughput path: a bounded window
+    /// of posts stays in flight so fingerprinting, routing, and the shards'
+    /// coverage scans overlap. Decisions, counters, and the sweep schedule
+    /// are identical to offering the posts one at a time.
+    fn offer_batch(&mut self, posts: &[Post]) -> Vec<MultiDecision> {
+        let Executor::Shards(pool) = &mut self.exec else {
+            return posts.iter().map(|p| self.offer(p)).collect();
+        };
+        let decisions = pool.offer_batch(&mut self.registry, posts);
+        if let Some(obs) = &self.obs {
+            obs.live_copies.set(self.registry.live_copies as i64);
+        }
+        decisions
     }
 
     fn subscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
-        self.registry.subscribe(user, author)
+        self.churn(|reg| reg.subscribe(user, author))
     }
 
     fn unsubscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
-        self.registry.unsubscribe(user, author)
+        self.churn(|reg| reg.unsubscribe(user, author))
     }
 
     fn add_user(&mut self, authors: &[AuthorId]) -> Result<UserId, SubscriptionError> {
-        self.registry.add_user(authors)
+        self.churn(|reg| reg.add_user(authors))
     }
 
     fn remove_user(&mut self, user: UserId) -> Result<(), SubscriptionError> {
-        self.registry.remove_user(user)
+        self.churn(|reg| reg.remove_user(user))
     }
 
     fn churn_stats(&self) -> ChurnStats {
@@ -222,7 +308,10 @@ impl MultiDiversifier for SharedMulti {
     }
 
     fn metrics(&self) -> EngineMetrics {
-        self.registry.metrics_total()
+        match &self.exec {
+            Executor::Inline => self.registry.metrics_total(),
+            Executor::Shards(pool) => pool.metrics(&self.registry),
+        }
     }
 
     fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
@@ -230,18 +319,43 @@ impl MultiDiversifier for SharedMulti {
     }
 
     fn name(&self) -> String {
-        format!("S_{}", self.registry.kind())
+        match &self.exec {
+            Executor::Inline => format!("S_{}", self.registry.kind()),
+            Executor::Shards(pool) => format!("Sh_{}({})", self.registry.kind(), pool.shards()),
+        }
     }
 
+    /// On shards, every worker serializes its engines in parallel and the
+    /// control thread stitches the blobs into the same FHSNAP04 bytes the
+    /// inline executor writes.
     fn save_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        self.registry.save_state(w)
+        match &self.exec {
+            Executor::Inline => self.registry.save_state(w),
+            Executor::Shards(pool) => pool.save_state(&self.registry, w),
+        }
     }
 
     fn load_state(
         &mut self,
         r: &mut dyn std::io::Read,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.registry.load_state(r)
+        match &mut self.exec {
+            Executor::Inline => self.registry.load_state(r),
+            Executor::Shards(pool) => pool.load_state(&mut self.registry, r),
+        }
+    }
+
+    fn take_shard_failure(&mut self) -> Option<ShardFailure> {
+        match &mut self.exec {
+            Executor::Inline => None,
+            Executor::Shards(pool) => pool.take_shard_failure(&mut self.registry),
+        }
+    }
+
+    fn note_quarantined(&mut self, author: AuthorId) {
+        if let Executor::Shards(pool) = &mut self.exec {
+            pool.note_quarantined(&self.registry, author);
+        }
     }
 }
 

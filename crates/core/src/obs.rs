@@ -94,45 +94,8 @@ impl MultiObs {
     }
 }
 
-/// Per-shard instruments for
-/// [`ParallelShared`](crate::multi::ParallelShared) workers.
-#[derive(Clone)]
-pub struct ShardObs {
-    /// Wall-clock nanoseconds per component-engine offer on this shard.
-    pub offer_latency: Arc<Histogram>,
-    /// Batches currently queued in this shard's channel.
-    pub channel_depth: Gauge,
-    /// Eviction sweeps this shard has executed.
-    pub sweeps: Counter,
-}
-
-impl ShardObs {
-    /// Create (or look up) the instruments for shard `shard` of `strategy`
-    /// in `registry`.
-    pub fn register(registry: &Registry, strategy: &str, shard: usize) -> Self {
-        let l = labels(&[("strategy", strategy), ("shard", &shard.to_string())]);
-        Self {
-            offer_latency: registry.histogram(
-                "firehose_shard_offer_latency_ns",
-                "Wall-clock latency of one component-engine offer on this shard, nanoseconds",
-                l.clone(),
-            ),
-            channel_depth: registry.gauge(
-                "firehose_shard_channel_depth",
-                "Record batches queued in this shard's channel",
-                l.clone(),
-            ),
-            sweeps: registry.counter(
-                "firehose_shard_sweeps_total",
-                "Eviction sweeps executed by this shard",
-                l,
-            ),
-        }
-    }
-}
-
-/// Per-shard instruments for the persistent
-/// [`ShardedMulti`](crate::multi::ShardedMulti) runtime.
+/// Per-shard instruments for [`SharedMulti`](crate::multi::SharedMulti)
+/// running on shard workers.
 #[derive(Clone)]
 pub struct ShardedObs {
     /// Requests currently in flight to this shard (ingest-ring depth).
@@ -504,17 +467,5 @@ mod tests {
             text.contains("firehose_approx_retained_records 5"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn shard_obs_distinct_per_shard() {
-        let r = Registry::new();
-        let s0 = ShardObs::register(&r, "P_UniBin(2)", 0);
-        let s1 = ShardObs::register(&r, "P_UniBin(2)", 1);
-        s0.sweeps.inc();
-        assert_eq!(s0.sweeps.get(), 1);
-        assert_eq!(s1.sweeps.get(), 0);
-        s1.channel_depth.add(3);
-        assert_eq!(s1.channel_depth.get(), 3);
     }
 }

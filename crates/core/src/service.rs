@@ -58,8 +58,8 @@ use crate::config::{ChurnConfig, EngineConfig, MemoryMode};
 use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::{
-    BuildError, ChurnStats, IndependentMulti, MultiDecision, MultiDiversifier, ParallelShared,
-    ShardFailure, ShardedMulti, SharedMulti, SubscriptionError, Subscriptions, UserId,
+    BuildError, ChurnStats, IndependentMulti, MultiDecision, MultiDiversifier, ShardFailure,
+    SharedMulti, SubscriptionError, Subscriptions, UserId,
 };
 
 /// Consecutive restore+replay attempts before a heal gives up. Each failed
@@ -72,22 +72,17 @@ const MAX_HEAL_ATTEMPTS: usize = 64;
 // ---------------------------------------------------------------------
 
 /// Which M-SPSD strategy the service runs (Section 5's `M_*` / `S_*`, plus
-/// the sharded parallel extension).
+/// `S_*` on shard workers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
     /// One engine per user ([`IndependentMulti`], `M_*`).
     Independent,
     /// One engine per distinct connected component ([`SharedMulti`], `S_*`).
     Shared,
-    /// [`SharedMulti`]'s decomposition spread across worker threads
-    /// ([`ParallelShared`], `P_*`).
-    Parallel {
-        /// Worker thread count (must be ≥ 1).
-        threads: usize,
-    },
-    /// Persistent shard workers fed by SPSC ingest rings
-    /// ([`ShardedMulti`], `Sh_*`): engines stay resident on their shard
-    /// between posts, so single-post `process` calls parallelize too.
+    /// [`SharedMulti`] with its component engines on persistent shard
+    /// workers fed by SPSC ingest rings (`Sh_*`): same decisions, and
+    /// engines stay resident on their shard between posts, so single-post
+    /// `process` calls parallelize too.
     Sharded {
         /// Shard worker count (must be ≥ 1).
         shards: usize,
@@ -99,7 +94,6 @@ impl std::fmt::Display for StrategyKind {
         match self {
             Self::Independent => f.write_str("independent"),
             Self::Shared => f.write_str("shared"),
-            Self::Parallel { threads } => write!(f, "parallel({threads})"),
             Self::Sharded { shards } => write!(f, "sharded({shards})"),
         }
     }
@@ -108,27 +102,21 @@ impl std::fmt::Display for StrategyKind {
 impl std::str::FromStr for StrategyKind {
     type Err = String;
 
-    /// `independent` | `shared` | `parallel` | `parallel:N` | `sharded` |
-    /// `sharded:N`.
+    /// `independent` | `shared` | `sharded` | `sharded:N`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let cores = || std::thread::available_parallelism().map_or(4, |n| n.get());
         match s {
             "independent" | "m" => Ok(Self::Independent),
             "shared" | "s" => Ok(Self::Shared),
-            "parallel" | "p" => Ok(Self::Parallel { threads: cores() }),
             "sharded" | "sh" => Ok(Self::Sharded { shards: cores() }),
             other => {
-                if let Some(n) = other.strip_prefix("parallel:") {
-                    n.parse()
-                        .map(|threads| Self::Parallel { threads })
-                        .map_err(|e| format!("bad thread count in {other:?}: {e}"))
-                } else if let Some(n) = other.strip_prefix("sharded:") {
+                if let Some(n) = other.strip_prefix("sharded:") {
                     n.parse()
                         .map(|shards| Self::Sharded { shards })
                         .map_err(|e| format!("bad shard count in {other:?}: {e}"))
                 } else {
                     Err(format!(
-                        "unknown strategy {other:?} (want independent|shared|parallel[:N]|sharded[:N])"
+                        "unknown strategy {other:?} (want independent|shared|sharded[:N])"
                     ))
                 }
             }
@@ -615,7 +603,7 @@ impl<'g> FirehoseServiceBuilder<'g> {
     }
 
     /// Stall-watchdog deadline for [`StrategyKind::Sharded`] (forwarded to
-    /// [`ShardedBuilder::watchdog`](crate::multi::ShardedBuilder::watchdog));
+    /// [`SharedBuilder::watchdog`](crate::multi::SharedBuilder::watchdog));
     /// ignored by other strategies.
     pub fn watchdog(mut self, deadline: Duration) -> Self {
         self.watchdog = Some(deadline);
@@ -624,7 +612,7 @@ impl<'g> FirehoseServiceBuilder<'g> {
 
     /// Schedule deterministic shard-worker chaos faults for
     /// [`StrategyKind::Sharded`] (forwarded to
-    /// [`ShardedBuilder::chaos`](crate::multi::ShardedBuilder::chaos));
+    /// [`SharedBuilder::chaos`](crate::multi::SharedBuilder::chaos));
     /// ignored by other strategies. For resilience tests and benches.
     pub fn chaos(mut self, plan: ShardFaultPlan) -> Self {
         self.chaos = plan;
@@ -651,45 +639,18 @@ impl<'g> FirehoseServiceBuilder<'g> {
                 }
                 Box::new(m)
             }
-            StrategyKind::Shared => {
-                let mut m = SharedMulti::builder(
+            StrategyKind::Shared | StrategyKind::Sharded { .. } => {
+                let mut b = SharedMulti::builder(
                     self.algorithm,
                     self.config,
                     self.graph,
                     self.subscriptions,
                 )
-                .warm_start(warm)
-                .build()?;
-                if let Some(reg) = self.obs {
-                    m.attach_obs(reg);
-                }
-                Box::new(m)
-            }
-            StrategyKind::Parallel { threads } => {
-                let mut m = ParallelShared::builder(
-                    self.algorithm,
-                    self.config,
-                    self.graph,
-                    self.subscriptions,
-                )
-                .threads(threads)
-                .warm_start(warm)
-                .build()?;
-                if let Some(reg) = self.obs {
-                    m.attach_obs(reg);
-                }
-                Box::new(m)
-            }
-            StrategyKind::Sharded { shards } => {
-                let mut b = ShardedMulti::builder(
-                    self.algorithm,
-                    self.config,
-                    self.graph,
-                    self.subscriptions,
-                )
-                .shards(shards)
                 .warm_start(warm)
                 .chaos(self.chaos);
+                if let StrategyKind::Sharded { shards } = self.strategy {
+                    b = b.shards(shards);
+                }
                 if let Some(deadline) = self.watchdog {
                     b = b.watchdog(deadline);
                 }
@@ -1248,7 +1209,7 @@ impl FirehoseService {
         self.strategy
     }
 
-    /// Strategy display name (`"S_UniBin"`, `"P_CliqueBin(4)"`, ...).
+    /// Strategy display name (`"S_UniBin"`, `"Sh_CliqueBin(4)"`, ...).
     pub fn name(&self) -> String {
         self.multi.name()
     }
@@ -1264,7 +1225,7 @@ impl FirehoseService {
     }
 
     /// Aggregated approximate-backend counters; `None` in exact mode and
-    /// for thread-backed strategies (see [`MultiDiversifier::approx_stats`]).
+    /// on shards (see [`MultiDiversifier::approx_stats`]).
     pub fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
         self.multi.approx_stats()
     }
@@ -1349,7 +1310,6 @@ mod tests {
         for strategy in [
             StrategyKind::Independent,
             StrategyKind::Shared,
-            StrategyKind::Parallel { threads: 2 },
             StrategyKind::Sharded { shards: 2 },
         ] {
             let mut service = FirehoseService::builder(&graph(), subs())
@@ -1520,14 +1480,6 @@ mod tests {
             StrategyKind::Shared
         );
         assert_eq!(
-            "parallel:3".parse::<StrategyKind>().unwrap(),
-            StrategyKind::Parallel { threads: 3 }
-        );
-        assert!(matches!(
-            "parallel".parse::<StrategyKind>().unwrap(),
-            StrategyKind::Parallel { .. }
-        ));
-        assert_eq!(
             "sharded:4".parse::<StrategyKind>().unwrap(),
             StrategyKind::Sharded { shards: 4 }
         );
@@ -1540,7 +1492,7 @@ mod tests {
             "sharded(4)"
         );
         assert!("bogus".parse::<StrategyKind>().is_err());
-        assert!("parallel:x".parse::<StrategyKind>().is_err());
+        assert!("parallel:3".parse::<StrategyKind>().is_err());
         assert!("sharded:x".parse::<StrategyKind>().is_err());
     }
 

@@ -14,7 +14,7 @@ use firehose_core::checkpoint::{
     CheckpointPolicy, RestoreError,
 };
 use firehose_core::engine::{build_engine, AlgorithmKind, Diversifier};
-use firehose_core::multi::{MultiDiversifier, ParallelShared, SharedMulti, Subscriptions};
+use firehose_core::multi::{MultiDiversifier, SharedMulti, Subscriptions};
 use firehose_core::snapshot::{restore_unibin, snapshot_unibin};
 use firehose_core::{Decision, EngineConfig, Thresholds};
 use firehose_graph::UndirectedGraph;
@@ -132,11 +132,22 @@ fn subscriptions() -> Subscriptions {
     .unwrap()
 }
 
+/// The shared strategy under one executor: inline, or on `n` shards.
+fn shared_on(kind: AlgorithmKind, shards: Option<usize>) -> SharedMulti {
+    let graph = graph();
+    let mut builder = SharedMulti::builder(kind, config(), &graph, subscriptions());
+    if let Some(n) = shards {
+        builder = builder.shards(n);
+    }
+    builder.build().unwrap()
+}
+
 /// The multi-user counterpart: checkpoint every `k` stream posts, kill at
 /// ≥ 20 seeded offsets, restore into a freshly-built strategy, replay.
 /// The stream cursor is `generation * k` by construction (the multi
 /// manifest's `posts_processed` is the engines' aggregate, not the stream
-/// position).
+/// position). The killed and the restored strategy rotate independently
+/// through the executors (inline, 1/2/4 shards); the reference is inline.
 #[test]
 fn kill_at_twenty_seeded_offsets_multi_restores_identical_decisions() {
     let posts = stream(23, 400);
@@ -146,7 +157,9 @@ fn kill_at_twenty_seeded_offsets_multi_restores_identical_decisions() {
         let mut reference_multi = SharedMulti::new(kind, config(), &graph(), subscriptions());
         let reference: Vec<_> = posts.iter().map(|p| reference_multi.offer(p)).collect();
 
+        const EXECUTORS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(4)];
         for trial in 0..20 {
+            let (killed, restored) = (EXECUTORS[trial % 4], EXECUTORS[trial / 4 % 4]);
             let crash_at = rng.random_range(1..posts.len());
             let dir = tempdir(&format!("mkill-{kind}-{trial}"));
             let mut mgr = CheckpointManager::new(
@@ -158,7 +171,7 @@ fn kill_at_twenty_seeded_offsets_multi_restores_identical_decisions() {
                 },
             )
             .unwrap();
-            let mut multi = SharedMulti::new(kind, config(), &graph(), subscriptions());
+            let mut multi = shared_on(kind, killed);
             for (i, p) in posts[..crash_at].iter().enumerate() {
                 multi.offer(p);
                 if (i + 1) % k == 0 {
@@ -167,7 +180,7 @@ fn kill_at_twenty_seeded_offsets_multi_restores_identical_decisions() {
             }
             drop(multi);
 
-            let mut fresh = SharedMulti::new(kind, config(), &graph(), subscriptions());
+            let mut fresh = shared_on(kind, restored);
             match restore_latest_valid_multi(&dir, &mut fresh) {
                 Ok((manifest, _skipped)) => {
                     let resumed = (manifest.generation as usize + 1) * k;
@@ -176,7 +189,7 @@ fn kill_at_twenty_seeded_offsets_multi_restores_identical_decisions() {
                         assert_eq!(
                             fresh.offer(p),
                             *want,
-                            "S_{kind}: delivery diverged after restore at {crash_at}"
+                            "{kind}: {killed:?} → {restored:?} diverged after restore at {crash_at}"
                         );
                     }
                 }
@@ -293,67 +306,6 @@ fn whole_file_snapshot_truncation_fuzz() {
     }
     let mut r: &[u8] = &full;
     restore_unibin(&mut r, graph()).unwrap();
-}
-
-/// ParallelShared serializes its state in global component order, so its
-/// bytes are interchangeable with SharedMulti's regardless of shard count.
-#[test]
-fn parallel_state_is_byte_compatible_with_shared() {
-    let posts = stream(41, 200);
-    let mut shared = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph(), subscriptions());
-    for p in &posts {
-        shared.offer(p);
-    }
-    let mut shared_bytes = Vec::new();
-    shared.save_state(&mut shared_bytes).unwrap();
-
-    // Reference future decisions: keep driving the shared strategy.
-    let tail = stream(43, 40);
-    let expect: Vec<_> = tail.iter().map(|p| shared.offer(p)).collect();
-
-    for threads in [1, 3] {
-        let mut par = ParallelShared::new(
-            AlgorithmKind::UniBin,
-            config(),
-            &graph(),
-            subscriptions(),
-            threads,
-        )
-        .unwrap();
-        par.process_stream(&posts);
-        let mut par_bytes = Vec::new();
-        par.save_state(&mut par_bytes).unwrap();
-        assert_eq!(
-            par_bytes, shared_bytes,
-            "P({threads}) state bytes differ from S_"
-        );
-
-        // Cross-load both ways: shared state into a fresh parallel runner…
-        let mut fresh = ParallelShared::new(
-            AlgorithmKind::UniBin,
-            config(),
-            &graph(),
-            subscriptions(),
-            threads,
-        )
-        .unwrap();
-        let mut r: &[u8] = &shared_bytes;
-        fresh.load_state(&mut r).unwrap();
-        assert_eq!(
-            fresh.process_stream(&tail),
-            expect,
-            "P({threads}) diverged after loading S_ state"
-        );
-        // …and parallel state into a fresh shared strategy.
-        let mut back = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph(), subscriptions());
-        let mut r: &[u8] = &par_bytes;
-        back.load_state(&mut r).unwrap();
-        let replayed: Vec<_> = tail.iter().map(|p| back.offer(p)).collect();
-        assert_eq!(
-            replayed, expect,
-            "S_ diverged after loading P({threads}) state"
-        );
-    }
 }
 
 /// Heavily perturbed streams — duplicates, drops, reordering, clock skew —

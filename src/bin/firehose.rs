@@ -23,8 +23,8 @@ use firehose::core::engine::{build_engine, AlgorithmKind, Diversifier};
 use firehose::core::multi::Subscriptions;
 use firehose::core::quality;
 use firehose::core::service::{
-    read_churn_trace, FirehoseService, OverloadConfig, OverloadPolicy, RateLimitConfig,
-    StrategyKind, TracedOp,
+    read_churn_trace, FirehoseService, FirehoseServiceBuilder, OverloadConfig, OverloadPolicy,
+    RateLimitConfig, StrategyKind, TracedOp,
 };
 use firehose::core::{
     explain, restore_latest_valid, EngineConfig, MemoryMode, RestoreError, Thresholds,
@@ -99,13 +99,13 @@ fn usage() -> String {
      \t[--out FILE] [--quiet true]\n\
      \t[--checkpoint-dir DIR] [--checkpoint-every OFFERS] [--checkpoint-secs S]\n\
      \t[--guard strict|clamp|reorder] [--reorder-bound-ms N]\n\
-     \t[--subscriptions FILE [--strategy independent|shared|parallel[:N]|sharded[:N]]\n\
-     \t[--shards N] [--churn-trace FILE]\n\
+     \t[--subscriptions FILE [--strategy independent|shared|sharded[:N]]\n\
+     \t[--churn-trace FILE]\n\
      \t[--overload block|shed|reject[:CAPACITY]] [--rate-limit POSTS_PER_SEC]]\n\
      serve        --graph FILE --subscriptions FILE [--listen ADDR:PORT]\n\
      \t[--algorithm ...] [--lambda-c N] [--lambda-t-mins N] [--lambda-a F]\n\
      \t[--memory exact|approx[:BUDGET]]\n\
-     \t[--strategy independent|shared|parallel[:N]|sharded[:N]] [--shards N]\n\
+     \t[--strategy independent|shared|sharded[:N]]\n\
      \t[--guard strict|clamp|reorder] [--reorder-bound-ms N]\n\
      \t[--overload block|shed|reject[:CAPACITY]] [--rate-limit POSTS_PER_SEC]\n\
      \t[--checkpoint-dir DIR] [--max-conns N] [--stream-buffer N]\n\
@@ -368,6 +368,54 @@ fn overload_config_from(args: &Args) -> Result<Option<OverloadConfig>, String> {
     Ok(Some(OverloadConfig { policy, capacity }))
 }
 
+/// `--strategy independent|shared|sharded[:N]` (default `shared`). The
+/// removed `--shards N` and `--strategy parallel[:N]` are refused by name
+/// rather than ignored or reported as an unknown strategy.
+fn strategy_from(args: &Args) -> Result<StrategyKind, String> {
+    let spec = args.get("strategy").unwrap_or("shared");
+    if args.get("shards").is_some() || spec == "parallel" || spec.starts_with("parallel:") {
+        return Err(
+            "--shards N and --strategy parallel[:N] were removed; use --strategy sharded[:N]"
+                .into(),
+        );
+    }
+    spec.parse()
+}
+
+/// The multi-user service as `run --subscriptions ...` and `serve` both
+/// configure it: `--algorithm`, thresholds and `--memory`, `--guard`,
+/// `--overload`, `--rate-limit`, `--checkpoint-dir`.
+fn service_builder_from<'g>(
+    args: &Args,
+    strategy: StrategyKind,
+    graph: &'g UndirectedGraph,
+    subscriptions: Subscriptions,
+) -> Result<FirehoseServiceBuilder<'g>, String> {
+    let mut builder = FirehoseService::builder(graph, subscriptions)
+        .strategy(strategy)
+        .algorithm(algorithm_from(args)?)
+        .engine_config(engine_config_from(args)?);
+    if let Some(guard) = guard_config_from(args)? {
+        builder = builder.guard(guard);
+    }
+    if let Some(overload) = overload_config_from(args)? {
+        builder = builder.overload(overload);
+    }
+    if let Some(pps) = args.get("rate-limit") {
+        let pps: f64 = pps
+            .parse()
+            .map_err(|e| format!("bad --rate-limit {pps:?}: {e}"))?;
+        if !pps.is_finite() || pps <= 0.0 {
+            return Err("--rate-limit must be a positive posts-per-second rate".into());
+        }
+        builder = builder.rate_limit(RateLimitConfig::per_author(pps));
+    }
+    if let Some(dir) = args.get("checkpoint-dir") {
+        builder = builder.checkpoints(dir, checkpoint_policy_from(args)?);
+    }
+    Ok(builder)
+}
+
 fn checkpoint_policy_from(args: &Args) -> Result<CheckpointPolicy, String> {
     let every_offers: u64 =
         args.parse_or("checkpoint-every", CheckpointPolicy::default().every_offers)?;
@@ -388,16 +436,8 @@ fn cmd_run_multi(args: &Args) -> Result<(), String> {
     let posts_path = args.require("posts")?;
     let graph_path = args.require("graph")?;
     let subs_path = args.require("subscriptions")?;
-    let algorithm = algorithm_from(args)?;
-    let engine_config = engine_config_from(args)?;
     let quiet: bool = args.parse_or("quiet", false)?;
-    let mut strategy: StrategyKind = args.get("strategy").unwrap_or("shared").parse()?;
-    if let Some(n) = args.get("shards") {
-        // `--shards N` is shorthand for `--strategy sharded:N`.
-        strategy = StrategyKind::Sharded {
-            shards: n.parse().map_err(|e| format!("bad --shards {n:?}: {e}"))?,
-        };
-    }
+    let strategy = strategy_from(args)?;
 
     let posts = corpus::read_posts(&mut open_reader(posts_path)?).map_err(|e| e.to_string())?;
     let graph = load_graph_for_posts(graph_path, &posts)?;
@@ -406,29 +446,9 @@ fn cmd_run_multi(args: &Args) -> Result<(), String> {
     let subscriptions =
         Subscriptions::new(graph.node_count(), sets).map_err(|e| format!("{subs_path}: {e}"))?;
 
-    let mut builder = FirehoseService::builder(&graph, subscriptions)
-        .strategy(strategy)
-        .algorithm(algorithm)
-        .engine_config(engine_config);
-    if let Some(guard) = guard_config_from(args)? {
-        builder = builder.guard(guard);
-    }
-    if let Some(overload) = overload_config_from(args)? {
-        builder = builder.overload(overload);
-    }
-    if let Some(pps) = args.get("rate-limit") {
-        let pps: f64 = pps
-            .parse()
-            .map_err(|e| format!("bad --rate-limit {pps:?}: {e}"))?;
-        if !pps.is_finite() || pps <= 0.0 {
-            return Err("--rate-limit must be a positive posts-per-second rate".into());
-        }
-        builder = builder.rate_limit(RateLimitConfig::per_author(pps));
-    }
-    if let Some(dir) = args.get("checkpoint-dir") {
-        builder = builder.checkpoints(dir, checkpoint_policy_from(args)?);
-    }
-    let mut service = builder.build().map_err(|e| e.to_string())?;
+    let mut service = service_builder_from(args, strategy, &graph, subscriptions)?
+        .build()
+        .map_err(|e| e.to_string())?;
 
     let trace: Vec<TracedOp> = match args.get("churn-trace") {
         Some(path) => read_churn_trace(open_reader(path)?).map_err(|e| format!("{path}: {e}"))?,
@@ -680,14 +700,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let graph_path = args.require("graph")?;
     let subs_path = args.require("subscriptions")?;
     let listen = args.get("listen").unwrap_or("127.0.0.1:7878");
-    let algorithm = algorithm_from(args)?;
-    let engine_config = engine_config_from(args)?;
-    let mut strategy: StrategyKind = args.get("strategy").unwrap_or("shared").parse()?;
-    if let Some(n) = args.get("shards") {
-        strategy = StrategyKind::Sharded {
-            shards: n.parse().map_err(|e| format!("bad --shards {n:?}: {e}"))?,
-        };
-    }
+    let strategy = strategy_from(args)?;
 
     let graph =
         graph_io::read_undirected(&mut open_reader(graph_path)?).map_err(|e| e.to_string())?;
@@ -697,29 +710,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         Subscriptions::new(graph.node_count(), sets).map_err(|e| format!("{subs_path}: {e}"))?;
 
     let registry = Arc::new(Registry::new());
-    let mut builder = FirehoseService::builder(&graph, subscriptions)
-        .strategy(strategy)
-        .algorithm(algorithm)
-        .engine_config(engine_config);
-    if let Some(guard) = guard_config_from(args)? {
-        builder = builder.guard(guard);
-    }
-    if let Some(overload) = overload_config_from(args)? {
-        builder = builder.overload(overload);
-    }
-    if let Some(pps) = args.get("rate-limit") {
-        let pps: f64 = pps
-            .parse()
-            .map_err(|e| format!("bad --rate-limit {pps:?}: {e}"))?;
-        if !pps.is_finite() || pps <= 0.0 {
-            return Err("--rate-limit must be a positive posts-per-second rate".into());
-        }
-        builder = builder.rate_limit(RateLimitConfig::per_author(pps));
-    }
-    if let Some(dir) = args.get("checkpoint-dir") {
-        builder = builder.checkpoints(dir, checkpoint_policy_from(args)?);
-    }
-    let service = builder.build().map_err(|e| e.to_string())?;
+    let service = service_builder_from(args, strategy, &graph, subscriptions)?
+        .build()
+        .map_err(|e| e.to_string())?;
 
     let config = ServerConfig {
         max_connections: args.parse_or("max-conns", ServerConfig::default().max_connections)?,

@@ -20,8 +20,7 @@
 use firehose::core::checkpoint::{checkpoint_multi_to_vec, restore_multi_from_slice};
 use firehose::core::engine::AlgorithmKind;
 use firehose::core::multi::{
-    IndependentMulti, MultiDecision, MultiDiversifier, ParallelShared, ShardedMulti, SharedMulti,
-    Subscriptions,
+    IndependentMulti, MultiDecision, MultiDiversifier, SharedMulti, Subscriptions,
 };
 use firehose::core::{EngineConfig, Thresholds};
 use firehose::datagen::{generate_churn_trace, ChurnEvent, ChurnGenConfig, ChurnTraceEntry};
@@ -74,17 +73,14 @@ fn posts(n: u64, first_id: u64, start_ts: u64) -> Vec<Post> {
 enum Variant {
     M,
     S,
-    P(usize),
     Sh(usize),
 }
 
-const VARIANTS: [Variant; 7] = [
+const VARIANTS: [Variant; 5] = [
     Variant::M,
     Variant::S,
-    Variant::P(1),
-    Variant::P(2),
-    Variant::P(4),
     Variant::Sh(2),
+    Variant::Sh(3),
     Variant::Sh(4),
 ];
 
@@ -108,15 +104,8 @@ fn build(
                 .build()
                 .unwrap(),
         ),
-        Variant::P(threads) => Box::new(
-            ParallelShared::builder(kind, config(), &graph, subscriptions)
-                .threads(threads)
-                .warm_start(warm)
-                .build()
-                .unwrap(),
-        ),
         Variant::Sh(shards) => Box::new(
-            ShardedMulti::builder(kind, config(), &graph, subscriptions)
+            SharedMulti::builder(kind, config(), &graph, subscriptions)
                 .shards(shards)
                 .warm_start(warm)
                 .build()
@@ -393,7 +382,7 @@ fn checkpoint_across_churn_restores_identical_decisions() {
             ..Default::default()
         },
     );
-    for variant in [Variant::S, Variant::P(2), Variant::Sh(2)] {
+    for variant in [Variant::S, Variant::Sh(3), Variant::Sh(2)] {
         let mut original = build(AlgorithmKind::UniBin, variant, subs(), true);
         for post in &first_half {
             original.offer(post);
@@ -425,8 +414,8 @@ fn checkpoint_across_churn_restores_identical_decisions() {
 }
 
 /// Shard-count independence: the engine-state bytes of a churned
-/// `ParallelShared` load into a different thread count (and into
-/// `SharedMulti`) with identical future decisions.
+/// `SharedMulti` on shards load into a different shard count (and into the
+/// inline executor) with identical future decisions.
 #[test]
 fn churned_state_restores_across_shard_counts() {
     let first_half = posts(60, 1, 0);
@@ -440,7 +429,7 @@ fn churned_state_restores_across_shard_counts() {
             ..Default::default()
         },
     );
-    let mut original = build(AlgorithmKind::UniBin, Variant::P(2), subs(), true);
+    let mut original = build(AlgorithmKind::UniBin, Variant::Sh(2), subs(), true);
     for post in &first_half {
         original.offer(post);
     }
@@ -450,14 +439,14 @@ fn churned_state_restores_across_shard_counts() {
     let mut state = Vec::new();
     original.save_state(&mut state).unwrap();
 
-    for target in [Variant::P(4), Variant::P(1), Variant::S, Variant::Sh(3)] {
+    for target in [Variant::Sh(4), Variant::Sh(1), Variant::S, Variant::Sh(3)] {
         let mut restored = build(AlgorithmKind::UniBin, target, subs(), true);
         let mut r: &[u8] = &state;
         restored.load_state(&mut r).unwrap();
         assert!(r.is_empty(), "state must be consumed exactly");
         assert_eq!(restored.subscriptions(), original.subscriptions());
         let got = offer_all(restored.as_mut(), &second_half);
-        let mut continued = build(AlgorithmKind::UniBin, Variant::P(2), subs(), true);
+        let mut continued = build(AlgorithmKind::UniBin, Variant::Sh(2), subs(), true);
         let mut r: &[u8] = &state;
         continued.load_state(&mut r).unwrap();
         let want = offer_all(continued.as_mut(), &second_half);
@@ -492,9 +481,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Sharded equivalence under interleaving: for seeded random churn
-    /// traces woven into the post stream, `ShardedMulti` at 1/2/4 shards
-    /// produces decision-for-decision and ledger-identical runs to
-    /// `SharedMulti` — including when the sharded run is interrupted by a
+    /// traces woven into the post stream, `SharedMulti` at 1/2/4 shards
+    /// produces decision-for-decision and ledger-identical runs to the
+    /// inline executor — including when the sharded run is interrupted by a
     /// mid-stream checkpoint that restores into a *fresh* sharded instance
     /// (built from the initial table) which then finishes the stream.
     #[test]

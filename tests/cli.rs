@@ -42,9 +42,10 @@ fn run_ok(args: &[&str]) -> (String, String) {
 
 fn run_err(args: &[&str]) -> String {
     let output = Command::new(BIN).args(args).output().expect("spawn CLI");
-    assert!(
-        !output.status.success(),
-        "firehose {args:?} unexpectedly succeeded"
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "firehose {args:?} must fail with exit 1"
     );
     String::from_utf8_lossy(&output.stderr).into_owned()
 }
@@ -146,6 +147,21 @@ fn helpful_errors() {
     let missing = dir.path("missing.tsv");
     let err = run_err(&["run", "--posts", &missing, "--graph", &missing]);
     assert!(err.contains("cannot open"), "{err}");
+
+    // The removed `--shards N` and `--strategy parallel[:N]` are refused by
+    // name, not ignored or reported as an unknown strategy.
+    let multi = ["--graph", &missing, "--subscriptions", &missing];
+    let err = run_err(
+        &[
+            &["run", "--posts", &missing],
+            &multi[..],
+            &["--strategy", "independent", "--shards", "2"],
+        ]
+        .concat(),
+    );
+    assert!(err.contains("use --strategy sharded[:N]"), "{err}");
+    let err = run_err(&[&["serve"], &multi[..], &["--strategy", "parallel:2"]].concat());
+    assert!(err.contains("use --strategy sharded[:N]"), "{err}");
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! M-SPSD correctness: the per-user (`M_*`), shared-component (`S_*`) and
-//! parallel sharded strategies must deliver identical per-user streams for
-//! every algorithm kind — and each user's stream must equal what a dedicated
+//! M-SPSD correctness: the per-user (`M_*`) and shared-component (`S_*`
+//! inline, `Sh_*` on shards) strategies must deliver identical per-user
+//! streams for every algorithm kind — and each user's stream must equal what a dedicated
 //! single-user engine over her subscriptions would produce.
 
 use std::sync::Arc;
@@ -50,7 +50,7 @@ fn subscriptions_strategy(m: u32, users: usize) -> impl Strategy<Value = Vec<Vec
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// M, S and P agree for every algorithm kind.
+    /// M, S and Sh agree for every algorithm kind.
     #[test]
     fn strategies_agree(
         posts in posts_strategy(8),
@@ -63,13 +63,17 @@ proptest! {
         for kind in AlgorithmKind::ALL {
             let mut independent = IndependentMulti::new(kind, config, &graph, subs.clone());
             let mut shared = SharedMulti::new(kind, config, &graph, subs.clone());
-            let mut parallel = ParallelShared::new(kind, config, &graph, subs.clone(), 3).unwrap();
+            let mut sharded = SharedMulti::builder(kind, config, &graph, subs.clone())
+                .shards(3)
+                .build()
+                .unwrap();
 
             let m_out: Vec<_> = posts.iter().map(|p| independent.offer(p)).collect();
             let s_out: Vec<_> = posts.iter().map(|p| shared.offer(p)).collect();
-            let p_out = parallel.process_stream(&posts);
+            let sh_out = sharded.offer_batch(&posts);
             prop_assert_eq!(&m_out, &s_out, "M vs S diverged for {}", kind);
-            prop_assert_eq!(&s_out, &p_out, "S vs P diverged for {}", kind);
+            prop_assert_eq!(&s_out, &sh_out, "S vs Sh diverged for {}", kind);
+            prop_assert_eq!(shared.metrics(), sharded.metrics(), "S vs Sh metrics for {}", kind);
         }
     }
 
