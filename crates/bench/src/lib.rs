@@ -9,16 +9,10 @@
 //!   once per process;
 //! * [`run_spsd`] — run one single-user engine over a stream, timed, with
 //!   the four reported quantities (time / RAM / comparisons / insertions);
-//! * [`Report`] — aligned stdout tables plus CSV files under `results/`;
-//! * [`BenchSummary`] — the machine-readable `BENCH_*.json` schema shared by
-//!   `hotpath_throughput` and the `--json` flag of `latency_profile` /
-//!   `stress_events`.
-
-mod metrics_sink;
-mod summary;
-
-pub use metrics_sink::MetricsSink;
-pub use summary::{flag_value, json_num, json_str, BenchSummary, EngineRow};
+//! * [`Report`] — aligned stdout tables plus CSV files under `results/`.
+//!
+//! Performance claims are not made here: they cite the workloads and
+//! metrics of `BENCHMARK.json`, measured by the `benchmark/` package.
 
 use std::sync::Arc;
 use std::time::Instant;

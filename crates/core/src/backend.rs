@@ -86,15 +86,6 @@ impl CoverageBackend {
         }
     }
 
-    /// Total heap estimate including approximate-index overhead (equals
-    /// [`memory_bytes`](Self::memory_bytes) for the exact arm).
-    pub fn estimated_total_bytes(&self) -> usize {
-        match self {
-            Self::Exact(bin) => bin.memory_bytes(),
-            Self::Approx(bin) => bin.estimated_total_bytes(),
-        }
-    }
-
     /// The approximate arm's lifetime counters, `None` on the exact arm.
     pub fn approx_stats(&self) -> Option<ApproxStats> {
         match self {

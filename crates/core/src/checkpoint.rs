@@ -632,26 +632,6 @@ impl CheckpointManager {
     }
 }
 
-/// Drive an engine over a time-ordered stream with auto-checkpointing:
-/// every post is offered, and after each offer the manager checkpoints if
-/// its policy says one is due. Returns every decision.
-///
-/// To resume after a crash, restore with [`restore_latest_valid`], call
-/// [`CheckpointManager::note_restored`], then re-run the deterministic
-/// input skipping the first `manifest.posts_processed` posts.
-pub fn run_with_checkpoints<D: Diversifier + ?Sized>(
-    engine: &mut D,
-    posts: &[firehose_stream::Post],
-    manager: &mut CheckpointManager,
-) -> io::Result<Vec<crate::decision::Decision>> {
-    let mut decisions = Vec::with_capacity(posts.len());
-    for post in posts {
-        decisions.push(engine.offer(post));
-        manager.maybe_save(engine)?;
-    }
-    Ok(decisions)
-}
-
 // ---------------------------------------------------------------------
 // Recovery.
 // ---------------------------------------------------------------------

@@ -317,20 +317,6 @@ impl Diversifier for CliqueBin {
         }
         Some(acc)
     }
-
-    fn estimated_memory_bytes(&self) -> u64 {
-        let cliques: u64 = self
-            .clique_bins
-            .iter()
-            .map(|b| b.estimated_total_bytes() as u64)
-            .sum();
-        let selfs: u64 = self
-            .self_bins
-            .values()
-            .map(|b| b.estimated_total_bytes() as u64)
-            .sum();
-        cliques + selfs
-    }
 }
 
 #[cfg(test)]

@@ -70,14 +70,6 @@ pub trait Diversifier {
         self.metrics().memory_bytes()
     }
 
-    /// Total estimated heap across all bins including any approximate-index
-    /// overhead (tables, metadata); equals [`memory_bytes`](Self::memory_bytes)
-    /// for exact engines. Benchmarks report this so approximate-mode savings
-    /// are not overstated.
-    fn estimated_memory_bytes(&self) -> u64 {
-        self.memory_bytes()
-    }
-
     /// Lifetime counters of the approximate coverage backend, merged across
     /// this engine's bins; `None` when the engine runs exact.
     fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
@@ -158,10 +150,6 @@ impl<D: Diversifier + ?Sized> Diversifier for Box<D> {
 
     fn memory_bytes(&self) -> u64 {
         (**self).memory_bytes()
-    }
-
-    fn estimated_memory_bytes(&self) -> u64 {
-        (**self).estimated_memory_bytes()
     }
 
     fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {

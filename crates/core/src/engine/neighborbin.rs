@@ -244,13 +244,6 @@ impl Diversifier for NeighborBin {
         }
         Some(acc)
     }
-
-    fn estimated_memory_bytes(&self) -> u64 {
-        self.bins
-            .iter()
-            .map(|b| b.estimated_total_bytes() as u64)
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -197,10 +197,6 @@ impl Diversifier for UniBin {
     fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
         self.bin.approx_stats()
     }
-
-    fn estimated_memory_bytes(&self) -> u64 {
-        self.bin.estimated_total_bytes() as u64
-    }
 }
 
 #[cfg(test)]

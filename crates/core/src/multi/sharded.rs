@@ -61,8 +61,7 @@
 //! escalates *stalled* shards — a frozen heartbeat with responses
 //! outstanding — through the same restart path. Deterministic chaos
 //! schedules ([`SharedBuilder::chaos`](crate::multi::SharedBuilder::chaos))
-//! inject seeded panics and stalls mid-request for resilience tests and
-//! `resilience_bench`.
+//! inject seeded panics and stalls mid-request for the resilience tests.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

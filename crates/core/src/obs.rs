@@ -210,8 +210,7 @@ pub fn export_engine_metrics(registry: &Registry, engine: &str, m: &EngineMetric
 
 /// Export the identity of the active Hamming kernel into `registry` as an
 /// info-style gauge `firehose_kernel_info{kernel="avx2|neon|scalar"} 1`, so
-/// bench JSON and scraped metrics both record which code path produced a
-/// run's numbers. One gauge per kernel name; re-export is idempotent.
+/// scraped metrics record which code path produced a run's numbers. One gauge per kernel name; re-export is idempotent.
 pub fn export_kernel_info(registry: &Registry) -> &'static str {
     let kernel = firehose_simhash::active_kernel().name();
     registry

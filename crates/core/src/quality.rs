@@ -138,7 +138,7 @@ impl Default for DeltaBounds {
 /// bound it is checked against.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricDelta {
-    /// Stable metric name (snake_case; the CI greps these lines).
+    /// Stable metric name (snake_case).
     pub name: &'static str,
     /// Value measured on the exact run.
     pub exact: f64,
@@ -175,7 +175,7 @@ impl GateVerdict {
 
 impl std::fmt::Display for GateVerdict {
     /// Stable, line-oriented rendering. The first line is always
-    /// `QUALITY GATE: PASS` or `QUALITY GATE: FAIL` (CI greps it), followed
+    /// `QUALITY GATE: PASS` or `QUALITY GATE: FAIL`, followed
     /// by one line per metric and one for the RAM reduction.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(

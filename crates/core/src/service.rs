@@ -1610,57 +1610,70 @@ mod tests {
     #[test]
     fn supervised_service_heals_and_matches_unfaulted_run() {
         use firehose_stream::{ShardFaultKind, ShardFaultPlan};
-        let dir = std::env::temp_dir().join(format!("fhsvc-heal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let stream = posts(120);
+        let graph = graph();
 
         // Ground truth: unfaulted sequential run.
-        let mut bare = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph(), subs());
+        let mut bare = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs());
         let expected: Vec<Vec<UserId>> = stream
             .iter()
             .map(|p| bare.offer(p).delivered_to.clone())
             .collect();
 
-        // Faulted sharded run under supervision: checkpoints every 20
-        // offers, three seeded kills.
-        let mut service = FirehoseService::builder(&graph(), subs())
-            .strategy(StrategyKind::Sharded { shards: 2 })
-            .engine_config(config())
-            .checkpoints(
-                &dir,
-                CheckpointPolicy {
-                    every_offers: 20,
-                    every_millis: None,
-                    keep: 3,
-                },
-            )
-            .chaos(
-                ShardFaultPlan::single(0, 30, ShardFaultKind::Panic)
-                    .then(1, 45, ShardFaultKind::Panic)
-                    .then(0, 60, ShardFaultKind::Panic),
-            )
-            .build()
-            .unwrap();
-        let mut got = Vec::new();
-        for post in stream.iter().cloned() {
-            service
-                .process(post, |_, d| got.push(d.delivered_to.clone()))
-                .unwrap();
+        // Faulted sharded runs under supervision, checkpoints every 20
+        // offers: three seeded kills, then a worker that hangs without
+        // dying — only the watchdog's frozen-heartbeat check can see that
+        // one, and it must heal to the same decisions.
+        let kills = ShardFaultPlan::single(0, 30, ShardFaultKind::Panic)
+            .then(1, 45, ShardFaultKind::Panic)
+            .then(0, 60, ShardFaultKind::Panic);
+        let stall = ShardFaultPlan::single(0, 30, ShardFaultKind::Stall);
+        for (tag, plan, watchdog) in [
+            ("kills", kills, None),
+            ("stall", stall, Some(Duration::from_millis(50))),
+        ] {
+            let dir = std::env::temp_dir().join(format!("fhsvc-heal-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut builder = FirehoseService::builder(&graph, subs())
+                .strategy(StrategyKind::Sharded { shards: 2 })
+                .engine_config(config())
+                .checkpoints(
+                    &dir,
+                    CheckpointPolicy {
+                        every_offers: 20,
+                        every_millis: None,
+                        keep: 3,
+                    },
+                )
+                .chaos(plan);
+            if let Some(deadline) = watchdog {
+                builder = builder.watchdog(deadline);
+            }
+            let mut service = builder.build().unwrap();
+            let mut got = Vec::new();
+            for post in stream.iter().cloned() {
+                service
+                    .process(post, |_, d| got.push(d.delivered_to.clone()))
+                    .unwrap();
+            }
+            assert_eq!(got.len(), expected.len(), "{tag}: exactly-once delivery");
+            assert_eq!(
+                got, expected,
+                "{tag}: healed decisions match the unfaulted run"
+            );
+            let stats = service.resilience_stats();
+            assert!(
+                stats.recoveries >= 1,
+                "{tag}: at least one heal episode: {stats:?}"
+            );
+            assert!(stats.restarts >= 1, "{tag}: {stats:?}");
+            assert!(stats.replayed_posts >= 1, "{tag}: {stats:?}");
+            assert_eq!(
+                service.recovery_latencies_ns().len() as u64,
+                stats.recoveries
+            );
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        assert_eq!(got.len(), expected.len(), "exactly-once delivery");
-        assert_eq!(got, expected, "healed decisions match the unfaulted run");
-        let stats = service.resilience_stats();
-        assert!(
-            stats.recoveries >= 1,
-            "at least one heal episode: {stats:?}"
-        );
-        assert!(stats.restarts >= 1);
-        assert!(stats.replayed_posts >= 1);
-        assert_eq!(
-            service.recovery_latencies_ns().len() as u64,
-            stats.recoveries
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

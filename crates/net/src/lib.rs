@@ -22,7 +22,7 @@
 //!   caps / ring eviction).
 //! - [`http`] — incremental request parsing and response formatting.
 //! - [`client`] — a minimal blocking client used by the loopback tests and
-//!   the `serving_bench` load generator.
+//!   `benchmark/`'s wire workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -388,6 +388,9 @@ struct ServiceState {
     degraded: bool,
     started: Instant,
     allow_shutdown: bool,
+    /// Users `/churn` removed during the current loop turn, until
+    /// [`retire_removed`](Self::retire_removed) has dealt with them.
+    removed: Vec<u32>,
 }
 
 enum Handled {
@@ -462,6 +465,7 @@ impl Server {
             degraded: false,
             started: Instant::now(),
             allow_shutdown: self.config.allow_shutdown,
+            removed: Vec::new(),
         };
         state.ensure_user_rings(user_count);
         let mut conns: Vec<Conn> = Vec::new();
@@ -635,6 +639,7 @@ impl Server {
                 progressed |= state.pump_stream(conn);
                 progressed |= conn.flush();
             }
+            state.retire_removed(&mut conns);
 
             // Reap finished connections and enforce the idle timeout.
             let now = Instant::now();
@@ -771,21 +776,26 @@ impl ServiceState {
                     extra_headers: Vec::new(),
                 }
             }
-            Err(ServiceError::Overloaded { capacity }) => Handled::Respond {
+            Err(ServiceError::Overloaded { capacity }) => {
                 // The posts before the refusal were still processed; their
                 // decision lines ride along so the client can account for
-                // them before retrying the rest.
-                status: 503,
-                content_type: "text/plain; charset=utf-8",
-                body,
-                extra_headers: vec![
-                    ("Retry-After", "1".to_string()),
-                    (
-                        "X-Firehose-Error",
-                        format!("overloaded capacity={capacity}"),
-                    ),
-                ],
-            },
+                // them before retrying the rest, and they count as ingested
+                // (one line per decided post).
+                let decided = body.iter().filter(|&&b| b == b'\n').count();
+                self.obs.posts_ingested.add(decided as u64);
+                Handled::Respond {
+                    status: 503,
+                    content_type: "text/plain; charset=utf-8",
+                    body,
+                    extra_headers: vec![
+                        ("Retry-After", "1".to_string()),
+                        (
+                            "X-Firehose-Error",
+                            format!("overloaded capacity={capacity}"),
+                        ),
+                    ],
+                }
+            }
             Err(ServiceError::ShardFailed { shard, restarts }) => {
                 self.degraded = true;
                 respond(
@@ -831,7 +841,10 @@ impl ServiceState {
                     .service
                     .add_user(authors.iter().copied())
                     .map(|uid| format!("ok\t{uid}")),
-                ChurnOp::RemoveUser(u) => self.service.remove_user(*u).map(|()| "ok".to_string()),
+                ChurnOp::RemoveUser(u) => self.service.remove_user(*u).map(|()| {
+                    self.removed.push(*u);
+                    "ok".to_string()
+                }),
             };
             match outcome {
                 Ok(line) => {
@@ -939,6 +952,25 @@ impl ServiceState {
             content_type: "application/json",
             body: body.into_bytes(),
             extra_headers: Vec::new(),
+        }
+    }
+
+    /// A removed user never gets another delivery: hand its parked readers
+    /// what is already queued, end those streams now rather than at their
+    /// deadline, and free the ring.
+    fn retire_removed(&mut self, conns: &mut [Conn]) {
+        for user in std::mem::take(&mut self.removed) {
+            for conn in conns.iter_mut() {
+                match &mut conn.streaming {
+                    Some(ss) if ss.user == user => ss.deadline = Instant::now(),
+                    _ => continue,
+                }
+                self.pump_stream(conn);
+                conn.flush();
+            }
+            if let Some(ring) = self.rings.get_mut(user as usize) {
+                ring.items = VecDeque::new();
+            }
         }
     }
 

@@ -9,8 +9,7 @@
 //! - [`Gauge`] — signed value that can move both ways (channel depths,
 //!   live-copy watermarks).
 //! - [`Registry`] — named, labelled families of the above, rendered as
-//!   Prometheus text exposition format ([`Registry::render_prometheus`])
-//!   or JSON ([`Registry::render_json`]).
+//!   Prometheus text exposition format ([`Registry::render_prometheus`]).
 //!
 //! Handles returned by the registry are `Arc`-backed: fetch them once at
 //! setup, then update from hot paths without touching the registry lock.

@@ -270,63 +270,6 @@ impl Registry {
         }
         out
     }
-
-    /// Render every family as a JSON object. Histograms include derived
-    /// quantiles (`p50`/`p90`/`p99`/`p999`), `max`, `mean`, `sum`, and
-    /// `count` rather than raw buckets.
-    pub fn render_json(&self) -> String {
-        let families = self.families.lock().unwrap();
-        let mut out = String::from("{\n  \"metrics\": [");
-        let mut first = true;
-        for f in families.iter() {
-            for (labels, inst) in &f.instances {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str("\n    {");
-                let _ = write!(out, "\"name\": {}", json_string(&f.name));
-                let _ = write!(out, ", \"type\": {}", json_string(inst.kind()));
-                out.push_str(", \"labels\": {");
-                let mut lfirst = true;
-                for (k, v) in labels {
-                    if !lfirst {
-                        out.push_str(", ");
-                    }
-                    lfirst = false;
-                    let _ = write!(out, "{}: {}", json_string(k), json_string(v));
-                }
-                out.push('}');
-                match inst {
-                    Instrument::Counter(c) => {
-                        let _ = write!(out, ", \"value\": {}", c.get());
-                    }
-                    Instrument::Gauge(g) => {
-                        let _ = write!(out, ", \"value\": {}", g.get());
-                    }
-                    Instrument::Histogram(h) => {
-                        let s = h.snapshot();
-                        let _ = write!(
-                            out,
-                            ", \"count\": {}, \"sum\": {}, \"max\": {}, \"mean\": {:.1}, \
-                             \"p50\": {}, \"p90\": {}, \"p99\": {}, \"p999\": {}",
-                            s.count,
-                            s.sum,
-                            s.max,
-                            s.mean(),
-                            s.p50(),
-                            s.p90(),
-                            s.p99(),
-                            s.p999(),
-                        );
-                    }
-                }
-                out.push('}');
-            }
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
 }
 
 fn valid_metric_name(name: &str) -> bool {
@@ -370,26 +313,6 @@ fn escape_label_value(v: &str) -> String {
 
 fn escape_help(v: &str) -> String {
     v.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -497,27 +420,6 @@ mod tests {
             .inc();
         let text = r.render_prometheus();
         assert!(text.contains(r#"esc_total{path="a\"b\\c\nd"} 1"#));
-    }
-
-    #[test]
-    fn json_rendering_shape() {
-        let r = Registry::new();
-        r.counter("offers_total", "", labels(&[("engine", "CliqueBin")]))
-            .add(2);
-        let h = r.histogram("lat_ns", "", Labels::new());
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        let json = r.render_json();
-        assert!(json.contains("\"name\": \"offers_total\""));
-        assert!(json.contains("\"engine\": \"CliqueBin\""));
-        assert!(json.contains("\"value\": 2"));
-        assert!(json.contains("\"name\": \"lat_ns\""));
-        assert!(json.contains("\"count\": 100"));
-        assert!(json.contains("\"p99\":"));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

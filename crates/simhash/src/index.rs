@@ -250,15 +250,6 @@ impl HammingIndex {
         self.len() == 0
     }
 
-    /// Estimated heap bytes of the index structure itself: slot storage plus
-    /// one id per table per live entry (with an allowance for hash-map node
-    /// overhead). Excludes the caller's per-record metadata.
-    pub fn estimated_bytes(&self) -> usize {
-        const PER_TABLE_ID_BYTES: usize = 12; // u32 id + amortized map overhead
-        self.entries.len() * (std::mem::size_of::<Fingerprint>() + 1)
-            + self.len() * self.tables.len() * PER_TABLE_ID_BYTES
-    }
-
     /// Extract the key of `fp` for the table's block combination.
     fn key(&self, table: &Table, fp: Fingerprint) -> u64 {
         let mut key = 0u64;

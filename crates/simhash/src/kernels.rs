@@ -12,7 +12,8 @@
 //! `avx2`, `neon`; an unsupported or unknown value falls back to detection)
 //! wins, then the best kernel the host supports. CI runs the whole test
 //! suite once with `FIREHOSE_KERNEL=scalar` so both dispatch paths stay
-//! green, and the bench summaries record which kernel produced each run.
+//! green, and every `benchmark/` result records which kernel produced it
+//! (`simhash.kernel`).
 
 use std::sync::OnceLock;
 
@@ -30,8 +31,8 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// Stable lowercase name, as recorded in bench summaries
-    /// (`"avx2"` / `"neon"` / `"scalar"`).
+    /// Stable lowercase name, as recorded in benchmark results and on
+    /// `/metrics` (`"avx2"` / `"neon"` / `"scalar"`).
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Avx2 => "avx2",
@@ -130,6 +131,17 @@ mod tests {
     #[test]
     fn active_kernel_is_supported() {
         assert!(active_kernel().is_supported());
+    }
+
+    #[test]
+    fn env_override_selects_the_named_kernel() {
+        // CI's scalar-kernel job relies on this: a `FIREHOSE_KERNEL` naming
+        // a kernel this host can run wins over detection.
+        if let Ok(forced) = std::env::var("FIREHOSE_KERNEL") {
+            if supported_kernels().iter().any(|k| k.name() == forced) {
+                assert_eq!(active_kernel().name(), forced);
+            }
+        }
     }
 
     #[test]

@@ -213,16 +213,6 @@ impl ApproxWindowBin {
         self.live * PostRecord::SIZE_BYTES
     }
 
-    /// Estimated *total* heap bytes including the index tables, slot
-    /// metadata and bucket queues — the honest number the memory bench
-    /// reports alongside the payload convention.
-    pub fn estimated_total_bytes(&self) -> usize {
-        self.memory_bytes()
-            + self.index.estimated_bytes()
-            + self.meta.len() * std::mem::size_of::<Meta>()
-            + self.live * std::mem::size_of::<u32>()
-    }
-
     /// Store a record, charging the bucket cap. Timestamps are clamped
     /// monotone first (mirroring the exact bin's hostile-order guard), so
     /// bucket starts are non-decreasing and eviction stays a prefix walk.
@@ -568,7 +558,6 @@ mod tests {
             bin.len() * PostRecord::SIZE_BYTES,
             "payload accounting convention"
         );
-        assert!(bin.estimated_total_bytes() > bin.memory_bytes());
     }
 
     proptest! {

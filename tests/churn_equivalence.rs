@@ -349,7 +349,7 @@ fn merge_inducing_subscribe_records_warm_start() {
         }
     }
 
-    // Same scenario through the service facade (what churn_bench drives).
+    // Same scenario through the service facade.
     let mut service = firehose::core::FirehoseService::builder(
         &graph(),
         Subscriptions::new(AUTHORS, [vec![0]]).unwrap(),

@@ -6,11 +6,10 @@
 //! stay zero), delivery ratio and residual redundancy within the published
 //! deltas, and a real RAM reduction. These tests hold the approximate
 //! engines to that contract on seeded synthetic workloads in the regime
-//! the mode is declared for (λc = 12 near-duplicates over a 24 h window,
-//! the `memory_bench` configuration), and pin down the properties that
-//! must stay *exact* even in approximate mode: decision determinism across
-//! mid-stream snapshot/checkpoint/restore, with and without subscription
-//! churn.
+//! the mode is declared for (λc = 12 near-duplicates over a 24 h window),
+//! and pin down the properties that must stay *exact* even in approximate
+//! mode: decision determinism across mid-stream snapshot/checkpoint/restore,
+//! with and without subscription churn.
 
 use std::sync::Arc;
 
@@ -27,20 +26,19 @@ use firehose::stream::{hours, AuthorId, Post, PostRecord};
 use proptest::prelude::*;
 
 /// Full-recall probe count for λc = 12 (`probes − 1 ≥ λc`, the prefix
-/// layout's pigeonhole bound) — same as `memory_bench`.
+/// layout's pigeonhole bound).
 const PROBES: u32 = 13;
-/// Stream size matching the bench's `--smoke` row, where the declared
-/// bounds are known to hold with margin.
+/// Stream size at which the declared bounds are known to hold with margin.
 const TARGET_POSTS: usize = 4_000;
 
 fn thresholds() -> Thresholds {
     Thresholds::new(12, hours(24), 0.7).unwrap()
 }
 
-/// Per-kind approx tuning and RAM floor, mirroring `memory_bench`: UniBin
-/// holds one engine-wide bin and must clear the headline 10×; the
-/// per-author / per-clique engines split the same stream over thousands of
-/// small bins whose fixed floors cap the reduction, so they gate at 2×.
+/// Per-kind approx tuning and RAM floor: UniBin holds one engine-wide bin
+/// and must clear the headline 10×; the per-author / per-clique engines
+/// split the same stream over thousands of small bins whose fixed floors cap
+/// the reduction, so they gate at 2×.
 fn case(kind: AlgorithmKind) -> (ApproxConfig, f64) {
     let declared = DeltaBounds::declared();
     match kind {

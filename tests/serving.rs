@@ -6,15 +6,17 @@
 //! ops, and per-user streamed deliveries included, against both the shared
 //! and the pipelined `sharded:2` strategies. Plus a fuzz case: malformed,
 //! truncated, and oversized requests get typed protocol errors and cost the
-//! peer its connection, never the server.
+//! peer its connection, never the server; and the shedding paths: the
+//! connection cap, an overloaded `/ingest`, a user removed under a parked
+//! reader.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use firehose::core::multi::Subscriptions;
-use firehose::core::service::{FirehoseService, StrategyKind};
+use firehose::core::service::{FirehoseService, OverloadConfig, OverloadPolicy, StrategyKind};
 use firehose::core::{EngineConfig, Thresholds};
 use firehose::graph::UndirectedGraph;
 use firehose::net::server::{decision_line, delivery_line};
@@ -36,11 +38,15 @@ fn subscriptions() -> Subscriptions {
     .unwrap()
 }
 
+fn engine_config() -> EngineConfig {
+    EngineConfig::new(Thresholds::new(18, 30_000, 0.7).unwrap())
+}
+
 fn service(strategy: StrategyKind) -> FirehoseService {
     let graph = graph();
     FirehoseService::builder(&graph, subscriptions())
         .strategy(strategy)
-        .engine_config(EngineConfig::new(Thresholds::new(18, 30_000, 0.7).unwrap()))
+        .engine_config(engine_config())
         .build()
         .unwrap()
 }
@@ -74,20 +80,33 @@ fn posts() -> Vec<Post> {
 const CHURN: &str = "subscribe\t3\t5\nadd-user\t1,4,9\nunsubscribe\t0\t1\n";
 
 fn boot(strategy: StrategyKind) -> (SocketAddr, firehose::net::ShutdownHandle, ServerJoin) {
-    let server = Server::bind(
-        "127.0.0.1:0",
+    boot_with(
         ServerConfig {
             allow_shutdown: true,
             ..ServerConfig::default()
         },
+        service(strategy),
     )
-    .unwrap();
+}
+
+fn boot_with(
+    config: ServerConfig,
+    svc: FirehoseService,
+) -> (SocketAddr, firehose::net::ShutdownHandle, ServerJoin) {
+    let server = Server::bind("127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
     let handle = server.shutdown_handle();
     let registry = Arc::new(Registry::new());
-    let svc = service(strategy);
     let join = std::thread::spawn(move || server.serve(svc, registry));
     (addr, handle, join)
+}
+
+/// The current value of an unlabelled series on `/metrics`.
+fn metric(client: &mut HttpClient, name: &str) -> u64 {
+    let text = client.request("GET", "/metrics", b"").unwrap().text();
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no series {name} in:\n{text}"))
 }
 
 type ServerJoin =
@@ -313,6 +332,138 @@ fn stream_long_poll_parks_until_data_arrives() {
         let seq: u64 = line.split('\t').next().unwrap().parse().unwrap();
         assert!(seq < 2, "seq-prefixed delivery lines, max=2 honored");
     }
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+#[test]
+fn connection_cap_answers_503_and_recovers_when_sockets_close() {
+    const CAP: usize = 3;
+    let (addr, handle, join) = boot_with(
+        ServerConfig {
+            max_connections: CAP,
+            ..ServerConfig::default()
+        },
+        service(StrategyKind::Shared),
+    );
+
+    // Fill the cap with connections that have each been answered, so the
+    // loop has accepted and counted every one of them.
+    let mut held: Vec<HttpClient> = (0..CAP)
+        .map(|_| {
+            let mut c = HttpClient::connect(addr).unwrap();
+            assert_eq!(c.request("GET", "/healthz", b"").unwrap().status, 200);
+            c
+        })
+        .collect();
+
+    // The next socket is refused on accept, before it sends anything.
+    let mut extra = TcpStream::connect(addr).unwrap();
+    let mut resp = String::new();
+    extra.read_to_string(&mut resp).unwrap();
+    assert!(resp.starts_with("HTTP/1.1 503"), "{resp}");
+    assert!(resp.contains("Retry-After: 1\r\n"), "{resp}");
+    assert_eq!(
+        metric(&mut held[0], "firehose_net_connections_rejected_total"),
+        1
+    );
+
+    // Once the held sockets close and the loop has reaped them, a new
+    // connection is served again.
+    drop(held);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let served = HttpClient::connect(addr)
+            .unwrap()
+            .request("GET", "/healthz", b"")
+            .is_ok_and(|r| r.status == 200);
+        if served {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "still refusing after the cap cleared"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    handle.shutdown();
+    let report = join.join().unwrap().unwrap();
+    assert!(report.connections_rejected >= 1, "{report:?}");
+}
+
+#[test]
+fn overloaded_ingest_counts_the_posts_it_decided() {
+    const CAPACITY: usize = 4;
+    let svc = FirehoseService::builder(&graph(), subscriptions())
+        .engine_config(engine_config())
+        .overload(OverloadConfig {
+            policy: OverloadPolicy::Reject,
+            capacity: CAPACITY,
+        })
+        .build()
+        .unwrap();
+    let (addr, handle, join) = boot_with(ServerConfig::default(), svc);
+    let mut client = HttpClient::connect(addr).unwrap();
+
+    let mut body = Vec::new();
+    corpus::write_posts(&posts()[..10], &mut body).unwrap();
+    let resp = client.request("POST", "/ingest", &body).unwrap();
+    assert_eq!(resp.status, 503, "{}", resp.text());
+    assert_eq!(resp.header("Retry-After"), Some("1"));
+    assert_eq!(
+        resp.text().lines().count(),
+        CAPACITY,
+        "decision lines for the posts admitted before the refusal"
+    );
+    assert_eq!(
+        metric(&mut client, "firehose_net_posts_ingested_total"),
+        CAPACITY as u64,
+        "decided posts are counted even though the request answered 503"
+    );
+
+    handle.shutdown();
+    let report = join.join().unwrap().unwrap();
+    assert_eq!(report.posts_ingested, CAPACITY as u64);
+}
+
+#[test]
+fn removing_a_user_ends_its_parked_stream() {
+    let (addr, handle, join) = boot(StrategyKind::Shared);
+
+    let reader = std::thread::spawn(move || {
+        let mut client = HttpClient::connect(addr).unwrap();
+        client.set_read_timeout(Duration::from_secs(10)).unwrap();
+        let parked_at = Instant::now();
+        let resp = client
+            .request("GET", "/stream/0?wait_ms=5000", b"")
+            .unwrap();
+        (resp, parked_at.elapsed())
+    });
+
+    // Remove the user only once the server reports the reader parked.
+    let mut control = HttpClient::connect(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metric(&mut control, "firehose_net_streams_parked") != 1 {
+        assert!(Instant::now() < deadline, "reader never parked");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let churn = control
+        .request("POST", "/churn", b"remove-user\t0\n")
+        .unwrap();
+    assert_eq!(churn.text(), "ok\n");
+
+    let (resp, waited) = reader.join().unwrap();
+    assert_eq!(resp.status, 200);
+    assert!(resp.body.is_empty(), "{}", resp.text());
+    assert!(
+        waited < Duration::from_millis(2_500),
+        "reader sat out its wait_ms after the user was removed: {waited:?}"
+    );
+    assert_eq!(metric(&mut control, "firehose_net_streams_parked"), 0);
+    let gone = control.request("GET", "/stream/0", b"").unwrap();
+    assert_eq!(gone.status, 404, "{}", gone.text());
 
     handle.shutdown();
     join.join().unwrap().unwrap();
