@@ -171,37 +171,6 @@ fn bench_manku_index(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_incremental_index(c: &mut Criterion) {
-    use firehose_graph::SimilarityIndex;
-    let social = SyntheticSocialGraph::generate(SocialGenConfig::test_scale());
-
-    let mut group = c.benchmark_group("incremental_similarity");
-    group.bench_function("bootstrap_240_authors", |b| {
-        b.iter(|| SimilarityIndex::from_graph(black_box(&social.graph)))
-    });
-
-    let index = SimilarityIndex::from_graph(&social.graph);
-    group.throughput(Throughput::Elements(1_000));
-    group.bench_function("follow_events_1000", |b| {
-        b.iter_batched(
-            || index.clone(),
-            |mut idx| {
-                for i in 0..1_000u32 {
-                    let (u, f) = (i % 240, (i * 7 + 3) % 240);
-                    if i % 3 == 0 {
-                        idx.remove_follow(u, f);
-                    } else {
-                        idx.add_follow(u, f);
-                    }
-                }
-                idx.node_count()
-            },
-            BatchSize::LargeInput,
-        )
-    });
-    group.finish();
-}
-
 fn bench_persistence(c: &mut Criterion) {
     use firehose_graph::io::{read_undirected, write_undirected};
     let social = SyntheticSocialGraph::generate(SocialGenConfig::test_scale());
@@ -253,7 +222,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_simhash, bench_hamming, bench_engines, bench_graph_construction,
-        bench_window, bench_manku_index, bench_incremental_index, bench_persistence,
+        bench_window, bench_manku_index, bench_persistence,
         bench_corpus
 }
 criterion_main!(benches);

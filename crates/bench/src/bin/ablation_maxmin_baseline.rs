@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use firehose_bench::{f1, Dataset, Report, Scale};
 use firehose_core::engine::{AlgorithmKind, Diversifier, UniBin};
-use firehose_core::quality::evaluate;
+use firehose_core::evaluate;
 use firehose_core::{EngineConfig, MaxMinDiversifier, Thresholds};
 use firehose_simhash::SimHashOptions;
 use firehose_stream::PostRecord;

@@ -15,8 +15,8 @@ use firehose_core::Thresholds;
 use firehose_graph::UndirectedGraph;
 use firehose_simhash::{simhash, within_distance, SimHashOptions};
 use firehose_stream::TimeWindowBin;
-use firehose_text::normalize::{normalize, NormalizeOptions};
 use firehose_text::TfVector;
+use firehose_text::{normalize, NormalizeOptions};
 
 /// A UniBin variant using exact TF-cosine over normalized text as the
 /// content test (the "slow but accurate" baseline).

@@ -2,7 +2,7 @@
 
 use firehose_bench::Scale;
 use firehose_datagen::SyntheticSocialGraph;
-use firehose_graph::similarity::followee_cosine;
+use firehose_graph::followee_cosine;
 
 fn main() {
     let g = SyntheticSocialGraph::generate(Scale::Bench.social_config());

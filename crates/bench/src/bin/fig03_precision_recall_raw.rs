@@ -1,6 +1,6 @@
 //! Figure 3: precision/recall of the Hamming-threshold redundancy test on
 //! **raw** tweet text, over the surrogate user study (2,000 stratified
-//! pairs; see `firehose_datagen::labels` for the substitution rationale).
+//! pairs; see `firehose_datagen::UserStudy` for the substitution rationale).
 
 use firehose_bench::{f3, Report, Scale};
 use firehose_datagen::{UserStudy, UserStudyConfig};

@@ -4,7 +4,7 @@
 //! Every author is also a user (paper Section 6.3). Subscription sets follow
 //! the paper's reported statistics (mean ≈ 130, median ≈ 20 after
 //! restriction to the crawled authors; see
-//! `firehose_datagen::subscriptions`). Paper shape to reproduce:
+//! `firehose_datagen::generate_subscriptions`). Paper shape to reproduce:
 //!
 //! * `S_UniBin` ≈ 43% less running time and 27% less memory than `M_UniBin`;
 //! * `S_NeighborBin` ≈ 8% and `S_CliqueBin` ≈ 4% faster than their `M_*`

@@ -42,16 +42,16 @@ pub struct AdvisorInputs {
 
 /// Regime boundaries; `Default` reflects the paper's discussion.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdvisorBoundaries {
+pub(crate) struct AdvisorBoundaries {
     /// λt at or below which the window is "very small" (paper: ~1 minute,
     /// where UniBin won even at full throughput).
-    pub very_small_lambda_t: Timestamp,
+    pub(crate) very_small_lambda_t: Timestamp,
     /// λt at or above which the window is "large" (paper: hours-to-days —
     /// the Twitch scenario).
-    pub large_lambda_t: Timestamp,
+    pub(crate) large_lambda_t: Timestamp,
     /// λa at or above which the similarity graph counts as dense (paper: at
     /// 0.8 NeighborBin/CliqueBin blew up, Figure 13).
-    pub dense_lambda_a: f64,
+    pub(crate) dense_lambda_a: f64,
 }
 
 impl Default for AdvisorBoundaries {
@@ -70,7 +70,7 @@ pub fn recommend(inputs: AdvisorInputs) -> AlgorithmKind {
 }
 
 /// Table 4 with explicit boundaries.
-pub fn recommend_with(inputs: AdvisorInputs, b: AdvisorBoundaries) -> AlgorithmKind {
+pub(crate) fn recommend_with(inputs: AdvisorInputs, b: AdvisorBoundaries) -> AlgorithmKind {
     let unibin_case = inputs.lambda_t <= b.very_small_lambda_t
         || inputs.throughput == ThroughputClass::Low
         || inputs.lambda_a >= b.dense_lambda_a

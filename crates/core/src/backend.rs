@@ -31,7 +31,7 @@ use firehose_stream::{
 use crate::config::{EngineConfig, MemoryMode, Thresholds};
 
 /// A λt-window store behind one engine bin: exact or approximate.
-pub enum CoverageBackend {
+pub(crate) enum CoverageBackend {
     /// The exact SoA sliding window (the paper's semantics, bit for bit).
     Exact(TimeWindowBin),
     /// The tiered approximate window (bounded retention, prefix probes).
@@ -42,7 +42,7 @@ impl CoverageBackend {
     /// Build the backend the config asks for. `capacity_hint` pre-sizes the
     /// exact columns; the approximate store is bounded by its own caps and
     /// ignores it.
-    pub fn for_config(config: &EngineConfig, capacity_hint: usize) -> Self {
+    pub(crate) fn for_config(config: &EngineConfig, capacity_hint: usize) -> Self {
         match config.memory {
             MemoryMode::Exact => Self::Exact(TimeWindowBin::with_capacity(capacity_hint)),
             MemoryMode::Approx(approx) => Self::Approx(ApproxWindowBin::new(
@@ -58,45 +58,25 @@ impl CoverageBackend {
     }
 
     /// Records currently retained.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Self::Exact(bin) => bin.len(),
             Self::Approx(bin) => bin.len(),
         }
     }
 
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lifetime λt-expiry eviction count.
-    pub fn evicted(&self) -> u64 {
-        match self {
-            Self::Exact(bin) => bin.evicted(),
-            Self::Approx(bin) => bin.evicted(),
-        }
-    }
-
-    /// Record payload bytes retained (the shared RAM convention).
-    pub fn memory_bytes(&self) -> usize {
-        match self {
-            Self::Exact(bin) => bin.memory_bytes(),
-            Self::Approx(bin) => bin.memory_bytes(),
-        }
-    }
-
     /// The approximate arm's lifetime counters, `None` on the exact arm.
-    pub fn approx_stats(&self) -> Option<ApproxStats> {
+    pub(crate) fn approx_stats(&self) -> Option<ApproxStats> {
         match self {
             Self::Exact(_) => None,
             Self::Approx(bin) => Some(bin.stats()),
         }
     }
 
-    /// The exact window, when this backend is exact (snapshot writers and
-    /// the engines' exact-only debug assertions).
-    pub fn as_exact(&self) -> Option<&TimeWindowBin> {
+    /// The exact window, when this backend is exact (the engines'
+    /// exact-only debug assertions).
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn as_exact(&self) -> Option<&TimeWindowBin> {
         match self {
             Self::Exact(bin) => Some(bin),
             Self::Approx(_) => None,
@@ -104,7 +84,7 @@ impl CoverageBackend {
     }
 
     /// Drop records that can no longer cover an arrival at `now`.
-    pub fn evict_expired(&mut self, now: Timestamp, lambda_t: Timestamp) -> usize {
+    pub(crate) fn evict_expired(&mut self, now: Timestamp, lambda_t: Timestamp) -> usize {
         match self {
             Self::Exact(bin) => bin.evict_expired(now, lambda_t),
             Self::Approx(bin) => bin.evict_expired(now, lambda_t),
@@ -114,7 +94,7 @@ impl CoverageBackend {
     /// Store a record. Returns how many retained records the store dropped
     /// to make room (always 0 on the exact arm) so the engine can keep its
     /// copy accounting truthful.
-    pub fn push(&mut self, record: PostRecord) -> u64 {
+    pub(crate) fn push(&mut self, record: PostRecord) -> u64 {
         match self {
             Self::Exact(bin) => {
                 bin.push(record);
@@ -126,7 +106,7 @@ impl CoverageBackend {
 
     /// Visit every retained record in insertion (= non-decreasing time)
     /// order — the snapshot serialization order.
-    pub fn for_each_record(&self, mut f: impl FnMut(PostRecord)) {
+    pub(crate) fn for_each_record(&self, mut f: impl FnMut(PostRecord)) {
         match self {
             Self::Exact(bin) => {
                 for r in bin.iter() {
@@ -140,7 +120,7 @@ impl CoverageBackend {
     /// UniBin's lookup shape: collect every in-window content candidate for
     /// `record` into `scan`, newest-first, for the engine's own author
     /// admission loop. See [`ScanBuffer::comparisons`] for cost accounting.
-    pub fn scan_into(
+    pub(crate) fn scan_into(
         &mut self,
         kernel: KernelKind,
         record: &PostRecord,
@@ -188,7 +168,7 @@ impl CoverageBackend {
     /// within λc of `record`'s fingerprint, plus the comparisons charged.
     /// Author admission is the *caller's* invariant (bins are
     /// author-homogeneous by construction).
-    pub fn find_newest_within(
+    pub(crate) fn find_newest_within(
         &mut self,
         kernel: KernelKind,
         record: &PostRecord,
@@ -219,7 +199,7 @@ impl CoverageBackend {
 /// engine-facing view of one lookup's results, allocation-free across
 /// offers. Candidates are indexed `0..len()`, newest-first.
 #[derive(Default)]
-pub struct ScanBuffer {
+pub(crate) struct ScanBuffer {
     ids: Vec<u64>,
     authors: Vec<u32>,
     /// Exact arm: view positions of the candidates (for stop-position cost
@@ -236,27 +216,27 @@ pub struct ScanBuffer {
 
 impl ScanBuffer {
     /// New empty buffer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of content candidates found.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
     }
 
     /// True when the lookup found no content candidates.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
 
     /// Post id of candidate `i`.
-    pub fn id(&self, i: usize) -> u64 {
+    pub(crate) fn id(&self, i: usize) -> u64 {
         self.ids[i]
     }
 
     /// Author of candidate `i`.
-    pub fn author(&self, i: usize) -> u32 {
+    pub(crate) fn author(&self, i: usize) -> u32 {
         self.authors[i]
     }
 
@@ -265,7 +245,7 @@ impl ScanBuffer {
     /// `None` = none accepted). Exact: the scalar newest-first count —
     /// records down to and including the covering one, or the whole window.
     /// Approx: the probes' verification count, independent of the stop.
-    pub fn comparisons(&self, hit: Option<usize>) -> u64 {
+    pub(crate) fn comparisons(&self, hit: Option<usize>) -> u64 {
         if self.exact {
             match hit {
                 Some(i) => (self.window_len - self.positions[i] as usize) as u64,

@@ -50,24 +50,16 @@ impl MaxMinDiversifier {
         }
     }
 
-    /// The configured k.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Current representatives (arrival order).
-    pub fn selected(&self) -> impl Iterator<Item = &PostRecord> {
+    #[cfg(test)]
+    pub(crate) fn selected(&self) -> impl Iterator<Item = &PostRecord> {
         self.selected.iter()
     }
 
     /// Number of current representatives.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.selected.len()
-    }
-
-    /// `true` when no representatives are held.
-    pub fn is_empty(&self) -> bool {
-        self.selected.is_empty()
     }
 
     /// Total pairwise distance computations so far.
@@ -77,7 +69,8 @@ impl MaxMinDiversifier {
 
     /// The MaxMin objective: minimum pairwise distance among the current
     /// representatives (`None` with fewer than two).
-    pub fn min_pairwise(&mut self) -> Option<u32> {
+    #[cfg(test)]
+    pub(crate) fn min_pairwise(&mut self) -> Option<u32> {
         if self.selected.len() < 2 {
             return None;
         }
@@ -218,7 +211,7 @@ mod tests {
             let fp = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             // Only *swaps* (set already full) must be monotone; filling a
             // free slot legitimately lowers the min pairwise distance.
-            let was_full = d.len() == d.k();
+            let was_full = d.len() == d.k;
             let accepted = d.observe(rec(i, i, fp));
             let objective = d.min_pairwise();
             if let (Some(prev), Some(cur)) = (previous, objective) {

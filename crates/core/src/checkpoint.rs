@@ -47,10 +47,10 @@ const MAX_NAME_LEN: usize = 4096;
 
 /// Checkpoint tag for the multi-user strategies (single-user engines use
 /// their snapshot tags, see [`Diversifier::snapshot_tag`]).
-pub const TAG_MULTI: u8 = 9;
+pub(crate) const TAG_MULTI: u8 = 9;
 
 /// File name of the checkpoint inside each generation directory.
-pub const CHECKPOINT_FILE: &str = "engine.fhckpt";
+pub(crate) const CHECKPOINT_FILE: &str = "engine.fhckpt";
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3, polynomial 0xEDB88320) — in-tree, zero-dep.
@@ -79,7 +79,7 @@ const fn crc32_table() -> [u32; 256] {
 static CRC_TABLE: [u32; 256] = crc32_table();
 
 /// IEEE CRC32 of `bytes` (the checksum `cksum`/zlib compute).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -95,7 +95,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// stream terms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
-    /// Engine tag (`Diversifier::snapshot_tag`, or [`TAG_MULTI`]).
+    /// Engine tag (`Diversifier::snapshot_tag`, or the multi-user tag 9).
     pub tag: u8,
     /// Monotonic checkpoint generation number.
     pub generation: u64,
@@ -461,7 +461,7 @@ impl Default for CheckpointPolicy {
 /// List the complete checkpoint generations under `dir`, ascending by
 /// generation number. Temp directories from interrupted writes
 /// (`.tmp-gen-*`) and anything else are ignored.
-pub fn list_generations(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+pub(crate) fn list_generations(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut gens = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -509,17 +509,13 @@ impl CheckpointManager {
     }
 
     /// The checkpoint directory.
-    pub fn dir(&self) -> &Path {
+    pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// The cadence/retention policy.
-    pub fn policy(&self) -> CheckpointPolicy {
-        self.policy
-    }
-
     /// Generation number the next checkpoint will get.
-    pub fn next_generation(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn next_generation(&self) -> u64 {
         self.next_generation
     }
 
@@ -535,7 +531,7 @@ impl CheckpointManager {
     /// Atomically persist pre-built checkpoint bytes as the next generation:
     /// write to a temp directory, fsync the file, rename the directory into
     /// place, fsync the parent. Returns the generation written.
-    pub fn save_bytes(&mut self, bytes: &[u8]) -> io::Result<u64> {
+    pub(crate) fn save_bytes(&mut self, bytes: &[u8]) -> io::Result<u64> {
         let generation = self.next_generation;
         let final_dir = self.dir.join(format!("gen-{generation:08}"));
         let tmp_dir = self.dir.join(format!(".tmp-gen-{generation:08}"));
@@ -600,7 +596,7 @@ impl CheckpointManager {
     }
 
     /// Checkpoint the strategy if the policy says one is due.
-    pub fn maybe_save_multi<M: MultiDiversifier + ?Sized>(
+    pub(crate) fn maybe_save_multi<M: MultiDiversifier + ?Sized>(
         &mut self,
         multi: &M,
     ) -> io::Result<Option<u64>> {

@@ -118,12 +118,6 @@ impl Thresholds {
             lambda_a: 0.7,
         }
     }
-
-    /// Minimum followee-cosine similarity implied by `λa`
-    /// (`similarity ≥ 1 − λa`).
-    pub fn min_author_similarity(&self) -> f64 {
-        1.0 - self.lambda_a
-    }
 }
 
 impl Default for Thresholds {
@@ -177,38 +171,19 @@ impl ApproxConfig {
         })
     }
 
-    /// Defaults with a custom per-bucket budget — the `approx:<budget>`
-    /// CLI form.
-    pub fn with_budget(bucket_budget: u32) -> Result<Self, ConfigError> {
-        Self::new(
-            Self::DEFAULT_PROBES,
-            bucket_budget,
-            Self::DEFAULT_GRANULARITY,
-        )
-    }
-
     /// Prefix tables probed per lookup.
     pub fn probes(&self) -> u32 {
         self.probes
     }
 
     /// Records retained per time bucket.
-    pub fn bucket_budget(&self) -> u32 {
+    pub(crate) fn bucket_budget(&self) -> u32 {
         self.bucket_budget
     }
 
     /// Time buckets per λt window.
-    pub fn granularity(&self) -> u32 {
+    pub(crate) fn granularity(&self) -> u32 {
         self.granularity
-    }
-
-    /// Hard cap on records one approximate bin can retain: the active
-    /// bucket holds up to `granularity × bucket_budget` at full fidelity,
-    /// closed in-window buckets (up to `granularity`, plus one
-    /// partially-expired boundary bucket) hold `bucket_budget` each —
-    /// `(2 × granularity + 1) × bucket_budget` in total.
-    pub fn retention_cap(&self) -> u64 {
-        u64::from(2 * self.granularity + 1) * u64::from(self.bucket_budget)
     }
 }
 
@@ -238,12 +213,12 @@ pub enum MemoryMode {
 
 impl MemoryMode {
     /// True for the approximate backend.
-    pub fn is_approx(&self) -> bool {
+    pub(crate) fn is_approx(&self) -> bool {
         matches!(self, Self::Approx(_))
     }
 
     /// Stable lowercase label (`exact` / `approx`) for gauges and logs.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Self::Exact => "exact",
             Self::Approx(_) => "approx",
@@ -276,7 +251,11 @@ impl std::str::FromStr for MemoryMode {
                             .map_err(|_| ConfigError::BadMemoryMode {
                                 input: s.to_string(),
                             })?;
-                    Ok(Self::Approx(ApproxConfig::with_budget(bucket_budget)?))
+                    Ok(Self::Approx(ApproxConfig::new(
+                        ApproxConfig::DEFAULT_PROBES,
+                        bucket_budget,
+                        ApproxConfig::DEFAULT_GRANULARITY,
+                    )?))
                 }
                 None => Err(ConfigError::BadMemoryMode {
                     input: s.to_string(),
@@ -294,11 +273,9 @@ pub struct EngineConfig {
     /// How post text is fingerprinted (normalization, weights, n-grams).
     pub simhash: SimHashOptions,
     /// Expected stream rate in posts/second offered to this engine, used
-    /// only to pre-size λt-window bins ([`window_capacity_hint`]). `0.0`
+    /// only to pre-size λt-window bins (`window_capacity_hint`). `0.0`
     /// (the default) means unknown: bins start empty and grow on demand.
     /// Never affects decisions or metrics.
-    ///
-    /// [`window_capacity_hint`]: Self::window_capacity_hint
     pub expected_rate: f64,
     /// Which coverage backend the engine runs ([`MemoryMode::Exact`] by
     /// default). Unlike `expected_rate`, this *does* affect decisions in
@@ -308,7 +285,7 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// Cap on [`window_capacity_hint`](Self::window_capacity_hint): 1 Mi
+    /// Cap on the `window_capacity_hint` bin pre-sizing: 1 Mi
     /// records ≈ 32 MiB of columns. A mis-estimated rate (or `λt = ∞`)
     /// must not pre-allocate unbounded memory; beyond this the bins' own
     /// doubling takes over.
@@ -342,7 +319,7 @@ impl EngineConfig {
     /// number of live posts a full window holds (every emitted post stays
     /// exactly λt). `0` when no rate is known — engines treat that as "no
     /// hint". Clamped to [`MAX_CAPACITY_HINT`](Self::MAX_CAPACITY_HINT).
-    pub fn window_capacity_hint(&self) -> usize {
+    pub(crate) fn window_capacity_hint(&self) -> usize {
         if !self.expected_rate.is_finite() || self.expected_rate <= 0.0 {
             return 0;
         }
@@ -378,38 +355,9 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Override the fingerprinting options.
-    pub fn simhash(mut self, simhash: SimHashOptions) -> Self {
-        self.config.simhash = simhash;
-        self
-    }
-
     /// Finish the configuration.
     pub fn build(self) -> EngineConfig {
         self.config
-    }
-}
-
-/// Live-churn behavior of the multi-user strategies.
-///
-/// Deliberately *not* part of [`EngineConfig`]: it never affects a single
-/// engine's decisions (and must not enter the snapshot wire format) — it
-/// only governs how the multi-user layer replaces engines under
-/// subscription churn.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChurnConfig {
-    /// Warm-start engines spawned by churn from the still-in-window records
-    /// of the engines they replace (default `true`). Within `λt` of a churn
-    /// operation a warm-started stream may differ from a cold rebuild — the
-    /// affected users keep their recently-shown posts as coverage — and is
-    /// identical afterwards. Disable for cold rebuilds that match a freshly
-    /// built strategy immediately.
-    pub warm_start: bool,
-}
-
-impl Default for ChurnConfig {
-    fn default() -> Self {
-        Self { warm_start: true }
     }
 }
 
@@ -423,7 +371,6 @@ mod tests {
         assert_eq!(t.lambda_c, 18);
         assert_eq!(t.lambda_t, minutes(30));
         assert_eq!(t.lambda_a, 0.7);
-        assert!((t.min_author_similarity() - 0.3).abs() < 1e-12);
     }
 
     #[test]
@@ -506,8 +453,7 @@ mod tests {
             Err(ConfigError::ApproxGranularityOutOfRange { .. })
         ));
         assert!(ApproxConfig::new(8, ApproxConfig::MAX_BUCKET_BUDGET + 1, 8).is_err());
-        let cfg = ApproxConfig::new(8, 8, 8).unwrap();
-        assert_eq!(cfg.retention_cap(), 17 * 8);
+        assert!(ApproxConfig::new(8, 8, 8).is_ok());
     }
 
     #[test]
@@ -520,7 +466,10 @@ mod tests {
         );
         assert_eq!(
             MemoryMode::from_str("approx:64").unwrap(),
-            MemoryMode::Approx(ApproxConfig::with_budget(64).unwrap())
+            MemoryMode::Approx(ApproxConfig {
+                bucket_budget: 64,
+                ..ApproxConfig::default()
+            })
         );
         assert!(matches!(
             MemoryMode::from_str("approx:zillions"),

@@ -56,12 +56,12 @@ pub struct CoverageExplanation {
 
 impl CoverageExplanation {
     /// `true` iff the content dimension passed.
-    pub fn content_ok(&self) -> bool {
+    pub(crate) fn content_ok(&self) -> bool {
         self.content_distance <= self.lambda_c
     }
 
     /// `true` iff the time dimension passed.
-    pub fn time_ok(&self) -> bool {
+    pub(crate) fn time_ok(&self) -> bool {
         self.time_distance <= self.lambda_t
     }
 

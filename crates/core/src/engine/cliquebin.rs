@@ -84,11 +84,6 @@ impl CliqueBin {
         self.config.window_capacity_hint() / self.author_count.max(1)
     }
 
-    /// The clique edge cover in use.
-    pub fn cover(&self) -> &CliqueCover {
-        &self.cover
-    }
-
     /// Snapshot internals (see `crate::snapshot`).
     pub(crate) fn parts(
         &self,

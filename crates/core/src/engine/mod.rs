@@ -260,27 +260,12 @@ pub fn build_engine(
 
 /// Build a [`CliqueBin`] reusing a precomputed cover (M-SPSD setup shares
 /// covers across users).
-pub fn build_cliquebin_with_cover(
+pub(crate) fn build_cliquebin_with_cover(
     config: EngineConfig,
     graph: Arc<UndirectedGraph>,
     cover: Arc<CliqueCover>,
 ) -> Box<dyn Diversifier + Send> {
     Box::new(CliqueBin::with_cover(config, graph, cover))
-}
-
-/// Run `engine` over a whole time-ordered stream, returning every decision.
-pub fn diversify_stream<D: Diversifier + ?Sized>(engine: &mut D, posts: &[Post]) -> Vec<Decision> {
-    posts.iter().map(|p| engine.offer(p)).collect()
-}
-
-/// Run `engine` over a stream and return only the emitted post ids — the
-/// diversified sub-stream `Z`.
-pub fn diversified_ids<D: Diversifier + ?Sized>(engine: &mut D, posts: &[Post]) -> Vec<u64> {
-    posts
-        .iter()
-        .filter(|p| engine.offer(p).is_emitted())
-        .map(|p| p.id)
-        .collect()
 }
 
 #[cfg(test)]
@@ -324,24 +309,5 @@ mod tests {
             assert_eq!(engine.name(), kind.to_string());
             assert_eq!(engine.metrics().posts_processed, 0);
         }
-    }
-
-    #[test]
-    fn diversify_stream_helpers() {
-        let graph = Arc::new(UndirectedGraph::new(2));
-        let config = EngineConfig::paper_defaults();
-        let posts = vec![
-            Post::new(1, 0, 0, "alpha beta gamma delta".into()),
-            Post::new(2, 0, 1_000, "alpha beta gamma delta".into()),
-            Post::new(
-                3,
-                1,
-                2_000,
-                "totally different subject matter entirely".into(),
-            ),
-        ];
-        let mut engine = build_engine(AlgorithmKind::UniBin, config, graph);
-        let ids = diversified_ids(engine.as_mut(), &posts);
-        assert_eq!(ids, vec![1, 3]);
     }
 }

@@ -60,11 +60,6 @@ impl NeighborBin {
         }
     }
 
-    /// The similarity graph this engine was built from.
-    pub fn graph(&self) -> &UndirectedGraph {
-        &self.graph
-    }
-
     /// Snapshot internals (see `crate::snapshot`).
     pub(crate) fn parts(&self) -> (&[CoverageBackend], &EngineMetrics) {
         (&self.bins, &self.metrics)

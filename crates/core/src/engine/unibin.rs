@@ -53,11 +53,6 @@ impl UniBin {
         }
     }
 
-    /// The similarity graph this engine consults.
-    pub fn graph(&self) -> &UndirectedGraph {
-        &self.graph
-    }
-
     /// Snapshot internals (see `crate::snapshot`).
     pub(crate) fn parts(&self) -> (&CoverageBackend, &EngineMetrics) {
         (&self.bin, &self.metrics)

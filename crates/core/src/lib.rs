@@ -33,6 +33,16 @@
 //! `Sh_*` runs those same component engines on persistent shard workers (an
 //! extension, see `DESIGN.md` §10).
 //!
+//! # Modules
+//!
+//! The crate root re-exports the configuration, decision, metrics, quality
+//! and cost-model types. The modules callers name by path are [`engine`]
+//! (the three SPSD engines), [`multi`] (the M-SPSD strategies and the
+//! subscription table), [`service`] (the [`FirehoseService`] facade and its
+//! churn trace format), [`checkpoint`] and [`snapshot`] (crash-safe state),
+//! [`coverage`] (the coverage predicate the engines implement), [`advisor`]
+//! (Table 4) and [`prelude`].
+//!
 //! # Quickstart
 //!
 //! ```
@@ -56,21 +66,20 @@
 //! ```
 
 pub mod advisor;
-pub mod backend;
-pub mod baseline;
+mod backend;
+mod baseline;
 pub mod checkpoint;
-pub mod config;
-pub mod costmodel;
+mod config;
+mod costmodel;
 pub mod coverage;
-pub mod decision;
+mod decision;
 pub mod engine;
-pub mod metrics;
+mod metrics;
 pub mod multi;
-pub mod obs;
-pub mod quality;
+mod obs;
+mod quality;
 pub mod service;
 pub mod snapshot;
-pub mod stream_ext;
 
 /// One-stop imports for the common engine/strategy/service surface.
 ///
@@ -78,49 +87,36 @@ pub mod stream_ext;
 /// use firehose_core::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::checkpoint::{CheckpointManager, CheckpointPolicy};
-    pub use crate::config::{
-        ApproxConfig, ChurnConfig, EngineConfig, EngineConfigBuilder, MemoryMode, Thresholds,
-    };
+    pub use crate::checkpoint::CheckpointPolicy;
+    pub use crate::config::{ApproxConfig, EngineConfig, MemoryMode, Thresholds};
     pub use crate::decision::Decision;
     pub use crate::engine::{
         build_engine, AlgorithmKind, CliqueBin, Diversifier, NeighborBin, UniBin,
     };
     pub use crate::metrics::EngineMetrics;
     pub use crate::multi::{
-        BuildError, ChurnStats, IndependentBuilder, IndependentMulti, MultiDecision,
-        MultiDiversifier, ShardFailure, SharedBuilder, SharedMulti, SubscriptionError,
-        Subscriptions, UserId,
+        IndependentMulti, MultiDecision, MultiDiversifier, SharedMulti, Subscriptions,
     };
-    pub use crate::service::{
-        ChurnOp, FirehoseService, FirehoseServiceBuilder, OverloadConfig, OverloadPolicy,
-        OverloadStats, RateLimitConfig, ResilienceStats, ServiceError, StrategyKind, TracedOp,
-    };
+    pub use crate::service::{FirehoseService, StrategyKind};
 }
 
 pub use advisor::{recommend, AdvisorInputs, ThroughputClass};
-pub use backend::{CoverageBackend, ScanBuffer};
 pub use baseline::MaxMinDiversifier;
 pub use checkpoint::{
     restore_latest_valid, restore_latest_valid_multi, CheckpointManager, CheckpointPolicy,
     RestoreError, RestoredEngine,
 };
 pub use config::{
-    ApproxConfig, ChurnConfig, ConfigError, EngineConfig, EngineConfigBuilder, MemoryMode,
-    Thresholds,
+    ApproxConfig, ConfigError, EngineConfig, EngineConfigBuilder, MemoryMode, Thresholds,
 };
 pub use costmodel::{CostInputs, CostPrediction};
 pub use coverage::{covers, explain, CoverageExplanation};
 pub use decision::Decision;
 pub use engine::{build_engine, AlgorithmKind, Diversifier};
 pub use metrics::EngineMetrics;
-pub use obs::{
-    export_engine_metrics, export_guard_stats, export_kernel_info, export_memory_mode, EngineObs,
-    MultiObs,
-};
+pub use obs::{export_engine_metrics, export_guard_stats, export_kernel_info, export_memory_mode};
 pub use quality::{evaluate, DeltaBounds, GateVerdict, MetricDelta, QualityGate, QualityReport};
 pub use service::{
     ChurnOp, FirehoseService, OverloadConfig, OverloadPolicy, OverloadStats, RateLimitConfig,
     ResilienceStats, ServiceError, StrategyKind,
 };
-pub use stream_ext::{Diversified, DiversifyExt};

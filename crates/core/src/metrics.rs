@@ -30,7 +30,7 @@ pub struct EngineMetrics {
     pub copies_stored: u64,
     /// Maximum of `copies_stored` observed.
     pub peak_copies: u64,
-    /// Maximum of [`memory_bytes`](Self::memory_bytes) observed.
+    /// Maximum of the record payload bytes retained, observed.
     pub peak_memory_bytes: u64,
 }
 
@@ -57,7 +57,7 @@ impl EngineMetrics {
     }
 
     /// Current record payload in bytes.
-    pub fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         self.copies_stored * firehose_stream::PostRecord::SIZE_BYTES as u64
     }
 
@@ -72,7 +72,7 @@ impl EngineMetrics {
 
     /// Merge counters from another engine (used by the multi-user engines to
     /// aggregate across sub-engines).
-    pub fn merge(&mut self, other: &EngineMetrics) {
+    pub(crate) fn merge(&mut self, other: &EngineMetrics) {
         self.posts_processed += other.posts_processed;
         self.posts_emitted += other.posts_emitted;
         self.comparisons += other.comparisons;

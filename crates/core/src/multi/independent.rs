@@ -133,24 +133,10 @@ pub struct IndependentBuilder<'g> {
     config: EngineConfig,
     graph: &'g UndirectedGraph,
     subscriptions: Subscriptions,
-    user_configs: Option<Vec<EngineConfig>>,
     warm_start: bool,
 }
 
 impl IndependentBuilder<'_> {
-    /// Per-user configurations — the SPSD customization Section 2
-    /// highlights ("in SPSD we can easily support user customized diversity
-    /// thresholds"), which the shared-component strategies necessarily give
-    /// up. Must supply exactly one config per user.
-    ///
-    /// Note: users whose [`SimHashOptions`](firehose_simhash::SimHashOptions)
-    /// differ from other users' cost one extra fingerprint computation per
-    /// (post, distinct option set) — see `offer`.
-    pub fn user_configs(mut self, configs: Vec<EngineConfig>) -> Self {
-        self.user_configs = Some(configs);
-        self
-    }
-
     /// Whether engines rebuilt by churn inherit their predecessor's
     /// in-window records (default `true`). Disable to get cold rebuilds
     /// whose streams match a freshly built strategy immediately instead of
@@ -160,27 +146,16 @@ impl IndependentBuilder<'_> {
         self
     }
 
-    /// Build, validating the per-user config count.
+    /// Build one engine per user.
     pub fn build(self) -> Result<IndependentMulti, BuildError> {
         let users = self.subscriptions.user_count();
-        let configs = self
-            .user_configs
-            .unwrap_or_else(|| vec![self.config; users]);
-        if configs.len() != users {
-            return Err(BuildError::ConfigCountMismatch {
-                configs: configs.len(),
-                users,
-            });
-        }
-        let engines = configs
-            .iter()
-            .enumerate()
-            .map(|(u, &config)| {
+        let engines = (0..users as UserId)
+            .map(|u| {
                 CompactEngine::build(
                     self.kind,
-                    config,
+                    self.config,
                     self.graph,
-                    self.subscriptions.authors_of(u as UserId),
+                    self.subscriptions.authors_of(u),
                 )
             })
             .collect();
@@ -190,7 +165,6 @@ impl IndependentBuilder<'_> {
             graph: Arc::new(self.graph.clone()),
             subscriptions: self.subscriptions,
             engines,
-            user_configs: configs,
             warm_start: self.warm_start,
             churn: ChurnStats {
                 // One engine per user id at construction (tombstoned users
@@ -218,8 +192,6 @@ pub struct IndependentMulti {
     /// One engine per user id. Tombstoned users keep a (member-less) engine
     /// so indices stay aligned; it receives no offers.
     engines: Vec<CompactEngine>,
-    /// Per-user configurations (used for per-user fingerprinting options).
-    user_configs: Vec<EngineConfig>,
     /// Warm-start churn-rebuilt engines from the predecessor's window.
     warm_start: bool,
     /// Churn ledger (persisted in FHSNAP04 state).
@@ -264,31 +236,14 @@ impl IndependentMulti {
             config,
             graph,
             subscriptions,
-            user_configs: None,
             warm_start: true,
         }
-    }
-
-    /// Build with **per-user thresholds**; equivalent to
-    /// `builder(..).user_configs(configs).build()`. `base_config` drives the
-    /// shared eviction-sweep schedule and is the config of users added later
-    /// through churn.
-    pub fn with_user_configs(
-        kind: AlgorithmKind,
-        base_config: EngineConfig,
-        configs: Vec<EngineConfig>,
-        graph: &UndirectedGraph,
-        subscriptions: Subscriptions,
-    ) -> Result<Self, BuildError> {
-        Self::builder(kind, base_config, graph, subscriptions)
-            .user_configs(configs)
-            .build()
     }
 
     /// Attach strategy-level instruments (offer-latency histogram, sweep
     /// counter, live-copies gauge) labelled `{strategy="M_<kind>"}` to
     /// `registry`.
-    pub fn attach_obs(&mut self, registry: &firehose_obs::Registry) {
+    pub(crate) fn attach_obs(&mut self, registry: &firehose_obs::Registry) {
         self.obs = Some(MultiObs::register(registry, &MultiDiversifier::name(self)));
     }
 
@@ -303,8 +258,7 @@ impl IndependentMulti {
             order_window_records(&mut seeds);
         }
         let members = self.subscriptions.authors_of(u);
-        let config = self.user_configs[u as usize];
-        let mut engine = CompactEngine::build(self.kind, config, &self.graph, members);
+        let mut engine = CompactEngine::build(self.kind, self.config, &self.graph, members);
         let mut seeded = 0u64;
         for r in &seeds {
             if members.binary_search(&r.author).is_ok() {
@@ -321,11 +275,6 @@ impl IndependentMulti {
         self.engines[u as usize] = engine;
         self.churn.engines_spawned += 1;
         self.churn.engines_retired += 1;
-    }
-
-    /// The subscription relation.
-    pub fn subscriptions(&self) -> &Subscriptions {
-        &self.subscriptions
     }
 }
 
@@ -353,20 +302,10 @@ impl MultiDiversifier for IndependentMulti {
             }
         }
 
-        // Fingerprint once per *distinct* SimHash option set among the
-        // subscribers (usually exactly one — the default configuration).
-        let mut fingerprints: Vec<(firehose_simhash::SimHashOptions, PostRecord)> =
-            Vec::with_capacity(1);
+        // Fingerprint once, and only when someone subscribes to the author.
+        let mut record = None;
         for &u in self.subscriptions.subscribers_of(post.author) {
-            let opts = self.user_configs[u as usize].simhash;
-            let record = match fingerprints.iter().find(|(o, _)| *o == opts) {
-                Some(&(_, record)) => record,
-                None => {
-                    let record = post.to_record(opts);
-                    fingerprints.push((opts, record));
-                    record
-                }
-            };
+            let record = *record.get_or_insert_with(|| post.to_record(self.config.simhash));
             let engine = &mut self.engines[u as usize];
             let before = engine.metrics().copies_stored;
             // The subscription relation says this user's engine contains the
@@ -408,7 +347,6 @@ impl MultiDiversifier for IndependentMulti {
 
     fn add_user(&mut self, authors: &[AuthorId]) -> Result<UserId, SubscriptionError> {
         let u = self.subscriptions.add_user(authors)?;
-        self.user_configs.push(self.config);
         self.engines.push(CompactEngine::build(
             self.kind,
             self.config,
@@ -507,12 +445,8 @@ impl MultiDiversifier for IndependentMulti {
                 Ok(())
             }
             MultiState::V2(state) => {
-                // Rebuild users from the embedded table. Per-user configs are
-                // kept where user ids persist and default to the base config
-                // for users this instance never saw.
+                // Rebuild users from the embedded table.
                 let users = state.subscriptions.user_count();
-                self.user_configs.resize(users, self.config);
-                self.user_configs.truncate(users);
                 let mut engines = Vec::with_capacity(users);
                 let mut blobs = state.engines;
                 for u in 0..users as UserId {
@@ -521,12 +455,8 @@ impl MultiDiversifier for IndependentMulti {
                     } else {
                         &[]
                     };
-                    let mut engine = CompactEngine::build(
-                        self.kind,
-                        self.user_configs[u as usize],
-                        &self.graph,
-                        members,
-                    );
+                    let mut engine =
+                        CompactEngine::build(self.kind, self.config, &self.graph, members);
                     if state.subscriptions.is_active(u) {
                         let blob = blobs.remove(&(u as u64)).ok_or(
                             crate::snapshot::SnapshotError::StructureMismatch(
@@ -626,56 +556,6 @@ mod tests {
         assert_eq!(metrics.posts_processed, 2);
         assert_eq!(metrics.posts_emitted, 2);
         assert_eq!(metrics.insertions, 2);
-    }
-
-    #[test]
-    fn per_user_thresholds_are_honored() {
-        // u0 runs a tight 1-minute window; u1 runs the default 30 minutes.
-        let graph = UndirectedGraph::new(1);
-        let subs = Subscriptions::new(1, vec![vec![0], vec![0]]).unwrap();
-        let tight = EngineConfig::new(Thresholds::new(18, minutes(1), 0.7).unwrap());
-        let loose = EngineConfig::new(Thresholds::new(18, minutes(30), 0.7).unwrap());
-        let mut m = IndependentMulti::with_user_configs(
-            AlgorithmKind::UniBin,
-            loose,
-            vec![tight, loose],
-            &graph,
-            subs,
-        )
-        .unwrap();
-        let d = m.offer(&Post::new(1, 0, 0, "same story told twice over".into()));
-        assert_eq!(d.delivered_to, vec![0, 1]);
-        // 5 minutes later: outside u0's window (shown again), inside u1's
-        // (covered).
-        let d = m.offer(&Post::new(
-            2,
-            0,
-            minutes(5),
-            "same story told twice over".into(),
-        ));
-        assert_eq!(d.delivered_to, vec![0]);
-    }
-
-    #[test]
-    fn config_count_must_match_users() {
-        let graph = UndirectedGraph::new(1);
-        let subs = Subscriptions::new(1, vec![vec![0], vec![0]]).unwrap();
-        let err = IndependentMulti::with_user_configs(
-            AlgorithmKind::UniBin,
-            EngineConfig::paper_defaults(),
-            vec![EngineConfig::paper_defaults()],
-            &graph,
-            subs,
-        )
-        .err()
-        .unwrap();
-        assert_eq!(
-            err,
-            BuildError::ConfigCountMismatch {
-                configs: 1,
-                users: 2
-            }
-        );
     }
 
     #[test]

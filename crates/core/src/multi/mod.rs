@@ -449,15 +449,6 @@ pub(crate) fn load_engine_blob(
     Ok(())
 }
 
-/// Run a multi-user engine over a whole time-ordered stream; returns each
-/// post's delivery list.
-pub fn diversify_stream_multi<M: MultiDiversifier + ?Sized>(
-    engine: &mut M,
-    posts: &[Post],
-) -> Vec<MultiDecision> {
-    engine.offer_batch(posts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,6 +39,9 @@ struct Shared<T> {
 // `tail`, and read only by the single consumer after the Acquire load of it
 // (and vice versa for recycled slots).
 unsafe impl<T: Send> Send for Shared<T> {}
+// SAFETY: shared access is limited to one `SpscSender` and one
+// `SpscReceiver` (neither is `Sync`); by the protocol above they never touch
+// the same slot at once, and the indices are atomics.
 unsafe impl<T: Send> Sync for Shared<T> {}
 
 impl<T> Drop for Shared<T> {

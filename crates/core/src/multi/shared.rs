@@ -99,7 +99,7 @@ impl SharedBuilder<'_> {
     /// worker is declared stalled, abandoned, and respawned. Unset (the
     /// default) disables stall detection; panics are always supervised.
     /// Ignored without [`shards`](Self::shards).
-    pub fn watchdog(mut self, deadline: Duration) -> Self {
+    pub(crate) fn watchdog(mut self, deadline: Duration) -> Self {
         self.watchdog = Some(deadline);
         self
     }
@@ -110,7 +110,7 @@ impl SharedBuilder<'_> {
     /// drains, its workers run clean. Stall faults need
     /// [`watchdog`](Self::watchdog) set, or the control thread waits
     /// forever. Ignored without [`shards`](Self::shards).
-    pub fn chaos(mut self, plan: ShardFaultPlan) -> Self {
+    pub(crate) fn chaos(mut self, plan: ShardFaultPlan) -> Self {
         self.chaos = plan;
         self
     }
@@ -206,7 +206,7 @@ impl SharedMulti {
     /// counter, live-copies gauge) labelled `{strategy="<name>"}` to
     /// `registry`, plus the per-shard `firehose_sharded_*` /
     /// `firehose_shard_*` instruments when running on shards.
-    pub fn attach_obs(&mut self, registry: &firehose_obs::Registry) {
+    pub(crate) fn attach_obs(&mut self, registry: &firehose_obs::Registry) {
         let name = MultiDiversifier::name(self);
         let obs = MultiObs::register(registry, &name);
         if let Executor::Shards(pool) = &mut self.exec {
@@ -226,11 +226,6 @@ impl SharedMulti {
     /// component's share of the total work.
     pub fn largest_component_size(&self) -> usize {
         self.registry.largest_component_size()
-    }
-
-    /// The subscription relation.
-    pub fn subscriptions(&self) -> &Subscriptions {
-        &self.registry.subscriptions
     }
 
     /// Run a churn operation against the registry; the shard executor

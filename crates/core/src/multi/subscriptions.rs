@@ -162,7 +162,7 @@ impl Subscriptions {
     /// Append a new user with the given (unsorted, possibly duplicated)
     /// author list; returns the new user's id. Ids of removed users are
     /// never reused.
-    pub fn add_user(&mut self, authors: &[AuthorId]) -> Result<UserId, SubscriptionError> {
+    pub(crate) fn add_user(&mut self, authors: &[AuthorId]) -> Result<UserId, SubscriptionError> {
         let u = self.per_user.len() as UserId;
         let mut subs: Vec<AuthorId> = authors.to_vec();
         subs.sort_unstable();
@@ -180,7 +180,7 @@ impl Subscriptions {
 
     /// Tombstone user `u`: the id stays allocated but the user follows
     /// nothing afterwards. Returns the author list held at removal time.
-    pub fn remove_user(&mut self, u: UserId) -> Result<Vec<AuthorId>, SubscriptionError> {
+    pub(crate) fn remove_user(&mut self, u: UserId) -> Result<Vec<AuthorId>, SubscriptionError> {
         self.check_user(u)?;
         let old = std::mem::take(&mut self.per_user[u as usize]);
         for &a in &old {
@@ -191,7 +191,7 @@ impl Subscriptions {
     }
 
     /// Add a follow edge; returns `false` if it already existed.
-    pub fn subscribe(&mut self, u: UserId, a: AuthorId) -> Result<bool, SubscriptionError> {
+    pub(crate) fn subscribe(&mut self, u: UserId, a: AuthorId) -> Result<bool, SubscriptionError> {
         self.check_user(u)?;
         self.check_author(u, a)?;
         let list = &mut self.per_user[u as usize];
@@ -208,7 +208,11 @@ impl Subscriptions {
     }
 
     /// Drop a follow edge; returns `false` if it did not exist.
-    pub fn unsubscribe(&mut self, u: UserId, a: AuthorId) -> Result<bool, SubscriptionError> {
+    pub(crate) fn unsubscribe(
+        &mut self,
+        u: UserId,
+        a: AuthorId,
+    ) -> Result<bool, SubscriptionError> {
         self.check_user(u)?;
         self.check_author(u, a)?;
         let list = &mut self.per_user[u as usize];

@@ -30,7 +30,8 @@ pub struct EngineObs {
 impl EngineObs {
     /// Create (or look up) the instruments for `engine` (e.g. `"UniBin"`)
     /// in `registry`.
-    pub fn register(registry: &Registry, engine: &str) -> Self {
+    #[cfg(test)]
+    pub(crate) fn register(registry: &Registry, engine: &str) -> Self {
         let l = labels(&[("engine", engine)]);
         Self {
             offer_latency: registry.histogram(
@@ -48,7 +49,7 @@ impl EngineObs {
 
     /// Record one observed offer.
     #[inline]
-    pub fn record_offer(&self, started: Instant, comparisons: u64) {
+    pub(crate) fn record_offer(&self, started: Instant, comparisons: u64) {
         self.offer_latency.record_duration(started.elapsed());
         self.offer_comparisons.record(comparisons);
     }
@@ -59,7 +60,7 @@ impl EngineObs {
 /// [`IndependentMulti`](crate::multi::IndependentMulti)): whole-post offer
 /// latency, eviction-sweep count, and the live record-copy footprint.
 #[derive(Clone)]
-pub struct MultiObs {
+pub(crate) struct MultiObs {
     /// Wall-clock nanoseconds per multi-user `offer` call (fingerprint +
     /// every sub-engine consulted).
     pub offer_latency: Arc<Histogram>,
@@ -72,7 +73,7 @@ pub struct MultiObs {
 impl MultiObs {
     /// Create (or look up) the instruments for `strategy` (e.g. `"S_UniBin"`)
     /// in `registry`.
-    pub fn register(registry: &Registry, strategy: &str) -> Self {
+    pub(crate) fn register(registry: &Registry, strategy: &str) -> Self {
         let l = labels(&[("strategy", strategy)]);
         Self {
             offer_latency: registry.histogram(
@@ -97,7 +98,7 @@ impl MultiObs {
 /// Per-shard instruments for [`SharedMulti`](crate::multi::SharedMulti)
 /// running on shard workers.
 #[derive(Clone)]
-pub struct ShardedObs {
+pub(crate) struct ShardedObs {
     /// Requests currently in flight to this shard (ingest-ring depth).
     pub ring_depth: Gauge,
     /// Component engines currently deployed on this shard.
@@ -120,7 +121,7 @@ pub struct ShardedObs {
 impl ShardedObs {
     /// Create (or look up) the instruments for shard `shard` of `strategy`
     /// in `registry`.
-    pub fn register(registry: &Registry, strategy: &str, shard: usize) -> Self {
+    pub(crate) fn register(registry: &Registry, strategy: &str, shard: usize) -> Self {
         let l = labels(&[("strategy", strategy), ("shard", &shard.to_string())]);
         Self {
             ring_depth: registry.gauge(

@@ -168,7 +168,8 @@ pub struct GateVerdict {
 
 impl GateVerdict {
     /// The delta record for `name`, if gated.
-    pub fn metric(&self, name: &str) -> Option<&MetricDelta> {
+    #[cfg(test)]
+    pub(crate) fn metric(&self, name: &str) -> Option<&MetricDelta> {
         self.deltas.iter().find(|d| d.name == name)
     }
 }
@@ -223,11 +224,6 @@ impl QualityGate {
     /// A gate enforcing `bounds`.
     pub fn new(bounds: DeltaBounds) -> Self {
         Self { bounds }
-    }
-
-    /// The bounds this gate enforces.
-    pub fn bounds(&self) -> &DeltaBounds {
-        &self.bounds
     }
 
     /// Compare the two runs and render the verdict. `exact_bytes` and

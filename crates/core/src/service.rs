@@ -39,12 +39,12 @@
 //! at the configured cadence. The churn operations forward to the strategy's
 //! live [`MultiDiversifier`] churn API, and [`ChurnOp`] gives those
 //! operations a text form so traces can be recorded, replayed
-//! (`firehose run --churn-trace`) and generated (`firehose_datagen::churn`).
+//! (`firehose run --churn-trace`) and generated (`firehose_datagen::generate_churn_trace`).
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use firehose_graph::UndirectedGraph;
 use firehose_stream::{
@@ -54,7 +54,7 @@ use firehose_stream::{
 use crate::checkpoint::{
     restore_latest_valid_multi, CheckpointManager, CheckpointPolicy, Manifest, RestoreError,
 };
-use crate::config::{ChurnConfig, EngineConfig, MemoryMode};
+use crate::config::{EngineConfig, MemoryMode};
 use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::{
@@ -422,14 +422,6 @@ pub fn read_churn_trace(reader: impl BufRead) -> Result<Vec<TracedOp>, String> {
     Ok(ops)
 }
 
-/// Write a churn trace in the format [`read_churn_trace`] parses.
-pub fn write_churn_trace(ops: &[TracedOp], mut w: impl Write) -> io::Result<()> {
-    for op in ops {
-        writeln!(w, "{op}")?;
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // Errors.
 // ---------------------------------------------------------------------
@@ -518,7 +510,6 @@ pub struct FirehoseServiceBuilder<'g> {
     strategy: StrategyKind,
     algorithm: AlgorithmKind,
     config: EngineConfig,
-    churn: ChurnConfig,
     guard: Option<GuardConfig>,
     checkpoints: Option<(PathBuf, CheckpointPolicy)>,
     obs: Option<&'g firehose_obs::Registry>,
@@ -535,12 +526,6 @@ impl<'g> FirehoseServiceBuilder<'g> {
         self
     }
 
-    /// Shorthand for [`StrategyKind::Sharded`]: run the decomposition on
-    /// `shards` persistent worker threads.
-    pub fn shards(self, shards: usize) -> Self {
-        self.strategy(StrategyKind::Sharded { shards })
-    }
-
     /// Pick the per-component engine algorithm (default
     /// [`AlgorithmKind::UniBin`]).
     pub fn algorithm(mut self, algorithm: AlgorithmKind) -> Self {
@@ -552,20 +537,6 @@ impl<'g> FirehoseServiceBuilder<'g> {
     /// [`EngineConfig::paper_defaults`]).
     pub fn engine_config(mut self, config: EngineConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Pick the coverage memory mode for every component engine (default
-    /// [`MemoryMode::Exact`]). Shorthand for rewriting the engine config's
-    /// `memory` field.
-    pub fn memory(mut self, memory: MemoryMode) -> Self {
-        self.config.memory = memory;
-        self
-    }
-
-    /// Set churn behavior (default [`ChurnConfig::default`]: warm starts on).
-    pub fn churn_config(mut self, churn: ChurnConfig) -> Self {
-        self.churn = churn;
         self
     }
 
@@ -605,14 +576,15 @@ impl<'g> FirehoseServiceBuilder<'g> {
     /// Stall-watchdog deadline for [`StrategyKind::Sharded`] (forwarded to
     /// [`SharedBuilder::watchdog`](crate::multi::SharedBuilder::watchdog));
     /// ignored by other strategies.
-    pub fn watchdog(mut self, deadline: Duration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn watchdog(mut self, deadline: Duration) -> Self {
         self.watchdog = Some(deadline);
         self
     }
 
     /// Schedule deterministic shard-worker chaos faults for
     /// [`StrategyKind::Sharded`] (forwarded to
-    /// [`SharedBuilder::chaos`](crate::multi::SharedBuilder::chaos));
+    /// `SharedBuilder::chaos`);
     /// ignored by other strategies. For resilience tests and benches.
     pub fn chaos(mut self, plan: ShardFaultPlan) -> Self {
         self.chaos = plan;
@@ -622,7 +594,6 @@ impl<'g> FirehoseServiceBuilder<'g> {
     /// Construct the service: builds the strategy, opens the checkpoint
     /// directory, and arms the guard.
     pub fn build(self) -> Result<FirehoseService, ServiceError> {
-        let warm = self.churn.warm_start;
         let memory = self.config.memory;
         let mut multi: Box<dyn MultiDiversifier + Send> = match self.strategy {
             StrategyKind::Independent => {
@@ -632,7 +603,6 @@ impl<'g> FirehoseServiceBuilder<'g> {
                     self.graph,
                     self.subscriptions,
                 )
-                .warm_start(warm)
                 .build()?;
                 if let Some(reg) = self.obs {
                     m.attach_obs(reg);
@@ -646,7 +616,6 @@ impl<'g> FirehoseServiceBuilder<'g> {
                     self.graph,
                     self.subscriptions,
                 )
-                .warm_start(warm)
                 .chaos(self.chaos);
                 if let StrategyKind::Sharded { shards } = self.strategy {
                     b = b.shards(shards);
@@ -695,7 +664,6 @@ impl<'g> FirehoseServiceBuilder<'g> {
             multi,
             guard,
             manager,
-            strategy: self.strategy,
             memory,
             admitted: Vec::new(),
             decision: MultiDecision::default(),
@@ -707,7 +675,6 @@ impl<'g> FirehoseServiceBuilder<'g> {
             replay: Vec::new(),
             delivered: 0,
             resilience: ResilienceStats::default(),
-            recovery_ns: Vec::new(),
         })
     }
 }
@@ -723,7 +690,6 @@ pub struct FirehoseService {
     multi: Box<dyn MultiDiversifier + Send>,
     guard: Option<IngestGuard>,
     manager: Option<CheckpointManager>,
-    strategy: StrategyKind,
     /// Coverage-store memory mode every component engine was built with.
     memory: MemoryMode,
     /// Guard output scratch, reused across `process` calls.
@@ -751,8 +717,6 @@ pub struct FirehoseService {
     delivered: usize,
     /// Cumulative recovery counters.
     resilience: ResilienceStats,
-    /// Wall-clock latency of each completed recovery episode.
-    recovery_ns: Vec<u64>,
 }
 
 impl FirehoseService {
@@ -768,7 +732,6 @@ impl FirehoseService {
             strategy: StrategyKind::Shared,
             algorithm: AlgorithmKind::UniBin,
             config: EngineConfig::paper_defaults(),
-            churn: ChurnConfig::default(),
             guard: None,
             checkpoints: None,
             obs: None,
@@ -974,7 +937,6 @@ impl FirehoseService {
                 restarts: last_restarts,
             });
         }
-        let t0 = Instant::now();
         for _ in 0..MAX_HEAL_ATTEMPTS {
             self.restore_latest()?;
             // A scheduled fault can fire during the restore's own
@@ -995,7 +957,6 @@ impl FirehoseService {
                 }
                 None => {
                     self.resilience.recoveries += 1;
-                    self.recovery_ns.push(t0.elapsed().as_nanos() as u64);
                     return Ok(());
                 }
             }
@@ -1204,11 +1165,6 @@ impl FirehoseService {
 
     // --- introspection ----------------------------------------------
 
-    /// The configured strategy.
-    pub fn strategy(&self) -> StrategyKind {
-        self.strategy
-    }
-
     /// Strategy display name (`"S_UniBin"`, `"Sh_CliqueBin(4)"`, ...).
     pub fn name(&self) -> String {
         self.multi.name()
@@ -1254,22 +1210,6 @@ impl FirehoseService {
     /// strategies and unfaulted runs).
     pub fn resilience_stats(&self) -> ResilienceStats {
         self.resilience
-    }
-
-    /// Wall-clock latency of each completed recovery episode, in order.
-    pub fn recovery_latencies_ns(&self) -> &[u64] {
-        &self.recovery_ns
-    }
-
-    /// Direct access to the underlying strategy (escape hatch for advanced
-    /// callers: snapshots, per-engine inspection).
-    pub fn multi(&self) -> &dyn MultiDiversifier {
-        self.multi.as_ref()
-    }
-
-    /// Mutable access to the underlying strategy.
-    pub fn multi_mut(&mut self) -> &mut dyn MultiDiversifier {
-        self.multi.as_mut()
     }
 }
 
@@ -1448,7 +1388,7 @@ mod tests {
     }
 
     #[test]
-    fn churn_trace_round_trips_and_sorts() {
+    fn churn_trace_parses_and_sorts() {
         let trace = "# comment\n\
                      \n\
                      200\tremove-user\t1\n\
@@ -1460,10 +1400,6 @@ mod tests {
         assert_eq!(ops[0].op, ChurnOp::Subscribe(0, 4));
         assert_eq!(ops[1].op, ChurnOp::AddUser(vec![2, 3]));
         assert_eq!(ops[2].after_posts, 200);
-
-        let mut buf = Vec::new();
-        write_churn_trace(&ops, &mut buf).unwrap();
-        assert_eq!(read_churn_trace(&buf[..]).unwrap(), ops);
 
         assert!(read_churn_trace("nonsense".as_bytes()).is_err());
         assert!(read_churn_trace("5".as_bytes()).is_err());
@@ -1668,10 +1604,6 @@ mod tests {
             );
             assert!(stats.restarts >= 1, "{tag}: {stats:?}");
             assert!(stats.replayed_posts >= 1, "{tag}: {stats:?}");
-            assert_eq!(
-                service.recovery_latencies_ns().len() as u64,
-                stats.recoveries
-            );
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

@@ -25,8 +25,8 @@ use std::sync::Arc;
 use firehose_graph::{CliqueCover, UndirectedGraph};
 use firehose_simhash::SimHashOptions;
 use firehose_stream::{AuthorId, PostRecord};
-use firehose_text::tokenize::TokenWeights;
 use firehose_text::NormalizeOptions;
+use firehose_text::TokenWeights;
 
 use crate::backend::CoverageBackend;
 use crate::config::{ApproxConfig, EngineConfig, MemoryMode, Thresholds};

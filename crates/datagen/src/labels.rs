@@ -17,7 +17,7 @@ use rand::{RngExt, SeedableRng};
 
 use firehose_simhash::{hamming_distance, simhash, SimHashOptions};
 use firehose_text::cosine_similarity;
-use firehose_text::normalize::{normalize, NormalizeOptions};
+use firehose_text::{normalize, NormalizeOptions};
 
 use crate::textgen::{TextGen, TextGenConfig};
 

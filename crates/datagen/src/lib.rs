@@ -9,37 +9,37 @@
 //! generates faithful synthetic stand-ins (see `DESIGN.md` §3 for the
 //! substitution rationale):
 //!
-//! * [`socialgen`] — a community-structured follower graph calibrated so the
+//! * [`SyntheticSocialGraph`] — a community-structured follower graph calibrated so the
 //!   author-similarity CCDF and the `d`/`c`/`s` topology parameters match the
 //!   paper's measurements (Figure 9; Section 6.2.1);
-//! * [`textgen`] — Zipfian tweet text plus the near-duplicate mutation
+//! * [`TextGen`] — Zipfian tweet text plus the near-duplicate mutation
 //!   classes visible in the paper's Table 1 (re-shortened URLs, punctuation
 //!   and casing edits, attribution suffixes, truncation);
-//! * [`workload`] — a day of Poisson-arrival posts with near-duplicate
+//! * [`Workload`] — a day of Poisson-arrival posts with near-duplicate
 //!   injection biased toward similar authors at short time lags, tuned so the
 //!   full three-dimensional model prunes ≈10% of posts at the paper's
 //!   default thresholds (Figure 10);
-//! * [`labels`] — a surrogate for the user study: the paper found that
+//! * [`UserStudy`] — a surrogate for the user study: the paper found that
 //!   cosine ≥ 0.7 on normalized text reproduces the human majority labels,
 //!   so that rule (plus simulated annotator noise and majority voting)
 //!   regenerates the precision/recall curves of Figures 3–4;
-//! * [`samplers`] — in-tree Zipf and exponential samplers (no external
-//!   distribution crates).
+//! * in-tree Zipf and exponential samplers (no external distribution
+//!   crates) behind them;
+//! * M-SPSD inputs: [`generate_subscriptions`] and [`generate_churn_trace`].
 //!
 //! Everything is deterministic under a caller-supplied seed.
 
-pub mod churn;
-pub mod labels;
-pub mod samplers;
-pub mod socialgen;
-pub mod subscriptions;
-pub mod textgen;
-pub mod urls;
-pub mod workload;
+mod churn;
+mod labels;
+mod samplers;
+mod socialgen;
+mod subscriptions;
+mod textgen;
+mod urls;
+mod workload;
 
 pub use churn::{generate_churn_trace, ChurnEvent, ChurnGenConfig, ChurnTraceEntry};
 pub use labels::{LabeledPair, PrecisionRecall, UserStudy, UserStudyConfig};
-pub use samplers::{Exponential, Zipf};
 pub use socialgen::{SocialGenConfig, SyntheticSocialGraph};
 pub use subscriptions::{generate_subscriptions, SubscriptionGenConfig};
 pub use textgen::{MutationClass, TextGen, TextGenConfig};

@@ -9,7 +9,7 @@ use rand::{Rng, RngExt};
 /// `P(k) ∝ 1 / k^s`. Sampling is a binary search over the precomputed CDF —
 /// `O(log n)` per draw, exact.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
@@ -18,7 +18,7 @@ impl Zipf {
     ///
     /// # Panics
     /// Panics if `n == 0` or `s` is negative/NaN.
-    pub fn new(n: usize, s: f64) -> Self {
+    pub(crate) fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(s >= 0.0, "Zipf exponent must be non-negative");
         let mut cdf = Vec::with_capacity(n);
@@ -34,18 +34,8 @@ impl Zipf {
         Self { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// `true` iff there is exactly 0 ranks — never, by construction.
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Draw a 0-based index (rank − 1): index 0 is the most probable.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
@@ -55,13 +45,13 @@ impl Zipf {
 /// time), via inverse-CDF sampling. Used to drive per-author Poisson posting
 /// processes.
 #[derive(Debug, Clone, Copy)]
-pub struct Exponential {
+pub(crate) struct Exponential {
     rate: f64,
 }
 
 impl Exponential {
     /// Rate must be positive and finite.
-    pub fn new(rate: f64) -> Self {
+    pub(crate) fn new(rate: f64) -> Self {
         assert!(
             rate > 0.0 && rate.is_finite(),
             "rate must be positive, got {rate}"
@@ -70,7 +60,7 @@ impl Exponential {
     }
 
     /// Draw an inter-arrival gap (same unit as `1/rate`).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // 1 − U avoids ln(0).
         let u: f64 = rng.random();
         -(1.0 - u).ln() / self.rate

@@ -135,6 +135,28 @@ impl SocialGenConfig {
     pub fn with_seed(self, seed: u64) -> Self {
         Self { seed, ..self }
     }
+
+    /// Check the geometry [`SyntheticSocialGraph::generate`] needs: a ring
+    /// of more than `2 × wide_window` authors, a wide window containing the
+    /// near window, and non-empty communities.
+    pub fn validate(&self) -> Result<(), String> {
+        let min_authors = 2 * self.wide_window + 1;
+        if self.authors < min_authors.max(2) {
+            return Err(format!(
+                "{} authors is too few: this scale's wide window ({}) needs at least {} authors",
+                self.authors,
+                self.wide_window,
+                min_authors.max(2)
+            ));
+        }
+        if self.wide_window < self.near_window {
+            return Err("wide window must contain the near window".into());
+        }
+        if self.community_size == 0 {
+            return Err("community size must be positive".into());
+        }
+        Ok(())
+    }
 }
 
 /// The generated graph plus its community blocks (used by the workload
@@ -153,17 +175,13 @@ pub struct SyntheticSocialGraph {
 
 impl SyntheticSocialGraph {
     /// Generate a graph from `config`. Deterministic in `config.seed`.
+    ///
+    /// # Panics
+    /// Panics if [`SocialGenConfig::validate`] rejects `config`.
     pub fn generate(config: SocialGenConfig) -> Self {
-        assert!(config.authors > 1, "need at least two authors");
-        assert!(config.community_size > 0, "community size must be positive");
-        assert!(
-            config.wide_window >= config.near_window,
-            "wide window must contain the near window"
-        );
-        assert!(
-            2 * config.wide_window < config.authors,
-            "wide window must fit on the ring"
-        );
+        if let Err(e) = config.validate() {
+            panic!("invalid SocialGenConfig: {e}");
+        }
         let mut rng = StdRng::seed_from_u64(config.seed);
 
         let n = config.authors;
@@ -247,12 +265,14 @@ impl SyntheticSocialGraph {
     }
 
     /// The community members of author `a` (including `a`).
-    pub fn community_members(&self, a: NodeId) -> &[NodeId] {
+    #[cfg(test)]
+    pub(crate) fn community_members(&self, a: NodeId) -> &[NodeId] {
         &self.communities[self.community_of[a as usize] as usize]
     }
 
     /// Ring distance between two authors.
-    pub fn ring_distance(&self, a: NodeId, b: NodeId) -> usize {
+    #[cfg(test)]
+    pub(crate) fn ring_distance(&self, a: NodeId, b: NodeId) -> usize {
         let n = self.author_count();
         let d = (a as i64 - i64::from(b)).unsigned_abs() as usize;
         d.min(n - d)
@@ -262,7 +282,7 @@ impl SyntheticSocialGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use firehose_graph::similarity::{followee_cosine, similarity_ccdf};
+    use firehose_graph::{followee_cosine, similarity_ccdf};
 
     fn small() -> SyntheticSocialGraph {
         SyntheticSocialGraph::generate(SocialGenConfig::test_scale())
@@ -395,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wide window must fit")]
+    #[should_panic(expected = "needs at least 79 authors")]
     fn oversized_window_rejected() {
         SyntheticSocialGraph::generate(SocialGenConfig {
             authors: 50,

@@ -106,7 +106,7 @@ const SYLLABLES: [&str; 20] = [
 
 /// Deterministic pseudo-word for vocabulary index `i` (3–5 syllables, so
 /// words are distinct across the index range and look vaguely natural).
-pub fn word(i: usize) -> String {
+pub(crate) fn word(i: usize) -> String {
     let mut x = i;
     let mut w = String::new();
     let syllables = 3 + (i % 3);
@@ -136,7 +136,7 @@ impl TextGen {
     }
 
     /// The registry resolving every short URL this generator minted.
-    pub fn url_registry(&self) -> &UrlRegistry {
+    pub(crate) fn url_registry(&self) -> &UrlRegistry {
         &self.urls
     }
 
@@ -261,13 +261,8 @@ impl TextGen {
     }
 
     /// A random mutation class (for workload duplicate injection).
-    pub fn random_class(&mut self) -> MutationClass {
+    pub(crate) fn random_class(&mut self) -> MutationClass {
         MutationClass::ALL[self.rng.random_range(0..MutationClass::ALL.len())]
-    }
-
-    /// The generator's configuration.
-    pub fn config(&self) -> &TextGenConfig {
-        &self.config
     }
 }
 
@@ -276,7 +271,7 @@ mod tests {
     use super::*;
     use firehose_simhash::{hamming_distance, simhash, SimHashOptions};
     use firehose_text::cosine_similarity;
-    use firehose_text::normalize::{normalize, NormalizeOptions};
+    use firehose_text::{normalize, NormalizeOptions};
 
     fn gen() -> TextGen {
         TextGen::new(TextGenConfig::default(), 42)

@@ -24,7 +24,7 @@ const BASE62: &[u8; 62] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ
 
 impl UrlRegistry {
     /// An empty registry; codes are deterministic in `seed`.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self {
             short_to_long: HashMap::new(),
             minted: 0,
@@ -33,18 +33,14 @@ impl UrlRegistry {
     }
 
     /// Number of short codes minted.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.short_to_long.len()
-    }
-
-    /// `true` when nothing has been shortened yet.
-    pub fn is_empty(&self) -> bool {
-        self.short_to_long.is_empty()
     }
 
     /// Mint a fresh short URL for `long` (a new code every call, like a real
     /// shortener shortening the same article twice).
-    pub fn shorten(&mut self, long: &str) -> String {
+    pub(crate) fn shorten(&mut self, long: &str) -> String {
         self.minted += 1;
         let mut x = self
             .minted
@@ -65,7 +61,7 @@ impl UrlRegistry {
     }
 
     /// Resolve a short URL, if this registry minted it.
-    pub fn expand(&self, short: &str) -> Option<&str> {
+    pub(crate) fn expand(&self, short: &str) -> Option<&str> {
         self.short_to_long.get(short).map(String::as_str)
     }
 

@@ -27,15 +27,14 @@ const WORD_BITS: usize = u64::BITS as usize;
 ///
 /// let g = UndirectedGraph::from_edges(70, [(0, 1), (0, 69)]);
 /// let mut bits = AdjacencyBitsets::new(g.node_count());
-/// assert!(bits.similar(&g, 0, 0));  // an author always covers herself
-/// assert!(bits.similar(&g, 0, 69)); // edge
-/// assert!(!bits.similar(&g, 1, 69));
+/// let row = bits.row(&g, 0);
+/// assert!(AdjacencyBitsets::test(row, 69)); // edge
+/// assert!(!AdjacencyBitsets::test(row, 2));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AdjacencyBitsets {
     words_per_row: usize,
     rows: Vec<Option<Box<[u64]>>>,
-    built_rows: usize,
 }
 
 impl AdjacencyBitsets {
@@ -45,24 +44,7 @@ impl AdjacencyBitsets {
         Self {
             words_per_row: node_count.div_ceil(WORD_BITS),
             rows: vec![None; node_count],
-            built_rows: 0,
         }
-    }
-
-    /// Number of nodes this cache was sized for.
-    pub fn node_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Rows materialized so far.
-    pub fn built_rows(&self) -> usize {
-        self.built_rows
-    }
-
-    /// Heap bytes currently held by materialized rows.
-    pub fn memory_bytes(&self) -> usize {
-        self.rows.len() * std::mem::size_of::<Option<Box<[u64]>>>()
-            + self.built_rows * self.words_per_row * std::mem::size_of::<u64>()
     }
 
     /// The bitmask row for `u`, built from `graph.neighbors(u)` on first use.
@@ -80,7 +62,6 @@ impl AdjacencyBitsets {
             for &v in graph.neighbors(u) {
                 bits[v as usize / WORD_BITS] |= 1u64 << (v as usize % WORD_BITS);
             }
-            self.built_rows += 1;
             *slot = Some(bits);
         }
         slot.as_deref().expect("row just built")
@@ -93,15 +74,6 @@ impl AdjacencyBitsets {
     pub fn test(row: &[u64], v: NodeId) -> bool {
         row[v as usize / WORD_BITS] & (1u64 << (v as usize % WORD_BITS)) != 0
     }
-
-    /// The engines' author-dimension predicate: same author, or an edge in
-    /// the similarity graph. Decision-equivalent to
-    /// `u == v || graph.has_edge(u, v)` with the binary search replaced by a
-    /// bit-test (property-tested against it).
-    #[inline]
-    pub fn similar(&mut self, graph: &UndirectedGraph, u: NodeId, v: NodeId) -> bool {
-        u == v || Self::test(self.row(graph, u), v)
-    }
 }
 
 #[cfg(test)]
@@ -109,11 +81,26 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl AdjacencyBitsets {
+        /// The engines' author-dimension predicate: same author, or an edge
+        /// in the similarity graph. Decision-equivalent to
+        /// `u == v || graph.has_edge(u, v)` with the binary search replaced
+        /// by a bit-test.
+        fn similar(&mut self, graph: &UndirectedGraph, u: NodeId, v: NodeId) -> bool {
+            u == v || Self::test(self.row(graph, u), v)
+        }
+
+        /// Rows materialized so far.
+        fn built_rows(&self) -> usize {
+            self.rows.iter().filter(|r| r.is_some()).count()
+        }
+    }
+
     #[test]
     fn empty_graph() {
         let g = UndirectedGraph::new(0);
         let bits = AdjacencyBitsets::new(g.node_count());
-        assert_eq!(bits.node_count(), 0);
+        assert_eq!(bits.rows.len(), 0);
         assert_eq!(bits.built_rows(), 0);
     }
 
@@ -121,11 +108,9 @@ mod tests {
     fn rows_are_lazy_and_counted() {
         let g = UndirectedGraph::from_edges(130, [(0, 1), (64, 128)]);
         let mut bits = AdjacencyBitsets::new(g.node_count());
-        let before = bits.memory_bytes();
         assert!(bits.similar(&g, 64, 128));
         assert!(bits.similar(&g, 64, 128), "second probe hits the cache");
         assert_eq!(bits.built_rows(), 1);
-        assert!(bits.memory_bytes() > before, "row allocation is accounted");
     }
 
     #[test]

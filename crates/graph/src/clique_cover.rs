@@ -33,7 +33,7 @@ impl CliqueCover {
     /// Rebuild a cover from sorted clique node lists (deserialization; see
     /// `crate::io`). The caller asserts the lists are sorted — membership
     /// indexes are rebuilt here.
-    pub fn from_sorted_cliques(n: usize, cliques: Vec<Vec<NodeId>>) -> Self {
+    pub(crate) fn from_sorted_cliques(n: usize, cliques: Vec<Vec<NodeId>>) -> Self {
         debug_assert!(cliques.iter().all(|c| c.windows(2).all(|w| w[0] < w[1])));
         Self::from_cliques(n, cliques)
     }

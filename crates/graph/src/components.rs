@@ -14,7 +14,6 @@ use crate::NodeId;
 pub struct UnionFind {
     parent: Vec<NodeId>,
     rank: Vec<u8>,
-    sets: usize,
 }
 
 impl UnionFind {
@@ -23,7 +22,6 @@ impl UnionFind {
         Self {
             parent: (0..n as NodeId).collect(),
             rank: vec![0; n],
-            sets: n,
         }
     }
 
@@ -53,67 +51,21 @@ impl UnionFind {
         if self.rank[hi as usize] == self.rank[lo as usize] {
             self.rank[hi as usize] += 1;
         }
-        self.sets -= 1;
         true
-    }
-
-    /// `true` iff `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: NodeId, b: NodeId) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Number of disjoint sets.
-    pub fn set_count(&self) -> usize {
-        self.sets
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// `true` when the structure tracks no elements.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
     }
 }
 
-/// The connected components of a graph, with a node → component index.
+/// The connected components of a graph.
 #[derive(Debug, Clone)]
 pub struct ComponentMap {
-    /// Component index per node.
-    component_of: Vec<u32>,
     /// Nodes of each component, ascending.
     members: Vec<Vec<NodeId>>,
 }
 
 impl ComponentMap {
-    /// Component index of `u`.
-    pub fn component_of(&self, u: NodeId) -> u32 {
-        self.component_of[u as usize]
-    }
-
     /// Number of components.
     pub fn count(&self) -> usize {
         self.members.len()
-    }
-
-    /// Sorted members of component `c`.
-    pub fn members(&self, c: u32) -> &[NodeId] {
-        &self.members[c as usize]
-    }
-
-    /// Iterate `(component index, members)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &[NodeId])> {
-        self.members
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (i as u32, m.as_slice()))
-    }
-
-    /// `true` iff `a` and `b` are in the same component.
-    pub fn same_component(&self, a: NodeId, b: NodeId) -> bool {
-        self.component_of(a) == self.component_of(b)
     }
 }
 
@@ -126,14 +78,7 @@ pub fn connected_components(g: &UndirectedGraph) -> ComponentMap {
     for (u, v) in g.edges() {
         uf.union(u, v);
     }
-    components_from_union_find(&mut uf)
-}
-
-/// Extract a [`ComponentMap`] from a pre-merged [`UnionFind`].
-pub fn components_from_union_find(uf: &mut UnionFind) -> ComponentMap {
-    let n = uf.len();
     let mut root_to_component: Vec<u32> = vec![u32::MAX; n];
-    let mut component_of = vec![0u32; n];
     let mut members: Vec<Vec<NodeId>> = Vec::new();
     for u in 0..n as NodeId {
         let root = uf.find(u);
@@ -145,19 +90,35 @@ pub fn components_from_union_find(uf: &mut UnionFind) -> ComponentMap {
         } else {
             root_to_component[root as usize]
         };
-        component_of[u as usize] = c;
         members[c as usize].push(u);
     }
-    ComponentMap {
-        component_of,
-        members,
-    }
+    ComponentMap { members }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl ComponentMap {
+        /// Component index of `u`.
+        fn component_of(&self, u: NodeId) -> u32 {
+            self.members
+                .iter()
+                .position(|m| m.contains(&u))
+                .expect("every node has a component") as u32
+        }
+
+        /// Sorted members of component `c`.
+        fn members(&self, c: u32) -> &[NodeId] {
+            &self.members[c as usize]
+        }
+
+        /// `true` iff `a` and `b` are in the same component.
+        fn same_component(&self, a: NodeId, b: NodeId) -> bool {
+            self.component_of(a) == self.component_of(b)
+        }
+    }
 
     #[test]
     fn singletons_without_edges() {
@@ -192,12 +153,10 @@ mod tests {
     #[test]
     fn union_find_basics() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.set_count(), 5);
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(0, 2));
-        assert_eq!(uf.set_count(), 4);
+        assert_eq!(uf.find(0), uf.find(1));
+        assert_ne!(uf.find(0), uf.find(2));
     }
 
     #[test]
@@ -206,8 +165,7 @@ mod tests {
         uf.union(0, 1);
         uf.union(2, 3);
         uf.union(1, 2);
-        assert!(uf.connected(0, 3));
-        assert_eq!(uf.set_count(), 1);
+        assert_eq!(uf.find(0), uf.find(3));
     }
 
     proptest! {
@@ -244,7 +202,7 @@ mod tests {
         ) {
             let g = UndirectedGraph::from_edges(12, edges);
             let cm = connected_components(&g);
-            let mut all: Vec<u32> = cm.iter().flat_map(|(_, m)| m.iter().copied()).collect();
+            let mut all: Vec<u32> = cm.members.iter().flatten().copied().collect();
             all.sort_unstable();
             prop_assert_eq!(all, (0..12u32).collect::<Vec<_>>());
         }

@@ -28,7 +28,8 @@ impl FollowerGraph {
     }
 
     /// Build from `(follower, followee)` pairs.
-    pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_edges(n: usize, edges: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
         let mut g = Self::new(n);
         for (u, v) in edges {
             g.add_follow(u, v);
@@ -73,7 +74,7 @@ impl FollowerGraph {
     }
 
     /// Sorted list of accounts following `u`.
-    pub fn followers(&self, u: NodeId) -> &[NodeId] {
+    pub(crate) fn followers(&self, u: NodeId) -> &[NodeId] {
         &self.followers[u as usize]
     }
 

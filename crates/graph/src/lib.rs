@@ -9,45 +9,41 @@
 //! similarity "changes slowly over time"); this crate provides everything
 //! required:
 //!
-//! * [`follower`] — the directed follower/followee graph from which friend
-//!   vectors are read;
-//! * [`similarity`] — cosine similarity over followee sets, all-pairs
-//!   similarity-graph construction via an inverted co-follow index, and the
-//!   similarity CCDF of Figure 9;
-//! * [`undirected`] — the adjacency representation of `G` itself;
-//! * [`bitset`] — lazily-built per-node adjacency bitmasks, the O(1)
-//!   similarity probe on the engines' coverage hot path;
-//! * [`components`] — union-find connected components (Section 5's sharing
-//!   criterion for M-SPSD);
-//! * [`clique_cover`] — the greedy clique edge cover heuristic behind
-//!   CliqueBin (Section 4.3), plus the `Author2Cliques` map;
-//! * [`stats`] — the topology parameters `d`, `c`, `s`, `q` of the Table 2
-//!   cost model;
+//! * [`FollowerGraph`] — the directed follower/followee graph from which
+//!   friend vectors are read;
+//! * [`build_similarity_graph`] — cosine similarity over followee sets
+//!   ([`followee_cosine`]), all-pairs similarity-graph construction via an
+//!   inverted co-follow index, and the similarity CCDF of Figure 9
+//!   ([`similarity_ccdf`]);
+//! * [`UndirectedGraph`] — the adjacency representation of `G` itself;
+//! * [`AdjacencyBitsets`] — lazily-built per-node adjacency bitmasks, the
+//!   O(1) similarity probe on the engines' coverage hot path;
+//! * [`connected_components`] / [`UnionFind`] — union-find connected
+//!   components (Section 5's sharing criterion for M-SPSD);
+//! * [`greedy_clique_cover`] — the greedy clique edge cover heuristic behind
+//!   CliqueBin (Section 4.3), plus the `Author2Cliques` map of
+//!   [`CliqueCover`];
+//! * [`GraphTopology`] — the topology parameters `d`, `c`, `s`, `q` of the
+//!   Table 2 cost model;
 //! * [`io`] — binary persistence for the precomputed artifacts (the paper's
-//!   offline weekly pipeline writes them; the online engines load them);
-//! * [`incremental`] — an online similarity index folding follow/unfollow
-//!   events in as they happen (the production alternative to the weekly
-//!   batch job).
+//!   offline weekly pipeline writes them; the online engines load them).
 
-pub mod bitset;
-pub mod clique_cover;
-pub mod components;
-pub mod follower;
-pub mod incremental;
+mod bitset;
+mod clique_cover;
+mod components;
+mod follower;
 pub mod io;
-pub mod similarity;
-pub mod stats;
-pub mod undirected;
+mod similarity;
+mod stats;
+mod undirected;
 
 pub use bitset::AdjacencyBitsets;
 pub use clique_cover::{greedy_clique_cover, naive_edge_cover, CliqueCover};
 pub use components::{connected_components, ComponentMap, UnionFind};
 pub use follower::FollowerGraph;
-pub use incremental::SimilarityIndex;
 pub use io::IoError;
 pub use similarity::{
-    build_similarity_graph, build_similarity_graph_parallel, build_similarity_graph_with,
-    followee_cosine, similarity_ccdf, SimilarityMeasure,
+    build_similarity_graph, build_similarity_graph_parallel, followee_cosine, similarity_ccdf,
 };
 pub use stats::GraphTopology;
 pub use undirected::UndirectedGraph;

@@ -18,41 +18,14 @@ use crate::follower::FollowerGraph;
 use crate::undirected::UndirectedGraph;
 use crate::NodeId;
 
-/// Set-similarity measure over followee vectors.
-///
-/// The paper uses cosine for Twitter but notes that "for other domains other
-/// distance measures may be more appropriate" — e.g. co-authorship overlap
-/// for a Google-Scholar-style service. All three measures here are functions
-/// of the intersection size and the two set sizes, so the same inverted
-/// co-follow sweep computes any of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimilarityMeasure {
-    /// `|A ∩ B| / √(|A|·|B|)` — the paper's measure \[21, 9\].
-    #[default]
-    Cosine,
-    /// `|A ∩ B| / |A ∪ B|` — stricter on size-mismatched sets.
-    Jaccard,
-    /// `|A ∩ B| / min(|A|, |B|)` (Szymkiewicz–Simpson): a niche account that
-    /// follows a subset of a hub's followees counts as fully similar —
-    /// useful where containment, not symmetry, signals relatedness.
-    Overlap,
-}
-
-impl SimilarityMeasure {
-    /// Similarity from intersection size and the two set sizes.
-    #[inline]
-    pub fn score(self, intersection: u32, size_a: usize, size_b: usize) -> f64 {
-        if size_a == 0 || size_b == 0 {
-            return 0.0;
-        }
-        let inter = f64::from(intersection);
-        let (a, b) = (size_a as f64, size_b as f64);
-        match self {
-            SimilarityMeasure::Cosine => inter / (a * b).sqrt(),
-            SimilarityMeasure::Jaccard => inter / (a + b - inter),
-            SimilarityMeasure::Overlap => inter / a.min(b),
-        }
+/// `|A ∩ B| / √(|A|·|B|)` from the intersection size and the two set
+/// sizes — the paper's measure \[21, 9\]; 0 when either set is empty.
+#[inline]
+fn cosine(intersection: u32, size_a: usize, size_b: usize) -> f64 {
+    if size_a == 0 || size_b == 0 {
+        return 0.0;
     }
+    f64::from(intersection) / ((size_a as f64) * (size_b as f64)).sqrt()
 }
 
 /// Cosine similarity of the followee sets of `a` and `b` in `[0, 1]`.
@@ -105,21 +78,12 @@ fn co_follow_counts(graph: &FollowerGraph) -> HashMap<u64, u32> {
 /// With the paper's default `λa = 0.7`, "two authors are similar if the
 /// cosine similarity between their followee vectors is ≥ 0.3".
 pub fn build_similarity_graph(graph: &FollowerGraph, lambda_a: f64) -> UndirectedGraph {
-    build_similarity_graph_with(graph, lambda_a, SimilarityMeasure::Cosine)
-}
-
-/// [`build_similarity_graph`] with an explicit [`SimilarityMeasure`].
-pub fn build_similarity_graph_with(
-    graph: &FollowerGraph,
-    lambda_a: f64,
-    measure: SimilarityMeasure,
-) -> UndirectedGraph {
     let min_sim = 1.0 - lambda_a;
     let mut g = UndirectedGraph::new(graph.node_count());
     for (key, inter) in co_follow_counts(graph) {
         let a = (key >> 32) as NodeId;
         let b = (key & 0xFFFF_FFFF) as NodeId;
-        let sim = measure.score(inter, graph.followees(a).len(), graph.followees(b).len());
+        let sim = cosine(inter, graph.followees(a).len(), graph.followees(b).len());
         if sim >= min_sim && sim > 0.0 {
             g.add_edge(a, b);
         }
@@ -193,9 +157,7 @@ pub fn build_similarity_graph_parallel(
     for (key, inter) in counts {
         let a = (key >> 32) as NodeId;
         let b = (key & 0xFFFF_FFFF) as NodeId;
-        let da = graph.followees(a).len() as f64;
-        let db = graph.followees(b).len() as f64;
-        let sim = f64::from(inter) / (da * db).sqrt();
+        let sim = cosine(inter, graph.followees(a).len(), graph.followees(b).len());
         if sim >= min_sim && sim > 0.0 {
             g.add_edge(a, b);
         }
@@ -223,9 +185,7 @@ pub fn similarity_ccdf(graph: &FollowerGraph, thresholds: &[f64]) -> Vec<(f64, f
         .map(|(key, inter)| {
             let a = (key >> 32) as NodeId;
             let b = (key & 0xFFFF_FFFF) as NodeId;
-            let da = graph.followees(a).len() as f64;
-            let db = graph.followees(b).len() as f64;
-            f64::from(inter) / (da * db).sqrt()
+            cosine(inter, graph.followees(a).len(), graph.followees(b).len())
         })
         .collect();
     sims.sort_unstable_by(|x, y| x.partial_cmp(y).expect("similarities are finite"));
@@ -337,74 +297,12 @@ mod tests {
     }
 
     #[test]
-    fn measure_scores() {
+    fn cosine_scores() {
         // |A∩B| = 2, |A| = 4, |B| = 2.
-        let (i, a, b) = (2u32, 4usize, 2usize);
-        assert!((SimilarityMeasure::Cosine.score(i, a, b) - 2.0 / 8.0f64.sqrt()).abs() < 1e-12);
-        assert!((SimilarityMeasure::Jaccard.score(i, a, b) - 0.5).abs() < 1e-12);
-        assert!((SimilarityMeasure::Overlap.score(i, a, b) - 1.0).abs() < 1e-12);
-        // Empty sets score 0 under every measure.
-        for m in [
-            SimilarityMeasure::Cosine,
-            SimilarityMeasure::Jaccard,
-            SimilarityMeasure::Overlap,
-        ] {
-            assert_eq!(m.score(0, 0, 5), 0.0);
-            assert_eq!(m.score(0, 5, 0), 0.0);
-        }
-    }
-
-    #[test]
-    fn measures_are_ordered_overlap_ge_cosine_ge_jaccard() {
-        // For any intersection and sizes: overlap ≥ cosine ≥ jaccard.
-        for inter in 0u32..=4 {
-            for a in 4usize..8 {
-                for b in 4usize..8 {
-                    let o = SimilarityMeasure::Overlap.score(inter, a, b);
-                    let c = SimilarityMeasure::Cosine.score(inter, a, b);
-                    let j = SimilarityMeasure::Jaccard.score(inter, a, b);
-                    assert!(
-                        o >= c - 1e-12 && c >= j - 1e-12,
-                        "i={inter} a={a} b={b}: {o} {c} {j}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn jaccard_graph_is_subgraph_of_cosine_graph() {
-        let g = FollowerGraph::from_edges(
-            8,
-            [
-                (0, 4),
-                (0, 5),
-                (1, 4),
-                (1, 6),
-                (2, 5),
-                (2, 6),
-                (3, 4),
-                (3, 5),
-                (3, 6),
-            ],
-        );
-        for lambda_a in [0.5, 0.7] {
-            let cosine = build_similarity_graph_with(&g, lambda_a, SimilarityMeasure::Cosine);
-            let jaccard = build_similarity_graph_with(&g, lambda_a, SimilarityMeasure::Jaccard);
-            let overlap = build_similarity_graph_with(&g, lambda_a, SimilarityMeasure::Overlap);
-            for (u, v) in jaccard.edges() {
-                assert!(
-                    cosine.has_edge(u, v),
-                    "jaccard edge ({u},{v}) missing from cosine"
-                );
-            }
-            for (u, v) in cosine.edges() {
-                assert!(
-                    overlap.has_edge(u, v),
-                    "cosine edge ({u},{v}) missing from overlap"
-                );
-            }
-        }
+        assert!((cosine(2, 4, 2) - 2.0 / 8.0f64.sqrt()).abs() < 1e-12);
+        // Empty sets score 0.
+        assert_eq!(cosine(0, 0, 5), 0.0);
+        assert_eq!(cosine(0, 5, 0), 0.0);
     }
 
     #[test]

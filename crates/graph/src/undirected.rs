@@ -104,7 +104,7 @@ impl UndirectedGraph {
     }
 
     /// Iterate all edges as `(u, v)` with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+    pub(crate) fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.adj.iter().enumerate().flat_map(|(u, ns)| {
             let u = u as NodeId;
             ns.iter()

@@ -47,7 +47,7 @@ pub struct Request {
 
 impl Request {
     /// First query value for `key`, if present.
-    pub fn query_value(&self, key: &str) -> Option<&str> {
+    pub(crate) fn query_value(&self, key: &str) -> Option<&str> {
         self.query
             .iter()
             .find(|(k, _)| k == key)
@@ -56,7 +56,7 @@ impl Request {
 
     /// Parse the query value for `key`, falling back to `default` when the
     /// key is absent. A present-but-unparsable value is a protocol error.
-    pub fn query_parse_or<T: std::str::FromStr>(
+    pub(crate) fn query_parse_or<T: std::str::FromStr>(
         &self,
         key: &str,
         default: T,
@@ -75,7 +75,7 @@ impl Request {
 }
 
 /// Typed protocol failures. Each maps to one HTTP status via
-/// [`ProtoError::status`]; none of them tears down the server.
+/// `ProtoError::status`; none of them tears down the server.
 #[derive(Debug)]
 pub enum ProtoError {
     /// The request line was not `METHOD target HTTP/1.x`.
@@ -141,7 +141,7 @@ impl std::error::Error for ProtoError {}
 
 impl ProtoError {
     /// The HTTP status this error answers with.
-    pub fn status(&self) -> u16 {
+    pub(crate) fn status(&self) -> u16 {
         match self {
             Self::BodyTooLarge { .. } => 413,
             Self::HeadersTooLarge { .. } => 431,
@@ -358,7 +358,7 @@ pub fn reason(status: u16) -> &'static str {
 
 /// Format a response head. `content_length: None` means chunked transfer
 /// encoding (the streaming endpoint).
-pub fn response_head(
+pub(crate) fn response_head(
     status: u16,
     content_type: &str,
     content_length: Option<usize>,
@@ -388,7 +388,7 @@ pub fn response_head(
 
 /// Append one chunked-transfer chunk (`<hex len>\r\n<data>\r\n`) to `out`.
 /// Empty data is skipped — a zero-length chunk would terminate the stream.
-pub fn push_chunk(out: &mut Vec<u8>, data: &[u8]) {
+pub(crate) fn push_chunk(out: &mut Vec<u8>, data: &[u8]) {
     if data.is_empty() {
         return;
     }
@@ -398,7 +398,7 @@ pub fn push_chunk(out: &mut Vec<u8>, data: &[u8]) {
 }
 
 /// The terminal chunk closing a chunked response body.
-pub const TERMINAL_CHUNK: &[u8] = b"0\r\n\r\n";
+pub(crate) const TERMINAL_CHUNK: &[u8] = b"0\r\n\r\n";
 
 #[cfg(test)]
 mod tests {

@@ -21,13 +21,13 @@
 //!   backpressure bridging (service overload policy ⇄ HTTP 503 / connection
 //!   caps / ring eviction).
 //! - [`http`] — incremental request parsing and response formatting.
-//! - [`client`] — a minimal blocking client used by the loopback tests and
+//! - [`HttpClient`] — a minimal blocking client used by the loopback tests and
 //!   `benchmark/`'s wire workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
+mod client;
 pub mod http;
 pub mod server;
 

@@ -897,19 +897,19 @@ impl ServiceState {
 
     /// `GET /metrics`: refresh the exported snapshots and render.
     fn handle_metrics(&mut self) -> Handled {
-        firehose_core::obs::export_kernel_info(&self.registry);
-        firehose_core::obs::export_memory_mode(
+        firehose_core::export_kernel_info(&self.registry);
+        firehose_core::export_memory_mode(
             &self.registry,
             &self.service.memory_mode(),
             self.service.approx_stats(),
         );
-        firehose_core::obs::export_engine_metrics(
+        firehose_core::export_engine_metrics(
             &self.registry,
             &self.service.name(),
             &self.service.metrics(),
         );
         if let Some(stats) = self.service.guard_stats() {
-            firehose_core::obs::export_guard_stats(&self.registry, "serve", stats);
+            firehose_core::export_guard_stats(&self.registry, "serve", stats);
         }
         let text = self.registry.render_prometheus();
         Handled::Respond {

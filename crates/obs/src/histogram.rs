@@ -19,7 +19,7 @@ const SUB_BITS: u32 = 3;
 /// Values below this are binned exactly (one bucket per value).
 const LINEAR_CUTOFF: u64 = 2 * SUBS as u64; // 16
 /// Total bucket count: 16 exact + 60 octaves × 8 sub-buckets.
-pub const BUCKETS: usize = 2 * SUBS + (63 - SUB_BITS as usize) * SUBS; // 496
+pub(crate) const BUCKETS: usize = 2 * SUBS + (63 - SUB_BITS as usize) * SUBS; // 496
 
 /// Bucket index for a value. Exact below [`LINEAR_CUTOFF`], log-linear above.
 #[inline]
@@ -78,7 +78,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             buckets: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
             count: AtomicU64::new(0),
@@ -108,20 +108,21 @@ impl Histogram {
     }
 
     /// Sum of recorded samples.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Largest recorded sample (0 when empty).
-    pub fn max(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Consistent-enough point-in-time copy for rendering and quantiles.
+    /// Consistent-enough point-in-time copy for rendering.
     /// (Buckets are read individually with relaxed ordering; concurrent
     /// recording can skew a snapshot by the in-flight samples, which is the
     /// standard exposition-time tradeoff.)
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             counts: self
                 .buckets
@@ -130,90 +131,26 @@ impl Histogram {
                 .collect(),
             count: self.count(),
             sum: self.sum(),
-            max: self.max(),
         }
-    }
-
-    /// Estimate of the `q`-quantile (`0.0..=1.0`); see
-    /// [`HistogramSnapshot::quantile`].
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.snapshot().quantile(q)
     }
 }
 
 /// An owned point-in-time copy of a [`Histogram`].
 #[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
+pub(crate) struct HistogramSnapshot {
     /// Per-bucket sample counts ([`BUCKETS`] entries).
-    pub counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
     /// Total samples.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of samples.
-    pub sum: u64,
-    /// Largest sample.
-    pub max: u64,
+    pub(crate) sum: u64,
 }
 
 impl HistogramSnapshot {
-    /// Estimate of the `q`-quantile, linearly interpolated inside the
-    /// containing bucket. Returns 0 for an empty histogram. The estimate is
-    /// exact below 16 and within 12.5% above.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // 1-based rank of the sample we want.
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if cum + c >= rank {
-                let lo = bucket_lower_bound(i);
-                let hi = bucket_upper_bound(i).min(self.max);
-                let within = (rank - cum) as f64 / c as f64;
-                return lo + ((hi.saturating_sub(lo)) as f64 * within) as u64;
-            }
-            cum += c;
-        }
-        self.max
-    }
-
-    /// Median.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// 99.9th percentile.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// `(upper_bound, cumulative_count)` pairs for every non-empty bucket,
     /// in increasing bound order — the Prometheus `le` series (exclusive of
     /// the `+Inf` bucket, which is [`Self::count`]).
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut cum = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
@@ -230,6 +167,33 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Estimate of the `q`-quantile, linearly interpolated inside the
+    /// containing bucket; 0 for an empty histogram. Exact below 16 and
+    /// within 12.5% above — the accuracy the bucket layout promises.
+    fn quantile(h: &Histogram, q: f64) -> u64 {
+        let s = h.snapshot();
+        if s.count == 0 {
+            return 0;
+        }
+        let q = q.clamp(0.0, 1.0);
+        // 1-based rank of the sample we want.
+        let rank = ((q * s.count as f64).ceil() as u64).clamp(1, s.count);
+        let mut cum = 0u64;
+        for (i, &c) in s.counts.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            if cum + c >= rank {
+                let lo = bucket_lower_bound(i);
+                let hi = bucket_upper_bound(i).min(h.max());
+                let within = (rank - cum) as f64 / c as f64;
+                return lo + ((hi.saturating_sub(lo)) as f64 * within) as u64;
+            }
+            cum += c;
+        }
+        h.max()
+    }
 
     #[test]
     fn layout_is_exhaustive_and_ordered() {
@@ -287,30 +251,28 @@ mod tests {
         for v in 1..=10_000u64 {
             h.record(v);
         }
-        let s = h.snapshot();
         for (q, expected) in [
             (0.5, 5_000.0),
             (0.9, 9_000.0),
             (0.99, 9_900.0),
             (0.999, 9_990.0),
         ] {
-            let got = s.quantile(q) as f64;
+            let got = quantile(&h, q) as f64;
             let err = (got - expected).abs() / expected;
             assert!(
                 err <= 0.13,
                 "q={q}: got {got}, expected ≈{expected} (err {err:.3})"
             );
         }
-        assert_eq!(s.quantile(1.0), 10_000);
-        assert_eq!(s.quantile(0.0), 1);
+        assert_eq!(quantile(&h, 1.0), 10_000);
+        assert_eq!(quantile(&h, 0.0), 1);
     }
 
     #[test]
     fn empty_histogram_is_all_zeros() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.99), 0);
-        assert_eq!(h.snapshot().mean(), 0.0);
+        assert_eq!(quantile(&h, 0.99), 0);
         assert!(h.snapshot().cumulative_buckets().is_empty());
     }
 

@@ -3,8 +3,8 @@
 //! Three instruments and a registry, built entirely on `std`:
 //!
 //! - [`Histogram`] — fixed-bucket log-linear latency histogram (496
-//!   buckets, ≤12.5% relative error) with lock-free concurrent recording
-//!   and derived `p50`/`p90`/`p99`/`p999`/`max`.
+//!   buckets, ≤12.5% relative error) with lock-free concurrent recording,
+//!   rendered as cumulative `le` buckets.
 //! - [`Counter`] — monotonic `u64` counter.
 //! - [`Gauge`] — signed value that can move both ways (channel depths,
 //!   live-copy watermarks).
@@ -32,5 +32,5 @@
 mod histogram;
 mod registry;
 
-pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
+pub use histogram::Histogram;
 pub use registry::{labels, Counter, Gauge, Labels, Registry};

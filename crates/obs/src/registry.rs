@@ -74,13 +74,6 @@ impl Gauge {
         self.add(-1);
     }
 
-    /// Record a high-water mark: keeps the maximum of the current value
-    /// and `v`.
-    #[inline]
-    pub fn set_max(&self, v: i64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> i64 {
@@ -335,10 +328,6 @@ mod tests {
         g.set(7);
         g.add(-3);
         assert_eq!(g.get(), 4);
-        g.set_max(2);
-        assert_eq!(g.get(), 4);
-        g.set_max(9);
-        assert_eq!(g.get(), 9);
     }
 
     #[test]

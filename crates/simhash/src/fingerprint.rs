@@ -8,9 +8,7 @@
 //! produce near-independent fingerprints whose distance concentrates around
 //! 32 (Figure 2 of the paper).
 
-use firehose_text::normalize::{normalize, NormalizeOptions};
-use firehose_text::tf::fnv1a_64;
-use firehose_text::tokenize::{tokens, TokenWeights};
+use firehose_text::{fnv1a_64, normalize, tokens, NormalizeOptions, TokenWeights};
 
 /// A 64-bit SimHash fingerprint.
 pub type Fingerprint = u64;
@@ -68,7 +66,7 @@ fn mix64(mut x: u64) -> u64 {
 
 /// Token hash used by the fingerprint: FNV-1a then SplitMix64 finalization.
 #[inline]
-pub fn token_hash(token: &str) -> u64 {
+pub(crate) fn token_hash(token: &str) -> u64 {
     mix64(fnv1a_64(token.as_bytes()))
 }
 
@@ -123,7 +121,7 @@ pub fn simhash(text: &str, options: SimHashOptions) -> Fingerprint {
 /// `votes[i] > 0.0` becomes `2·ones[i] > n`. Bit-identical to the float
 /// path for weight `1.0` (±1.0 sums are exact in `f64` far beyond any
 /// realistic token count).
-pub fn simhash_tokens_unit<I>(token_hashes: I, ngram: usize) -> Fingerprint
+pub(crate) fn simhash_tokens_unit<I>(token_hashes: I, ngram: usize) -> Fingerprint
 where
     I: Iterator<Item = u64>,
 {
@@ -216,7 +214,8 @@ fn vote_unit_x86<I: Iterator<Item = u64>>(hashes: I) -> Fingerprint {
         }
     }
     if fill > 0 {
-        // SAFETY: as above.
+        // SAFETY: only reached when `active_kernel()` is Avx2, which
+        // requires runtime AVX2 support.
         unsafe { x86_vote::accumulate(&buf[..fill], &mut ones) };
         n += fill as u64;
     }
@@ -234,7 +233,7 @@ mod x86_vote {
     /// counted. `hashes.len() ≤ 64` keeps the `u16` counters far from
     /// overflow (the caller streams through a 64-word buffer).
     #[target_feature(enable = "avx2")]
-    pub fn accumulate(hashes: &[u64], ones: &mut [u32; 64]) {
+    pub(super) fn accumulate(hashes: &[u64], ones: &mut [u32; 64]) {
         debug_assert!(hashes.len() <= u16::MAX as usize);
         let masks = _mm256_setr_epi16(
             1,
@@ -278,7 +277,7 @@ mod x86_vote {
 /// This is the allocation-free core used by the engines; `ngram == 1` feeds
 /// votes straight from the iterator, larger `ngram` slides a window of
 /// combined hashes carrying the weight of the window's first token.
-pub fn simhash_tokens<I>(token_hashes: I, ngram: usize) -> Fingerprint
+pub(crate) fn simhash_tokens<I>(token_hashes: I, ngram: usize) -> Fingerprint
 where
     I: Iterator<Item = (u64, f64)>,
 {
@@ -400,7 +399,7 @@ mod tests {
 
     #[test]
     fn heavier_weight_dominates_fingerprint() {
-        use firehose_text::tokenize::TokenWeights;
+        use firehose_text::TokenWeights;
         let boosted = SimHashOptions {
             weights: TokenWeights {
                 hashtag: 100.0,
@@ -518,9 +517,9 @@ mod tests {
                     ..SimHashOptions::paper()
                 };
                 let via_fast = simhash(text, opts);
-                let normalized = firehose_text::normalize::normalize(text, opts.normalize);
+                let normalized = firehose_text::normalize(text, opts.normalize);
                 let via_float = simhash_tokens(
-                    firehose_text::tokenize::tokens(&normalized)
+                    firehose_text::tokens(&normalized)
                         .map(|t| (token_hash(t.text), opts.weights.weight(t.kind))),
                     ngram,
                 );

@@ -18,7 +18,7 @@ use crate::kernels::KernelKind;
 /// eight so the XOR+POPCNT loop has a fixed trip count — two 256-bit vectors
 /// for the AVX2 body, four 128-bit vectors for NEON, and an unrollable
 /// fixed-trip loop for the scalar fallback.
-pub const KERNEL_LANES: usize = 8;
+pub(crate) const KERNEL_LANES: usize = 8;
 
 /// Number of differing bits between two fingerprints (0..=64).
 ///
@@ -79,7 +79,7 @@ macro_rules! scan_bodies {
         /// Append positions within `threshold` of `query`, newest-first,
         /// offset by `base`.
         $(#[$attr])*
-        pub fn filter_append(
+        pub(super) fn filter_append(
             query: u64,
             fingerprints: &[u64],
             threshold: u32,
@@ -110,7 +110,7 @@ macro_rules! scan_bodies {
 
         /// Position of the newest fingerprint within `threshold` of `query`.
         $(#[$attr])*
-        pub fn rfind(query: u64, fingerprints: &[u64], threshold: u32) -> Option<usize> {
+        pub(super) fn rfind(query: u64, fingerprints: &[u64], threshold: u32) -> Option<usize> {
             let split = fingerprints.len() - fingerprints.len() % super::KERNEL_LANES;
             for i in (split..fingerprints.len()).rev() {
                 if super::within_distance(fingerprints[i], query, threshold) {
@@ -135,7 +135,7 @@ macro_rules! scan_bodies {
         /// without touching the fingerprint column.
         $(#[$attr])*
         #[allow(clippy::too_many_arguments)]
-        pub fn filter_pruned_append(
+        pub(super) fn filter_pruned_append(
             query: u64,
             fingerprints: &[u64],
             popcounts: &[u8],
@@ -180,7 +180,7 @@ macro_rules! scan_bodies {
 
         /// [`rfind`] with the popcount-class prefilter.
         $(#[$attr])*
-        pub fn rfind_pruned(
+        pub(super) fn rfind_pruned(
             query: u64,
             fingerprints: &[u64],
             popcounts: &[u8],
@@ -252,6 +252,9 @@ mod avx2_body {
     #[inline]
     #[target_feature(enable = "avx2")]
     fn block_mask_avx2(query: u64, block: &[u64; super::KERNEL_LANES], threshold: u32) -> u32 {
+        // SAFETY: AVX2 is enabled for this function, and `block` holds
+        // `KERNEL_LANES` = 8 u64s, so both 32-byte unaligned loads (lanes
+        // 0..4 and 4..8) stay inside it.
         unsafe {
             let q = _mm256_set1_epi64x(query as i64);
             let thr = _mm256_set1_epi64x(threshold as i64);
@@ -283,6 +286,8 @@ mod neon_body {
     #[inline]
     #[target_feature(enable = "neon")]
     fn block_mask_neon(query: u64, block: &[u64; super::KERNEL_LANES], threshold: u32) -> u32 {
+        // SAFETY: NEON is enabled for this function, and each 16-byte load
+        // at lane `j` (`j + 2 <= KERNEL_LANES`) stays inside `block`.
         unsafe {
             let q = vdupq_n_u64(query);
             let thr = vdupq_n_u64(u64::from(threshold));
@@ -471,7 +476,7 @@ pub fn rfind_within_pruned_using(
 ///
 /// Work per fingerprint is one XOR, one POPCNT and one compare, identical to
 /// [`within_distance`]; the difference is purely mechanical: blocks of
-/// [`KERNEL_LANES`] contiguous words are distance-checked branch-free into a
+/// 8 contiguous words are distance-checked branch-free into a
 /// bitmask by the process-wide [`crate::kernels::active_kernel`], and the
 /// (rare) per-candidate pushes branch once per block instead of once per
 /// record.
@@ -497,7 +502,7 @@ pub fn filter_within_into(
 /// Allocating convenience wrapper around [`filter_within_into`].
 ///
 /// ```
-/// use firehose_simhash::hamming::filter_within;
+/// use firehose_simhash::filter_within;
 /// // Distances to 0: [0, 1, 2, 3]; threshold 1 keeps positions 1 and 0,
 /// // newest first.
 /// assert_eq!(filter_within(0, &[0b0, 0b1, 0b11, 0b111], 1), vec![1, 0]);

@@ -46,7 +46,7 @@ pub enum IndexError {
     TooManyTables {
         /// Tables the layout would need.
         required: u128,
-        /// The configured cap ([`MAX_TABLES`]).
+        /// The configured cap (4096 tables).
         max_tables: usize,
     },
 }
@@ -159,7 +159,7 @@ pub struct HammingIndex {
 
 /// Hard cap on table count: beyond this the index is plainly infeasible and
 /// building it would only exhaust memory.
-pub const MAX_TABLES: usize = 4096;
+pub(crate) const MAX_TABLES: usize = 4096;
 
 impl HammingIndex {
     /// Build an empty index for distance `k` using the minimal block count
@@ -230,23 +230,20 @@ impl HammingIndex {
         }
     }
 
-    /// The distance threshold this index answers.
-    pub fn distance(&self) -> u32 {
-        self.k
-    }
-
     /// Number of hash tables.
     pub fn table_count(&self) -> usize {
         self.tables.len()
     }
 
     /// Number of live (non-retired) fingerprints.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len() - self.free.len()
     }
 
     /// True when no live fingerprints are stored.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

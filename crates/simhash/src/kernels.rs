@@ -44,7 +44,7 @@ impl KernelKind {
     /// Whether this process can execute the kernel body. The scalar kernel
     /// is always supported; SIMD kernels require the right architecture
     /// *and* runtime CPU feature.
-    pub fn is_supported(self) -> bool {
+    pub(crate) fn is_supported(self) -> bool {
         match self {
             KernelKind::BatchedScalar => true,
             KernelKind::Avx2 => {

@@ -7,11 +7,14 @@
 //! SimHash fingerprints, computed over (optionally normalized) tweet text.
 //! This crate provides:
 //!
-//! * [`fingerprint`] — the SimHash construction (Charikar-style random
+//! * [`simhash()`] — the SimHash construction (Charikar-style random
 //!   hyperplane rounding realized via per-token hashing, as in Manku et al.,
-//!   WWW'07) with configurable text normalization and token weighting;
-//! * [`hamming`] — Hamming-distance utilities;
-//! * [`index`] — the permuted-table near-duplicate index of Manku et al.
+//!   WWW'07) with configurable text normalization and token weighting
+//!   ([`SimHashOptions`]);
+//! * [`hamming_distance`] and the batched window scans
+//!   ([`filter_within_into_using`] and friends), dispatched to the
+//!   [`active_kernel`];
+//! * [`HammingIndex`] — the permuted-table near-duplicate index of Manku et al.
 //!   The paper argues this index is infeasible at its default threshold
 //!   `λc = 18`; we implement it anyway so the claim can be measured
 //!   (`ablation_manku_index` in `firehose-bench`).
@@ -28,15 +31,12 @@
 //! assert!(hamming_distance(a, c) > 18);
 //! ```
 
-pub mod fingerprint;
-pub mod hamming;
-pub mod index;
-pub mod kernels;
+mod fingerprint;
+mod hamming;
+mod index;
+mod kernels;
 
-pub use fingerprint::{
-    empty_text_fingerprint, simhash, simhash_tokens, simhash_tokens_unit, Fingerprint,
-    SimHashOptions,
-};
+pub use fingerprint::{empty_text_fingerprint, simhash, Fingerprint, SimHashOptions};
 pub use hamming::{
     filter_within, filter_within_append_using, filter_within_into, filter_within_into_using,
     filter_within_pruned_append_using, hamming_distance, rfind_within, rfind_within_pruned_using,

@@ -36,7 +36,6 @@
 use std::collections::VecDeque;
 
 use crate::post::{AuthorId, PostId, PostRecord, Timestamp};
-use crate::window::WindowStore;
 use firehose_simhash::{Fingerprint, HammingIndex};
 
 /// Shape of an [`ApproxWindowBin`] — validated upstream (the typed config
@@ -120,9 +119,6 @@ struct Bucket {
 /// exact timestamp, and looked up through multi-probe prefix buckets.
 pub struct ApproxWindowBin {
     params: ApproxParams,
-    /// Hamming distance the prefix-table *layout* guarantees:
-    /// `min(probes − 1, λc)`.
-    k_index: u32,
     /// Full verification distance for probes (the engine's λc).
     lambda_c: u32,
     /// Width of one time bucket, `max(1, λt / granularity)` ms.
@@ -153,7 +149,6 @@ impl ApproxWindowBin {
         let bucket_span = (lambda_t / Timestamp::from(params.granularity)).max(1);
         Self {
             params,
-            k_index,
             lambda_c,
             bucket_span,
             index,
@@ -173,8 +168,9 @@ impl ApproxWindowBin {
     /// The distance up to which a probe is guaranteed to find every
     /// retained record (the prefix-table layout distance). Between this and
     /// λc, recall is probabilistic (see the module docs).
-    pub fn index_distance(&self) -> u32 {
-        self.k_index
+    #[cfg(test)]
+    pub(crate) fn index_distance(&self) -> u32 {
+        self.params.probes.saturating_sub(1).min(self.lambda_c)
     }
 
     /// Records currently retained.
@@ -193,7 +189,8 @@ impl ApproxWindowBin {
     }
 
     /// Records stored with a clamped timestamp (hostile-order streams).
-    pub fn disordered(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn disordered(&self) -> u64 {
         self.disordered
     }
 
@@ -336,7 +333,7 @@ impl ApproxWindowBin {
     /// whose timestamp is inside the λt window of `now`
     /// (`timestamp ≥ now − λt`, matching the exact window predicate).
     /// Candidates are verified at the full λc; records closer than
-    /// [`index_distance`](Self::index_distance) are never missed, farther
+    /// the index distance `min(probes − 1, λc)` are never missed, farther
     /// (but still λc-near) ones require a prefix-block collision.
     /// Candidates land in `out` (cleared first) **newest first**, ordered by
     /// `(timestamp, id)` descending — a deterministic order independent of
@@ -390,24 +387,6 @@ impl ApproxWindowBin {
                 });
             }
         }
-    }
-}
-
-impl WindowStore for ApproxWindowBin {
-    fn push(&mut self, record: PostRecord) {
-        self.insert(record);
-    }
-    fn evict_expired(&mut self, now: Timestamp, lambda_t: Timestamp) -> usize {
-        ApproxWindowBin::evict_expired(self, now, lambda_t)
-    }
-    fn len(&self) -> usize {
-        ApproxWindowBin::len(self)
-    }
-    fn evicted(&self) -> u64 {
-        ApproxWindowBin::evicted(self)
-    }
-    fn memory_bytes(&self) -> usize {
-        ApproxWindowBin::memory_bytes(self)
     }
 }
 

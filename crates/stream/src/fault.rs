@@ -4,8 +4,8 @@
 //! this module simulates both reproducibly (same seed ⇒ same faults, so a
 //! failing test names its seed and replays exactly):
 //!
-//! * **Storage** — [`ChaosWriter`] / [`ChaosReader`] wrap any
-//!   `io::Write` / `io::Read` and apply a [`FaultPlan`]: truncation at a
+//! * **Storage** — [`ChaosWriter`] wraps any `io::Write` and applies a
+//!   [`FaultPlan`]: truncation at a
 //!   chosen byte offset (a torn write: the process believed the bytes were
 //!   accepted, the medium never got them) and single-bit flips at chosen
 //!   offsets (media corruption). Tests use these to prove checkpoints are
@@ -16,7 +16,7 @@
 //!   and clock-skew bursts. The ingest guard's contract tests run every
 //!   policy against these.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -28,19 +28,14 @@ use crate::post::{Post, Timestamp};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Stop persisting at this offset: bytes from here on are acknowledged
-    /// but never reach the inner writer (reads: EOF from here on).
+    /// but never reach the inner writer.
     pub truncate_at: Option<u64>,
     /// `(byte offset, bit index 0..8)` single-bit corruptions.
     pub flips: Vec<(u64, u8)>,
 }
 
 impl FaultPlan {
-    /// No faults (the wrapper becomes a transparent pass-through).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Torn write/read at `offset`.
+    /// Torn write at `offset`.
     pub fn truncated_at(offset: u64) -> Self {
         Self {
             truncate_at: Some(offset),
@@ -53,28 +48,6 @@ impl FaultPlan {
         Self {
             truncate_at: None,
             flips: vec![(offset, bit)],
-        }
-    }
-
-    /// A deterministic pseudo-random plan over a stream of `len` bytes:
-    /// ~half the seeds tear the stream at a random offset, the rest flip
-    /// 1–3 random bits. `len == 0` yields no faults.
-    pub fn seeded(seed: u64, len: u64) -> Self {
-        if len == 0 {
-            return Self::none();
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        if rng.random_bool(0.5) {
-            Self::truncated_at(rng.random_range(0..len))
-        } else {
-            let n = rng.random_range(1..=3usize);
-            let flips = (0..n)
-                .map(|_| (rng.random_range(0..len), rng.random_range(0..8u32) as u8))
-                .collect();
-            Self {
-                truncate_at: None,
-                flips,
-            }
         }
     }
 }
@@ -103,12 +76,14 @@ impl<W: Write> ChaosWriter<W> {
     }
 
     /// True once the truncation point has been crossed.
-    pub fn torn(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn torn(&self) -> bool {
         self.torn
     }
 
     /// Bytes the caller believes it wrote (≥ bytes actually forwarded).
-    pub fn acknowledged(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn acknowledged(&self) -> u64 {
         self.pos
     }
 
@@ -149,47 +124,6 @@ impl<W: Write> Write for ChaosWriter<W> {
             return Ok(());
         }
         self.inner.flush()
-    }
-}
-
-/// An `io::Read` that applies a [`FaultPlan`] to everything passing
-/// through: bit flips corrupt bytes in flight, the truncation point turns
-/// into a hard EOF.
-#[derive(Debug)]
-pub struct ChaosReader<R: Read> {
-    inner: R,
-    plan: FaultPlan,
-    pos: u64,
-}
-
-impl<R: Read> ChaosReader<R> {
-    /// Wrap `inner` with the given plan.
-    pub fn new(inner: R, plan: FaultPlan) -> Self {
-        Self {
-            inner,
-            plan,
-            pos: 0,
-        }
-    }
-}
-
-impl<R: Read> Read for ChaosReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let limit = match self.plan.truncate_at {
-            Some(t) if self.pos >= t => return Ok(0),
-            Some(t) => ((t - self.pos) as usize).min(buf.len()),
-            None => buf.len(),
-        };
-        let n = self.inner.read(&mut buf[..limit])?;
-        let start = self.pos;
-        let end = start + n as u64;
-        for &(offset, bit) in &self.plan.flips {
-            if (start..end).contains(&offset) {
-                buf[(offset - start) as usize] ^= 1 << (bit & 7);
-            }
-        }
-        self.pos = end;
-        Ok(n)
     }
 }
 
@@ -362,7 +296,7 @@ impl ShardFaultPlan {
     /// request total, so harnesses that want kills to land mid-*stream*
     /// (not during the initial deploy wave) set `min_after` above the
     /// per-shard engine count.
-    pub fn seeded_after(
+    pub(crate) fn seeded_after(
         seed: u64,
         shards: usize,
         kills: usize,
@@ -383,12 +317,14 @@ impl ShardFaultPlan {
     }
 
     /// Number of scheduled faults targeting `shard`.
-    pub fn count_for(&self, shard: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count_for(&self, shard: usize) -> usize {
         self.faults.iter().filter(|f| f.shard == shard).count()
     }
 
     /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.faults.is_empty()
     }
 }
@@ -426,41 +362,10 @@ mod tests {
     #[test]
     fn chaos_writer_no_plan_is_transparent() {
         let mut sink = Vec::new();
-        ChaosWriter::new(&mut sink, FaultPlan::none())
+        ChaosWriter::new(&mut sink, FaultPlan::default())
             .write_all(b"payload")
             .unwrap();
         assert_eq!(sink, b"payload");
-    }
-
-    #[test]
-    fn chaos_reader_mirrors_writer_faults() {
-        let data = b"0123456789".to_vec();
-        let mut r = ChaosReader::new(data.as_slice(), FaultPlan::truncated_at(4));
-        let mut got = Vec::new();
-        r.read_to_end(&mut got).unwrap();
-        assert_eq!(got, b"0123");
-
-        let mut r = ChaosReader::new(data.as_slice(), FaultPlan::bit_flip(9, 7));
-        let mut got = Vec::new();
-        r.read_to_end(&mut got).unwrap();
-        assert_eq!(got[9], b'9' ^ 0x80);
-        assert_eq!(&got[..9], &data[..9]);
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic_and_in_range() {
-        for seed in 0..50u64 {
-            let a = FaultPlan::seeded(seed, 1_000);
-            let b = FaultPlan::seeded(seed, 1_000);
-            assert_eq!(a, b);
-            if let Some(t) = a.truncate_at {
-                assert!(t < 1_000);
-            }
-            for (offset, bit) in a.flips {
-                assert!(offset < 1_000 && bit < 8);
-            }
-        }
-        assert_eq!(FaultPlan::seeded(7, 0), FaultPlan::none());
     }
 
     #[test]

@@ -146,12 +146,6 @@ impl GuardConfig {
         self.author_count = Some(count);
         self
     }
-
-    /// Set the text size bound.
-    pub fn with_max_text_bytes(mut self, bytes: usize) -> Self {
-        self.max_text_bytes = bytes;
-        self
-    }
 }
 
 impl Default for GuardConfig {
@@ -179,7 +173,7 @@ pub struct QuarantineStats {
 
 impl QuarantineStats {
     /// Quarantined count for one reason.
-    pub fn count(&self, reason: RejectReason) -> u64 {
+    pub(crate) fn count(&self, reason: RejectReason) -> u64 {
         self.quarantined[reason.index()]
     }
 
@@ -201,9 +195,6 @@ impl QuarantineStats {
     }
 }
 
-/// Cap on the recent-reject diagnostic ring (ids + reasons, not posts).
-const RECENT_REJECTS: usize = 64;
-
 /// The guard itself. Feed posts through [`offer_into`](Self::offer_into),
 /// then [`flush_into`](Self::flush_into) at end of stream (a no-op except
 /// under [`GuardPolicy::Reorder`], whose buffer may still hold posts).
@@ -222,8 +213,6 @@ pub struct IngestGuard {
     /// Reorder buffer, sorted by (timestamp, id).
     buffer: BTreeMap<(Timestamp, PostId), Post>,
     stats: QuarantineStats,
-    /// Last few rejects (id, reason) for operator diagnostics.
-    recent_rejects: VecDeque<(PostId, RejectReason)>,
 }
 
 impl IngestGuard {
@@ -237,29 +226,13 @@ impl IngestGuard {
             seen_order: VecDeque::new(),
             buffer: BTreeMap::new(),
             stats: QuarantineStats::default(),
-            recent_rejects: VecDeque::new(),
         }
-    }
-
-    /// The guard's configuration.
-    pub fn config(&self) -> &GuardConfig {
-        &self.config
     }
 
     /// Counters so far. Buffered (not yet released) posts are in neither
     /// the admitted nor the quarantined totals until flushed.
     pub fn stats(&self) -> &QuarantineStats {
         &self.stats
-    }
-
-    /// The last few quarantined `(post id, reason)` pairs, oldest first.
-    pub fn recent_rejects(&self) -> impl Iterator<Item = (PostId, RejectReason)> + '_ {
-        self.recent_rejects.iter().copied()
-    }
-
-    /// Posts currently held in the reorder buffer.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
     }
 
     /// Offer one post. Admitted releases (possibly several under Reorder,
@@ -272,15 +245,15 @@ impl IngestGuard {
         // Structural checks apply under every policy.
         if let Some(limit) = self.config.author_count {
             if post.author >= limit {
-                return self.reject(post.id, RejectReason::UnknownAuthor);
+                return self.reject(RejectReason::UnknownAuthor);
             }
         }
         if self.seen.contains_key(&post.id) {
-            return self.reject(post.id, RejectReason::DuplicateId);
+            return self.reject(RejectReason::DuplicateId);
         }
         if post.text.len() > self.config.max_text_bytes {
             if self.config.policy == GuardPolicy::Strict {
-                return self.reject(post.id, RejectReason::OversizedText);
+                return self.reject(RejectReason::OversizedText);
             }
             let mut end = self.config.max_text_bytes;
             while !post.text.is_char_boundary(end) {
@@ -293,10 +266,10 @@ impl IngestGuard {
         match self.config.policy {
             GuardPolicy::Strict => {
                 if post.text.trim().is_empty() {
-                    return self.reject(post.id, RejectReason::EmptyText);
+                    return self.reject(RejectReason::EmptyText);
                 }
                 if post.timestamp < self.release_watermark {
-                    return self.reject(post.id, RejectReason::OutOfOrder);
+                    return self.reject(RejectReason::OutOfOrder);
                 }
                 self.admit(post, out);
                 None
@@ -312,7 +285,7 @@ impl IngestGuard {
             GuardPolicy::Reorder { bound_ms } => {
                 // Too late to re-sort: admitting would break output order.
                 if post.timestamp < self.release_watermark {
-                    return self.reject(post.id, RejectReason::TooLate);
+                    return self.reject(RejectReason::TooLate);
                 }
                 if post.timestamp < self.input_watermark {
                     self.stats.reordered += 1;
@@ -347,12 +320,8 @@ impl IngestGuard {
         }
     }
 
-    fn reject(&mut self, id: PostId, reason: RejectReason) -> Option<RejectReason> {
+    fn reject(&mut self, reason: RejectReason) -> Option<RejectReason> {
         self.stats.quarantined[reason.index()] += 1;
-        if self.recent_rejects.len() == RECENT_REJECTS {
-            self.recent_rejects.pop_front();
-        }
-        self.recent_rejects.push_back((id, reason));
         Some(reason)
     }
 
@@ -427,9 +396,10 @@ mod tests {
 
     #[test]
     fn strict_quarantines_each_violation_kind() {
-        let config = GuardConfig::default()
-            .with_author_count(4)
-            .with_max_text_bytes(16);
+        let config = GuardConfig {
+            max_text_bytes: 16,
+            ..GuardConfig::default().with_author_count(4)
+        };
         let mut guard = IngestGuard::new(config);
         let mut out = Vec::new();
         assert_eq!(guard.offer_into(post(1, 0, 1_000), &mut out), None);
@@ -466,12 +436,14 @@ mod tests {
             let expected = u64::from(reason != RejectReason::TooLate);
             assert_eq!(stats.count(reason), expected, "{reason}");
         }
-        assert_eq!(guard.recent_rejects().count(), 5);
     }
 
     #[test]
     fn clamp_repairs_timestamps_and_text() {
-        let config = GuardConfig::new(GuardPolicy::Clamp).with_max_text_bytes(8);
+        let config = GuardConfig {
+            max_text_bytes: 8,
+            ..GuardConfig::new(GuardPolicy::Clamp)
+        };
         let stream = vec![
             Post::new(1, 0, 1_000, "okay".into()),
             Post::new(2, 0, 400, "late but welcome".into()), // clamped + truncated
@@ -489,7 +461,10 @@ mod tests {
 
     #[test]
     fn clamp_truncates_at_char_boundary() {
-        let config = GuardConfig::new(GuardPolicy::Clamp).with_max_text_bytes(5);
+        let config = GuardConfig {
+            max_text_bytes: 5,
+            ..GuardConfig::new(GuardPolicy::Clamp)
+        };
         // "héllo" is 6 bytes; byte 5 splits nothing, byte 2 would split é.
         let (out, _) = guard_stream(config, vec![Post::new(1, 0, 0, "ééé".into())]);
         assert_eq!(out[0].text, "éé"); // 4 bytes, boundary-safe
@@ -563,9 +538,10 @@ mod tests {
 
     #[test]
     fn conservation_admitted_plus_quarantined_equals_offered() {
-        let config = GuardConfig::new(GuardPolicy::Reorder { bound_ms: 500 })
-            .with_author_count(3)
-            .with_max_text_bytes(32);
+        let config = GuardConfig {
+            max_text_bytes: 32,
+            ..GuardConfig::new(GuardPolicy::Reorder { bound_ms: 500 }).with_author_count(3)
+        };
         let mut n = 0u64;
         let stream: Vec<Post> = (0..200u64)
             .map(|i| {

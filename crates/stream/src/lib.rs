@@ -6,45 +6,42 @@
 //! sequence of posts, each with a unique id, an author and textual content.
 //! This crate defines:
 //!
-//! * [`post`] — the post model ([`Post`] carries text; [`PostRecord`] is the
-//!   compact fingerprinted form the engines store in bins);
-//! * [`window`] — [`TimeWindowBin`], the circular-buffer "post bin" of
-//!   Section 4 ("Handling Time Diversity"): only posts from the last `λt`
-//!   time units can cover a new arrival, so bins evict from the front and
-//!   scan from the back (most recent first), plus the [`WindowStore`]
-//!   contract both window backends satisfy;
-//! * [`approx`] — [`ApproxWindowBin`], the tiered bounded-memory window
-//!   (per-time-bucket retention caps + multi-probe SimHash prefix lookup)
-//!   behind the engines' approximate coverage mode;
-//! * [`time`] — millisecond timestamp helpers;
+//! * the post model: [`Post`] carries text; [`PostRecord`] is the compact
+//!   fingerprinted form the engines store in bins;
+//! * [`TimeWindowBin`], the circular-buffer "post bin" of Section 4
+//!   ("Handling Time Diversity"): only posts from the last `λt` time units
+//!   can cover a new arrival, so bins evict from the front and scan from the
+//!   back (most recent first);
+//! * [`ApproxWindowBin`], the tiered bounded-memory window (per-time-bucket
+//!   retention caps + multi-probe SimHash prefix lookup) behind the engines'
+//!   approximate coverage mode;
+//! * millisecond timestamp helpers ([`minutes`], [`hours`], ...);
 //! * [`corpus`] — the TSV interchange format the CLI and generators use to
 //!   exchange post streams;
-//! * [`guard`] — [`IngestGuard`], the hostile-stream admission filter
-//!   (ordering, duplicates, author range, text bounds) with per-reason
-//!   quarantine counters;
-//! * [`fault`] — deterministic fault injection ([`ChaosWriter`] /
-//!   [`ChaosReader`] torn-write and bit-flip wrappers, [`Perturbator`]
-//!   stream corruption) for crash-safety and robustness tests.
+//! * [`IngestGuard`], the hostile-stream admission filter (ordering,
+//!   duplicates, author range, text bounds) with per-reason quarantine
+//!   counters;
+//! * deterministic fault injection for crash-safety and robustness tests:
+//!   the [`ChaosWriter`] torn-write and bit-flip wrapper, [`Perturbator`]
+//!   stream corruption and [`ShardFaultPlan`] shard-worker faults.
 
-pub mod approx;
+mod approx;
 pub mod corpus;
-pub mod fault;
-pub mod guard;
-pub mod post;
-pub mod time;
-pub mod window;
+mod fault;
+mod guard;
+mod post;
+mod time;
+mod window;
 
 pub use approx::{ApproxCandidate, ApproxParams, ApproxStats, ApproxWindowBin, StoreOutcome};
 pub use corpus::{read_posts, write_posts, CorpusError};
-pub use fault::{
-    ChaosReader, ChaosWriter, FaultPlan, Perturbator, ShardFault, ShardFaultKind, ShardFaultPlan,
-};
+pub use fault::{ChaosWriter, FaultPlan, Perturbator, ShardFault, ShardFaultKind, ShardFaultPlan};
 pub use guard::{
     guard_stream, GuardConfig, GuardPolicy, IngestGuard, QuarantineStats, RejectReason,
 };
 pub use post::{AuthorId, Post, PostId, PostRecord, Timestamp};
 pub use time::{days, hours, minutes, seconds};
-pub use window::{TimeWindowBin, WindowStore, WindowView, SUBBIN_SPAN};
+pub use window::{TimeWindowBin, WindowView};
 
 /// Check that `posts` is sorted by timestamp (ties allowed). The SPSD
 /// problem's real-time semantics presuppose arrival order = time order.

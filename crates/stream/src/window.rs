@@ -24,37 +24,12 @@ use firehose_simhash::{
     rfind_within_using, KernelKind,
 };
 
-/// The window-storage contract shared by the exact and approximate λt
-/// bins: append records in arrival order, expire them once they leave the
-/// λt window, and account for what is retained. Lookup is deliberately
-/// *not* part of the trait — the exact bin answers with a columnar scan
-/// view while the approximate bin answers with index probes, and the
-/// coverage backend dispatches between those shapes explicitly.
-pub trait WindowStore {
-    /// Append a record (arrival order; implementations clamp hostile
-    /// backwards timestamps and count them).
-    fn push(&mut self, record: PostRecord);
-    /// Drop records that can no longer cover an arrival at `now`
-    /// (`timestamp + lambda_t < now`). Returns the number dropped.
-    fn evict_expired(&mut self, now: Timestamp, lambda_t: Timestamp) -> usize;
-    /// Records currently retained.
-    fn len(&self) -> usize;
-    /// True when nothing is retained.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Lifetime count of records dropped by expiry.
-    fn evicted(&self) -> u64;
-    /// Record payload bytes retained (the Figure 11–16 RAM convention).
-    fn memory_bytes(&self) -> usize;
-}
-
 /// Fixed sub-bin span, in records. The bin's columns are partitioned into
 /// aligned spans of this many consecutive arrivals (= a contiguous timestamp
 /// range, since arrival order is time order); each span carries its min/max
 /// stored popcount so a scan can skip the whole span when the query's
 /// popcount class proves no record in it can match.
-pub const SUBBIN_SPAN: usize = 256;
+pub(crate) const SUBBIN_SPAN: usize = 256;
 
 /// Popcount summary of one aligned [`SUBBIN_SPAN`]-record slice of a bin.
 #[derive(Debug, Clone, Copy)]
@@ -105,7 +80,7 @@ impl WindowView<'_> {
 
     /// Reassemble the record at position `i` (diagnostics; the hot path
     /// reads individual columns instead).
-    pub fn record(&self, i: usize) -> PostRecord {
+    pub(crate) fn record(&self, i: usize) -> PostRecord {
         PostRecord {
             id: self.ids[i],
             author: self.authors[i],
@@ -295,7 +270,8 @@ impl TimeWindowBin {
 
     /// Lifetime number of out-of-order pushes whose timestamp was clamped
     /// to the bin's watermark (see [`push`](Self::push)).
-    pub fn disordered(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn disordered(&self) -> u64 {
         self.disordered
     }
 
@@ -307,7 +283,7 @@ impl TimeWindowBin {
     /// slipped past the caller's ordering guard — is therefore stored with
     /// its timestamp clamped to the bin watermark rather than breaking the
     /// invariant (which would silently mis-evict live records); the clamp
-    /// is counted in [`disordered`](Self::disordered).
+    /// is counted.
     pub fn push(&mut self, record: PostRecord) {
         let mut record = record;
         if let Some(&newest) = self.timestamps.last() {
@@ -422,24 +398,6 @@ impl TimeWindowBin {
     /// exactly [`PostRecord::SIZE_BYTES`] per live record).
     pub fn memory_bytes(&self) -> usize {
         self.len() * PostRecord::SIZE_BYTES
-    }
-}
-
-impl WindowStore for TimeWindowBin {
-    fn push(&mut self, record: PostRecord) {
-        TimeWindowBin::push(self, record);
-    }
-    fn evict_expired(&mut self, now: Timestamp, lambda_t: Timestamp) -> usize {
-        TimeWindowBin::evict_expired(self, now, lambda_t)
-    }
-    fn len(&self) -> usize {
-        TimeWindowBin::len(self)
-    }
-    fn evicted(&self) -> u64 {
-        TimeWindowBin::evicted(self)
-    }
-    fn memory_bytes(&self) -> usize {
-        TimeWindowBin::memory_bytes(self)
     }
 }
 

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 /// Built-in shorthand → expansion table (token-exact, lowercase keys).
-pub const DEFAULT_ABBREVIATIONS: &[(&str, &str)] = &[
+pub(crate) const DEFAULT_ABBREVIATIONS: &[(&str, &str)] = &[
     ("2day", "today"),
     ("2moro", "tomorrow"),
     ("2nite", "tonight"),
@@ -63,24 +63,18 @@ pub const DEFAULT_ABBREVIATIONS: &[(&str, &str)] = &[
 
 /// A token-exact abbreviation expander.
 #[derive(Debug, Clone)]
-pub struct AbbreviationExpander {
+pub(crate) struct AbbreviationExpander {
     table: HashMap<String, String>,
-}
-
-impl Default for AbbreviationExpander {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl AbbreviationExpander {
     /// Expander with the [`DEFAULT_ABBREVIATIONS`] table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::from_pairs(DEFAULT_ABBREVIATIONS.iter().copied())
     }
 
     /// Expander with a custom table (keys are lowercased).
-    pub fn from_pairs<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a str)>) -> Self {
+    pub(crate) fn from_pairs<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a str)>) -> Self {
         Self {
             table: pairs
                 .into_iter()
@@ -89,20 +83,10 @@ impl AbbreviationExpander {
         }
     }
 
-    /// Number of known abbreviations.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// `true` when the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
     /// Expand every whitespace-delimited token that (case-insensitively,
     /// ignoring one trailing `.,!?;:` character) matches a known
     /// abbreviation. Hashtags, mentions and URLs are never rewritten.
-    pub fn expand(&self, text: &str) -> String {
+    pub(crate) fn expand(&self, text: &str) -> String {
         let mut out = String::with_capacity(text.len() + 16);
         for (i, token) in text.split_whitespace().enumerate() {
             if i > 0 {
@@ -194,8 +178,7 @@ mod tests {
     fn custom_table() {
         let e = AbbreviationExpander::from_pairs([("db", "database")]);
         assert_eq!(e.expand("the DB layer"), "the database layer");
-        assert_eq!(e.len(), 1);
-        assert!(!e.is_empty());
+        assert_eq!(e.table.len(), 1);
     }
 
     #[test]

@@ -6,28 +6,29 @@
 //! *Slowing the Firehose: Multi-Dimensional Diversity on Social Post Streams*
 //! (EDBT 2016), Section 3:
 //!
-//! * [`normalize`](mod@normalize) — the normalization pipeline the paper found to improve
+//! * [`normalize()`] — the normalization pipeline the paper found to improve
 //!   SimHash precision/recall on tweets (Figure 4): lowercasing, whitespace
 //!   collapsing and removal of non-alphanumeric characters.
-//! * [`tokenize`](mod@tokenize) — whitespace tokenization with social-media-aware token
-//!   classification (hashtags, mentions, URLs), plus optional token weighting
-//!   (the paper experimented with boosting hashtags/mentions by creating
-//!   artificial copies).
-//! * [`tf`] — sparse term-frequency vectors and exact cosine similarity, the
-//!   "slow but accurate" baseline that SimHash approximates;
-//! * [`abbrev`] — token-exact abbreviation expansion (one of the Section 3
-//!   preprocessing variants; the paper found it does not move
+//! * [`tokenize()`] / [`tokens`] — whitespace tokenization with
+//!   social-media-aware token classification (hashtags, mentions, URLs),
+//!   plus optional token weighting (the paper experimented with boosting
+//!   hashtags/mentions by creating artificial copies).
+//! * [`TfVector`] / [`cosine_similarity`] — sparse term-frequency vectors and
+//!   exact cosine similarity, the "slow but accurate" baseline that SimHash
+//!   approximates;
+//! * [`expand_abbreviations`] — token-exact abbreviation expansion (one of
+//!   the Section 3 preprocessing variants; the paper found it does not move
 //!   precision/recall, which `ablation_preprocessing` re-checks).
 //!
 //! The crate has no dependencies and performs no allocation beyond the output
 //! containers.
 
-pub mod abbrev;
-pub mod normalize;
-pub mod tf;
-pub mod tokenize;
+mod abbrev;
+mod normalize;
+mod tf;
+mod tokenize;
 
-pub use abbrev::{expand_abbreviations, AbbreviationExpander};
+pub use abbrev::expand_abbreviations;
 pub use normalize::{normalize, NormalizeOptions};
-pub use tf::{cosine_similarity, TfVector};
-pub use tokenize::{tokenize, Token, TokenKind, TokenWeights};
+pub use tf::{cosine_similarity, fnv1a_64, TfVector};
+pub use tokenize::{tokenize, tokens, Token, TokenKind, TokenWeights};

@@ -44,7 +44,7 @@ impl TfVector {
     }
 
     /// Build a TF vector from raw text with per-class token weights.
-    pub fn from_text_weighted(text: &str, weights: TokenWeights) -> Self {
+    pub(crate) fn from_text_weighted(text: &str, weights: TokenWeights) -> Self {
         let mut entries: Vec<(u64, f64)> = tokens(text)
             .filter_map(|t| {
                 let w = weights.weight(t.kind);
@@ -69,23 +69,8 @@ impl TfVector {
         }
     }
 
-    /// Number of distinct terms.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the text contained no (weighted) tokens.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Euclidean norm of the vector.
-    pub fn norm(&self) -> f64 {
-        self.norm
-    }
-
     /// Dot product with another vector (linear merge over sorted entries).
-    pub fn dot(&self, other: &Self) -> f64 {
+    pub(crate) fn dot(&self, other: &Self) -> f64 {
         let (mut i, mut j, mut acc) = (0usize, 0usize, 0.0f64);
         let (a, b) = (&self.entries, &other.entries);
         while i < a.len() && j < b.len() {
@@ -213,7 +198,7 @@ mod tests {
     #[test]
     fn entries_sorted_and_merged() {
         let v = TfVector::from_text("b a b a b");
-        assert_eq!(v.len(), 2);
+        assert_eq!(v.entries.len(), 2);
         assert!(v.entries.windows(2).all(|w| w[0].0 < w[1].0));
         let total: f64 = v.entries.iter().map(|e| e.1).sum();
         assert_eq!(total, 5.0);
@@ -222,6 +207,6 @@ mod tests {
     #[test]
     fn norm_matches_definition() {
         let v = TfVector::from_text("x x y"); // tf = {x:2, y:1}
-        assert!((v.norm() - (5.0f64).sqrt()).abs() < 1e-12);
+        assert!((v.norm - (5.0f64).sqrt()).abs() < 1e-12);
     }
 }

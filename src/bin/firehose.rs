@@ -20,8 +20,8 @@ use std::sync::Arc;
 
 use firehose::core::checkpoint::{CheckpointManager, CheckpointPolicy};
 use firehose::core::engine::{build_engine, AlgorithmKind, Diversifier};
+use firehose::core::evaluate;
 use firehose::core::multi::Subscriptions;
-use firehose::core::quality;
 use firehose::core::service::{
     read_churn_trace, FirehoseService, FirehoseServiceBuilder, OverloadConfig, OverloadPolicy,
     RateLimitConfig, StrategyKind, TracedOp,
@@ -87,34 +87,156 @@ impl Args {
     }
 }
 
+/// Every subcommand's accepted flags, as printed by `usage()`: `[...]` marks
+/// an optional flag. `validate_flags` accepts exactly these names, once each.
+const COMMANDS: &[(&str, &[&str])] = &[
+    (
+        "generate",
+        &[
+            "--out-posts FILE",
+            "--out-follower FILE",
+            "[--authors N]",
+            "[--hours H]",
+            "[--seed S]",
+            "[--users N]",
+            "[--out-subscriptions FILE]",
+            "[--churn-ops N]",
+            "[--out-churn FILE]",
+        ],
+    ),
+    (
+        "build-graph",
+        &[
+            "--follower FILE",
+            "--out FILE",
+            "[--lambda-a F]",
+            "[--threads N]",
+        ],
+    ),
+    ("cover", &["--graph FILE", "--out FILE"]),
+    (
+        "run",
+        &[
+            "--posts FILE",
+            "--graph FILE",
+            "[--algorithm unibin|neighborbin|cliquebin]",
+            "[--lambda-c N]",
+            "[--lambda-t-mins N]",
+            "[--lambda-a F]",
+            "[--memory exact|approx[:BUDGET]]",
+            "[--out FILE]",
+            "[--quiet true]",
+            "[--checkpoint-dir DIR]",
+            "[--checkpoint-every OFFERS]",
+            "[--checkpoint-secs S]",
+            "[--guard strict|clamp|reorder]",
+            "[--reorder-bound-ms N]",
+            "[--subscriptions FILE]",
+            "[--strategy independent|shared|sharded[:N]]",
+            "[--churn-trace FILE]",
+            "[--overload block|shed|reject[:CAPACITY]]",
+            "[--rate-limit POSTS_PER_SEC]",
+        ],
+    ),
+    (
+        "serve",
+        &[
+            "--graph FILE",
+            "--subscriptions FILE",
+            "[--listen ADDR:PORT]",
+            "[--algorithm unibin|neighborbin|cliquebin]",
+            "[--lambda-c N]",
+            "[--lambda-t-mins N]",
+            "[--lambda-a F]",
+            "[--memory exact|approx[:BUDGET]]",
+            "[--strategy independent|shared|sharded[:N]]",
+            "[--guard strict|clamp|reorder]",
+            "[--reorder-bound-ms N]",
+            "[--overload block|shed|reject[:CAPACITY]]",
+            "[--rate-limit POSTS_PER_SEC]",
+            "[--checkpoint-dir DIR]",
+            "[--checkpoint-every OFFERS]",
+            "[--checkpoint-secs S]",
+            "[--max-conns N]",
+            "[--stream-buffer N]",
+            "[--idle-secs S]",
+            "[--allow-shutdown true]",
+        ],
+    ),
+    (
+        "explain",
+        &[
+            "--posts FILE",
+            "--graph FILE",
+            "--first POST_ID",
+            "--second POST_ID",
+            "[--lambda-c N]",
+            "[--lambda-t-mins N]",
+            "[--lambda-a F]",
+        ],
+    ),
+    (
+        "quality",
+        &[
+            "--posts FILE",
+            "--delivered FILE",
+            "--graph FILE",
+            "[--lambda-c N]",
+            "[--lambda-t-mins N]",
+            "[--lambda-a F]",
+        ],
+    ),
+];
+
+/// The flag name of a `COMMANDS` entry: `"[--lambda-c N]"` → `"lambda-c"`.
+fn flag_name(entry: &str) -> &str {
+    let entry = entry.trim_start_matches('[').trim_start_matches("--");
+    entry.split([' ', ']']).next().unwrap_or(entry)
+}
+
 fn usage() -> String {
-    "usage: firehose <generate|build-graph|cover|run|serve|explain|quality> [--flag value]...\n\
-     \n\
-     generate     --out-posts FILE --out-follower FILE [--authors N] [--hours H] [--seed S]\n\
-     \t[--users N --out-subscriptions FILE] [--churn-ops N --out-churn FILE]\n\
-     build-graph  --follower FILE --out FILE [--lambda-a F] [--threads N]\n\
-     cover        --graph FILE --out FILE\n\
-     run          --posts FILE --graph FILE [--algorithm unibin|neighborbin|cliquebin]\n\
-     \t[--lambda-c N] [--lambda-t-mins N] [--lambda-a F] [--memory exact|approx[:BUDGET]]\n\
-     \t[--out FILE] [--quiet true]\n\
-     \t[--checkpoint-dir DIR] [--checkpoint-every OFFERS] [--checkpoint-secs S]\n\
-     \t[--guard strict|clamp|reorder] [--reorder-bound-ms N]\n\
-     \t[--subscriptions FILE [--strategy independent|shared|sharded[:N]]\n\
-     \t[--churn-trace FILE]\n\
-     \t[--overload block|shed|reject[:CAPACITY]] [--rate-limit POSTS_PER_SEC]]\n\
-     serve        --graph FILE --subscriptions FILE [--listen ADDR:PORT]\n\
-     \t[--algorithm ...] [--lambda-c N] [--lambda-t-mins N] [--lambda-a F]\n\
-     \t[--memory exact|approx[:BUDGET]]\n\
-     \t[--strategy independent|shared|sharded[:N]]\n\
-     \t[--guard strict|clamp|reorder] [--reorder-bound-ms N]\n\
-     \t[--overload block|shed|reject[:CAPACITY]] [--rate-limit POSTS_PER_SEC]\n\
-     \t[--checkpoint-dir DIR] [--max-conns N] [--stream-buffer N]\n\
-     \t[--idle-secs S] [--allow-shutdown true]\n\
-     explain      --posts FILE --graph FILE --first POST_ID --second POST_ID\n\
-     \t[--lambda-c N] [--lambda-t-mins N] [--lambda-a F]\n\
-     quality      --posts FILE --delivered FILE --graph FILE\n\
-     \t[--lambda-c N] [--lambda-t-mins N] [--lambda-a F]"
-        .to_string()
+    let names: Vec<&str> = COMMANDS.iter().map(|(name, _)| *name).collect();
+    let mut out = format!("usage: firehose <{}> [--flag value]...\n", names.join("|"));
+    for (name, flags) in COMMANDS {
+        let mut line = format!("\n{name:<12}");
+        for flag in *flags {
+            if line.len() + 1 + flag.len() > 80 {
+                out.push_str(&line);
+                line = format!("\n{:<12}", "");
+            }
+            line.push(' ');
+            line.push_str(flag);
+        }
+        out.push_str(&line);
+    }
+    out.push_str(
+        "\n\nrun: --strategy, --churn-trace, --overload and --rate-limit apply with --subscriptions",
+    );
+    out
+}
+
+const REMOVED_SHARDING: &str =
+    "--shards N and --strategy parallel[:N] were removed; use --strategy sharded[:N]";
+
+/// Reject a flag `command` does not take, and a flag given twice, naming it.
+fn validate_flags(command: &str, args: &Args) -> Result<(), String> {
+    let Some((_, accepted)) = COMMANDS.iter().find(|(name, _)| *name == command) else {
+        return Ok(());
+    };
+    for (i, (flag, _)) in args.flags.iter().enumerate() {
+        if flag == "shards" {
+            return Err(REMOVED_SHARDING.into());
+        }
+        if !accepted.iter().any(|entry| flag_name(entry) == flag) {
+            return Err(format!(
+                "unknown flag --{flag} for `{command}`; see `firehose help`"
+            ));
+        }
+        if args.flags[..i].iter().any(|(seen, _)| seen == flag) {
+            return Err(format!("flag --{flag} given more than once"));
+        }
+    }
+    Ok(())
 }
 
 fn thresholds_from(args: &Args) -> Result<Thresholds, String> {
@@ -164,6 +286,9 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     }
     .with_authors(authors)
     .with_seed(seed);
+    social_config
+        .validate()
+        .map_err(|e| format!("bad --authors {authors}: {e}"))?;
     let social = SyntheticSocialGraph::generate(social_config);
     let workload = Workload::generate(
         &social,
@@ -369,15 +494,12 @@ fn overload_config_from(args: &Args) -> Result<Option<OverloadConfig>, String> {
 }
 
 /// `--strategy independent|shared|sharded[:N]` (default `shared`). The
-/// removed `--shards N` and `--strategy parallel[:N]` are refused by name
-/// rather than ignored or reported as an unknown strategy.
+/// removed `--strategy parallel[:N]` is refused by name rather than
+/// reported as an unknown strategy.
 fn strategy_from(args: &Args) -> Result<StrategyKind, String> {
     let spec = args.get("strategy").unwrap_or("shared");
-    if args.get("shards").is_some() || spec == "parallel" || spec.starts_with("parallel:") {
-        return Err(
-            "--shards N and --strategy parallel[:N] were removed; use --strategy sharded[:N]"
-                .into(),
-        );
+    if spec == "parallel" || spec.starts_with("parallel:") {
+        return Err(REMOVED_SHARDING.into());
     }
     spec.parse()
 }
@@ -770,7 +892,7 @@ fn cmd_quality(args: &Args) -> Result<(), String> {
         .iter()
         .map(|p| delivered_ids.contains(&p.id))
         .collect();
-    let report = quality::evaluate(&records, &decisions, &thresholds, &graph);
+    let report = evaluate(&records, &decisions, &thresholds, &graph);
 
     println!(
         "stream: {} posts; delivered: {} ({:.1}%)",
@@ -857,6 +979,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Err(e) = validate_flags(&args.command, &args) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let result = match args.command.as_str() {
         "generate" => cmd_generate(&args),
         "build-graph" => cmd_build_graph(&args),

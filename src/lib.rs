@@ -18,7 +18,8 @@
 //!   permuted-table index;
 //! * [`graph`] — follower graphs, author similarity, connected components,
 //!   greedy clique edge covers;
-//! * [`stream`] — the post model and λt-window bins;
+//! * [`stream`] — the post model, λt-window bins, the ingest guard and the
+//!   fault-injection wrappers the robustness tests use;
 //! * [`datagen`] — synthetic Twitter-like workloads and the surrogate user
 //!   study;
 //! * [`net`] — the zero-dependency TCP/HTTP front end serving ingest,

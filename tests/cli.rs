@@ -195,3 +195,45 @@ fn help_prints_usage() {
     assert!(stdout.contains("usage: firehose"));
     assert!(stdout.contains("build-graph"));
 }
+
+#[test]
+fn misspelled_and_repeated_flags_are_refused() {
+    let dir = TempDir::new("flags");
+    let posts = dir.path("p.tsv");
+    let graph = dir.path("g.fhg");
+    let base = ["run", "--posts", &posts, "--graph", &graph];
+
+    let err = run_err(&[&base[..], &["--lamda-c", "0"]].concat());
+    assert!(err.contains("unknown flag --lamda-c"), "{err}");
+
+    let err = run_err(&[&base[..], &["--lambda-c", "0", "--lambda-c", "30"]].concat());
+    assert!(err.contains("--lambda-c given more than once"), "{err}");
+
+    // A flag another subcommand takes is still unknown here.
+    let err = run_err(&[
+        "cover",
+        "--graph",
+        &graph,
+        "--out",
+        &posts,
+        "--lambda-a",
+        "0.7",
+    ]);
+    assert!(err.contains("unknown flag --lambda-a for `cover`"), "{err}");
+}
+
+#[test]
+fn generate_rejects_too_few_authors() {
+    let dir = TempDir::new("few_authors");
+    let err = run_err(&[
+        "generate",
+        "--authors",
+        "50",
+        "--out-posts",
+        &dir.path("p.tsv"),
+        "--out-follower",
+        &dir.path("f.fhf"),
+    ]);
+    assert!(err.contains("--authors 50"), "{err}");
+    assert!(err.contains("at least 79 authors"), "{err}");
+}

@@ -18,7 +18,7 @@ use firehose::core::snapshot::{
     restore_cliquebin, restore_neighborbin, restore_unibin, snapshot_cliquebin,
     snapshot_neighborbin, snapshot_unibin,
 };
-use firehose::core::{quality, DeltaBounds, QualityGate};
+use firehose::core::{evaluate, DeltaBounds, QualityGate};
 use firehose::datagen::{SocialGenConfig, SyntheticSocialGraph, Workload, WorkloadConfig};
 use firehose::graph::build_similarity_graph;
 use firehose::prelude::*;
@@ -103,8 +103,8 @@ proptest! {
             let (exact_decisions, exact_peak) = run(kind, exact_config, &graph, &posts);
             let (approx_decisions, approx_peak) = run(kind, approx_config, &graph, &posts);
 
-            let exact_report = quality::evaluate(&records, &exact_decisions, &t, &graph);
-            let approx_report = quality::evaluate(&records, &approx_decisions, &t, &graph);
+            let exact_report = evaluate(&records, &exact_decisions, &t, &graph);
+            let approx_report = evaluate(&records, &approx_decisions, &t, &graph);
             prop_assert_eq!(
                 approx_report.coverage_violations, 0,
                 "{} (seed {}): approx pruned a post with no genuine cover",
