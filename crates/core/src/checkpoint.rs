@@ -366,13 +366,11 @@ pub fn restore_engine_from_slice(
     Ok((engine, manifest))
 }
 
-/// The restore-compatibility family of a multi-strategy name. The shared
-/// strategy writes identical FHSNAP04 state whether it runs inline (`S_X`)
-/// or on shards (`Sh_X(n)`), so checkpoints move freely between executors
-/// at any shard count. `P_X(n)` is the name a removed batch-parallel runner
-/// of the same strategy wrote into its manifests; its checkpoints carry the
-/// same state and still restore. `M_X` states are keyed per user and remain
-/// their own family.
+/// The restore-compatibility family of a multi-strategy name. `P_X(n)` and
+/// `Sh_X(n)` are the names two removed runners of the shared strategy wrote
+/// into their manifests (batch-parallel and shard workers); their
+/// checkpoints carry the same FHSNAP04 state as `S_X` and still restore into
+/// it. `M_X` states are keyed per user and remain their own family.
 fn strategy_family(name: &str) -> String {
     for prefix in ["P_", "Sh_"] {
         if let Some(rest) = name.strip_prefix(prefix) {
@@ -384,9 +382,9 @@ fn strategy_family(name: &str) -> String {
 }
 
 /// Load a multi-strategy checkpoint into an already-constructed strategy of
-/// the same shape (same kind, graph and subscriptions — the executor and its
-/// shard count may differ: `S_X` and `Sh_X(n)` share one
-/// restore-compatibility family). Cross-checks the
+/// the same shape (same kind, graph and subscriptions; see
+/// `strategy_family` for the older names that restore into `S_X`).
+/// Cross-checks the
 /// manifest's strategy family and `posts_processed` against the target.
 ///
 /// On error the strategy's state is unspecified and it must be rebuilt or
@@ -732,42 +730,23 @@ pub fn restore_latest_valid(
 /// A failed attempt may leave `multi` partially written, but a subsequent
 /// successful attempt overwrites every engine's state wholesale, so the
 /// returned state is always exactly the restored checkpoint's.
-///
-/// A sharded target can *itself* fail mid-restore (a worker dies while the
-/// restored engines are redeployed, and self-healing rebuilds them empty,
-/// which trips the cursor cross-check). That is a target-side fault, not
-/// checkpoint corruption, so when the target reports a pending
-/// [`ShardFailure`](crate::multi::ShardFailure) the same generation is
-/// retried — taking the failure heals the runtime — instead of being
-/// skipped for an older one.
 pub fn restore_latest_valid_multi<M: MultiDiversifier + ?Sized>(
     dir: &Path,
     multi: &mut M,
 ) -> Result<(Manifest, Vec<SkippedGeneration>), RestoreError> {
-    const MAX_TARGET_RETRIES: usize = 64;
     let mut skipped = Vec::new();
     for (generation, path) in list_generations(dir)?.into_iter().rev() {
         let file = path.join(CHECKPOINT_FILE);
-        let mut retries = 0;
-        loop {
-            let attempt = fs::read(&file)
-                .map_err(SnapshotError::Io)
-                .and_then(|bytes| restore_multi_from_slice(&bytes, multi));
-            match attempt {
-                Ok(manifest) => return Ok((manifest, skipped)),
-                Err(error) => {
-                    if multi.take_shard_failure().is_some() && retries < MAX_TARGET_RETRIES {
-                        retries += 1;
-                        continue;
-                    }
-                    skipped.push(SkippedGeneration {
-                        generation,
-                        path: file,
-                        error,
-                    });
-                    break;
-                }
-            }
+        let attempt = fs::read(&file)
+            .map_err(SnapshotError::Io)
+            .and_then(|bytes| restore_multi_from_slice(&bytes, multi));
+        match attempt {
+            Ok(manifest) => return Ok((manifest, skipped)),
+            Err(error) => skipped.push(SkippedGeneration {
+                generation,
+                path: file,
+                error,
+            }),
         }
     }
     Err(RestoreError::NoValidCheckpoint { skipped })
@@ -1061,61 +1040,5 @@ mod tests {
             strategy_family("Sh_UniBin(2)"),
             strategy_family("S_CliqueBin")
         );
-    }
-
-    /// The executor compatibility matrix: a checkpoint taken by the shared
-    /// strategy under either executor restores into the other, at any
-    /// shard count, and continues byte-identically.
-    #[test]
-    fn multi_checkpoint_crosses_runner_families() {
-        let g = UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]);
-        let subs = Subscriptions::new(6, vec![vec![0, 1, 3, 5], vec![0, 1, 3, 4, 5]]).unwrap();
-        let stream: Vec<Post> = (0..60u64)
-            .map(|i| {
-                Post::new(
-                    i,
-                    (i % 6) as u32,
-                    i * 5_000,
-                    format!("content group {}", i % 9),
-                )
-            })
-            .collect();
-        let on_shards = |kind, shards| {
-            SharedMulti::builder(kind, config(), &g, subs.clone())
-                .shards(shards)
-                .build()
-                .unwrap()
-        };
-        let mut sharded = on_shards(AlgorithmKind::UniBin, 4);
-        for p in &stream[..30] {
-            sharded.offer(p);
-        }
-        let buf = checkpoint_multi_to_vec(&sharded, 1).unwrap();
-        let expected: Vec<_> = stream[30..].iter().map(|p| sharded.offer(p)).collect();
-
-        // Sharded(4) checkpoint → sequential SharedMulti.
-        let mut seq = SharedMulti::new(AlgorithmKind::UniBin, config(), &g, subs.clone());
-        let manifest = restore_multi_from_slice(&buf, &mut seq).unwrap();
-        assert_eq!(manifest.name, "Sh_UniBin(4)");
-        let got: Vec<_> = stream[30..].iter().map(|p| seq.offer(p)).collect();
-        assert_eq!(got, expected);
-
-        // Sequential checkpoint → sharded(2).
-        let mut seq2 = SharedMulti::new(AlgorithmKind::UniBin, config(), &g, subs.clone());
-        for p in &stream[..30] {
-            seq2.offer(p);
-        }
-        let seq_buf = checkpoint_multi_to_vec(&seq2, 1).unwrap();
-        let mut sharded2 = on_shards(AlgorithmKind::UniBin, 2);
-        restore_multi_from_slice(&seq_buf, &mut sharded2).unwrap();
-        let got: Vec<_> = stream[30..].iter().map(|p| sharded2.offer(p)).collect();
-        assert_eq!(got, expected);
-
-        // A different kind is still rejected across families.
-        let mut wrong = on_shards(AlgorithmKind::CliqueBin, 2);
-        assert!(matches!(
-            restore_multi_from_slice(&buf, &mut wrong),
-            Err(SnapshotError::StructureMismatch(_))
-        ));
     }
 }

@@ -29,9 +29,7 @@
 //!
 //! [`multi`] scales the model to a whole service: `M_*` engines process each
 //! user independently, `S_*` engines share one engine per distinct connected
-//! component of the users' author-similarity subgraphs (Section 5), and
-//! `Sh_*` runs those same component engines on persistent shard workers (an
-//! extension, see `DESIGN.md` §10).
+//! component of the users' author-similarity subgraphs (Section 5).
 //!
 //! # Modules
 //!
@@ -118,5 +116,5 @@ pub use obs::{export_engine_metrics, export_guard_stats, export_kernel_info, exp
 pub use quality::{evaluate, DeltaBounds, GateVerdict, MetricDelta, QualityGate, QualityReport};
 pub use service::{
     ChurnOp, FirehoseService, OverloadConfig, OverloadPolicy, OverloadStats, RateLimitConfig,
-    ResilienceStats, ServiceError, StrategyKind,
+    ServiceError, StrategyKind,
 };

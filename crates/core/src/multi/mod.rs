@@ -14,9 +14,6 @@
 //!   them all.
 //!
 //! Both produce identical per-user streams (tested in `tests/`).
-//! [`SharedBuilder::shards`] moves `SharedMulti`'s component engines onto
-//! persistent worker threads (`Sh_*`, an extension beyond the paper) without
-//! changing a single decision.
 //!
 //! Both strategies support **live churn** —
 //! [`subscribe`](MultiDiversifier::subscribe),
@@ -27,9 +24,7 @@
 //! `registry` instead of rebuilding every engine (see `DESIGN.md` §9).
 
 mod independent;
-pub(crate) mod registry;
-mod ring;
-mod sharded;
+mod registry;
 mod shared;
 mod subscriptions;
 
@@ -55,8 +50,6 @@ pub struct MultiDecision {
 /// Errors constructing a multi-user strategy through its builder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
-    /// [`SharedBuilder::shards`] needs at least one worker thread.
-    ZeroThreads,
     /// `IndependentMulti` per-user configs must match the user count.
     ConfigCountMismatch {
         /// Number of configs supplied.
@@ -71,7 +64,6 @@ pub enum BuildError {
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::ZeroThreads => write!(f, "at least one shard worker thread required"),
             Self::ConfigCountMismatch { configs, users } => {
                 write!(f, "{configs} per-user configs for {users} users")
             }
@@ -158,28 +150,6 @@ impl ChurnStats {
     }
 }
 
-/// What a supervised strategy lost (and already repaired) when one of its
-/// shard workers died. Returned by
-/// [`MultiDiversifier::take_shard_failure`]: by the time a caller sees
-/// this, the dead worker has been respawned and its engines rebuilt fresh
-/// — the report exists so a facade with a checkpoint can *also* restore
-/// the lost window state and replay the lost posts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardFailure {
-    /// The first shard observed dead in this failure episode.
-    pub shard: usize,
-    /// Total worker restarts over the strategy's lifetime (monotonic).
-    pub restarts: u64,
-    /// Offer/sweep requests that were in flight to dead workers and whose
-    /// responses never arrived, for this episode.
-    pub lost_offers: u64,
-    /// Posts whose decisions were abandoned mid-flight in this episode.
-    pub lost_posts: u64,
-    /// Engines that were deployed to dead workers and had to be rebuilt
-    /// empty (their window contents are gone until a checkpoint restore).
-    pub lost_engines: u64,
-}
-
 /// A multi-user real-time diversifier with live subscription churn.
 pub trait MultiDiversifier {
     /// Offer an arriving post; returns which users receive it. Users not
@@ -191,13 +161,6 @@ pub trait MultiDiversifier {
     /// post on the hot path. The default delegates to `offer`.
     fn offer_into(&mut self, post: &Post, out: &mut MultiDecision) {
         *out = self.offer(post);
-    }
-
-    /// Offer a whole time-ordered batch. The default maps
-    /// [`offer`](Self::offer); [`SharedMulti`] on shards overrides it to
-    /// keep a window of posts in flight across its workers.
-    fn offer_batch(&mut self, posts: &[Post]) -> Vec<MultiDecision> {
-        posts.iter().map(|p| self.offer(p)).collect()
     }
 
     /// Add a follow edge for an existing user, incrementally merging the
@@ -233,11 +196,8 @@ pub trait MultiDiversifier {
         self.metrics().memory_bytes()
     }
 
-    /// Aggregated approximate-backend counters across all internal engines.
-    /// `None` when engines run exact — and for `Sh_*` while its engines are
-    /// deployed, since shards do not ship per-engine probe counters across
-    /// their rings; the `firehose_memory_mode` gauge still reports the
-    /// configured mode there.
+    /// Aggregated approximate-backend counters across all internal engines;
+    /// `None` when engines run exact.
     fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
         None
     }
@@ -258,21 +218,6 @@ pub trait MultiDiversifier {
     /// automatically. On error the state is unspecified and the strategy
     /// must be rebuilt before use.
     fn load_state(&mut self, r: &mut dyn std::io::Read) -> Result<(), SnapshotError>;
-
-    /// Take the pending [`ShardFailure`] report, if the strategy supervises
-    /// worker threads and one died since the last call. Non-supervised
-    /// strategies (everything but `Sh_*`) never report one. Calling this
-    /// also completes any deferred recovery, so after `Some(_)` the strategy
-    /// is live again (with rebuilt-empty engines where state was lost).
-    fn take_shard_failure(&mut self) -> Option<ShardFailure> {
-        None
-    }
-
-    /// Record that the ingest guard quarantined a post by `author` before it
-    /// reached this strategy. Sharded strategies attribute the count to the
-    /// shard that would have owned the post, so a flash-crowd hitting one
-    /// shard is visible per shard; the default is a no-op.
-    fn note_quarantined(&mut self, _author: AuthorId) {}
 }
 
 /// Magic prefix of the FHSNAP04 multi-strategy state layout. The legacy

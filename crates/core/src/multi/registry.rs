@@ -1,5 +1,5 @@
 //! Refcounted component registry: the live-churn core of the shared
-//! strategy (`S_*` / `Sh_*`), see `DESIGN.md` §9.
+//! strategy (`S_*`), see `DESIGN.md` §9.
 //!
 //! The registry owns one [`CompactEngine`] per **distinct** connected
 //! component of some user's subscription subgraph, refcounted by the users
@@ -43,77 +43,13 @@ use crate::multi::{
 };
 use crate::snapshot::SnapshotError;
 
-/// Exact change of one engine's [`EngineMetrics`] across an operation. The
-/// monotone counters are wrapping differences; `copies` is signed because
-/// sweeps evict.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Delta {
-    posts_processed: u64,
-    posts_emitted: u64,
-    comparisons: u64,
-    insertions: u64,
-    evictions: u64,
-    pub(crate) copies: i64,
-}
-
-impl Delta {
-    /// Run `f` on `engine`; returns its result and the change it made to
-    /// the engine's counters.
-    pub(crate) fn of<R>(
-        engine: &mut CompactEngine,
-        f: impl FnOnce(&mut CompactEngine) -> R,
-    ) -> (R, Self) {
-        let before = *engine.metrics();
-        let result = f(engine);
-        let after = engine.metrics();
-        let delta = Self {
-            posts_processed: after.posts_processed.wrapping_sub(before.posts_processed),
-            posts_emitted: after.posts_emitted.wrapping_sub(before.posts_emitted),
-            comparisons: after.comparisons.wrapping_sub(before.comparisons),
-            insertions: after.insertions.wrapping_sub(before.insertions),
-            evictions: after.evictions.wrapping_sub(before.evictions),
-            copies: after.copies_stored as i64 - before.copies_stored as i64,
-        };
-        (result, delta)
-    }
-
-    pub(crate) fn add(&mut self, other: &Delta) {
-        self.posts_processed += other.posts_processed;
-        self.posts_emitted += other.posts_emitted;
-        self.comparisons += other.comparisons;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-        self.copies += other.copies;
-    }
-
-    /// Advance a running counter total by this change (peaks untouched).
-    pub(crate) fn apply_to(&self, total: &mut EngineMetrics) {
-        total.posts_processed += self.posts_processed;
-        total.posts_emitted += self.posts_emitted;
-        total.comparisons += self.comparisons;
-        total.insertions += self.insertions;
-        total.evictions += self.evictions;
-        total.copies_stored = total.copies_stored.saturating_add_signed(self.copies);
-    }
-}
-
-/// The per-engine step of an offer, shared by both executors: consult one
-/// component engine and report whether it emitted plus the exact counter
-/// change. An engine that does not own the record's author (the routing
-/// table and the engine disagree) answers "not emitted" with a zero delta
-/// rather than taking down the stream.
-pub(crate) fn offer_engine(engine: &mut CompactEngine, record: PostRecord) -> (bool, Delta) {
-    Delta::of(engine, |e| e.offer(record).is_some_and(|v| v.is_emitted()))
-}
-
-/// A live component's bookkeeping, kept apart from its engine so routing
-/// data (`members`, `users`) stays readable while the engine is deployed on
-/// a shard worker.
-pub(crate) struct ComponentMeta {
+/// One live distinct component: its identity, its users and its engine.
+struct Component {
     /// Sorted member authors — the component's identity.
-    pub(crate) members: Vec<AuthorId>,
+    members: Vec<AuthorId>,
     /// Sorted users whose decomposition contains this exact component.
-    pub(crate) users: Vec<UserId>,
+    users: Vec<UserId>,
+    engine: CompactEngine,
 }
 
 /// Refcounted registry of distinct-component engines. Slot ids are stable
@@ -122,29 +58,27 @@ pub(crate) struct ComponentMeta {
 pub(crate) struct ComponentRegistry {
     kind: AlgorithmKind,
     config: EngineConfig,
-    pub(crate) graph: Arc<UndirectedGraph>,
+    graph: Arc<UndirectedGraph>,
     pub(crate) subscriptions: Subscriptions,
-    /// Slot id → component bookkeeping (`None` = free slot).
-    pub(crate) meta: Vec<Option<ComponentMeta>>,
-    /// Slot id → engine, parallel to `meta`.
-    pub(crate) engines: Vec<Option<CompactEngine>>,
+    /// Slot id → live component (`None` = free slot).
+    slots: Vec<Option<Component>>,
     /// Recycled slot ids.
     free: Vec<u32>,
     /// Sorted member list → slot id.
     key_to_id: HashMap<Vec<AuthorId>, u32>,
     /// Author → slots of the distinct components containing it.
-    pub(crate) author_components: Vec<Vec<u32>>,
+    author_components: Vec<Vec<u32>>,
     /// User → slots of the user's decomposition.
     user_components: Vec<Vec<u32>>,
     /// Warm-start newly spawned engines from their predecessors' windows.
     warm_start: bool,
     pub(crate) churn: ChurnStats,
     /// Stream time of the last global eviction sweep.
-    pub(crate) last_sweep: Timestamp,
+    last_sweep: Timestamp,
     /// Record copies currently stored across all live engines.
     pub(crate) live_copies: u64,
     /// Peak of `live_copies` — the true simultaneous footprint.
-    pub(crate) peak_live_copies: u64,
+    peak_live_copies: u64,
 }
 
 impl ComponentRegistry {
@@ -166,8 +100,7 @@ impl ComponentRegistry {
             user_components: vec![Vec::new(); subscriptions.user_count()],
             graph,
             subscriptions,
-            meta: Vec::new(),
-            engines: Vec::new(),
+            slots: Vec::new(),
             free: Vec::new(),
             key_to_id: HashMap::new(),
             warm_start,
@@ -191,23 +124,9 @@ impl ComponentRegistry {
         self.kind
     }
 
-    pub(crate) fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Number of live component engines.
     pub(crate) fn component_count(&self) -> usize {
-        self.meta.iter().flatten().count()
-    }
-
-    /// Author count of the largest live component.
-    pub(crate) fn largest_component_size(&self) -> usize {
-        self.meta
-            .iter()
-            .flatten()
-            .map(|m| m.members.len())
-            .max()
-            .unwrap_or(0)
+        self.slots.iter().flatten().count()
     }
 
     /// Attach `u` to the component `members`, spawning its engine if no user
@@ -234,23 +153,19 @@ impl ComponentRegistry {
                 }
                 self.live_copies += engine.metrics().copies_stored;
                 self.peak_live_copies = self.peak_live_copies.max(self.live_copies);
+                let slot = Some(Component {
+                    members: members.clone(),
+                    users: Vec::new(),
+                    engine,
+                });
                 let cid = match self.free.pop() {
                     Some(cid) => {
-                        self.meta[cid as usize] = Some(ComponentMeta {
-                            members: members.clone(),
-                            users: Vec::new(),
-                        });
-                        self.engines[cid as usize] = Some(engine);
+                        self.slots[cid as usize] = slot;
                         cid
                     }
                     None => {
-                        let cid = self.meta.len() as u32;
-                        self.meta.push(Some(ComponentMeta {
-                            members: members.clone(),
-                            users: Vec::new(),
-                        }));
-                        self.engines.push(Some(engine));
-                        cid
+                        self.slots.push(slot);
+                        (self.slots.len() - 1) as u32
                     }
                 };
                 for &a in &members {
@@ -265,9 +180,9 @@ impl ComponentRegistry {
                 cid
             }
         };
-        let meta = self.meta[cid as usize].as_mut().expect("live slot");
-        if let Err(pos) = meta.users.binary_search(&u) {
-            meta.users.insert(pos, u);
+        let comp = self.slots[cid as usize].as_mut().expect("live slot");
+        if let Err(pos) = comp.users.binary_search(&u) {
+            comp.users.insert(pos, u);
             self.user_components[u as usize].push(cid);
         }
     }
@@ -276,16 +191,15 @@ impl ComponentRegistry {
     /// user.
     fn release(&mut self, u: UserId, cid: u32) {
         self.user_components[u as usize].retain(|&c| c != cid);
-        let meta = self.meta[cid as usize].as_mut().expect("live slot");
-        meta.users.retain(|&x| x != u);
-        if meta.users.is_empty() {
-            let meta = self.meta[cid as usize].take().expect("live slot");
-            let engine = self.engines[cid as usize].take().expect("live slot");
+        let comp = self.slots[cid as usize].as_mut().expect("live slot");
+        comp.users.retain(|&x| x != u);
+        if comp.users.is_empty() {
+            let comp = self.slots[cid as usize].take().expect("live slot");
             self.live_copies = self
                 .live_copies
-                .saturating_sub(engine.metrics().copies_stored);
-            self.key_to_id.remove(&meta.members);
-            for &a in &meta.members {
+                .saturating_sub(comp.engine.metrics().copies_stored);
+            self.key_to_id.remove(&comp.members);
+            for &a in &comp.members {
                 self.author_components[a as usize].retain(|&c| c != cid);
             }
             self.free.push(cid);
@@ -299,8 +213,8 @@ impl ComponentRegistry {
     fn collect_seeds(&self, released: &[u32]) -> Vec<PostRecord> {
         let mut seeds = Vec::new();
         for &cid in released {
-            if let Some(engine) = &self.engines[cid as usize] {
-                engine.window_records_into(&mut seeds);
+            if let Some(comp) = &self.slots[cid as usize] {
+                comp.engine.window_records_into(&mut seeds);
             }
         }
         order_window_records(&mut seeds);
@@ -357,7 +271,10 @@ impl ComponentRegistry {
             .iter()
             .copied()
             .filter(|&cid| {
-                let members = &self.meta[cid as usize].as_ref().expect("live slot").members;
+                let members = &self.slots[cid as usize]
+                    .as_ref()
+                    .expect("live slot")
+                    .members;
                 merged.binary_search(&members[0]).is_ok()
             })
             .collect();
@@ -379,7 +296,7 @@ impl ComponentRegistry {
             .iter()
             .copied()
             .find(|&cid| {
-                self.meta[cid as usize]
+                self.slots[cid as usize]
                     .as_ref()
                     .expect("live slot")
                     .members
@@ -387,7 +304,7 @@ impl ComponentRegistry {
                     .is_ok()
             })
             .expect("subscribed author must be in one of the user's components");
-        let remaining: Vec<AuthorId> = self.meta[cid as usize]
+        let remaining: Vec<AuthorId> = self.slots[cid as usize]
             .as_ref()
             .expect("live slot")
             .members
@@ -422,13 +339,13 @@ impl ComponentRegistry {
         Ok(())
     }
 
-    /// The sequential per-post loop (Section 5): sweep if due, fingerprint
-    /// once, consult the engine of every component owning the author, and
-    /// fan each emitting component out to its users. Returns whether a
-    /// sweep ran.
+    /// The per-post loop (Section 5): sweep if due, fingerprint once,
+    /// consult the engine of every component owning the author, and fan each
+    /// emitting component out to its users. Returns whether a sweep ran.
     pub(crate) fn offer(&mut self, post: &Post, out: &mut MultiDecision) -> bool {
         out.delivered_to.clear();
-        let swept = self.sweep_due(post.timestamp);
+        let sweep_every = (self.config.thresholds.lambda_t / 2).max(1);
+        let swept = post.timestamp.saturating_sub(self.last_sweep) >= sweep_every;
         if swept {
             self.sweep(post.timestamp);
         }
@@ -437,96 +354,45 @@ impl ComponentRegistry {
         // Each component runs once. A user has at most one component
         // containing this author, so the fan-outs are disjoint.
         for &cid in &self.author_components[post.author as usize] {
-            let Some(engine) = self.engines[cid as usize].as_mut() else {
+            let Some(comp) = self.slots[cid as usize].as_mut() else {
                 continue;
             };
-            let (emitted, delta) = offer_engine(engine, record);
-            delta_copies += delta.copies;
+            let before = comp.engine.metrics().copies_stored;
+            // An engine that does not own the record's author answers
+            // `None`: "not emitted" rather than taking down the stream.
+            let emitted = comp.engine.offer(record).is_some_and(|v| v.is_emitted());
+            delta_copies += comp.engine.metrics().copies_stored as i64 - before as i64;
             if emitted {
-                self.deliver(cid, out);
+                out.delivered_to.extend_from_slice(&comp.users);
             }
         }
-        self.close_post(delta_copies, out);
-        swept
-    }
-
-    /// Whether the periodic global eviction sweep (every `λt/2` of stream
-    /// time) is due before a post at `now`.
-    pub(crate) fn sweep_due(&self, now: Timestamp) -> bool {
-        let sweep_every = (self.config.thresholds.lambda_t / 2).max(1);
-        now.saturating_sub(self.last_sweep) >= sweep_every
-    }
-
-    /// Append the users of emitting component `cid` to `out`.
-    pub(crate) fn deliver(&self, cid: u32, out: &mut MultiDecision) {
-        if let Some(meta) = &self.meta[cid as usize] {
-            out.delivered_to.extend_from_slice(&meta.users);
-        }
-    }
-
-    /// Finish one post, in post order: fold its net copies change into the
-    /// live/peak ledger and put the delivery list in ascending user order.
-    pub(crate) fn close_post(&mut self, delta_copies: i64, out: &mut MultiDecision) {
         self.live_copies = self.live_copies.saturating_add_signed(delta_copies);
         self.peak_live_copies = self.peak_live_copies.max(self.live_copies);
         out.delivered_to.sort_unstable();
         debug_assert!(out.delivered_to.windows(2).all(|w| w[0] != w[1]));
+        swept
     }
 
     /// Evict expired records from every live engine and recompute the
     /// authoritative live-copy count.
-    pub(crate) fn sweep(&mut self, now: Timestamp) {
+    fn sweep(&mut self, now: Timestamp) {
         self.last_sweep = now;
         let mut live = 0;
-        for engine in self.engines.iter_mut().flatten() {
-            engine.evict_expired(now);
-            live += engine.metrics().copies_stored;
+        for comp in self.slots.iter_mut().flatten() {
+            comp.engine.evict_expired(now);
+            live += comp.engine.metrics().copies_stored;
         }
         self.live_copies = live;
         self.peak_live_copies = self.peak_live_copies.max(self.live_copies);
-    }
-
-    /// Rebuild a fresh, empty engine for every live component whose engine
-    /// slot is empty — the engines a dead shard worker took with it. The
-    /// lost windows' contents are gone — a facade holding a checkpoint
-    /// restores them via `load_state`; without one the engines warm back up
-    /// from the live stream (graceful degradation). Returns how many were
-    /// rebuilt.
-    pub(crate) fn rebuild_missing_engines(&mut self) -> u64 {
-        let mut rebuilt = 0u64;
-        for (meta, slot) in self.meta.iter().zip(self.engines.iter_mut()) {
-            if let (Some(meta), None) = (meta, &slot) {
-                *slot = Some(CompactEngine::build(
-                    self.kind,
-                    self.config,
-                    &self.graph,
-                    &meta.members,
-                ));
-                rebuilt += 1;
-            }
-        }
-        if rebuilt > 0 {
-            // The sequential live-copies ledger counted the lost windows;
-            // re-anchor it to what actually survived. The peak watermark
-            // keeps its history.
-            self.live_copies = self.metrics_total().copies_stored;
-        }
-        rebuilt
     }
 
     /// Aggregated counters across all live engines, with the summed
     /// per-engine peaks replaced by the tracked simultaneous peak.
     pub(crate) fn metrics_total(&self) -> EngineMetrics {
         let mut total = EngineMetrics::default();
-        for e in self.engines.iter().flatten() {
-            total.merge(e.metrics());
+        for comp in self.slots.iter().flatten() {
+            total.merge(comp.engine.metrics());
         }
-        self.with_live_peak(total)
-    }
-
-    /// Replace the peaks of a summed counter total by the tracked
-    /// simultaneous peak.
-    pub(crate) fn with_live_peak(&self, mut total: EngineMetrics) -> EngineMetrics {
         total.peak_copies = self.peak_live_copies.max(total.copies_stored);
         total.peak_memory_bytes = total.peak_copies * PostRecord::SIZE_BYTES as u64;
         total
@@ -537,8 +403,8 @@ impl ComponentRegistry {
     pub(crate) fn approx_stats_total(&self) -> Option<firehose_stream::ApproxStats> {
         let mut acc = firehose_stream::ApproxStats::default();
         let mut any = false;
-        for e in self.engines.iter().flatten() {
-            if let Some(s) = e.approx_stats() {
+        for comp in self.slots.iter().flatten() {
+            if let Some(s) = comp.engine.approx_stats() {
                 acc.merge(&s);
                 any = true;
             }
@@ -550,13 +416,10 @@ impl ComponentRegistry {
     /// member list, independent of slot assignment and churn history.
     pub(crate) fn save_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
         let mut engines: Vec<(u64, Vec<u8>)> = Vec::with_capacity(self.component_count());
-        for (meta, engine) in self.meta.iter().zip(&self.engines) {
-            let (Some(meta), Some(engine)) = (meta, engine) else {
-                continue;
-            };
+        for comp in self.slots.iter().flatten() {
             let mut blob = Vec::new();
-            engine.save_state(&mut blob)?;
-            engines.push((component_key(&meta.members), blob));
+            comp.engine.save_state(&mut blob)?;
+            engines.push((component_key(&comp.members), blob));
         }
         write_multi_state(
             w,
@@ -576,8 +439,12 @@ impl ComponentRegistry {
     pub(crate) fn load_state(&mut self, r: &mut dyn std::io::Read) -> Result<(), SnapshotError> {
         match read_multi_state(r)? {
             MultiState::Legacy(blobs, ledger) => {
-                let mut engines: Vec<&mut CompactEngine> =
-                    self.engines.iter_mut().flatten().collect();
+                let mut engines: Vec<&mut CompactEngine> = self
+                    .slots
+                    .iter_mut()
+                    .flatten()
+                    .map(|comp| &mut comp.engine)
+                    .collect();
                 if blobs.len() != engines.len() {
                     return Err(SnapshotError::StructureMismatch(
                         "legacy engine count does not match decomposition",
@@ -598,14 +465,11 @@ impl ComponentRegistry {
                     self.warm_start,
                 );
                 let mut blobs = state.engines;
-                for (meta, engine) in fresh.meta.iter().zip(fresh.engines.iter_mut()) {
-                    let (Some(meta), Some(engine)) = (meta, engine) else {
-                        continue;
-                    };
-                    let blob = blobs.remove(&component_key(&meta.members)).ok_or(
+                for comp in fresh.slots.iter_mut().flatten() {
+                    let blob = blobs.remove(&component_key(&comp.members)).ok_or(
                         SnapshotError::StructureMismatch("missing engine state for a component"),
                     )?;
-                    load_engine_blob(engine, &blob)?;
+                    load_engine_blob(&mut comp.engine, &blob)?;
                 }
                 if !blobs.is_empty() {
                     return Err(SnapshotError::StructureMismatch(
@@ -701,7 +565,7 @@ mod tests {
         assert_eq!(reg.churn.engines_retired, 1);
         // Both users now share {3,4}.
         let cid = reg.key_to_id[&vec![3u32, 4]];
-        assert_eq!(reg.meta[cid as usize].as_ref().unwrap().users, vec![0, 1]);
+        assert_eq!(reg.slots[cid as usize].as_ref().unwrap().users, vec![0, 1]);
     }
 
     #[test]
@@ -728,7 +592,7 @@ mod tests {
         let u = reg.add_user(&[4]).unwrap();
         assert_eq!(u, 2);
         assert_eq!(reg.component_count(), 3);
-        assert!(freed.iter().any(|&c| reg.meta[c as usize].is_some()));
+        assert!(freed.iter().any(|&c| reg.slots[c as usize].is_some()));
     }
 
     #[test]

@@ -13,26 +13,22 @@
 //!
 //! The decomposition lives in a refcounted `ComponentRegistry` and is
 //! maintained *incrementally* under subscription churn — see `DESIGN.md` §9.
-//!
-//! [`SharedMulti`] is the one driver of that registry. *Where* the engines
-//! run is an executor choice, not a strategy: inline on the calling thread
-//! (`S_*`), or on persistent shard workers (`Sh_*`, the `sharded` module;
-//! see `DESIGN.md` §10).
+//! [`SharedMulti`] drives that registry on the calling thread, one post at a
+//! time (`DESIGN.md` §10).
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use firehose_graph::{UndirectedGraph, UnionFind};
-use firehose_stream::{AuthorId, Post, ShardFaultPlan};
+use firehose_stream::{AuthorId, Post};
 
 use crate::config::EngineConfig;
 use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::registry::ComponentRegistry;
-use crate::multi::sharded::ShardPool;
 use crate::multi::subscriptions::{SubscriptionError, Subscriptions, UserId};
-use crate::multi::{BuildError, ChurnStats, MultiDecision, MultiDiversifier, ShardFailure};
+use crate::multi::{ChurnStats, MultiDecision, MultiDiversifier};
 use crate::obs::MultiObs;
 
 /// Decompose a user's (sorted) subscription set into connected components of
@@ -71,9 +67,6 @@ pub struct SharedBuilder<'g> {
     graph: &'g UndirectedGraph,
     subscriptions: Subscriptions,
     warm_start: bool,
-    shards: Option<usize>,
-    watchdog: Option<Duration>,
-    chaos: ShardFaultPlan,
 }
 
 impl SharedBuilder<'_> {
@@ -85,105 +78,43 @@ impl SharedBuilder<'_> {
         self
     }
 
-    /// Run the component engines on `shards` persistent worker threads
-    /// (`Sh_*`) instead of inline on the calling thread (`S_*`, the
-    /// default). Decisions, counters and checkpoint bytes are identical
-    /// either way. Must be at least 1.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// Stall-watchdog deadline for shard workers: when a shard owes
-    /// responses and its heartbeat does not advance for this long, the
-    /// worker is declared stalled, abandoned, and respawned. Unset (the
-    /// default) disables stall detection; panics are always supervised.
-    /// Ignored without [`shards`](Self::shards).
-    pub(crate) fn watchdog(mut self, deadline: Duration) -> Self {
-        self.watchdog = Some(deadline);
-        self
-    }
-
-    /// Schedule deterministic thread-level chaos faults (seeded worker
-    /// panics and stalls) for resilience testing. Each worker lifetime
-    /// consumes at most one scheduled fault at spawn; once a shard's queue
-    /// drains, its workers run clean. Stall faults need
-    /// [`watchdog`](Self::watchdog) set, or the control thread waits
-    /// forever. Ignored without [`shards`](Self::shards).
-    pub(crate) fn chaos(mut self, plan: ShardFaultPlan) -> Self {
-        self.chaos = plan;
-        self
-    }
-
-    /// Build the component decomposition and the per-component engines;
-    /// with [`shards`](Self::shards), also spawn the workers and deploy the
-    /// engines to them.
-    pub fn build(self) -> Result<SharedMulti, BuildError> {
-        if self.shards == Some(0) {
-            return Err(BuildError::ZeroThreads);
-        }
-        let mut registry = ComponentRegistry::new(
+    /// Build the component decomposition and the per-component engines.
+    pub fn build(self) -> SharedMulti {
+        let registry = ComponentRegistry::new(
             self.kind,
             self.config,
             Arc::new(self.graph.clone()),
             self.subscriptions,
             self.warm_start,
         );
-        let exec = match self.shards {
-            None => Executor::Inline,
-            Some(shards) => Executor::Shards(Box::new(ShardPool::spawn(
-                shards,
-                self.watchdog,
-                self.chaos,
-                &mut registry,
-            ))),
-        };
-        Ok(SharedMulti {
+        SharedMulti {
             registry,
-            exec,
             obs: None,
-        })
+        }
     }
 }
 
-/// Where the component engines run. Components never share engines (the
-/// paper's Section 5 independence argument), so this is an execution
-/// detail: both executors drive the same registry and produce identical
-/// decisions, counters and checkpoint bytes.
-pub(super) enum Executor {
-    /// On the calling thread; the engines stay in their registry slots.
-    Inline,
-    /// On persistent shard workers; the engines are deployed to the pool
-    /// between churn operations.
-    Shards(Box<ShardPool>),
-}
-
-/// The shared-component multi-user engine: `S_UniBin` etc. inline,
-/// `Sh_UniBin(4)` etc. on shard workers.
+/// The shared-component multi-user engine: `S_UniBin`, `S_NeighborBin`,
+/// `S_CliqueBin`.
 pub struct SharedMulti {
-    /// Routing, metadata, subscriptions, churn ledger — always
-    /// authoritative. The engine slots are empty while deployed to shards.
+    /// Engines, routing, subscriptions and churn ledger.
     registry: ComponentRegistry,
-    pub(super) exec: Executor,
     /// Strategy-level instruments, when attached.
     obs: Option<MultiObs>,
 }
 
 impl SharedMulti {
-    /// Build the component decomposition and the per-component engines,
-    /// running inline.
+    /// Build the component decomposition and the per-component engines.
     pub fn new(
         kind: AlgorithmKind,
         config: EngineConfig,
         graph: &UndirectedGraph,
         subscriptions: Subscriptions,
     ) -> Self {
-        Self::builder(kind, config, graph, subscriptions)
-            .build()
-            .expect("default build cannot fail")
+        Self::builder(kind, config, graph, subscriptions).build()
     }
 
-    /// Start building an `S_*` / `Sh_*` strategy; see [`SharedBuilder`].
+    /// Start building an `S_*` strategy; see [`SharedBuilder`].
     pub fn builder(
         kind: AlgorithmKind,
         config: EngineConfig,
@@ -196,45 +127,19 @@ impl SharedMulti {
             graph,
             subscriptions,
             warm_start: true,
-            shards: None,
-            watchdog: None,
-            chaos: ShardFaultPlan::none(),
         }
     }
 
     /// Attach strategy-level instruments (offer-latency histogram, sweep
     /// counter, live-copies gauge) labelled `{strategy="<name>"}` to
-    /// `registry`, plus the per-shard `firehose_sharded_*` /
-    /// `firehose_shard_*` instruments when running on shards.
+    /// `registry`.
     pub(crate) fn attach_obs(&mut self, registry: &firehose_obs::Registry) {
-        let name = MultiDiversifier::name(self);
-        let obs = MultiObs::register(registry, &name);
-        if let Executor::Shards(pool) = &mut self.exec {
-            pool.attach_obs(registry, &name, &self.registry, obs.sweeps.clone());
-        }
-        self.obs = Some(obs);
+        self.obs = Some(MultiObs::register(registry, &MultiDiversifier::name(self)));
     }
 
     /// Number of distinct components (= number of engines).
     pub fn component_count(&self) -> usize {
         self.registry.component_count()
-    }
-
-    /// Author count of the largest single component — the parallelism
-    /// ceiling: a component cannot be split across shards (its posts cover
-    /// each other), so by Amdahl's law the speedup is bounded by the largest
-    /// component's share of the total work.
-    pub fn largest_component_size(&self) -> usize {
-        self.registry.largest_component_size()
-    }
-
-    /// Run a churn operation against the registry; the shard executor
-    /// recalls its engines first and redeploys the survivors after.
-    fn churn<R>(&mut self, op: impl FnOnce(&mut ComponentRegistry) -> R) -> R {
-        match &mut self.exec {
-            Executor::Inline => op(&mut self.registry),
-            Executor::Shards(pool) => pool.with_parked(&mut self.registry, op),
-        }
     }
 }
 
@@ -247,51 +152,30 @@ impl MultiDiversifier for SharedMulti {
 
     fn offer_into(&mut self, post: &Post, out: &mut MultiDecision) {
         let started = self.obs.is_some().then(Instant::now);
-        match &mut self.exec {
-            Executor::Inline => {
-                if self.registry.offer(post, out) {
-                    if let Some(obs) = &self.obs {
-                        obs.sweeps.inc();
-                    }
-                }
-            }
-            Executor::Shards(pool) => pool.offer_into(&mut self.registry, post, out),
-        }
+        let swept = self.registry.offer(post, out);
         if let (Some(t0), Some(obs)) = (started, &self.obs) {
+            if swept {
+                obs.sweeps.inc();
+            }
             obs.offer_latency.record_duration(t0.elapsed());
             obs.live_copies.set(self.registry.live_copies as i64);
         }
     }
 
-    /// On shards this is the pipelined throughput path: a bounded window
-    /// of posts stays in flight so fingerprinting, routing, and the shards'
-    /// coverage scans overlap. Decisions, counters, and the sweep schedule
-    /// are identical to offering the posts one at a time.
-    fn offer_batch(&mut self, posts: &[Post]) -> Vec<MultiDecision> {
-        let Executor::Shards(pool) = &mut self.exec else {
-            return posts.iter().map(|p| self.offer(p)).collect();
-        };
-        let decisions = pool.offer_batch(&mut self.registry, posts);
-        if let Some(obs) = &self.obs {
-            obs.live_copies.set(self.registry.live_copies as i64);
-        }
-        decisions
-    }
-
     fn subscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
-        self.churn(|reg| reg.subscribe(user, author))
+        self.registry.subscribe(user, author)
     }
 
     fn unsubscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
-        self.churn(|reg| reg.unsubscribe(user, author))
+        self.registry.unsubscribe(user, author)
     }
 
     fn add_user(&mut self, authors: &[AuthorId]) -> Result<UserId, SubscriptionError> {
-        self.churn(|reg| reg.add_user(authors))
+        self.registry.add_user(authors)
     }
 
     fn remove_user(&mut self, user: UserId) -> Result<(), SubscriptionError> {
-        self.churn(|reg| reg.remove_user(user))
+        self.registry.remove_user(user)
     }
 
     fn churn_stats(&self) -> ChurnStats {
@@ -303,10 +187,7 @@ impl MultiDiversifier for SharedMulti {
     }
 
     fn metrics(&self) -> EngineMetrics {
-        match &self.exec {
-            Executor::Inline => self.registry.metrics_total(),
-            Executor::Shards(pool) => pool.metrics(&self.registry),
-        }
+        self.registry.metrics_total()
     }
 
     fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
@@ -314,43 +195,18 @@ impl MultiDiversifier for SharedMulti {
     }
 
     fn name(&self) -> String {
-        match &self.exec {
-            Executor::Inline => format!("S_{}", self.registry.kind()),
-            Executor::Shards(pool) => format!("Sh_{}({})", self.registry.kind(), pool.shards()),
-        }
+        format!("S_{}", self.registry.kind())
     }
 
-    /// On shards, every worker serializes its engines in parallel and the
-    /// control thread stitches the blobs into the same FHSNAP04 bytes the
-    /// inline executor writes.
     fn save_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        match &self.exec {
-            Executor::Inline => self.registry.save_state(w),
-            Executor::Shards(pool) => pool.save_state(&self.registry, w),
-        }
+        self.registry.save_state(w)
     }
 
     fn load_state(
         &mut self,
         r: &mut dyn std::io::Read,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        match &mut self.exec {
-            Executor::Inline => self.registry.load_state(r),
-            Executor::Shards(pool) => pool.load_state(&mut self.registry, r),
-        }
-    }
-
-    fn take_shard_failure(&mut self) -> Option<ShardFailure> {
-        match &mut self.exec {
-            Executor::Inline => None,
-            Executor::Shards(pool) => pool.take_shard_failure(&mut self.registry),
-        }
-    }
-
-    fn note_quarantined(&mut self, author: AuthorId) {
-        if let Executor::Shards(pool) = &mut self.exec {
-            pool.note_quarantined(&self.registry, author);
-        }
+        self.registry.load_state(r)
     }
 }
 

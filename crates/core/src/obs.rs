@@ -95,74 +95,6 @@ impl MultiObs {
     }
 }
 
-/// Per-shard instruments for [`SharedMulti`](crate::multi::SharedMulti)
-/// running on shard workers.
-#[derive(Clone)]
-pub(crate) struct ShardedObs {
-    /// Requests currently in flight to this shard (ingest-ring depth).
-    pub ring_depth: Gauge,
-    /// Component engines currently deployed on this shard.
-    pub engines: Gauge,
-    /// In-band sweep markers delivered to this shard.
-    pub sweeps: Counter,
-    /// Churn-spawned engines whose warm-start seeds came from a retired
-    /// engine on a different shard.
-    pub re_homes: Counter,
-    /// Times this shard's worker thread was respawned after a panic or a
-    /// watchdog-detected stall.
-    pub restarts: Counter,
-    /// Offer/sweep requests whose responses were lost to a worker death.
-    pub lost_offers: Counter,
-    /// Ingest-guard quarantines attributed to this shard (by the author's
-    /// owning component).
-    pub quarantined: Counter,
-}
-
-impl ShardedObs {
-    /// Create (or look up) the instruments for shard `shard` of `strategy`
-    /// in `registry`.
-    pub(crate) fn register(registry: &Registry, strategy: &str, shard: usize) -> Self {
-        let l = labels(&[("strategy", strategy), ("shard", &shard.to_string())]);
-        Self {
-            ring_depth: registry.gauge(
-                "firehose_sharded_ring_depth",
-                "Requests currently in flight to this shard's ingest ring",
-                l.clone(),
-            ),
-            engines: registry.gauge(
-                "firehose_sharded_engines",
-                "Component engines currently deployed on this shard",
-                l.clone(),
-            ),
-            sweeps: registry.counter(
-                "firehose_sharded_sweeps_total",
-                "In-band eviction sweep markers delivered to this shard",
-                l.clone(),
-            ),
-            re_homes: registry.counter(
-                "firehose_sharded_rehomes_total",
-                "Engines spawned with warm-start seeds from a different shard",
-                l.clone(),
-            ),
-            restarts: registry.counter(
-                "firehose_shard_restarts",
-                "Worker-thread respawns after a panic or watchdog-detected stall",
-                l.clone(),
-            ),
-            lost_offers: registry.counter(
-                "firehose_shard_lost_offers",
-                "Offer/sweep requests whose responses were lost to a worker death",
-                l.clone(),
-            ),
-            quarantined: registry.counter(
-                "firehose_sharded_quarantined_total",
-                "Ingest-guard quarantines attributed to this shard",
-                l,
-            ),
-        }
-    }
-}
-
 /// Export an [`EngineMetrics`] snapshot into `registry` as counters labelled
 /// `{engine="<name>"}`. Called at snapshot time (not per offer), so the hot
 /// path never touches these.

@@ -44,12 +44,9 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead};
 use std::path::PathBuf;
-use std::time::Duration;
 
 use firehose_graph::UndirectedGraph;
-use firehose_stream::{
-    AuthorId, GuardConfig, IngestGuard, Post, QuarantineStats, ShardFaultPlan, Timestamp,
-};
+use firehose_stream::{AuthorId, GuardConfig, IngestGuard, Post, QuarantineStats, Timestamp};
 
 use crate::checkpoint::{
     restore_latest_valid_multi, CheckpointManager, CheckpointPolicy, Manifest, RestoreError,
@@ -58,43 +55,37 @@ use crate::config::{EngineConfig, MemoryMode};
 use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::{
-    BuildError, ChurnStats, IndependentMulti, MultiDecision, MultiDiversifier, ShardFailure,
-    SharedMulti, SubscriptionError, Subscriptions, UserId,
+    BuildError, ChurnStats, IndependentMulti, MultiDecision, MultiDiversifier, SharedMulti,
+    SubscriptionError, Subscriptions, UserId,
 };
-
-/// Consecutive restore+replay attempts before a heal gives up. Each failed
-/// attempt consumes at least one worker fault, so only a continuous crash
-/// storm exhausts this.
-const MAX_HEAL_ATTEMPTS: usize = 64;
 
 // ---------------------------------------------------------------------
 // Strategy selection.
 // ---------------------------------------------------------------------
 
-/// Which M-SPSD strategy the service runs (Section 5's `M_*` / `S_*`, plus
-/// `S_*` on shard workers).
+/// Which M-SPSD strategy the service runs (Section 5's `M_*` / `S_*`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
     /// One engine per user ([`IndependentMulti`], `M_*`).
     Independent,
     /// One engine per distinct connected component ([`SharedMulti`], `S_*`).
     Shared,
-    /// [`SharedMulti`] with its component engines on persistent shard
-    /// workers fed by SPSC ingest rings (`Sh_*`): same decisions, and
-    /// engines stay resident on their shard between posts, so single-post
-    /// `process` calls parallelize too.
+    /// Another spelling of [`Shared`](Self::Shared) that builds exactly what
+    /// `Shared` builds. It stays because the benchmark serves
+    /// `--strategy sharded:N` and builds this variant.
     Sharded {
-        /// Shard worker count (must be ≥ 1).
+        /// Checked to be at least 1 when parsed; otherwise unused.
         shards: usize,
     },
 }
 
 impl std::fmt::Display for StrategyKind {
+    /// The form [`FromStr`](std::str::FromStr) accepts back.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Independent => f.write_str("independent"),
             Self::Shared => f.write_str("shared"),
-            Self::Sharded { shards } => write!(f, "sharded({shards})"),
+            Self::Sharded { shards } => write!(f, "sharded:{shards}"),
         }
     }
 }
@@ -102,7 +93,7 @@ impl std::fmt::Display for StrategyKind {
 impl std::str::FromStr for StrategyKind {
     type Err = String;
 
-    /// `independent` | `shared` | `sharded` | `sharded:N`.
+    /// `independent` | `shared` | `sharded` | `sharded:N` with `N ≥ 1`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let cores = || std::thread::available_parallelism().map_or(4, |n| n.get());
         match s {
@@ -110,14 +101,15 @@ impl std::str::FromStr for StrategyKind {
             "shared" | "s" => Ok(Self::Shared),
             "sharded" | "sh" => Ok(Self::Sharded { shards: cores() }),
             other => {
-                if let Some(n) = other.strip_prefix("sharded:") {
-                    n.parse()
-                        .map(|shards| Self::Sharded { shards })
-                        .map_err(|e| format!("bad shard count in {other:?}: {e}"))
-                } else {
-                    Err(format!(
-                        "unknown strategy {other:?} (want independent|shared|sharded[:N])"
-                    ))
+                let Some(n) = other.strip_prefix("sharded:") else {
+                    return Err(format!(
+                        "unknown --strategy {other:?} (want independent|shared|sharded[:N])"
+                    ));
+                };
+                match n.parse() {
+                    Ok(0) => Err(format!("--strategy {other:?}: N must be at least 1")),
+                    Ok(shards) => Ok(Self::Sharded { shards }),
+                    Err(e) => Err(format!("bad N in --strategy {other:?}: {e}")),
                 }
             }
         }
@@ -265,29 +257,6 @@ impl RateLimiter {
             false
         }
     }
-}
-
-/// Cumulative failure-recovery counters for a supervised service; see
-/// [`FirehoseService::resilience_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilienceStats {
-    /// Shard-worker respawns (the strategy's lifetime total).
-    pub restarts: u64,
-    /// Completed restore+replay recovery episodes.
-    pub recoveries: u64,
-    /// In-flight offer/sweep requests that died with workers.
-    pub lost_offers: u64,
-    /// Posts whose original offers were cut short by a failure (all were
-    /// subsequently replayed when supervision is on).
-    pub lost_posts: u64,
-    /// Posts re-offered from the replay log during recoveries.
-    pub replayed_posts: u64,
-}
-
-/// One entry of the since-last-checkpoint replay log.
-enum ReplayEntry {
-    Post(Post),
-    Churn(ChurnOp),
 }
 
 // ---------------------------------------------------------------------
@@ -438,16 +407,6 @@ pub enum ServiceError {
     /// A checkpoint/restore operation was requested but the service was
     /// built without [`checkpoints`](FirehoseServiceBuilder::checkpoints).
     NoCheckpointDir,
-    /// A shard worker died (panic or watchdog-detected stall) and the
-    /// service could not transparently recover — either it runs without
-    /// checkpoints (nothing to replay from) or the heal loop exhausted
-    /// its retry budget. The worker itself was already respawned.
-    ShardFailed {
-        /// The shard whose worker died first in the episode.
-        shard: usize,
-        /// The strategy's lifetime worker-respawn count.
-        restarts: u64,
-    },
     /// The admission queue is full and the overload policy is
     /// [`OverloadPolicy::Reject`].
     Overloaded {
@@ -463,11 +422,6 @@ impl std::fmt::Display for ServiceError {
             Self::Io(e) => write!(f, "checkpoint I/O: {e}"),
             Self::Restore(e) => write!(f, "restore failed: {e}"),
             Self::NoCheckpointDir => f.write_str("service built without a checkpoint directory"),
-            Self::ShardFailed { shard, restarts } => write!(
-                f,
-                "shard {shard} worker failed (respawned; {restarts} lifetime restarts); \
-                 state replay unavailable"
-            ),
             Self::Overloaded { capacity } => {
                 write!(
                     f,
@@ -515,8 +469,6 @@ pub struct FirehoseServiceBuilder<'g> {
     obs: Option<&'g firehose_obs::Registry>,
     overload: OverloadConfig,
     rate_limit: Option<RateLimitConfig>,
-    watchdog: Option<Duration>,
-    chaos: ShardFaultPlan,
 }
 
 impl<'g> FirehoseServiceBuilder<'g> {
@@ -573,29 +525,11 @@ impl<'g> FirehoseServiceBuilder<'g> {
         self
     }
 
-    /// Stall-watchdog deadline for [`StrategyKind::Sharded`] (forwarded to
-    /// [`SharedBuilder::watchdog`](crate::multi::SharedBuilder::watchdog));
-    /// ignored by other strategies.
-    #[cfg(test)]
-    pub(crate) fn watchdog(mut self, deadline: Duration) -> Self {
-        self.watchdog = Some(deadline);
-        self
-    }
-
-    /// Schedule deterministic shard-worker chaos faults for
-    /// [`StrategyKind::Sharded`] (forwarded to
-    /// `SharedBuilder::chaos`);
-    /// ignored by other strategies. For resilience tests and benches.
-    pub fn chaos(mut self, plan: ShardFaultPlan) -> Self {
-        self.chaos = plan;
-        self
-    }
-
     /// Construct the service: builds the strategy, opens the checkpoint
     /// directory, and arms the guard.
     pub fn build(self) -> Result<FirehoseService, ServiceError> {
         let memory = self.config.memory;
-        let mut multi: Box<dyn MultiDiversifier + Send> = match self.strategy {
+        let multi: Box<dyn MultiDiversifier + Send> = match self.strategy {
             StrategyKind::Independent => {
                 let mut m = IndependentMulti::builder(
                     self.algorithm,
@@ -610,20 +544,8 @@ impl<'g> FirehoseServiceBuilder<'g> {
                 Box::new(m)
             }
             StrategyKind::Shared | StrategyKind::Sharded { .. } => {
-                let mut b = SharedMulti::builder(
-                    self.algorithm,
-                    self.config,
-                    self.graph,
-                    self.subscriptions,
-                )
-                .chaos(self.chaos);
-                if let StrategyKind::Sharded { shards } = self.strategy {
-                    b = b.shards(shards);
-                }
-                if let Some(deadline) = self.watchdog {
-                    b = b.watchdog(deadline);
-                }
-                let mut m = b.build()?;
+                let mut m =
+                    SharedMulti::new(self.algorithm, self.config, self.graph, self.subscriptions);
                 if let Some(reg) = self.obs {
                     m.attach_obs(reg);
                 }
@@ -636,45 +558,21 @@ impl<'g> FirehoseServiceBuilder<'g> {
             }
             IngestGuard::new(config)
         });
-        let mut manager = match self.checkpoints {
+        let manager = match self.checkpoints {
             Some((dir, policy)) => Some(CheckpointManager::new(dir, policy)?),
             None => None,
         };
-        // Sharded + checkpoints = supervised: shard failures are healed by
-        // restoring the last checkpoint and replaying everything since.
-        // Write the baseline immediately so a failure before the first
-        // cadence-driven checkpoint still has something to restore.
-        let supervise = matches!(self.strategy, StrategyKind::Sharded { .. }) && manager.is_some();
-        if supervise {
-            if let Some(mgr) = &mut manager {
-                // A chaos fault can kill a worker during the initial
-                // deploys or this very save; heal (restart + rebuild from
-                // the registry — no posts precede the baseline) and retry.
-                let mut baseline = mgr.save_multi(multi.as_ref());
-                for _ in 0..MAX_HEAL_ATTEMPTS {
-                    if baseline.is_ok() || multi.take_shard_failure().is_none() {
-                        break;
-                    }
-                    baseline = mgr.save_multi(multi.as_ref());
-                }
-                baseline?;
-            }
-        }
         Ok(FirehoseService {
             multi,
             guard,
             manager,
             memory,
             admitted: Vec::new(),
-            decision: MultiDecision::default(),
+            decisions: Vec::new(),
             overload: self.overload,
             limiter: self.rate_limit.map(RateLimiter::new),
             overload_stats: OverloadStats::default(),
             queue: VecDeque::new(),
-            supervise,
-            replay: Vec::new(),
-            delivered: 0,
-            resilience: ResilienceStats::default(),
         })
     }
 }
@@ -694,9 +592,9 @@ pub struct FirehoseService {
     memory: MemoryMode,
     /// Guard output scratch, reused across `process` calls.
     admitted: Vec<Post>,
-    /// Decision scratch, reused across `process` calls (the
-    /// `offer_into` buffer-reuse path).
-    decision: MultiDecision,
+    /// Decision scratch, one per admitted post of a call, reused across
+    /// calls (the `offer_into` buffer-reuse path).
+    decisions: Vec<MultiDecision>,
     /// Admission-queue overload configuration.
     overload: OverloadConfig,
     /// Optional per-author token-bucket rate limiter.
@@ -705,18 +603,6 @@ pub struct FirehoseService {
     overload_stats: OverloadStats,
     /// Bounded admission queue between ingest and the strategy.
     queue: VecDeque<Post>,
-    /// Whether shard failures are healed by checkpoint restore + replay
-    /// (sharded strategy with a checkpoint directory).
-    supervise: bool,
-    /// Every post offered and churn op applied since the last durable
-    /// checkpoint, in order; cleared when a checkpoint lands.
-    replay: Vec<ReplayEntry>,
-    /// How many [`ReplayEntry::Post`] entries have had their decisions
-    /// delivered to a sink (replays skip these to keep exactly-once
-    /// delivery).
-    delivered: usize,
-    /// Cumulative recovery counters.
-    resilience: ResilienceStats,
 }
 
 impl FirehoseService {
@@ -737,8 +623,6 @@ impl FirehoseService {
             obs: None,
             overload: OverloadConfig::default(),
             rate_limit: None,
-            watchdog: None,
-            chaos: ShardFaultPlan::none(),
         }
     }
 
@@ -748,27 +632,17 @@ impl FirehoseService {
     /// per-user delivery decision — possibly zero times (rate-limited,
     /// quarantined or buffered for reorder) or several (a reorder release).
     /// The decision buffer is reused; copy out what you keep.
-    ///
-    /// On a supervised service (sharded strategy + checkpoints), a shard
-    /// failure inside this call is healed transparently: the last
-    /// checkpoint is restored and every post/churn op since is replayed,
-    /// with exactly-once sink delivery. Unsupervised sharded services
-    /// surface [`ServiceError::ShardFailed`] instead (the workers were
-    /// still respawned; processing can continue on the degraded state).
     pub fn process(
         &mut self,
         post: Post,
         mut sink: impl FnMut(&Post, &MultiDecision),
     ) -> Result<(), ServiceError> {
         self.admit(post)?;
-        self.run_queue(false, &mut sink)
+        self.run_queue(&mut sink)
     }
 
     /// Feed a batch of posts through the pipeline in one call. Semantically
     /// identical to calling [`process`](Self::process) per post, but the
-    /// admitted posts reach the strategy via
-    /// [`offer_batch`](MultiDiversifier::offer_batch), which pipelined
-    /// strategies ([`StrategyKind::Sharded`]) overlap across shards, and the
     /// checkpoint cadence is polled once at the end instead of per post.
     /// The admission queue's overload policy applies across the whole
     /// burst; with [`OverloadPolicy::Reject`] the posts up to the first
@@ -785,7 +659,7 @@ impl FirehoseService {
                 break;
             }
         }
-        self.run_queue(true, &mut sink)?;
+        self.run_queue(&mut sink)?;
         match refused {
             Some(e) => Err(e),
             None => Ok(()),
@@ -806,9 +680,8 @@ impl FirehoseService {
         if let Some(guard) = &mut self.guard {
             guard.flush_into(&mut admitted);
         }
-        let result = self.offer_admitted(&mut admitted, false, &mut sink);
+        self.offer_admitted(&mut admitted, &mut sink);
         self.admitted = admitted;
-        result?;
         self.maybe_checkpoint()
     }
 
@@ -845,7 +718,6 @@ impl FirehoseService {
     /// admitted, then poll the checkpoint cadence.
     fn run_queue(
         &mut self,
-        batch: bool,
         sink: &mut dyn FnMut(&Post, &MultiDecision),
     ) -> Result<(), ServiceError> {
         let mut admitted = std::mem::take(&mut self.admitted);
@@ -854,209 +726,44 @@ impl FirehoseService {
             match &mut self.guard {
                 None => admitted.push(post),
                 Some(guard) => {
-                    let author = post.author;
-                    if guard.offer_into(post, &mut admitted).is_some() {
-                        // Attribute the quarantine to the shard that owns
-                        // the author (a per-shard gauge on sharded runs).
-                        self.multi.note_quarantined(author);
-                    }
+                    guard.offer_into(post, &mut admitted);
                 }
             }
         }
-        let result = self.offer_admitted(&mut admitted, batch, sink);
+        self.offer_admitted(&mut admitted, sink);
         self.admitted = admitted;
-        result?;
         self.maybe_checkpoint()
     }
 
-    /// Offer admitted posts to the strategy — per post (`batch == false`,
-    /// the reused-buffer latency path) or via `offer_batch` — recording the
-    /// replay log and healing any shard failure before its fallout reaches
-    /// the sink.
+    /// Offer admitted posts to the strategy in order through the reused
+    /// decision buffers, then hand each decision to the sink. Deciding the
+    /// whole call before any sink runs keeps a heavy sink (the wire's
+    /// per-user fan-out) from interleaving with the engine scans: ~5% more
+    /// `wire_fanout` deliveries/s than sinking after each offer (2-core
+    /// x86-64 host, 10 runs each).
     fn offer_admitted(
         &mut self,
         admitted: &mut Vec<Post>,
-        batch: bool,
         sink: &mut dyn FnMut(&Post, &MultiDecision),
-    ) -> Result<(), ServiceError> {
-        if self.supervise {
-            for post in admitted.iter() {
-                self.replay.push(ReplayEntry::Post(post.clone()));
-            }
+    ) {
+        if self.decisions.len() < admitted.len() {
+            self.decisions
+                .resize_with(admitted.len(), MultiDecision::default);
         }
-        if batch {
-            let decisions = self.multi.offer_batch(admitted);
-            if let Some(failure) = self.multi.take_shard_failure() {
-                // Some of the batch's decisions are empty placeholders for
-                // posts that died mid-flight; discard them all and let the
-                // replay recompute and deliver every undelivered decision.
-                admitted.clear();
-                return self.heal(failure, sink);
-            }
-            for (post, decision) in admitted.iter().zip(&decisions) {
-                sink(post, decision);
-            }
-            if self.supervise {
-                self.delivered += admitted.len();
-            }
-            admitted.clear();
-        } else {
-            for post in admitted.drain(..) {
-                self.multi.offer_into(&post, &mut self.decision);
-                if let Some(failure) = self.multi.take_shard_failure() {
-                    // The failure may predate this post (e.g. died during
-                    // churn); either way the replay recomputes and delivers
-                    // this post's decision from restored state.
-                    self.heal(failure, sink)?;
-                    continue;
-                }
-                sink(&post, &self.decision);
-                if self.supervise {
-                    self.delivered += 1;
-                }
-            }
+        for (post, decision) in admitted.iter().zip(&mut self.decisions) {
+            self.multi.offer_into(post, decision);
+        }
+        for (post, decision) in admitted.drain(..).zip(&self.decisions) {
+            sink(&post, decision);
+        }
+    }
+
+    /// Poll the checkpoint cadence.
+    fn maybe_checkpoint(&mut self) -> Result<(), ServiceError> {
+        if let Some(mgr) = &mut self.manager {
+            mgr.maybe_save_multi(self.multi.as_ref())?;
         }
         Ok(())
-    }
-
-    /// Fold one failure episode into the stats and — when supervised —
-    /// restore the last checkpoint and replay everything since, delivering
-    /// only decisions the sink has not yet seen. Unsupervised services get
-    /// the typed error instead.
-    fn heal(
-        &mut self,
-        failure: ShardFailure,
-        sink: &mut dyn FnMut(&Post, &MultiDecision),
-    ) -> Result<(), ServiceError> {
-        let shard = failure.shard;
-        let mut last_restarts = failure.restarts;
-        self.note_failure(&failure);
-        if !self.supervise {
-            return Err(ServiceError::ShardFailed {
-                shard,
-                restarts: last_restarts,
-            });
-        }
-        for _ in 0..MAX_HEAL_ATTEMPTS {
-            self.restore_latest()?;
-            // A scheduled fault can fire during the restore's own
-            // redeploy, leaving freshly rebuilt (empty) engines behind the
-            // restored registry — retry from the checkpoint.
-            if let Some(f) = self.multi.take_shard_failure() {
-                last_restarts = f.restarts;
-                self.note_failure(&f);
-                continue;
-            }
-            match self.replay_log(sink)? {
-                Some(f) => {
-                    // Another worker died mid-replay; loop back to a fresh
-                    // restore (the replay log is intact, `delivered` kept
-                    // everything exactly-once).
-                    last_restarts = f.restarts;
-                    self.note_failure(&f);
-                }
-                None => {
-                    self.resilience.recoveries += 1;
-                    return Ok(());
-                }
-            }
-        }
-        Err(ServiceError::ShardFailed {
-            shard,
-            restarts: last_restarts,
-        })
-    }
-
-    fn note_failure(&mut self, f: &ShardFailure) {
-        self.resilience.restarts = self.resilience.restarts.max(f.restarts);
-        self.resilience.lost_offers += f.lost_offers;
-        self.resilience.lost_posts += f.lost_posts;
-    }
-
-    /// Re-run the replay log against freshly restored state. Returns
-    /// `Ok(None)` on a clean replay, `Ok(Some(failure))` if a worker died
-    /// mid-replay (caller restores and retries).
-    fn replay_log(
-        &mut self,
-        sink: &mut dyn FnMut(&Post, &MultiDecision),
-    ) -> Result<Option<ShardFailure>, ServiceError> {
-        let entries = std::mem::take(&mut self.replay);
-        let mut post_idx = 0usize;
-        let mut interrupted = None;
-        for entry in &entries {
-            match entry {
-                ReplayEntry::Churn(op) => {
-                    // The op succeeded against this same state the first
-                    // time; a re-application error would mean checkpoint
-                    // divergence, which load_state already validates.
-                    let _ = match op {
-                        ChurnOp::Subscribe(u, a) => self.multi.subscribe(*u, *a).map(|_| ()),
-                        ChurnOp::Unsubscribe(u, a) => self.multi.unsubscribe(*u, *a).map(|_| ()),
-                        ChurnOp::AddUser(authors) => self.multi.add_user(authors).map(|_| ()),
-                        ChurnOp::RemoveUser(u) => self.multi.remove_user(*u),
-                    };
-                }
-                ReplayEntry::Post(post) => {
-                    self.multi.offer_into(post, &mut self.decision);
-                    self.resilience.replayed_posts += 1;
-                    if let Some(f) = self.multi.take_shard_failure() {
-                        interrupted = Some(f);
-                        break;
-                    }
-                    if post_idx >= self.delivered {
-                        sink(post, &self.decision);
-                        self.delivered += 1;
-                    }
-                    post_idx += 1;
-                }
-            }
-        }
-        self.replay = entries;
-        Ok(interrupted)
-    }
-
-    /// Poll the checkpoint cadence; a completed checkpoint makes the
-    /// replay log obsolete. A save refused by a shard failure heals and
-    /// retries once.
-    fn maybe_checkpoint(&mut self) -> Result<(), ServiceError> {
-        if self.manager.is_none() {
-            return Ok(());
-        }
-        // A shard kill can land on the checkpoint's own save requests, so
-        // heal and retry until a save goes through (or the error is not a
-        // shard death).
-        let mut last = ShardFailure::default();
-        for _ in 0..MAX_HEAL_ATTEMPTS {
-            let mgr = self.manager.as_mut().expect("checked above");
-            match mgr.maybe_save_multi(self.multi.as_ref()) {
-                Ok(saved) => {
-                    if saved.is_some() {
-                        self.note_checkpointed();
-                    }
-                    return Ok(());
-                }
-                Err(e) => {
-                    let Some(failure) = self.multi.take_shard_failure() else {
-                        return Err(e.into());
-                    };
-                    last = failure;
-                    // Every replay entry is already delivered at this
-                    // point, so the heal's replay never re-sinks.
-                    self.heal(failure, &mut |_, _| {})?;
-                }
-            }
-        }
-        Err(ServiceError::ShardFailed {
-            shard: last.shard,
-            restarts: self.resilience.restarts,
-        })
-    }
-
-    fn note_checkpointed(&mut self) {
-        if self.supervise {
-            self.replay.clear();
-            self.delivered = 0;
-        }
     }
 
     /// Offer a post directly to the strategy, bypassing guard and
@@ -1070,11 +777,7 @@ impl FirehoseService {
     /// User `user` starts following `author`; `Ok(false)` if already
     /// subscribed (a no-op).
     pub fn subscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
-        let result = self.multi.subscribe(user, author);
-        if result.is_ok() {
-            self.record_churn(ChurnOp::Subscribe(user, author));
-        }
-        result
+        self.multi.subscribe(user, author)
     }
 
     /// User `user` stops following `author`; `Ok(false)` if not subscribed
@@ -1084,11 +787,7 @@ impl FirehoseService {
         user: UserId,
         author: AuthorId,
     ) -> Result<bool, SubscriptionError> {
-        let result = self.multi.unsubscribe(user, author);
-        if result.is_ok() {
-            self.record_churn(ChurnOp::Unsubscribe(user, author));
-        }
-        result
+        self.multi.unsubscribe(user, author)
     }
 
     /// Register a new user with an initial subscription set; returns her id.
@@ -1097,30 +796,12 @@ impl FirehoseService {
         authors: impl IntoIterator<Item = AuthorId>,
     ) -> Result<UserId, SubscriptionError> {
         let authors: Vec<AuthorId> = authors.into_iter().collect();
-        let result = self.multi.add_user(&authors);
-        if result.is_ok() {
-            self.record_churn(ChurnOp::AddUser(authors));
-        }
-        result
+        self.multi.add_user(&authors)
     }
 
     /// Deactivate a user: her engines are released, her id never reused.
     pub fn remove_user(&mut self, user: UserId) -> Result<(), SubscriptionError> {
-        let result = self.multi.remove_user(user);
-        if result.is_ok() {
-            self.record_churn(ChurnOp::RemoveUser(user));
-        }
-        result
-    }
-
-    /// Append a successful churn op to the supervised replay log. A shard
-    /// death during the op already healed the topology inside the
-    /// strategy; the (still pending) failure episode is picked up — and
-    /// the lost window state restored — by the next `process` call.
-    fn record_churn(&mut self, op: ChurnOp) {
-        if self.supervise {
-            self.replay.push(ReplayEntry::Churn(op));
-        }
+        self.multi.remove_user(user)
     }
 
     /// Apply a [`ChurnOp`] (trace replay).
@@ -1138,11 +819,7 @@ impl FirehoseService {
     /// Checkpoint the strategy now; returns the generation written.
     pub fn checkpoint_now(&mut self) -> Result<u64, ServiceError> {
         match &mut self.manager {
-            Some(mgr) => {
-                let generation = mgr.save_multi(self.multi.as_ref())?;
-                self.note_checkpointed();
-                Ok(generation)
-            }
+            Some(mgr) => Ok(mgr.save_multi(self.multi.as_ref())?),
             None => Err(ServiceError::NoCheckpointDir),
         }
     }
@@ -1165,7 +842,7 @@ impl FirehoseService {
 
     // --- introspection ----------------------------------------------
 
-    /// Strategy display name (`"S_UniBin"`, `"Sh_CliqueBin(4)"`, ...).
+    /// Strategy display name (`"S_UniBin"`, `"M_CliqueBin"`, ...).
     pub fn name(&self) -> String {
         self.multi.name()
     }
@@ -1180,8 +857,7 @@ impl FirehoseService {
         self.memory
     }
 
-    /// Aggregated approximate-backend counters; `None` in exact mode and
-    /// on shards (see [`MultiDiversifier::approx_stats`]).
+    /// Aggregated approximate-backend counters; `None` in exact mode.
     pub fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
         self.multi.approx_stats()
     }
@@ -1204,12 +880,6 @@ impl FirehoseService {
     /// Shed / rejected / rate-limited admission counters.
     pub fn overload_stats(&self) -> OverloadStats {
         self.overload_stats
-    }
-
-    /// Cumulative failure-recovery counters (all zero for non-sharded
-    /// strategies and unfaulted runs).
-    pub fn resilience_stats(&self) -> ResilienceStats {
-        self.resilience
     }
 }
 
@@ -1267,6 +937,10 @@ mod tests {
                 assert_eq!(*got.last().unwrap(), expected.delivered_to, "{strategy}");
             }
             assert!(service.metrics().posts_processed > 0);
+            if strategy != StrategyKind::Independent {
+                assert_eq!(service.name(), bare.name(), "{strategy}");
+                assert_eq!(service.metrics(), bare.metrics(), "{strategy}");
+            }
         }
     }
 
@@ -1423,13 +1097,24 @@ mod tests {
             "sharded".parse::<StrategyKind>().unwrap(),
             StrategyKind::Sharded { .. }
         ));
-        assert_eq!(
-            StrategyKind::Sharded { shards: 4 }.to_string(),
-            "sharded(4)"
-        );
         assert!("bogus".parse::<StrategyKind>().is_err());
         assert!("parallel:3".parse::<StrategyKind>().is_err());
         assert!("sharded:x".parse::<StrategyKind>().is_err());
+        let zero = "sharded:0".parse::<StrategyKind>().unwrap_err();
+        assert!(zero.contains("--strategy"), "{zero}");
+    }
+
+    #[test]
+    fn strategy_kind_display_round_trips() {
+        for kind in [
+            StrategyKind::Independent,
+            StrategyKind::Shared,
+            StrategyKind::Sharded { shards: 1 },
+            StrategyKind::Sharded { shards: 4 },
+        ] {
+            assert_eq!(kind.to_string().parse::<StrategyKind>(), Ok(kind), "{kind}");
+        }
+        assert_eq!(StrategyKind::Sharded { shards: 4 }.to_string(), "sharded:4");
     }
 
     #[test]
@@ -1544,153 +1229,9 @@ mod tests {
     }
 
     #[test]
-    fn supervised_service_heals_and_matches_unfaulted_run() {
-        use firehose_stream::{ShardFaultKind, ShardFaultPlan};
-        let stream = posts(120);
-        let graph = graph();
-
-        // Ground truth: unfaulted sequential run.
-        let mut bare = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph, subs());
-        let expected: Vec<Vec<UserId>> = stream
-            .iter()
-            .map(|p| bare.offer(p).delivered_to.clone())
-            .collect();
-
-        // Faulted sharded runs under supervision, checkpoints every 20
-        // offers: three seeded kills, then a worker that hangs without
-        // dying — only the watchdog's frozen-heartbeat check can see that
-        // one, and it must heal to the same decisions.
-        let kills = ShardFaultPlan::single(0, 30, ShardFaultKind::Panic)
-            .then(1, 45, ShardFaultKind::Panic)
-            .then(0, 60, ShardFaultKind::Panic);
-        let stall = ShardFaultPlan::single(0, 30, ShardFaultKind::Stall);
-        for (tag, plan, watchdog) in [
-            ("kills", kills, None),
-            ("stall", stall, Some(Duration::from_millis(50))),
-        ] {
-            let dir = std::env::temp_dir().join(format!("fhsvc-heal-{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            let mut builder = FirehoseService::builder(&graph, subs())
-                .strategy(StrategyKind::Sharded { shards: 2 })
-                .engine_config(config())
-                .checkpoints(
-                    &dir,
-                    CheckpointPolicy {
-                        every_offers: 20,
-                        every_millis: None,
-                        keep: 3,
-                    },
-                )
-                .chaos(plan);
-            if let Some(deadline) = watchdog {
-                builder = builder.watchdog(deadline);
-            }
-            let mut service = builder.build().unwrap();
-            let mut got = Vec::new();
-            for post in stream.iter().cloned() {
-                service
-                    .process(post, |_, d| got.push(d.delivered_to.clone()))
-                    .unwrap();
-            }
-            assert_eq!(got.len(), expected.len(), "{tag}: exactly-once delivery");
-            assert_eq!(
-                got, expected,
-                "{tag}: healed decisions match the unfaulted run"
-            );
-            let stats = service.resilience_stats();
-            assert!(
-                stats.recoveries >= 1,
-                "{tag}: at least one heal episode: {stats:?}"
-            );
-            assert!(stats.restarts >= 1, "{tag}: {stats:?}");
-            assert!(stats.replayed_posts >= 1, "{tag}: {stats:?}");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
-    fn unsupervised_sharded_failure_is_typed() {
-        use firehose_stream::{ShardFaultKind, ShardFaultPlan};
-        let mut service = FirehoseService::builder(&graph(), subs())
-            .strategy(StrategyKind::Sharded { shards: 2 })
-            .engine_config(config())
-            .chaos(ShardFaultPlan::single(0, 5, ShardFaultKind::Panic))
-            .build()
-            .unwrap();
-        let mut failed = None;
-        for post in posts(60) {
-            if let Err(e) = service.process(post, |_, _| {}) {
-                failed = Some(e);
-                break;
-            }
-        }
-        match failed {
-            Some(ServiceError::ShardFailed { shard, restarts }) => {
-                assert_eq!(shard, 0);
-                assert!(restarts >= 1);
-            }
-            other => panic!("expected ShardFailed, got {other:?}"),
-        }
-        // The strategy respawned its worker: the service keeps going on
-        // the degraded (empty-engine) state.
-        for post in posts(80).into_iter().skip(60) {
-            service.process(post, |_, _| {}).unwrap();
-        }
-    }
-
-    #[test]
-    fn supervised_churn_survives_kills() {
-        use firehose_stream::ShardFaultPlan;
-        let dir = std::env::temp_dir().join(format!("fhsvc-churnheal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let stream = posts(80);
-        let mut bare = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph(), subs());
-        let mut service = FirehoseService::builder(&graph(), subs())
-            .strategy(StrategyKind::Sharded { shards: 2 })
-            .engine_config(config())
-            .checkpoints(
-                &dir,
-                CheckpointPolicy {
-                    every_offers: 15,
-                    every_millis: None,
-                    keep: 3,
-                },
-            )
-            .chaos(ShardFaultPlan::seeded(42, 2, 4, 60))
-            .build()
-            .unwrap();
-        let mut got = Vec::new();
-        let mut expected = Vec::new();
-        for (i, post) in stream.iter().enumerate() {
-            if i == 20 {
-                assert_eq!(
-                    bare.subscribe(1, 4).unwrap(),
-                    service.subscribe(1, 4).unwrap()
-                );
-            }
-            if i == 50 {
-                assert_eq!(
-                    bare.add_user(&[2, 3]).unwrap(),
-                    service.add_user([2, 3]).unwrap()
-                );
-            }
-            expected.push(bare.offer(post).delivered_to.clone());
-            service
-                .process(post.clone(), |_, d| got.push(d.delivered_to.clone()))
-                .unwrap();
-        }
-        assert_eq!(got, expected, "churn + kills still match unfaulted run");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn process_batch_matches_per_post_process() {
         let stream = posts(80);
-        for strategy in [
-            StrategyKind::Shared,
-            StrategyKind::Sharded { shards: 2 },
-            StrategyKind::Sharded { shards: 4 },
-        ] {
+        for strategy in [StrategyKind::Independent, StrategyKind::Shared] {
             let build = || {
                 FirehoseService::builder(&graph(), subs())
                     .strategy(strategy)

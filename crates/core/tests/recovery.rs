@@ -132,22 +132,11 @@ fn subscriptions() -> Subscriptions {
     .unwrap()
 }
 
-/// The shared strategy under one executor: inline, or on `n` shards.
-fn shared_on(kind: AlgorithmKind, shards: Option<usize>) -> SharedMulti {
-    let graph = graph();
-    let mut builder = SharedMulti::builder(kind, config(), &graph, subscriptions());
-    if let Some(n) = shards {
-        builder = builder.shards(n);
-    }
-    builder.build().unwrap()
-}
-
 /// The multi-user counterpart: checkpoint every `k` stream posts, kill at
 /// ≥ 20 seeded offsets, restore into a freshly-built strategy, replay.
 /// The stream cursor is `generation * k` by construction (the multi
 /// manifest's `posts_processed` is the engines' aggregate, not the stream
-/// position). The killed and the restored strategy rotate independently
-/// through the executors (inline, 1/2/4 shards); the reference is inline.
+/// position).
 #[test]
 fn kill_at_twenty_seeded_offsets_multi_restores_identical_decisions() {
     let posts = stream(23, 400);
@@ -157,9 +146,7 @@ fn kill_at_twenty_seeded_offsets_multi_restores_identical_decisions() {
         let mut reference_multi = SharedMulti::new(kind, config(), &graph(), subscriptions());
         let reference: Vec<_> = posts.iter().map(|p| reference_multi.offer(p)).collect();
 
-        const EXECUTORS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(4)];
         for trial in 0..20 {
-            let (killed, restored) = (EXECUTORS[trial % 4], EXECUTORS[trial / 4 % 4]);
             let crash_at = rng.random_range(1..posts.len());
             let dir = tempdir(&format!("mkill-{kind}-{trial}"));
             let mut mgr = CheckpointManager::new(
@@ -171,7 +158,7 @@ fn kill_at_twenty_seeded_offsets_multi_restores_identical_decisions() {
                 },
             )
             .unwrap();
-            let mut multi = shared_on(kind, killed);
+            let mut multi = SharedMulti::new(kind, config(), &graph(), subscriptions());
             for (i, p) in posts[..crash_at].iter().enumerate() {
                 multi.offer(p);
                 if (i + 1) % k == 0 {
@@ -180,7 +167,7 @@ fn kill_at_twenty_seeded_offsets_multi_restores_identical_decisions() {
             }
             drop(multi);
 
-            let mut fresh = shared_on(kind, restored);
+            let mut fresh = SharedMulti::new(kind, config(), &graph(), subscriptions());
             match restore_latest_valid_multi(&dir, &mut fresh) {
                 Ok((manifest, _skipped)) => {
                     let resumed = (manifest.generation as usize + 1) * k;
@@ -189,7 +176,7 @@ fn kill_at_twenty_seeded_offsets_multi_restores_identical_decisions() {
                         assert_eq!(
                             fresh.offer(p),
                             *want,
-                            "{kind}: {killed:?} → {restored:?} diverged after restore at {crash_at}"
+                            "{kind}: diverged after restore at {crash_at}"
                         );
                     }
                 }

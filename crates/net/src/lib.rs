@@ -8,7 +8,7 @@
 //! (Content-Length request bodies, keep-alive, pipelining, chunked
 //! responses) is implemented in-tree with typed protocol errors — a
 //! malformed or truncated request costs the peer its connection, never the
-//! acceptor or a shard.
+//! server.
 //!
 //! The load-bearing property is *decision fidelity*: requests are handled
 //! on the same thread that owns the service, calling the same

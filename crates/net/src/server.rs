@@ -17,7 +17,7 @@
 //! | `/churn` | POST | [`ChurnOp`] text lines in; `ok[\t<detail>]` or `err\t<reason>` per line out |
 //! | `/stream/<user>` | GET | chunked long-poll of `<seq>\t<id>\t<author>\t<ts>\t<text>` delivery lines; `?from=<seq>&max=<n>&wait_ms=<t>` |
 //! | `/metrics` | GET | Prometheus text exposition (engine + guard + connection instruments) |
-//! | `/healthz` | GET | JSON health document; `503` once the service is degraded |
+//! | `/healthz` | GET | JSON health document |
 //! | `/shutdown` | POST | stops the server (only with [`ServerConfig::allow_shutdown`]) |
 //!
 //! ## Backpressure
@@ -385,7 +385,6 @@ struct ServiceState {
     ring_cap: usize,
     registry: Arc<Registry>,
     obs: ServerObs,
-    degraded: bool,
     started: Instant,
     allow_shutdown: bool,
     /// Users `/churn` removed during the current loop turn, until
@@ -462,7 +461,6 @@ impl Server {
             ring_cap: self.config.stream_buffer.max(1),
             registry: Arc::clone(&registry),
             obs: ServerObs::register(&registry),
-            degraded: false,
             started: Instant::now(),
             allow_shutdown: self.config.allow_shutdown,
             removed: Vec::new(),
@@ -728,12 +726,25 @@ impl ServiceState {
 
     /// `POST /ingest`: corpus TSV lines in, one decision line per sink
     /// callback out. Decisions come from the same `process_batch` call the
-    /// in-process facade exposes, so they are byte-identical to it.
+    /// in-process facade exposes, so they are byte-identical to it. A line
+    /// that does not parse, or names an author outside the graph, refuses
+    /// the whole request with 400 before any post is decided.
     fn handle_ingest(&mut self, req: &Request) -> Handled {
         let posts = match corpus::read_posts(&mut &req.body[..]) {
             Ok(posts) => posts,
             Err(e) => return respond(400, &format!("bad post line: {e}\n")),
         };
+        let authors = self.service.subscriptions().author_count();
+        if let Some(i) = posts.iter().position(|p| p.author as usize >= authors) {
+            return respond(
+                400,
+                &format!(
+                    "bad post line: line {}: unknown author {} (the graph has {authors} authors)\n",
+                    post_line(&req.body, i),
+                    posts[i].author
+                ),
+            );
+        }
         let n_in = posts.len() as u64;
         let mut body = Vec::new();
         // Split borrows: the sink mutates the rings and counters while
@@ -795,13 +806,6 @@ impl ServiceState {
                         ),
                     ],
                 }
-            }
-            Err(ServiceError::ShardFailed { shard, restarts }) => {
-                self.degraded = true;
-                respond(
-                    500,
-                    &format!("shard {shard} failed (restarts {restarts}); service degraded\n"),
-                )
             }
             Err(e) => respond(500, &format!("service error: {e}\n")),
         }
@@ -920,27 +924,19 @@ impl ServiceState {
         }
     }
 
-    /// `GET /healthz`: a JSON health document. 503 once degraded (an
-    /// unhealed shard failure was surfaced by the service).
+    /// `GET /healthz`: a JSON health document.
     fn handle_healthz(&mut self) -> Handled {
-        let r = self.service.resilience_stats();
         let o = self.service.overload_stats();
         let c = self.service.churn_stats();
         let body = format!(
-            "{{\"status\":\"{}\",\"strategy\":{},\"users\":{},\"active_users\":{},\
-             \"uptime_ms\":{},\"connections\":{},\"shard_restarts\":{},\"recoveries\":{},\
-             \"lost_posts\":{},\"replayed_posts\":{},\"shed\":{},\"rejected\":{},\
+            "{{\"status\":\"ok\",\"strategy\":{},\"users\":{},\"active_users\":{},\
+             \"uptime_ms\":{},\"connections\":{},\"shed\":{},\"rejected\":{},\
              \"rate_limited\":{},\"churn_ops\":{},\"posts_ingested\":{}}}\n",
-            if self.degraded { "degraded" } else { "ok" },
             json_str(&self.service.name()),
             self.service.subscriptions().user_count(),
             self.service.subscriptions().active_user_count(),
             self.started.elapsed().as_millis(),
             self.obs.connections.get(),
-            r.restarts,
-            r.recoveries,
-            r.lost_posts,
-            r.replayed_posts,
             o.shed,
             o.rejected,
             o.rate_limited,
@@ -948,7 +944,7 @@ impl ServiceState {
             self.obs.posts_ingested.get(),
         );
         Handled::Respond {
-            status: if self.degraded { 503 } else { 200 },
+            status: 200,
             content_type: "application/json",
             body: body.into_bytes(),
             extra_headers: Vec::new(),
@@ -1026,6 +1022,17 @@ fn respond(status: u16, body: &str) -> Handled {
         body: body.as_bytes().to_vec(),
         extra_headers: Vec::new(),
     }
+}
+
+/// The 1-based body line that held the `index`-th post `corpus::read_posts`
+/// returned: it skips the same empty and `#` lines.
+fn post_line(body: &[u8], index: usize) -> usize {
+    body.split(|&b| b == b'\n')
+        .map(|line| line.strip_suffix(b"\r").unwrap_or(line))
+        .enumerate()
+        .filter(|(_, line)| !line.is_empty() && !line.starts_with(b"#"))
+        .nth(index)
+        .map_or(0, |(i, _)| i + 1)
 }
 
 /// Minimal JSON string literal (the health document embeds strategy names).

@@ -221,114 +221,6 @@ impl Perturbator {
     }
 }
 
-/// What a thread-level chaos fault does to the shard worker it hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardFaultKind {
-    /// The worker panics (unwinds) mid-request, as a logic bug would.
-    Panic,
-    /// The worker stops making progress without dying: it keeps its rings
-    /// open but handles no further requests until abandoned. Exercises the
-    /// watchdog path rather than the panic path.
-    Stall,
-}
-
-/// One scheduled thread-level fault: after the worker has handled
-/// `after_requests` requests in its current lifetime, inject `kind`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardFault {
-    /// Which shard the fault targets.
-    pub shard: usize,
-    /// Requests (offers, sweeps, deploys, …) the worker handles before the
-    /// fault fires. Counted per worker lifetime, so a respawned worker
-    /// starts its count at zero.
-    pub after_requests: u64,
-    /// What happens when the threshold is reached.
-    pub kind: ShardFaultKind,
-}
-
-/// A deterministic schedule of thread-level shard faults. Each fault is
-/// consumed by one worker lifetime: when a shard (re)spawns, it takes the
-/// next pending fault for its index; once the queue drains, the shard runs
-/// clean forever. Same plan ⇒ same kills, so a failing chaos run names its
-/// seed and replays exactly.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardFaultPlan {
-    /// Scheduled faults, consumed in order per shard.
-    pub faults: Vec<ShardFault>,
-}
-
-impl ShardFaultPlan {
-    /// No faults: every worker runs clean.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// A single scheduled fault.
-    pub fn single(shard: usize, after_requests: u64, kind: ShardFaultKind) -> Self {
-        Self {
-            faults: vec![ShardFault {
-                shard,
-                after_requests,
-                kind,
-            }],
-        }
-    }
-
-    /// Append a fault to the schedule.
-    pub fn then(mut self, shard: usize, after_requests: u64, kind: ShardFaultKind) -> Self {
-        self.faults.push(ShardFault {
-            shard,
-            after_requests,
-            kind,
-        });
-        self
-    }
-
-    /// A deterministic pseudo-random schedule of `kills` panics spread over
-    /// `shards` workers, each firing after a threshold drawn from
-    /// `1..=max_after` requests. Pure function of the arguments.
-    pub fn seeded(seed: u64, shards: usize, kills: usize, max_after: u64) -> Self {
-        Self::seeded_after(seed, shards, kills, 1, max_after)
-    }
-
-    /// [`seeded`](Self::seeded) with a floor: thresholds are drawn from
-    /// `min_after..=max_after`. Engine deploys count toward a worker's
-    /// request total, so harnesses that want kills to land mid-*stream*
-    /// (not during the initial deploy wave) set `min_after` above the
-    /// per-shard engine count.
-    pub(crate) fn seeded_after(
-        seed: u64,
-        shards: usize,
-        kills: usize,
-        min_after: u64,
-        max_after: u64,
-    ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let min_after = min_after.max(1);
-        let max_after = max_after.max(min_after);
-        let faults = (0..kills)
-            .map(|_| ShardFault {
-                shard: rng.random_range(0..shards.max(1) as u64) as usize,
-                after_requests: rng.random_range(min_after..=max_after),
-                kind: ShardFaultKind::Panic,
-            })
-            .collect();
-        Self { faults }
-    }
-
-    /// Number of scheduled faults targeting `shard`.
-    #[cfg(test)]
-    pub(crate) fn count_for(&self, shard: usize) -> usize {
-        self.faults.iter().filter(|f| f.shard == shard).count()
-    }
-
-    /// True when no faults are scheduled.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,27 +258,6 @@ mod tests {
             .write_all(b"payload")
             .unwrap();
         assert_eq!(sink, b"payload");
-    }
-
-    #[test]
-    fn shard_fault_plans_are_deterministic_and_in_range() {
-        for seed in 0..20u64 {
-            let a = ShardFaultPlan::seeded(seed, 4, 10, 100);
-            assert_eq!(a, ShardFaultPlan::seeded(seed, 4, 10, 100));
-            assert_eq!(a.faults.len(), 10);
-            for f in &a.faults {
-                assert!(f.shard < 4);
-                assert!((1..=100).contains(&f.after_requests));
-                assert_eq!(f.kind, ShardFaultKind::Panic);
-            }
-        }
-        let plan = ShardFaultPlan::seeded(1, 2, 8, 50);
-        assert_eq!(plan.count_for(0) + plan.count_for(1), 8);
-        assert!(ShardFaultPlan::none().is_empty());
-        let built =
-            ShardFaultPlan::single(0, 3, ShardFaultKind::Stall).then(1, 7, ShardFaultKind::Panic);
-        assert_eq!(built.faults.len(), 2);
-        assert_eq!(built.count_for(1), 1);
     }
 
     #[test]

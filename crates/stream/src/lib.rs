@@ -22,8 +22,8 @@
 //!   duplicates, author range, text bounds) with per-reason quarantine
 //!   counters;
 //! * deterministic fault injection for crash-safety and robustness tests:
-//!   the [`ChaosWriter`] torn-write and bit-flip wrapper, [`Perturbator`]
-//!   stream corruption and [`ShardFaultPlan`] shard-worker faults.
+//!   the [`ChaosWriter`] torn-write and bit-flip wrapper and [`Perturbator`]
+//!   stream corruption.
 
 mod approx;
 pub mod corpus;
@@ -35,7 +35,7 @@ mod window;
 
 pub use approx::{ApproxCandidate, ApproxParams, ApproxStats, ApproxWindowBin, StoreOutcome};
 pub use corpus::{read_posts, write_posts, CorpusError};
-pub use fault::{ChaosWriter, FaultPlan, Perturbator, ShardFault, ShardFaultKind, ShardFaultPlan};
+pub use fault::{ChaosWriter, FaultPlan, Perturbator};
 pub use guard::{
     guard_stream, GuardConfig, GuardPolicy, IngestGuard, QuarantineStats, RejectReason,
 };

@@ -6,9 +6,8 @@
 //!
 //! Builds a synthetic service with hundreds of users, compares the
 //! per-user strategy (`M_UniBin`) with the shared-component strategy
-//! (`S_UniBin`, Section 5 of the paper) and the same strategy on four shard
-//! workers (`Sh_UniBin(4)`), asserting along the way that all three deliver
-//! identical per-user streams.
+//! (`S_UniBin`, Section 5 of the paper), asserting along the way that both
+//! deliver identical per-user streams.
 
 use std::time::Instant;
 
@@ -72,18 +71,7 @@ fn main() {
         "shared components must not change any user's stream"
     );
 
-    // Strategy 2 again, with its component engines on 4 shard workers.
-    let mut sharded = SharedMulti::builder(AlgorithmKind::UniBin, config, &graph, subs.clone())
-        .shards(4)
-        .build()
-        .expect("shard count is positive");
-    let t0 = Instant::now();
-    let sh_out = sharded.offer_batch(&workload.posts);
-    let sh_time = t0.elapsed();
-    assert_eq!(s_out, sh_out, "where the engines run must not matter");
-    assert_eq!(shared.metrics(), sharded.metrics());
-
-    println!("\nall three delivered identical per-user streams\n");
+    println!("\nboth delivered identical per-user streams\n");
     println!(
         "{:<28} {:>10} {:>14} {:>14}",
         "strategy", "time", "comparisons", "engines"
@@ -101,13 +89,6 @@ fn main() {
         s_time,
         shared.metrics().comparisons,
         shared.component_count()
-    );
-    println!(
-        "{:<28} {:>10.1?} {:>14} {:>14}",
-        sharded.name(),
-        sh_time,
-        sharded.metrics().comparisons,
-        sharded.component_count()
     );
 
     let delivered: usize = s_out.iter().map(|d| d.delivered_to.len()).sum();

@@ -210,7 +210,9 @@ fn usage() -> String {
         out.push_str(&line);
     }
     out.push_str(
-        "\n\nrun: --strategy, --churn-trace, --overload and --rate-limit apply with --subscriptions",
+        "\n\nrun: --strategy, --churn-trace, --overload and --rate-limit apply with --subscriptions\
+         \n--strategy sharded[:N] runs exactly what shared runs; N must be at least 1 and is \
+         otherwise unused",
     );
     out
 }
@@ -493,9 +495,10 @@ fn overload_config_from(args: &Args) -> Result<Option<OverloadConfig>, String> {
     Ok(Some(OverloadConfig { policy, capacity }))
 }
 
-/// `--strategy independent|shared|sharded[:N]` (default `shared`). The
-/// removed `--strategy parallel[:N]` is refused by name rather than
-/// reported as an unknown strategy.
+/// `--strategy independent|shared|sharded[:N]` (default `shared`);
+/// `sharded[:N]` builds exactly what `shared` builds. The removed
+/// `--strategy parallel[:N]` is refused by name rather than reported as an
+/// unknown strategy.
 fn strategy_from(args: &Args) -> Result<StrategyKind, String> {
     let spec = args.get("strategy").unwrap_or("shared");
     if spec == "parallel" || spec.starts_with("parallel:") {
@@ -627,13 +630,6 @@ fn cmd_run_multi(args: &Args) -> Result<(), String> {
         eprintln!(
             "overload: {} shed, {} rejected, {} rate limited",
             o.shed, o.rejected, o.rate_limited
-        );
-    }
-    let r = service.resilience_stats();
-    if r.restarts > 0 || r.recoveries > 0 {
-        eprintln!(
-            "resilience: {} shard restarts, {} recoveries, {} offers lost in flight, {} posts lost, {} posts replayed",
-            r.restarts, r.recoveries, r.lost_offers, r.lost_posts, r.replayed_posts
         );
     }
     if let Some(out) = args.get("out") {

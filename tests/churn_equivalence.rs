@@ -14,8 +14,7 @@
 //!    keep their recently-shown posts as coverage.
 //!
 //! Plus checkpoint-across-churn: a checkpoint taken mid-churn restores (into
-//! a strategy built from the *initial* table, and across shard counts) to
-//! identical future decisions.
+//! a strategy built from the *initial* table) to identical future decisions.
 
 use firehose::core::checkpoint::{checkpoint_multi_to_vec, restore_multi_from_slice};
 use firehose::core::engine::AlgorithmKind;
@@ -73,16 +72,9 @@ fn posts(n: u64, first_id: u64, start_ts: u64) -> Vec<Post> {
 enum Variant {
     M,
     S,
-    Sh(usize),
 }
 
-const VARIANTS: [Variant; 5] = [
-    Variant::M,
-    Variant::S,
-    Variant::Sh(2),
-    Variant::Sh(3),
-    Variant::Sh(4),
-];
+const VARIANTS: [Variant; 2] = [Variant::M, Variant::S];
 
 fn build(
     kind: AlgorithmKind,
@@ -101,15 +93,7 @@ fn build(
         Variant::S => Box::new(
             SharedMulti::builder(kind, config(), &graph, subscriptions)
                 .warm_start(warm)
-                .build()
-                .unwrap(),
-        ),
-        Variant::Sh(shards) => Box::new(
-            SharedMulti::builder(kind, config(), &graph, subscriptions)
-                .shards(shards)
-                .warm_start(warm)
-                .build()
-                .unwrap(),
+                .build(),
         ),
     }
 }
@@ -240,8 +224,7 @@ fn warm_start_diverges_from_cold_within_lambda_t() {
             subscriptions.clone(),
         )
         .warm_start(warm)
-        .build()
-        .unwrap();
+        .build();
         let seen = multi.offer(&Post::new(1, 0, 0, "identical breaking story".into()));
         assert_eq!(seen.delivered_to, [0]);
         multi.subscribe(0, 1).unwrap();
@@ -270,10 +253,7 @@ fn warm_start_diverges_from_cold_within_lambda_t() {
 fn merge_collects_seeds_from_two_released_engines() {
     let graph = UndirectedGraph::from_edges(6, [(3, 4), (4, 5)]);
     let subscriptions = Subscriptions::new(6, [vec![3, 5]]).unwrap();
-    let mut multi = SharedMulti::builder(AlgorithmKind::UniBin, config(), &graph, subscriptions)
-        .warm_start(true)
-        .build()
-        .unwrap();
+    let mut multi = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph, subscriptions);
     // Components {3} and {5}; ids 1 and 3 land in {3}, id 2 in {5}, so the
     // id-sorted seed buffer interleaves the two engines' records.
     let delivered = [
@@ -382,7 +362,7 @@ fn checkpoint_across_churn_restores_identical_decisions() {
             ..Default::default()
         },
     );
-    for variant in [Variant::S, Variant::Sh(3), Variant::Sh(2)] {
+    for variant in VARIANTS {
         let mut original = build(AlgorithmKind::UniBin, variant, subs(), true);
         for post in &first_half {
             original.offer(post);
@@ -413,47 +393,6 @@ fn checkpoint_across_churn_restores_identical_decisions() {
     }
 }
 
-/// Shard-count independence: the engine-state bytes of a churned
-/// `SharedMulti` on shards load into a different shard count (and into the
-/// inline executor) with identical future decisions.
-#[test]
-fn churned_state_restores_across_shard_counts() {
-    let first_half = posts(60, 1, 0);
-    let second_half = posts(60, 1_000, first_half.last().unwrap().timestamp + 997);
-    let trace = generate_churn_trace(
-        AUTHORS,
-        &initial_sets(),
-        1,
-        ChurnGenConfig {
-            ops: 20,
-            ..Default::default()
-        },
-    );
-    let mut original = build(AlgorithmKind::UniBin, Variant::Sh(2), subs(), true);
-    for post in &first_half {
-        original.offer(post);
-    }
-    for entry in &trace {
-        apply(original.as_mut(), &entry.event);
-    }
-    let mut state = Vec::new();
-    original.save_state(&mut state).unwrap();
-
-    for target in [Variant::Sh(4), Variant::Sh(1), Variant::S, Variant::Sh(3)] {
-        let mut restored = build(AlgorithmKind::UniBin, target, subs(), true);
-        let mut r: &[u8] = &state;
-        restored.load_state(&mut r).unwrap();
-        assert!(r.is_empty(), "state must be consumed exactly");
-        assert_eq!(restored.subscriptions(), original.subscriptions());
-        let got = offer_all(restored.as_mut(), &second_half);
-        let mut continued = build(AlgorithmKind::UniBin, Variant::Sh(2), subs(), true);
-        let mut r: &[u8] = &state;
-        continued.load_state(&mut r).unwrap();
-        let want = offer_all(continued.as_mut(), &second_half);
-        assert_eq!(got, want, "{target:?}: cross-shard restore diverged");
-    }
-}
-
 /// Replay `stream` with `trace` ops interleaved at their recorded
 /// positions (trailing ops applied after the stream), collecting every
 /// decision.
@@ -480,14 +419,13 @@ fn run_interleaved(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Sharded equivalence under interleaving: for seeded random churn
-    /// traces woven into the post stream, `SharedMulti` at 1/2/4 shards
-    /// produces decision-for-decision and ledger-identical runs to the
-    /// inline executor — including when the sharded run is interrupted by a
-    /// mid-stream checkpoint that restores into a *fresh* sharded instance
-    /// (built from the initial table) which then finishes the stream.
+    /// Checkpoint handoff under interleaved churn: for seeded random churn
+    /// traces woven into the post stream, a run interrupted by a mid-stream
+    /// checkpoint that restores into a *fresh* instance (built from the
+    /// initial table), which then finishes the stream, is decision-for-
+    /// decision and ledger-identical to an uninterrupted run.
     #[test]
-    fn sharded_interleaved_churn_matches_shared_multi(
+    fn interleaved_churn_survives_checkpoint_handoff(
         seed in 0u64..1_000_000,
         ops in 6usize..24,
         n_posts in 50u64..110,
@@ -501,40 +439,38 @@ proptest! {
         );
         let checkpoint_at = (n_posts / 2) as usize;
 
-        let mut reference = build(AlgorithmKind::UniBin, Variant::S, subs(), true);
-        let expected = run_interleaved(reference.as_mut(), &stream, &trace);
-
-        for shards in [1usize, 2, 4] {
-            let mut sh = build(AlgorithmKind::UniBin, Variant::Sh(shards), subs(), true);
+        for variant in VARIANTS {
+            let mut reference = build(AlgorithmKind::UniBin, variant, subs(), true);
+            let expected = run_interleaved(reference.as_mut(), &stream, &trace);
+            let mut multi = build(AlgorithmKind::UniBin, variant, subs(), true);
             let mut got = Vec::with_capacity(stream.len());
             let mut next = 0;
             for (i, post) in stream.iter().enumerate() {
                 while next < trace.len() && trace[next].after_posts <= i as u64 {
-                    apply(sh.as_mut(), &trace[next].event);
+                    apply(multi.as_mut(), &trace[next].event);
                     next += 1;
                 }
-                got.push(sh.offer(post));
+                got.push(multi.offer(post));
                 if i + 1 == checkpoint_at {
                     // Mid-stream handoff: checkpoint, then continue on a
                     // freshly built instance restored from those bytes.
-                    let buf = checkpoint_multi_to_vec(sh.as_ref(), 1).unwrap();
-                    let mut restored =
-                        build(AlgorithmKind::UniBin, Variant::Sh(shards), subs(), true);
+                    let buf = checkpoint_multi_to_vec(multi.as_ref(), 1).unwrap();
+                    let mut restored = build(AlgorithmKind::UniBin, variant, subs(), true);
                     restore_multi_from_slice(&buf, restored.as_mut()).unwrap();
-                    sh = restored;
+                    multi = restored;
                 }
             }
             for entry in &trace[next..] {
-                apply(sh.as_mut(), &entry.event);
+                apply(multi.as_mut(), &entry.event);
             }
-            prop_assert_eq!(&got, &expected, "shards={}: decisions diverged", shards);
+            prop_assert_eq!(&got, &expected, "{:?}: decisions diverged", variant);
             prop_assert_eq!(
-                sh.churn_stats(),
+                multi.churn_stats(),
                 reference.churn_stats(),
-                "shards={}: churn ledger diverged",
-                shards
+                "{:?}: churn ledger diverged",
+                variant
             );
-            prop_assert_eq!(sh.subscriptions(), reference.subscriptions());
+            prop_assert_eq!(multi.subscriptions(), reference.subscriptions());
         }
     }
 }

@@ -165,6 +165,86 @@ fn helpful_errors() {
 }
 
 #[test]
+fn sharded_zero_is_refused_naming_strategy() {
+    let dir = TempDir::new("sharded_zero");
+    let missing = dir.path("missing.tsv");
+    let multi = ["--graph", &missing, "--subscriptions", &missing];
+    for command in [&["run", "--posts", &missing][..], &["serve"][..]] {
+        let err = run_err(&[command, &multi[..], &["--strategy", "sharded:0"]].concat());
+        assert!(err.contains("--strategy"), "{command:?}: {err}");
+    }
+}
+
+/// `--strategy sharded:N` is a spelling of `shared`: the same output file and
+/// the same stderr lines, wall time aside.
+#[test]
+fn sharded_runs_exactly_what_shared_runs() {
+    let dir = TempDir::new("sharded_spelling");
+    let posts = dir.path("posts.tsv");
+    let follower = dir.path("follower.fhf");
+    let subs = dir.path("subs.tsv");
+    let churn = dir.path("churn.tsv");
+    let graph = dir.path("sim.fhg");
+    run_ok(&[
+        "generate",
+        "--authors",
+        "300",
+        "--hours",
+        "1",
+        "--users",
+        "20",
+        "--out-subscriptions",
+        &subs,
+        "--churn-ops",
+        "10",
+        "--out-churn",
+        &churn,
+        "--out-posts",
+        &posts,
+        "--out-follower",
+        &follower,
+    ]);
+    run_ok(&["build-graph", "--follower", &follower, "--out", &graph]);
+
+    let run = |strategy: &str| {
+        let out = dir.path(&format!("out-{strategy}.tsv"));
+        let (_, err) = run_ok(&[
+            "run",
+            "--posts",
+            &posts,
+            "--graph",
+            &graph,
+            "--subscriptions",
+            &subs,
+            "--strategy",
+            strategy,
+            "--churn-trace",
+            &churn,
+            "--out",
+            &out,
+        ]);
+        // The summary line reads `... (<n> total) in <wall time>; ...`.
+        let err: Vec<String> = err
+            .lines()
+            .map(|line| match line.split_once(") in ") {
+                Some((head, tail)) => format!("{head}){}", &tail[tail.find(';').unwrap()..]),
+                None => line.to_string(),
+            })
+            .collect();
+        (std::fs::read(&out).expect("output written"), err)
+    };
+    let (shared_out, shared_err) = run("shared");
+    let (sharded_out, sharded_err) = run("sharded:2");
+    assert!(!shared_out.is_empty());
+    assert_eq!(sharded_out, shared_out);
+    assert!(
+        shared_err.iter().any(|l| l.starts_with("churn: ")),
+        "{shared_err:?}"
+    );
+    assert_eq!(sharded_err, shared_err);
+}
+
+#[test]
 fn run_rejects_mismatched_graph() {
     let dir = TempDir::new("mismatch");
     let posts = dir.path("posts.tsv");

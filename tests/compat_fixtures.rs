@@ -6,9 +6,10 @@
 //! subscription table, no churn ledger) from `main` before the FHSNAP04
 //! bump, plus `fhsnap04_exact_*` snapshots captured from the pre-approx
 //! FHSNAP04 writer (the wire-serving release, before the memory-mode
-//! sentinel existed), plus `fhckpt_p_unibin2.bin`, an FHSNAP04 multi
-//! checkpoint written by the batch-parallel `P_UniBin(2)` runner at the last
-//! commit that had one. The current readers must restore all of them and
+//! sentinel existed), plus `fhckpt_p_unibin2.bin` and `fhckpt_sh_unibin2.bin`,
+//! FHSNAP04 multi checkpoints written by the batch-parallel `P_UniBin(2)`
+//! runner and the shard-worker `Sh_UniBin(2)` executor at the last commit
+//! that had each. The current readers must restore all of them and
 //! continue decision-identically — a format bump must never orphan deployed
 //! checkpoint directories — and the pre-approx FHSNAP04 snapshots must
 //! restore into [`MemoryMode::Exact`] with byte-identical re-capture, since
@@ -118,63 +119,47 @@ fn fhsnap03_engine_snapshots_restore_and_continue() {
 /// Multi checkpoints written by code that no longer exists restore into a
 /// freshly built strategy and continue decision-identically: legacy
 /// (pre-FHSNAP04) ones — position-ordered engine blobs with no embedded
-/// subscription table — and the `P_UniBin(2)` one, whose manifest names a
-/// removed runner of the shared strategy and which therefore restores into
-/// that strategy under either executor (the only remaining reason
-/// `strategy_family` knows `P_`).
+/// subscription table — and the `P_UniBin(2)` and `Sh_UniBin(2)` ones,
+/// whose manifests name removed runners of the shared strategy and which
+/// therefore restore into `S_UniBin` (the only remaining reason
+/// `strategy_family` knows `P_` and `Sh_`).
 #[test]
 fn old_multi_checkpoints_restore_and_continue() {
     let stream = posts();
-    let cases: [(&str, MultiFactory); 4] = [
-        ("fhckpt_legacy_s_unibin.bin", || {
-            Box::new(SharedMulti::new(
-                AlgorithmKind::UniBin,
-                config(),
-                &UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]),
-                subscriptions(),
-            ))
-        }),
-        ("fhckpt_legacy_m_unibin.bin", || {
-            Box::new(IndependentMulti::new(
-                AlgorithmKind::UniBin,
-                config(),
-                &UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]),
-                subscriptions(),
-            ))
-        }),
-        ("fhckpt_p_unibin2.bin", || {
-            Box::new(SharedMulti::new(
-                AlgorithmKind::UniBin,
-                config(),
-                &UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]),
-                subscriptions(),
-            ))
-        }),
-        ("fhckpt_p_unibin2.bin", || {
-            Box::new(
-                SharedMulti::builder(
+    let shared: MultiFactory = || {
+        Box::new(SharedMulti::new(
+            AlgorithmKind::UniBin,
+            config(),
+            &UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]),
+            subscriptions(),
+        ))
+    };
+    let cases: [(&str, MultiFactory, &str); 4] = [
+        ("fhckpt_legacy_s_unibin.bin", shared, "S_UniBin"),
+        (
+            "fhckpt_legacy_m_unibin.bin",
+            || {
+                Box::new(IndependentMulti::new(
                     AlgorithmKind::UniBin,
                     config(),
                     &UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]),
                     subscriptions(),
-                )
-                .shards(2)
-                .build()
-                .unwrap(),
-            )
-        }),
+                ))
+            },
+            "M_UniBin",
+        ),
+        ("fhckpt_p_unibin2.bin", shared, "P_UniBin(2)"),
+        ("fhckpt_sh_unibin2.bin", shared, "Sh_UniBin(2)"),
     ];
-    for (name, build) in cases {
+    for (name, build, writer) in cases {
         let bytes = fixture(name);
         let mut restored = build();
         let manifest = restore_multi_from_slice(&bytes, restored.as_mut())
             .unwrap_or_else(|e| panic!("{name}: restore failed: {e}"));
         assert_eq!(manifest.generation, 5, "{name}");
-        if name == "fhckpt_p_unibin2.bin" {
-            assert_eq!(manifest.name, "P_UniBin(2)");
-        }
-        // Pre-churn checkpoints carry no ledger, and the `P_` one saw no
-        // churn: everything starts at zero.
+        assert_eq!(manifest.name, writer, "{name}");
+        // Pre-churn checkpoints carry no ledger, and the `P_` and `Sh_` ones
+        // saw no churn: everything starts at zero.
         assert_eq!(restored.churn_stats().ops_total(), 0, "{name}");
 
         let mut fresh = build();

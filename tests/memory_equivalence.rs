@@ -259,7 +259,7 @@ fn multi_config(memory: MemoryMode) -> EngineConfig {
 }
 
 fn approx_multi(subs: Subscriptions) -> SharedMulti {
-    SharedMulti::builder(
+    SharedMulti::new(
         AlgorithmKind::UniBin,
         multi_config(MemoryMode::Approx(
             ApproxConfig::new(PROBES, 8, 16).unwrap(),
@@ -267,8 +267,6 @@ fn approx_multi(subs: Subscriptions) -> SharedMulti {
         &multi_graph(),
         subs,
     )
-    .build()
-    .unwrap()
 }
 
 proptest! {
@@ -346,14 +344,12 @@ fn approx_multi_under_churn_stays_within_delivery_delta() {
         (4, 0, false),
     ];
 
-    let mut exact = SharedMulti::builder(
+    let mut exact = SharedMulti::new(
         AlgorithmKind::UniBin,
         multi_config(MemoryMode::Exact),
         &multi_graph(),
         multi_subs(),
-    )
-    .build()
-    .unwrap();
+    );
     let mut approx = approx_multi(multi_subs());
 
     let mut exact_deliveries = 0u64;

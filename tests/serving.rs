@@ -3,12 +3,12 @@
 //! The load-bearing assertion: the decision stream a client reads over a
 //! **real socket** is byte-identical to what an identically-configured
 //! in-process [`FirehoseService`] emits for the same trace — ingest, churn
-//! ops, and per-user streamed deliveries included, against both the shared
-//! and the pipelined `sharded:2` strategies. Plus a fuzz case: malformed,
-//! truncated, and oversized requests get typed protocol errors and cost the
-//! peer its connection, never the server; and the shedding paths: the
-//! connection cap, an overloaded `/ingest`, a user removed under a parked
-//! reader.
+//! ops, and per-user streamed deliveries included, against `shared` and its
+//! `sharded:2` spelling. Plus a fuzz case: malformed, truncated, and
+//! oversized requests get typed protocol errors and cost the peer its
+//! connection, never the server; an `/ingest` naming an author outside the
+//! graph is refused whole; and the shedding paths: the connection cap, an
+//! overloaded `/ingest`, a user removed under a parked reader.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -298,6 +298,49 @@ fn malformed_and_short_read_requests_never_kill_the_server() {
         report.protocol_errors >= 4,
         "typed protocol errors were counted: {report:?}"
     );
+}
+
+#[test]
+fn unknown_author_on_ingest_is_refused_and_decides_nothing() {
+    let posts = posts();
+    for strategy in [StrategyKind::Shared, StrategyKind::Independent] {
+        let (addr, handle, join) = boot(strategy);
+        let mut client = HttpClient::connect(addr).unwrap();
+
+        // A good line, then an author past the 10-author graph: the whole
+        // request is refused, naming the body line (comments count) and
+        // the author.
+        for author in [500u64, u32::MAX as u64] {
+            let body = format!("# trace\n1\t0\t0\thello\n2\t{author}\t10\thello\n");
+            let bad = client.request("POST", "/ingest", body.as_bytes()).unwrap();
+            assert_eq!(bad.status, 400, "{strategy:?}: {}", bad.text());
+            assert!(
+                bad.text().contains("line 3") && bad.text().contains(&author.to_string()),
+                "{strategy:?}: {}",
+                bad.text()
+            );
+        }
+        let health = client.request("GET", "/healthz", b"").unwrap();
+        assert_eq!(health.status, 200, "{strategy:?}: {}", health.text());
+        assert_eq!(metric(&mut client, "firehose_net_posts_ingested_total"), 0);
+
+        // No post of the refused requests was decided: a good request now
+        // decides exactly as a fresh in-process service does.
+        let mut expected = String::new();
+        service(strategy)
+            .process_batch(posts[..8].iter().cloned(), |p, d| {
+                expected.push_str(&decision_line(p.id, &d.delivered_to));
+            })
+            .unwrap();
+        let mut body = Vec::new();
+        corpus::write_posts(&posts[..8], &mut body).unwrap();
+        let ok = client.request("POST", "/ingest", &body).unwrap();
+        assert_eq!(ok.status, 200, "{strategy:?}: {}", ok.text());
+        assert_eq!(ok.text(), expected, "{strategy:?}");
+
+        handle.shutdown();
+        join.join().unwrap().unwrap();
+    }
 }
 
 #[test]
