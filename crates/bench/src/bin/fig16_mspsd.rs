@@ -10,12 +10,18 @@
 //! * `S_NeighborBin` ≈ 8% and `S_CliqueBin` ≈ 4% faster than their `M_*`
 //!   counterparts;
 //! * `S_UniBin` is the best overall.
+//!
+//! Section 5's identity is asserted, not just reported: both sides fold
+//! every `(post id, delivered_to)` pair into a running hash, and the run
+//! panics unless `M_*` and `S_*` agree for each algorithm.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
 use firehose_bench::{f1, Dataset, Report, Scale};
 use firehose_core::engine::AlgorithmKind;
-use firehose_core::multi::{IndependentMulti, MultiDiversifier, SharedMulti, Subscriptions};
+use firehose_core::multi::{IndependentMulti, SharedMulti, Subscriptions};
 use firehose_core::{EngineConfig, Thresholds};
 
 fn main() {
@@ -62,9 +68,10 @@ fn main() {
         // M_*: one engine per user.
         eprintln!("[fig16] building M_{kind} ...");
         let mut m_engine = IndependentMulti::new(kind, config, &graph, subs.clone());
+        let mut m_streams = DefaultHasher::new();
         let t0 = Instant::now();
         for post in &data.workload.posts {
-            m_engine.offer(post);
+            (post.id, m_engine.offer(post).delivered_to).hash(&mut m_streams);
         }
         let m_ms = t0.elapsed().as_secs_f64() * 1_000.0;
         let m_metrics = m_engine.metrics();
@@ -85,9 +92,10 @@ fn main() {
             "[fig16] S_{kind}: {} distinct components",
             s_engine.component_count()
         );
+        let mut s_streams = DefaultHasher::new();
         let t0 = Instant::now();
         for post in &data.workload.posts {
-            s_engine.offer(post);
+            (post.id, s_engine.offer(post).delivered_to).hash(&mut s_streams);
         }
         let s_ms = t0.elapsed().as_secs_f64() * 1_000.0;
         let s_metrics = s_engine.metrics();
@@ -100,6 +108,11 @@ fn main() {
             s_metrics.insertions.to_string(),
         ]);
 
+        assert_eq!(
+            m_streams.finish(),
+            s_streams.finish(),
+            "{kind}: M_* and S_* delivered different per-user streams"
+        );
         summary.push((kind, 1.0 - s_ms / m_ms, 1.0 - s_ram / m_ram));
     }
     r.finish();

@@ -32,7 +32,7 @@ use std::time::Instant;
 use firehose_graph::{CliqueCover, UndirectedGraph};
 
 use crate::engine::{build_cliquebin_with_cover, build_engine, AlgorithmKind, Diversifier};
-use crate::multi::MultiDiversifier;
+use crate::multi::SharedMulti;
 use crate::snapshot::{self, SnapshotError};
 
 const MAGIC: &[u8; 8] = b"FHCKPT01";
@@ -277,13 +277,10 @@ pub fn checkpoint_engine_to_vec<D: Diversifier + ?Sized>(
     ]))
 }
 
-/// Serialize a multi-user strategy into a checkpoint buffer. The manifest
+/// Serialize the multi-user engine into a checkpoint buffer. The manifest
 /// records the strategy name; restore cross-checks it so an `S_UniBin`
 /// checkpoint cannot be loaded into an `S_CliqueBin`.
-pub fn checkpoint_multi_to_vec<M: MultiDiversifier + ?Sized>(
-    multi: &M,
-    generation: u64,
-) -> io::Result<Vec<u8>> {
+pub fn checkpoint_multi_to_vec(multi: &SharedMulti, generation: u64) -> io::Result<Vec<u8>> {
     let manifest = Manifest {
         tag: TAG_MULTI,
         generation,
@@ -370,7 +367,9 @@ pub fn restore_engine_from_slice(
 /// `Sh_X(n)` are the names two removed runners of the shared strategy wrote
 /// into their manifests (batch-parallel and shard workers); their
 /// checkpoints carry the same FHSNAP04 state as `S_X` and still restore into
-/// it. `M_X` states are keyed per user and remain their own family.
+/// it. `M_X` checkpoints, written when the service could run one engine per
+/// user, hold per-user state and stay their own family, so restoring one is
+/// refused with [`SnapshotError::WrongStrategy`].
 fn strategy_family(name: &str) -> String {
     for prefix in ["P_", "Sh_"] {
         if let Some(rest) = name.strip_prefix(prefix) {
@@ -381,17 +380,16 @@ fn strategy_family(name: &str) -> String {
     name.to_string()
 }
 
-/// Load a multi-strategy checkpoint into an already-constructed strategy of
-/// the same shape (same kind, graph and subscriptions; see
-/// `strategy_family` for the older names that restore into `S_X`).
-/// Cross-checks the
-/// manifest's strategy family and `posts_processed` against the target.
+/// Load a multi-user checkpoint into an already-constructed engine of the
+/// same shape (same kind, graph and subscriptions; see `strategy_family` for
+/// the older names that restore into `S_X`). Cross-checks the manifest's
+/// strategy family and `posts_processed` against the target.
 ///
-/// On error the strategy's state is unspecified and it must be rebuilt or
+/// On error the engine's state is unspecified and it must be rebuilt or
 /// re-restored before use.
-pub fn restore_multi_from_slice<M: MultiDiversifier + ?Sized>(
+pub fn restore_multi_from_slice(
     buf: &[u8],
-    multi: &mut M,
+    multi: &mut SharedMulti,
 ) -> Result<Manifest, SnapshotError> {
     let sections = parse_sections(buf)?;
     let manifest = parse_manifest(find_section(&sections, SEC_MANIFEST)?)?;
@@ -401,10 +399,10 @@ pub fn restore_multi_from_slice<M: MultiDiversifier + ?Sized>(
             expected: TAG_MULTI,
         });
     }
-    if strategy_family(&manifest.name) != strategy_family(&multi.name()) {
-        return Err(SnapshotError::StructureMismatch(
-            "checkpoint belongs to a different multi strategy",
-        ));
+    let found = strategy_family(&manifest.name);
+    let expected = multi.name();
+    if found != expected {
+        return Err(SnapshotError::WrongStrategy { found, expected });
     }
     let state_sec = find_section(&sections, SEC_STATE)?;
     let mut sr: &[u8] = state_sec.payload;
@@ -585,19 +583,16 @@ impl CheckpointManager {
         }
     }
 
-    /// Unconditionally checkpoint a multi-user strategy now.
-    pub fn save_multi<M: MultiDiversifier + ?Sized>(&mut self, multi: &M) -> io::Result<u64> {
+    /// Unconditionally checkpoint the multi-user engine now.
+    pub fn save_multi(&mut self, multi: &SharedMulti) -> io::Result<u64> {
         let bytes = checkpoint_multi_to_vec(multi, self.next_generation)?;
         let generation = self.save_bytes(&bytes)?;
         self.last_offers = multi.metrics().posts_processed;
         Ok(generation)
     }
 
-    /// Checkpoint the strategy if the policy says one is due.
-    pub(crate) fn maybe_save_multi<M: MultiDiversifier + ?Sized>(
-        &mut self,
-        multi: &M,
-    ) -> io::Result<Option<u64>> {
+    /// Checkpoint the multi-user engine if the policy says one is due.
+    pub(crate) fn maybe_save_multi(&mut self, multi: &SharedMulti) -> io::Result<Option<u64>> {
         if self.due(multi.metrics().posts_processed) {
             self.save_multi(multi).map(Some)
         } else {
@@ -722,7 +717,7 @@ pub fn restore_latest_valid(
     Err(RestoreError::NoValidCheckpoint { skipped })
 }
 
-/// Multi-strategy counterpart of [`restore_latest_valid`]: loads the newest
+/// Multi-user counterpart of [`restore_latest_valid`]: loads the newest
 /// intact generation into `multi` (which must be freshly constructed with
 /// the same kind, graph and subscriptions). Returns the restored manifest
 /// and the skipped generations.
@@ -730,9 +725,9 @@ pub fn restore_latest_valid(
 /// A failed attempt may leave `multi` partially written, but a subsequent
 /// successful attempt overwrites every engine's state wholesale, so the
 /// returned state is always exactly the restored checkpoint's.
-pub fn restore_latest_valid_multi<M: MultiDiversifier + ?Sized>(
+pub fn restore_latest_valid_multi(
     dir: &Path,
-    multi: &mut M,
+    multi: &mut SharedMulti,
 ) -> Result<(Manifest, Vec<SkippedGeneration>), RestoreError> {
     let mut skipped = Vec::new();
     for (generation, path) in list_generations(dir)?.into_iter().rev() {
@@ -1021,12 +1016,21 @@ mod tests {
             assert_eq!(restored.offer(p), original.offer(p), "post {}", p.id);
         }
 
-        // Restoring into a different strategy shape is rejected, not UB.
+        // Restoring into a different strategy is refused naming both.
         let mut wrong = SharedMulti::new(AlgorithmKind::CliqueBin, config(), &g, subs);
-        assert!(matches!(
-            restore_multi_from_slice(&buf, &mut wrong),
-            Err(SnapshotError::StructureMismatch(_))
-        ));
+        let err = restore_multi_from_slice(&buf, &mut wrong).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                SnapshotError::WrongStrategy { found, expected }
+                    if found == "S_UniBin" && expected == "S_CliqueBin"
+            ),
+            "{err:?}"
+        );
+        assert_eq!(
+            err.to_string(),
+            "checkpoint written by S_UniBin; this service runs S_CliqueBin"
+        );
     }
 
     #[test]

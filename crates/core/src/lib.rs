@@ -27,19 +27,20 @@
 //!
 //! # Many users (M-SPSD)
 //!
-//! [`multi`] scales the model to a whole service: `M_*` engines process each
-//! user independently, `S_*` engines share one engine per distinct connected
-//! component of the users' author-similarity subgraphs (Section 5).
+//! [`multi`] scales the model to a whole service: the `S_*` engine shares
+//! one engine per distinct connected component of the users' author-similarity
+//! subgraphs (Section 5). `M_*`, one engine per user, stays as the paper's
+//! static reference it is checked against.
 //!
 //! # Modules
 //!
 //! The crate root re-exports the configuration, decision, metrics, quality
 //! and cost-model types. The modules callers name by path are [`engine`]
-//! (the three SPSD engines), [`multi`] (the M-SPSD strategies and the
-//! subscription table), [`service`] (the [`FirehoseService`] facade and its
-//! churn trace format), [`checkpoint`] and [`snapshot`] (crash-safe state),
-//! [`coverage`] (the coverage predicate the engines implement), [`advisor`]
-//! (Table 4) and [`prelude`].
+//! (the three SPSD engines), [`multi`] (the M-SPSD engine, its `M_*`
+//! reference and the subscription table), [`service`] (the
+//! [`FirehoseService`] facade and its churn trace format), [`checkpoint`]
+//! and [`snapshot`] (crash-safe state), [`coverage`] (the coverage predicate
+//! the engines implement), [`advisor`] (Table 4) and [`prelude`].
 //!
 //! # Quickstart
 //!
@@ -92,9 +93,7 @@ pub mod prelude {
         build_engine, AlgorithmKind, CliqueBin, Diversifier, NeighborBin, UniBin,
     };
     pub use crate::metrics::EngineMetrics;
-    pub use crate::multi::{
-        IndependentMulti, MultiDecision, MultiDiversifier, SharedMulti, Subscriptions,
-    };
+    pub use crate::multi::{IndependentMulti, MultiDecision, SharedMulti, Subscriptions};
     pub use crate::service::{FirehoseService, StrategyKind};
 }
 

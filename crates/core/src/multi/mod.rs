@@ -1,43 +1,39 @@
 //! Multi-user diversification (M-SPSD, Section 5) with live subscription
 //! churn.
 //!
-//! A service diversifies each user's stream centrally. Two strategies:
+//! A service diversifies each user's stream centrally with
+//! [`SharedMulti`] (`S_UniBin` / `S_NeighborBin` / `S_CliqueBin`), the
+//! paper's optimization: the diversified stream of a *connected component*
+//! of `Gi` is identical for every user whose subscription graph contains
+//! that exact component, so one engine per **distinct component** serves
+//! them all. It supports **live churn** —
+//! [`subscribe`](SharedMulti::subscribe),
+//! [`unsubscribe`](SharedMulti::unsubscribe),
+//! [`add_user`](SharedMulti::add_user) and
+//! [`remove_user`](SharedMulti::remove_user) — by incrementally splitting
+//! and merging the per-user connected components in a refcounted `registry`
+//! instead of rebuilding every engine (see `DESIGN.md` §9).
 //!
-//! * [`IndependentMulti`] (`M_UniBin` / `M_NeighborBin` / `M_CliqueBin`) —
-//!   one single-user engine per user over the subgraph of `G` induced by the
-//!   user's subscriptions. Simple, but shared subscriptions are re-processed
-//!   once per user.
-//! * [`SharedMulti`] (`S_UniBin` / `S_NeighborBin` / `S_CliqueBin`) — the
-//!   paper's optimization: the diversified stream of a *connected component*
-//!   of `Gi` is identical for every user whose subscription graph contains
-//!   that exact component, so one engine per **distinct component** serves
-//!   them all.
-//!
-//! Both produce identical per-user streams (tested in `tests/`).
-//!
-//! Both strategies support **live churn** —
-//! [`subscribe`](MultiDiversifier::subscribe),
-//! [`unsubscribe`](MultiDiversifier::unsubscribe),
-//! [`add_user`](MultiDiversifier::add_user) and
-//! [`remove_user`](MultiDiversifier::remove_user) — by incrementally
-//! splitting and merging the per-user connected components in a refcounted
-//! `registry` instead of rebuilding every engine (see `DESIGN.md` §9).
+//! [`IndependentMulti`] (`M_UniBin` / `M_NeighborBin` / `M_CliqueBin`) is
+//! the paper's static reference: one single-user engine per user over a
+//! fixed subscription table. Figure 16 and the M = S tests compare against
+//! it; both produce identical per-user streams.
 
+mod compact;
 mod independent;
 mod registry;
 mod shared;
 mod subscriptions;
 
-pub use independent::{IndependentBuilder, IndependentMulti};
+pub use independent::IndependentMulti;
 pub use shared::{SharedBuilder, SharedMulti};
 pub use subscriptions::{SubscriptionError, Subscriptions, UserId};
 
 use std::io::Read;
 
-use firehose_stream::{AuthorId, Post};
+use firehose_stream::AuthorId;
 
-use crate::metrics::EngineMetrics;
-use crate::multi::independent::CompactEngine;
+use crate::multi::compact::CompactEngine;
 use crate::snapshot::SnapshotError;
 
 /// The verdict of a multi-user engine for one arriving post.
@@ -47,41 +43,7 @@ pub struct MultiDecision {
     pub delivered_to: Vec<UserId>,
 }
 
-/// Errors constructing a multi-user strategy through its builder.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BuildError {
-    /// `IndependentMulti` per-user configs must match the user count.
-    ConfigCountMismatch {
-        /// Number of configs supplied.
-        configs: usize,
-        /// Number of users in the subscription relation.
-        users: usize,
-    },
-    /// The subscription relation itself was invalid.
-    Subscription(SubscriptionError),
-}
-
-impl std::fmt::Display for BuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::ConfigCountMismatch { configs, users } => {
-                write!(f, "{configs} per-user configs for {users} users")
-            }
-            Self::Subscription(e) => write!(f, "invalid subscriptions: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for BuildError {}
-
-impl From<SubscriptionError> for BuildError {
-    fn from(e: SubscriptionError) -> Self {
-        Self::Subscription(e)
-    }
-}
-
-/// Counters for the live-churn machinery, kept per strategy and persisted
-/// through checkpoints (the FHSNAP04 churn ledger).
+/// Counters for the live-churn machinery, persisted through checkpoints (the FHSNAP04 churn ledger).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChurnStats {
     /// Successful `subscribe` operations (new follow edges).
@@ -148,76 +110,6 @@ impl ChurnStats {
             initial_engines: vals[7],
         })
     }
-}
-
-/// A multi-user real-time diversifier with live subscription churn.
-pub trait MultiDiversifier {
-    /// Offer an arriving post; returns which users receive it. Users not
-    /// subscribed to the post's author never appear.
-    fn offer(&mut self, post: &Post) -> MultiDecision;
-
-    /// Buffer-reusing variant of [`offer`](Self::offer): clears `out` and
-    /// fills its `delivered_to` in place, avoiding one `Vec` allocation per
-    /// post on the hot path. The default delegates to `offer`.
-    fn offer_into(&mut self, post: &Post, out: &mut MultiDecision) {
-        *out = self.offer(post);
-    }
-
-    /// Add a follow edge for an existing user, incrementally merging the
-    /// affected components. Returns `false` if the edge already existed.
-    fn subscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError>;
-
-    /// Drop a follow edge, incrementally splitting the affected component.
-    /// Returns `false` if the edge did not exist.
-    fn unsubscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError>;
-
-    /// Register a new user with the given subscription set; returns the new
-    /// (stable) user id.
-    fn add_user(&mut self, authors: &[AuthorId]) -> Result<UserId, SubscriptionError>;
-
-    /// Tombstone a user: their id stays allocated, they receive nothing, and
-    /// component engines they were the last user of are retired.
-    fn remove_user(&mut self, user: UserId) -> Result<(), SubscriptionError>;
-
-    /// Counters for churn operations applied so far.
-    fn churn_stats(&self) -> ChurnStats;
-
-    /// The current subscription relation.
-    fn subscriptions(&self) -> &Subscriptions;
-
-    /// Aggregated counters across all internal engines.
-    fn metrics(&self) -> EngineMetrics;
-
-    /// Strategy name, e.g. `"M_UniBin"` or `"S_CliqueBin"`.
-    fn name(&self) -> String;
-
-    /// Current record payload across all internal engines, in bytes.
-    fn memory_bytes(&self) -> u64 {
-        self.metrics().memory_bytes()
-    }
-
-    /// Aggregated approximate-backend counters across all internal engines;
-    /// `None` when engines run exact.
-    fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
-        None
-    }
-
-    /// Serialize the strategy's mutable state in the FHSNAP04 layout: the
-    /// churn ledger, the **current** subscription relation, the sweep
-    /// ledger, and every live engine's state keyed independently of
-    /// construction history (component-membership hash for the shared
-    /// strategies, user id for `M_*`). The bytes round-trip through
-    /// [`load_state`](Self::load_state) on a strategy built with the same
-    /// kind and graph — the subscription state at build time does *not* have
-    /// to match, because the embedded table replaces it.
-    fn save_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()>;
-
-    /// Replace this strategy's mutable state with bytes previously produced
-    /// by [`save_state`](Self::save_state) — either the FHSNAP04 layout or
-    /// the legacy pre-churn (FHSNAP03-era) layout, which is detected
-    /// automatically. On error the state is unspecified and the strategy
-    /// must be rebuilt before use.
-    fn load_state(&mut self, r: &mut dyn std::io::Read) -> Result<(), SnapshotError>;
 }
 
 /// Magic prefix of the FHSNAP04 multi-strategy state layout. The legacy

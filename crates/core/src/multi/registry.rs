@@ -34,7 +34,7 @@ use firehose_stream::{AuthorId, Post, PostRecord, Timestamp};
 use crate::config::EngineConfig;
 use crate::engine::{order_window_records, AlgorithmKind};
 use crate::metrics::EngineMetrics;
-use crate::multi::independent::CompactEngine;
+use crate::multi::compact::CompactEngine;
 use crate::multi::shared::user_components;
 use crate::multi::subscriptions::{SubscriptionError, Subscriptions, UserId};
 use crate::multi::{

@@ -28,7 +28,7 @@ use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::registry::ComponentRegistry;
 use crate::multi::subscriptions::{SubscriptionError, Subscriptions, UserId};
-use crate::multi::{ChurnStats, MultiDecision, MultiDiversifier};
+use crate::multi::{ChurnStats, MultiDecision};
 use crate::obs::MultiObs;
 
 /// Decompose a user's (sorted) subscription set into connected components of
@@ -71,8 +71,9 @@ pub struct SharedBuilder<'g> {
 
 impl SharedBuilder<'_> {
     /// Whether engines spawned by churn inherit their predecessors'
-    /// in-window records (default `true`); see
-    /// [`IndependentBuilder::warm_start`](crate::multi::IndependentBuilder::warm_start).
+    /// in-window records (default `true`). Disable to get cold spawns whose
+    /// streams match a freshly built strategy immediately instead of after
+    /// λt.
     pub fn warm_start(mut self, warm_start: bool) -> Self {
         self.warm_start = warm_start;
         self
@@ -134,23 +135,26 @@ impl SharedMulti {
     /// counter, live-copies gauge) labelled `{strategy="<name>"}` to
     /// `registry`.
     pub(crate) fn attach_obs(&mut self, registry: &firehose_obs::Registry) {
-        self.obs = Some(MultiObs::register(registry, &MultiDiversifier::name(self)));
+        self.obs = Some(MultiObs::register(registry, &self.name()));
     }
 
     /// Number of distinct components (= number of engines).
     pub fn component_count(&self) -> usize {
         self.registry.component_count()
     }
-}
 
-impl MultiDiversifier for SharedMulti {
-    fn offer(&mut self, post: &Post) -> MultiDecision {
+    /// Offer an arriving post; returns which users receive it. Users not
+    /// subscribed to the post's author never appear.
+    pub fn offer(&mut self, post: &Post) -> MultiDecision {
         let mut out = MultiDecision::default();
         self.offer_into(post, &mut out);
         out
     }
 
-    fn offer_into(&mut self, post: &Post, out: &mut MultiDecision) {
+    /// Buffer-reusing variant of [`offer`](Self::offer): clears `out` and
+    /// fills its `delivered_to` in place, avoiding one `Vec` allocation per
+    /// post on the hot path.
+    pub fn offer_into(&mut self, post: &Post, out: &mut MultiDecision) {
         let started = self.obs.is_some().then(Instant::now);
         let swept = self.registry.offer(post, out);
         if let (Some(t0), Some(obs)) = (started, &self.obs) {
@@ -162,47 +166,82 @@ impl MultiDiversifier for SharedMulti {
         }
     }
 
-    fn subscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
+    /// Add a follow edge for an existing user, incrementally merging the
+    /// affected components. Returns `false` if the edge already existed.
+    pub fn subscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
         self.registry.subscribe(user, author)
     }
 
-    fn unsubscribe(&mut self, user: UserId, author: AuthorId) -> Result<bool, SubscriptionError> {
+    /// Drop a follow edge, incrementally splitting the affected component.
+    /// Returns `false` if the edge did not exist.
+    pub fn unsubscribe(
+        &mut self,
+        user: UserId,
+        author: AuthorId,
+    ) -> Result<bool, SubscriptionError> {
         self.registry.unsubscribe(user, author)
     }
 
-    fn add_user(&mut self, authors: &[AuthorId]) -> Result<UserId, SubscriptionError> {
+    /// Register a new user with the given subscription set; returns the new
+    /// (stable) user id.
+    pub fn add_user(&mut self, authors: &[AuthorId]) -> Result<UserId, SubscriptionError> {
         self.registry.add_user(authors)
     }
 
-    fn remove_user(&mut self, user: UserId) -> Result<(), SubscriptionError> {
+    /// Tombstone a user: their id stays allocated, they receive nothing, and
+    /// component engines they were the last user of are retired.
+    pub fn remove_user(&mut self, user: UserId) -> Result<(), SubscriptionError> {
         self.registry.remove_user(user)
     }
 
-    fn churn_stats(&self) -> ChurnStats {
+    /// Counters for churn operations applied so far.
+    pub fn churn_stats(&self) -> ChurnStats {
         self.registry.churn
     }
 
-    fn subscriptions(&self) -> &Subscriptions {
+    /// The current subscription relation.
+    pub fn subscriptions(&self) -> &Subscriptions {
         &self.registry.subscriptions
     }
 
-    fn metrics(&self) -> EngineMetrics {
+    /// Aggregated counters across all component engines.
+    pub fn metrics(&self) -> EngineMetrics {
         self.registry.metrics_total()
     }
 
-    fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
+    /// Current record payload across all component engines, in bytes.
+    pub fn memory_bytes(&self) -> u64 {
+        self.metrics().memory_bytes()
+    }
+
+    /// Aggregated approximate-backend counters across all component engines;
+    /// `None` when engines run exact.
+    pub fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
         self.registry.approx_stats_total()
     }
 
-    fn name(&self) -> String {
+    /// Strategy name, e.g. `"S_CliqueBin"`.
+    pub fn name(&self) -> String {
         format!("S_{}", self.registry.kind())
     }
 
-    fn save_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
+    /// Serialize the mutable state in the FHSNAP04 layout: the churn ledger,
+    /// the **current** subscription relation, the sweep ledger, and every
+    /// live engine's state keyed by its component-membership hash,
+    /// independently of construction history. The bytes round-trip through
+    /// [`load_state`](Self::load_state) on a strategy built with the same
+    /// kind and graph — the subscription state at build time does *not* have
+    /// to match, because the embedded table replaces it.
+    pub(crate) fn save_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
         self.registry.save_state(w)
     }
 
-    fn load_state(
+    /// Replace the mutable state with bytes previously produced by
+    /// [`save_state`](Self::save_state) — either the FHSNAP04 layout or the
+    /// legacy pre-churn (FHSNAP03-era) layout, which is detected
+    /// automatically. On error the state is unspecified and the strategy
+    /// must be rebuilt before use.
+    pub(crate) fn load_state(
         &mut self,
         r: &mut dyn std::io::Read,
     ) -> Result<(), crate::snapshot::SnapshotError> {
@@ -260,7 +299,7 @@ mod tests {
         // a5 (author 4) posts; only u2 subscribes.
         let d = s.offer(&Post::new(1, 4, 0, "match highlights video replay".into()));
         assert_eq!(d.delivered_to, vec![1]);
-        // a4 (author 3) posts a near-duplicate: u1 sees it (her component {3}
+        // a4 (author 3) posts a near-duplicate: u1 sees it (their component {3}
         // never saw post 1); u2 does not (covered within {3,4}).
         let d = s.offer(&Post::new(
             2,

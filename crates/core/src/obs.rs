@@ -55,10 +55,9 @@ impl EngineObs {
     }
 }
 
-/// Instruments for a multi-user strategy
-/// ([`SharedMulti`](crate::multi::SharedMulti) /
-/// [`IndependentMulti`](crate::multi::IndependentMulti)): whole-post offer
-/// latency, eviction-sweep count, and the live record-copy footprint.
+/// Instruments for the multi-user engine
+/// ([`SharedMulti`](crate::multi::SharedMulti)): whole-post offer latency,
+/// eviction-sweep count, and the live record-copy footprint.
 #[derive(Clone)]
 pub(crate) struct MultiObs {
     /// Wall-clock nanoseconds per multi-user `offer` call (fingerprint +

@@ -4,7 +4,7 @@
 //! ingest guard, checkpointing and observability each stand alone. A real
 //! deployment always wires the same five pieces together, so this module
 //! packages them behind a builder-constructed facade that owns the author
-//! graph, the subscription table, the chosen M-SPSD strategy, an optional
+//! graph, the subscription table, the M-SPSD engine, an optional
 //! [`IngestGuard`], an optional [`CheckpointManager`] and optional metric
 //! registration:
 //!
@@ -35,9 +35,9 @@
 //!
 //! [`process`](FirehoseService::process) is the service entry point: posts
 //! pass through the guard (when configured), every admitted post is offered
-//! to the strategy with a reused decision buffer, and checkpoints are taken
-//! at the configured cadence. The churn operations forward to the strategy's
-//! live [`MultiDiversifier`] churn API, and [`ChurnOp`] gives those
+//! to the multi-user engine with a reused decision buffer, and checkpoints
+//! are taken at the configured cadence. The churn operations forward to the
+//! live [`SharedMulti`] churn API, and [`ChurnOp`] gives those
 //! operations a text form so traces can be recorded, replayed
 //! (`firehose run --churn-trace`) and generated (`firehose_datagen::generate_churn_trace`).
 
@@ -55,19 +55,17 @@ use crate::config::{EngineConfig, MemoryMode};
 use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::{
-    BuildError, ChurnStats, IndependentMulti, MultiDecision, MultiDiversifier, SharedMulti,
-    SubscriptionError, Subscriptions, UserId,
+    ChurnStats, MultiDecision, SharedMulti, SubscriptionError, Subscriptions, UserId,
 };
 
 // ---------------------------------------------------------------------
 // Strategy selection.
 // ---------------------------------------------------------------------
 
-/// Which M-SPSD strategy the service runs (Section 5's `M_*` / `S_*`).
+/// How the service's M-SPSD engine is spelled on the command line. Both
+/// variants build the same [`SharedMulti`] (Section 5's `S_*`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
-    /// One engine per user ([`IndependentMulti`], `M_*`).
-    Independent,
     /// One engine per distinct connected component ([`SharedMulti`], `S_*`).
     Shared,
     /// Another spelling of [`Shared`](Self::Shared) that builds exactly what
@@ -83,7 +81,6 @@ impl std::fmt::Display for StrategyKind {
     /// The form [`FromStr`](std::str::FromStr) accepts back.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Independent => f.write_str("independent"),
             Self::Shared => f.write_str("shared"),
             Self::Sharded { shards } => write!(f, "sharded:{shards}"),
         }
@@ -93,17 +90,16 @@ impl std::fmt::Display for StrategyKind {
 impl std::str::FromStr for StrategyKind {
     type Err = String;
 
-    /// `independent` | `shared` | `sharded` | `sharded:N` with `N ≥ 1`.
+    /// `shared` | `sharded` | `sharded:N` with `N ≥ 1`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let cores = || std::thread::available_parallelism().map_or(4, |n| n.get());
         match s {
-            "independent" | "m" => Ok(Self::Independent),
             "shared" | "s" => Ok(Self::Shared),
             "sharded" | "sh" => Ok(Self::Sharded { shards: cores() }),
             other => {
                 let Some(n) = other.strip_prefix("sharded:") else {
                     return Err(format!(
-                        "unknown --strategy {other:?} (want independent|shared|sharded[:N])"
+                        "unknown --strategy {other:?} (want shared|sharded[:N])"
                     ));
                 };
                 match n.parse() {
@@ -398,8 +394,6 @@ pub fn read_churn_trace(reader: impl BufRead) -> Result<Vec<TracedOp>, String> {
 /// Errors constructing or operating a [`FirehoseService`].
 #[derive(Debug)]
 pub enum ServiceError {
-    /// The strategy rejected its configuration.
-    Build(BuildError),
     /// Checkpoint directory I/O failed.
     Io(io::Error),
     /// Restoring from the checkpoint directory failed.
@@ -418,7 +412,6 @@ pub enum ServiceError {
 impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Build(e) => write!(f, "cannot build strategy: {e}"),
             Self::Io(e) => write!(f, "checkpoint I/O: {e}"),
             Self::Restore(e) => write!(f, "restore failed: {e}"),
             Self::NoCheckpointDir => f.write_str("service built without a checkpoint directory"),
@@ -433,12 +426,6 @@ impl std::fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
-
-impl From<BuildError> for ServiceError {
-    fn from(e: BuildError) -> Self {
-        Self::Build(e)
-    }
-}
 
 impl From<io::Error> for ServiceError {
     fn from(e: io::Error) -> Self {
@@ -461,7 +448,6 @@ impl From<RestoreError> for ServiceError {
 pub struct FirehoseServiceBuilder<'g> {
     graph: &'g UndirectedGraph,
     subscriptions: Subscriptions,
-    strategy: StrategyKind,
     algorithm: AlgorithmKind,
     config: EngineConfig,
     guard: Option<GuardConfig>,
@@ -472,9 +458,10 @@ pub struct FirehoseServiceBuilder<'g> {
 }
 
 impl<'g> FirehoseServiceBuilder<'g> {
-    /// Pick the multi-user strategy (default [`StrategyKind::Shared`]).
-    pub fn strategy(mut self, strategy: StrategyKind) -> Self {
-        self.strategy = strategy;
+    /// Name the multi-user engine. Every [`StrategyKind`] builds the same
+    /// [`SharedMulti`]; the call stays because the CLI and the benchmark
+    /// spell the engine with it.
+    pub fn strategy(self, _strategy: StrategyKind) -> Self {
         self
     }
 
@@ -525,33 +512,16 @@ impl<'g> FirehoseServiceBuilder<'g> {
         self
     }
 
-    /// Construct the service: builds the strategy, opens the checkpoint
-    /// directory, and arms the guard.
+    /// Construct the service: builds the engine, opens the checkpoint
+    /// directory, and arms the guard. Both [`StrategyKind`]s build the same
+    /// [`SharedMulti`].
     pub fn build(self) -> Result<FirehoseService, ServiceError> {
         let memory = self.config.memory;
-        let multi: Box<dyn MultiDiversifier + Send> = match self.strategy {
-            StrategyKind::Independent => {
-                let mut m = IndependentMulti::builder(
-                    self.algorithm,
-                    self.config,
-                    self.graph,
-                    self.subscriptions,
-                )
-                .build()?;
-                if let Some(reg) = self.obs {
-                    m.attach_obs(reg);
-                }
-                Box::new(m)
-            }
-            StrategyKind::Shared | StrategyKind::Sharded { .. } => {
-                let mut m =
-                    SharedMulti::new(self.algorithm, self.config, self.graph, self.subscriptions);
-                if let Some(reg) = self.obs {
-                    m.attach_obs(reg);
-                }
-                Box::new(m)
-            }
-        };
+        let mut multi =
+            SharedMulti::new(self.algorithm, self.config, self.graph, self.subscriptions);
+        if let Some(reg) = self.obs {
+            multi.attach_obs(reg);
+        }
         let guard = self.guard.map(|mut config| {
             if config.author_count.is_none() {
                 config.author_count = Some(self.graph.node_count() as u32);
@@ -585,7 +555,7 @@ impl<'g> FirehoseServiceBuilder<'g> {
 /// strategy + guard + checkpoints + metrics behind a single object. See the
 /// [module docs](self) for the lifecycle.
 pub struct FirehoseService {
-    multi: Box<dyn MultiDiversifier + Send>,
+    multi: SharedMulti,
     guard: Option<IngestGuard>,
     manager: Option<CheckpointManager>,
     /// Coverage-store memory mode every component engine was built with.
@@ -615,7 +585,6 @@ impl FirehoseService {
         FirehoseServiceBuilder {
             graph,
             subscriptions,
-            strategy: StrategyKind::Shared,
             algorithm: AlgorithmKind::UniBin,
             config: EngineConfig::paper_defaults(),
             guard: None,
@@ -761,7 +730,7 @@ impl FirehoseService {
     /// Poll the checkpoint cadence.
     fn maybe_checkpoint(&mut self) -> Result<(), ServiceError> {
         if let Some(mgr) = &mut self.manager {
-            mgr.maybe_save_multi(self.multi.as_ref())?;
+            mgr.maybe_save_multi(&self.multi)?;
         }
         Ok(())
     }
@@ -790,7 +759,8 @@ impl FirehoseService {
         self.multi.unsubscribe(user, author)
     }
 
-    /// Register a new user with an initial subscription set; returns her id.
+    /// Register a new user with an initial subscription set; returns their
+    /// id.
     pub fn add_user(
         &mut self,
         authors: impl IntoIterator<Item = AuthorId>,
@@ -799,7 +769,7 @@ impl FirehoseService {
         self.multi.add_user(&authors)
     }
 
-    /// Deactivate a user: her engines are released, her id never reused.
+    /// Deactivate a user: their engines are released, their id never reused.
     pub fn remove_user(&mut self, user: UserId) -> Result<(), SubscriptionError> {
         self.multi.remove_user(user)
     }
@@ -819,7 +789,7 @@ impl FirehoseService {
     /// Checkpoint the strategy now; returns the generation written.
     pub fn checkpoint_now(&mut self) -> Result<u64, ServiceError> {
         match &mut self.manager {
-            Some(mgr) => Ok(mgr.save_multi(self.multi.as_ref())?),
+            Some(mgr) => Ok(mgr.save_multi(&self.multi)?),
             None => Err(ServiceError::NoCheckpointDir),
         }
     }
@@ -835,14 +805,14 @@ impl FirehoseService {
             return Err(ServiceError::NoCheckpointDir);
         };
         let dir = mgr.dir().to_path_buf();
-        let (manifest, _skipped) = restore_latest_valid_multi(&dir, self.multi.as_mut())?;
+        let (manifest, _skipped) = restore_latest_valid_multi(&dir, &mut self.multi)?;
         mgr.note_restored(&manifest);
         Ok(manifest)
     }
 
     // --- introspection ----------------------------------------------
 
-    /// Strategy display name (`"S_UniBin"`, `"M_CliqueBin"`, ...).
+    /// Engine display name (`"S_UniBin"`, `"S_CliqueBin"`, ...).
     pub fn name(&self) -> String {
         self.multi.name()
     }
@@ -917,11 +887,7 @@ mod tests {
 
     #[test]
     fn service_matches_bare_strategy() {
-        for strategy in [
-            StrategyKind::Independent,
-            StrategyKind::Shared,
-            StrategyKind::Sharded { shards: 2 },
-        ] {
+        for strategy in [StrategyKind::Shared, StrategyKind::Sharded { shards: 2 }] {
             let mut service = FirehoseService::builder(&graph(), subs())
                 .strategy(strategy)
                 .engine_config(config())
@@ -937,10 +903,8 @@ mod tests {
                 assert_eq!(*got.last().unwrap(), expected.delivered_to, "{strategy}");
             }
             assert!(service.metrics().posts_processed > 0);
-            if strategy != StrategyKind::Independent {
-                assert_eq!(service.name(), bare.name(), "{strategy}");
-                assert_eq!(service.metrics(), bare.metrics(), "{strategy}");
-            }
+            assert_eq!(service.name(), bare.name(), "{strategy}");
+            assert_eq!(service.metrics(), bare.metrics(), "{strategy}");
         }
     }
 
@@ -1082,10 +1046,6 @@ mod tests {
     #[test]
     fn strategy_kind_parses() {
         assert_eq!(
-            "independent".parse::<StrategyKind>().unwrap(),
-            StrategyKind::Independent
-        );
-        assert_eq!(
             "shared".parse::<StrategyKind>().unwrap(),
             StrategyKind::Shared
         );
@@ -1098,6 +1058,8 @@ mod tests {
             StrategyKind::Sharded { .. }
         ));
         assert!("bogus".parse::<StrategyKind>().is_err());
+        assert!("independent".parse::<StrategyKind>().is_err());
+        assert!("m".parse::<StrategyKind>().is_err());
         assert!("parallel:3".parse::<StrategyKind>().is_err());
         assert!("sharded:x".parse::<StrategyKind>().is_err());
         let zero = "sharded:0".parse::<StrategyKind>().unwrap_err();
@@ -1107,7 +1069,6 @@ mod tests {
     #[test]
     fn strategy_kind_display_round_trips() {
         for kind in [
-            StrategyKind::Independent,
             StrategyKind::Shared,
             StrategyKind::Sharded { shards: 1 },
             StrategyKind::Sharded { shards: 4 },
@@ -1231,35 +1192,31 @@ mod tests {
     #[test]
     fn process_batch_matches_per_post_process() {
         let stream = posts(80);
-        for strategy in [StrategyKind::Independent, StrategyKind::Shared] {
-            let build = || {
-                FirehoseService::builder(&graph(), subs())
-                    .strategy(strategy)
-                    .engine_config(config())
-                    .guard(GuardConfig::default())
-                    .build()
-                    .unwrap()
-            };
-            let mut per_post = build();
-            let mut expected = Vec::new();
-            for post in stream.iter().cloned() {
-                per_post
-                    .process(post, |p, d| expected.push((p.id, d.delivered_to.clone())))
-                    .unwrap();
-            }
-            let mut batched = build();
-            let mut got = Vec::new();
-            batched
-                .process_batch(stream.iter().cloned(), |p, d| {
-                    got.push((p.id, d.delivered_to.clone()));
-                })
+        let build = || {
+            FirehoseService::builder(&graph(), subs())
+                .engine_config(config())
+                .guard(GuardConfig::default())
+                .build()
+                .unwrap()
+        };
+        let mut per_post = build();
+        let mut expected = Vec::new();
+        for post in stream.iter().cloned() {
+            per_post
+                .process(post, |p, d| expected.push((p.id, d.delivered_to.clone())))
                 .unwrap();
-            assert_eq!(got, expected, "{strategy}");
-            assert_eq!(
-                batched.metrics().posts_processed,
-                per_post.metrics().posts_processed,
-                "{strategy}"
-            );
         }
+        let mut batched = build();
+        let mut got = Vec::new();
+        batched
+            .process_batch(stream.iter().cloned(), |p, d| {
+                got.push((p.id, d.delivered_to.clone()));
+            })
+            .unwrap();
+        assert_eq!(got, expected);
+        assert_eq!(
+            batched.metrics().posts_processed,
+            per_post.metrics().posts_processed
+        );
     }
 }

@@ -76,6 +76,14 @@ pub enum SnapshotError {
         /// Tag the caller asked to restore.
         expected: u8,
     },
+    /// The checkpoint was written by a different multi-user strategy family
+    /// than the one asked to restore it.
+    WrongStrategy {
+        /// Strategy family named in the checkpoint's manifest.
+        found: String,
+        /// Strategy of the restore target.
+        expected: String,
+    },
     /// The supplied graph/cover does not match the snapshot's structure.
     StructureMismatch(&'static str),
     /// The stored configuration fails validation.
@@ -104,6 +112,12 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadMagic => write!(f, "not a firehose snapshot"),
             SnapshotError::WrongEngine { found, expected } => {
                 write!(f, "snapshot holds engine tag {found}, expected {expected}")
+            }
+            SnapshotError::WrongStrategy { found, expected } => {
+                write!(
+                    f,
+                    "checkpoint written by {found}; this service runs {expected}"
+                )
             }
             SnapshotError::StructureMismatch(what) => {
                 write!(f, "snapshot does not match supplied structure: {what}")

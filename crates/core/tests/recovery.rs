@@ -14,7 +14,7 @@ use firehose_core::checkpoint::{
     CheckpointPolicy, RestoreError,
 };
 use firehose_core::engine::{build_engine, AlgorithmKind, Diversifier};
-use firehose_core::multi::{MultiDiversifier, SharedMulti, Subscriptions};
+use firehose_core::multi::{SharedMulti, Subscriptions};
 use firehose_core::snapshot::{restore_unibin, snapshot_unibin};
 use firehose_core::{Decision, EngineConfig, Thresholds};
 use firehose_graph::UndirectedGraph;

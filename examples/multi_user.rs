@@ -4,10 +4,10 @@
 //! cargo run --release --example multi_user
 //! ```
 //!
-//! Builds a synthetic service with hundreds of users, compares the
-//! per-user strategy (`M_UniBin`) with the shared-component strategy
-//! (`S_UniBin`, Section 5 of the paper), asserting along the way that both
-//! deliver identical per-user streams.
+//! Builds a synthetic service with hundreds of users, compares the paper's
+//! per-user reference (`M_UniBin`) with the shared-component engine the
+//! service runs (`S_UniBin`, Section 5 of the paper), asserting along the way
+//! that both deliver identical per-user streams.
 
 use std::time::Instant;
 
@@ -50,7 +50,7 @@ fn main() {
 
     let config = EngineConfig::new(Thresholds::paper_defaults());
 
-    // Strategy 1: one engine per user.
+    // Reference: one engine per user.
     let mut independent =
         IndependentMulti::new(AlgorithmKind::UniBin, config, &graph, subs.clone());
     let t0 = Instant::now();
@@ -61,7 +61,7 @@ fn main() {
         .collect();
     let m_time = t0.elapsed();
 
-    // Strategy 2: one engine per distinct connected component.
+    // The service engine: one engine per distinct connected component.
     let mut shared = SharedMulti::new(AlgorithmKind::UniBin, config, &graph, subs.clone());
     let t0 = Instant::now();
     let s_out: Vec<_> = workload.posts.iter().map(|p| shared.offer(p)).collect();

@@ -132,7 +132,7 @@ const COMMANDS: &[(&str, &[&str])] = &[
             "[--guard strict|clamp|reorder]",
             "[--reorder-bound-ms N]",
             "[--subscriptions FILE]",
-            "[--strategy independent|shared|sharded[:N]]",
+            "[--strategy shared|sharded[:N]]",
             "[--churn-trace FILE]",
             "[--overload block|shed|reject[:CAPACITY]]",
             "[--rate-limit POSTS_PER_SEC]",
@@ -149,7 +149,7 @@ const COMMANDS: &[(&str, &[&str])] = &[
             "[--lambda-t-mins N]",
             "[--lambda-a F]",
             "[--memory exact|approx[:BUDGET]]",
-            "[--strategy independent|shared|sharded[:N]]",
+            "[--strategy shared|sharded[:N]]",
             "[--guard strict|clamp|reorder]",
             "[--reorder-bound-ms N]",
             "[--overload block|shed|reject[:CAPACITY]]",
@@ -219,6 +219,10 @@ fn usage() -> String {
 
 const REMOVED_SHARDING: &str =
     "--shards N and --strategy parallel[:N] were removed; use --strategy sharded[:N]";
+
+const REMOVED_INDEPENDENT: &str = "--strategy independent (and m) was removed: one engine per \
+     user is now the paper reference in fig16_mspsd, and --strategy shared delivers the same \
+     per-user streams";
 
 /// Reject a flag `command` does not take, and a flag given twice, naming it.
 fn validate_flags(command: &str, args: &Args) -> Result<(), String> {
@@ -495,14 +499,17 @@ fn overload_config_from(args: &Args) -> Result<Option<OverloadConfig>, String> {
     Ok(Some(OverloadConfig { policy, capacity }))
 }
 
-/// `--strategy independent|shared|sharded[:N]` (default `shared`);
-/// `sharded[:N]` builds exactly what `shared` builds. The removed
-/// `--strategy parallel[:N]` is refused by name rather than reported as an
+/// `--strategy shared|sharded[:N]` (default `shared`); `sharded[:N]` builds
+/// exactly what `shared` builds. The removed `--strategy parallel[:N]` and
+/// `--strategy independent` are refused by name rather than reported as an
 /// unknown strategy.
 fn strategy_from(args: &Args) -> Result<StrategyKind, String> {
     let spec = args.get("strategy").unwrap_or("shared");
     if spec == "parallel" || spec.starts_with("parallel:") {
         return Err(REMOVED_SHARDING.into());
+    }
+    if spec == "independent" || spec == "m" {
+        return Err(REMOVED_INDEPENDENT.into());
     }
     spec.parse()
 }

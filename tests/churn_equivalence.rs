@@ -15,12 +15,14 @@
 //!
 //! Plus checkpoint-across-churn: a checkpoint taken mid-churn restores (into
 //! a strategy built from the *initial* table) to identical future decisions.
+//!
+//! Churn runs on `S_*`, the engine the service builds. The paper's M = S
+//! identity under churn is kept by comparing the churned `S_*` against a
+//! static `M_*` built on the final table.
 
 use firehose::core::checkpoint::{checkpoint_multi_to_vec, restore_multi_from_slice};
 use firehose::core::engine::AlgorithmKind;
-use firehose::core::multi::{
-    IndependentMulti, MultiDecision, MultiDiversifier, SharedMulti, Subscriptions,
-};
+use firehose::core::multi::{IndependentMulti, MultiDecision, SharedMulti, Subscriptions};
 use firehose::core::{EngineConfig, Thresholds};
 use firehose::datagen::{generate_churn_trace, ChurnEvent, ChurnGenConfig, ChurnTraceEntry};
 use firehose::graph::UndirectedGraph;
@@ -68,37 +70,13 @@ fn posts(n: u64, first_id: u64, start_ts: u64) -> Vec<Post> {
         .collect()
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Variant {
-    M,
-    S,
+fn build(kind: AlgorithmKind, subscriptions: Subscriptions, warm: bool) -> SharedMulti {
+    SharedMulti::builder(kind, config(), &graph(), subscriptions)
+        .warm_start(warm)
+        .build()
 }
 
-const VARIANTS: [Variant; 2] = [Variant::M, Variant::S];
-
-fn build(
-    kind: AlgorithmKind,
-    variant: Variant,
-    subscriptions: Subscriptions,
-    warm: bool,
-) -> Box<dyn MultiDiversifier + Send> {
-    let graph = graph();
-    match variant {
-        Variant::M => Box::new(
-            IndependentMulti::builder(kind, config(), &graph, subscriptions)
-                .warm_start(warm)
-                .build()
-                .unwrap(),
-        ),
-        Variant::S => Box::new(
-            SharedMulti::builder(kind, config(), &graph, subscriptions)
-                .warm_start(warm)
-                .build(),
-        ),
-    }
-}
-
-fn apply(multi: &mut dyn MultiDiversifier, event: &ChurnEvent) {
+fn apply(multi: &mut SharedMulti, event: &ChurnEvent) {
     match event {
         ChurnEvent::Subscribe(u, a) => {
             multi.subscribe(*u as u32, *a).unwrap();
@@ -115,7 +93,7 @@ fn apply(multi: &mut dyn MultiDiversifier, event: &ChurnEvent) {
     }
 }
 
-fn offer_all(multi: &mut dyn MultiDiversifier, posts: &[Post]) -> Vec<MultiDecision> {
+fn offer_all(multi: &mut SharedMulti, posts: &[Post]) -> Vec<MultiDecision> {
     // Exercise the buffer-reusing entry point on one side so both paths are
     // under test.
     let mut out = Vec::with_capacity(posts.len());
@@ -129,7 +107,8 @@ fn offer_all(multi: &mut dyn MultiDiversifier, posts: &[Post]) -> Vec<MultiDecis
 
 /// Level 1: any seeded op sequence applied before the first post is
 /// decision-identical to a fresh build from the resulting table — every
-/// kind, every strategy, warm and cold.
+/// kind, warm and cold — and to the static per-user `M_*` reference built
+/// on that table.
 #[test]
 fn churn_before_posts_matches_fresh_build() {
     let trace = generate_churn_trace(
@@ -143,22 +122,27 @@ fn churn_before_posts_matches_fresh_build() {
     );
     let stream = posts(150, 1, 0);
     for kind in AlgorithmKind::ALL {
-        for variant in VARIANTS {
-            for warm in [true, false] {
-                let mut churned = build(kind, variant, subs(), warm);
-                for entry in &trace {
-                    apply(churned.as_mut(), &entry.event);
-                }
-                assert!(churned.churn_stats().ops_total() > 0);
-
-                let mut fresh = build(kind, variant, churned.subscriptions().clone(), warm);
-                let got = offer_all(churned.as_mut(), &stream);
-                let want: Vec<MultiDecision> = stream.iter().map(|p| fresh.offer(p)).collect();
-                assert_eq!(
-                    got, want,
-                    "{kind} {variant:?} warm={warm}: churned-then-stream diverged from fresh build"
-                );
+        for warm in [true, false] {
+            let mut churned = build(kind, subs(), warm);
+            for entry in &trace {
+                apply(&mut churned, &entry.event);
             }
+            assert!(churned.churn_stats().ops_total() > 0);
+
+            let mut fresh = build(kind, churned.subscriptions().clone(), warm);
+            let mut reference =
+                IndependentMulti::new(kind, config(), &graph(), churned.subscriptions().clone());
+            let got = offer_all(&mut churned, &stream);
+            let want: Vec<MultiDecision> = stream.iter().map(|p| fresh.offer(p)).collect();
+            assert_eq!(
+                got, want,
+                "{kind} warm={warm}: churned-then-stream diverged from fresh build"
+            );
+            let per_user: Vec<MultiDecision> = stream.iter().map(|p| reference.offer(p)).collect();
+            assert_eq!(
+                got, per_user,
+                "{kind} warm={warm}: churned S_* diverged from M_* on the final table"
+            );
         }
     }
 }
@@ -182,29 +166,27 @@ fn churn_mid_stream_matches_fresh_after_quiet_gap() {
     let second_half = posts(120, 1_000, gap_start);
 
     for kind in AlgorithmKind::ALL {
-        for variant in VARIANTS {
-            for warm in [true, false] {
-                let mut churned = build(kind, variant, subs(), warm);
-                let mut next = 0;
-                for (i, post) in first_half.iter().enumerate() {
-                    while next < trace.len() && trace[next].after_posts <= i as u64 {
-                        apply(churned.as_mut(), &trace[next].event);
-                        next += 1;
-                    }
-                    churned.offer(post);
+        for warm in [true, false] {
+            let mut churned = build(kind, subs(), warm);
+            let mut next = 0;
+            for (i, post) in first_half.iter().enumerate() {
+                while next < trace.len() && trace[next].after_posts <= i as u64 {
+                    apply(&mut churned, &trace[next].event);
+                    next += 1;
                 }
-                for entry in &trace[next..] {
-                    apply(churned.as_mut(), &entry.event);
-                }
-
-                let mut fresh = build(kind, variant, churned.subscriptions().clone(), warm);
-                let got = offer_all(churned.as_mut(), &second_half);
-                let want: Vec<MultiDecision> = second_half.iter().map(|p| fresh.offer(p)).collect();
-                assert_eq!(
-                    got, want,
-                    "{kind} {variant:?} warm={warm}: post-gap stream diverged from fresh build"
-                );
+                churned.offer(post);
             }
+            for entry in &trace[next..] {
+                apply(&mut churned, &entry.event);
+            }
+
+            let mut fresh = build(kind, churned.subscriptions().clone(), warm);
+            let got = offer_all(&mut churned, &second_half);
+            let want: Vec<MultiDecision> = second_half.iter().map(|p| fresh.offer(p)).collect();
+            assert_eq!(
+                got, want,
+                "{kind} warm={warm}: post-gap stream diverged from fresh build"
+            );
         }
     }
 }
@@ -303,7 +285,7 @@ fn merge_collects_seeds_from_two_released_engines() {
 }
 
 /// Regression: a merge-inducing subscribe against *live window content*
-/// must register a warm start — on every strategy variant and through the
+/// must register a warm start — for every kind and through the
 /// `FirehoseService` facade. The churn bench reported `warm_starts: 0`
 /// across 1,642 spawns for several releases because it replayed churn
 /// against an idle service (empty windows yield no seeds, so the warm path
@@ -312,21 +294,19 @@ fn merge_collects_seeds_from_two_released_engines() {
 fn merge_inducing_subscribe_records_warm_start() {
     let seed_post = || Post::new(1, 0, 1_000, "breaking story everyone reposts".into());
     for kind in AlgorithmKind::ALL {
-        for variant in VARIANTS {
-            let subscriptions = Subscriptions::new(AUTHORS, [vec![0]]).unwrap();
-            let mut multi = build(kind, variant, subscriptions, true);
-            assert_eq!(multi.offer(&seed_post()).delivered_to, [0]);
-            assert_eq!(multi.churn_stats().warm_starts, 0);
-            // Graph edge (0, 1): adding author 1 merges it into user 0's
-            // populated component, spawning a seeded replacement engine.
-            multi.subscribe(0, 1).unwrap();
-            let stats = multi.churn_stats();
-            assert!(
-                stats.warm_starts > 0,
-                "{kind} {variant:?}: spawned {} engines but warm-started none",
-                stats.engines_spawned
-            );
-        }
+        let subscriptions = Subscriptions::new(AUTHORS, [vec![0]]).unwrap();
+        let mut multi = build(kind, subscriptions, true);
+        assert_eq!(multi.offer(&seed_post()).delivered_to, [0]);
+        assert_eq!(multi.churn_stats().warm_starts, 0);
+        // Graph edge (0, 1): adding author 1 merges it into user 0's
+        // populated component, spawning a seeded replacement engine.
+        multi.subscribe(0, 1).unwrap();
+        let stats = multi.churn_stats();
+        assert!(
+            stats.warm_starts > 0,
+            "{kind}: spawned {} engines but warm-started none",
+            stats.engines_spawned
+        );
     }
 
     // Same scenario through the service facade.
@@ -362,34 +342,32 @@ fn checkpoint_across_churn_restores_identical_decisions() {
             ..Default::default()
         },
     );
-    for variant in VARIANTS {
-        let mut original = build(AlgorithmKind::UniBin, variant, subs(), true);
-        for post in &first_half {
-            original.offer(post);
-        }
-        for entry in &trace {
-            apply(original.as_mut(), &entry.event);
-        }
-        let buf = checkpoint_multi_to_vec(original.as_ref(), 7).unwrap();
+    let mut original = build(AlgorithmKind::UniBin, subs(), true);
+    for post in &first_half {
+        original.offer(post);
+    }
+    for entry in &trace {
+        apply(&mut original, &entry.event);
+    }
+    let buf = checkpoint_multi_to_vec(&original, 7).unwrap();
 
-        // The restore target starts from the INITIAL table; the checkpoint
-        // carries the churned one.
-        let mut restored = build(AlgorithmKind::UniBin, variant, subs(), true);
-        let manifest = restore_multi_from_slice(&buf, restored.as_mut()).unwrap();
-        assert_eq!(manifest.generation, 7);
+    // The restore target starts from the INITIAL table; the checkpoint
+    // carries the churned one.
+    let mut restored = build(AlgorithmKind::UniBin, subs(), true);
+    let manifest = restore_multi_from_slice(&buf, &mut restored).unwrap();
+    assert_eq!(manifest.generation, 7);
+    assert_eq!(
+        restored.churn_stats(),
+        original.churn_stats(),
+        "churn ledger must survive restore"
+    );
+    assert_eq!(restored.subscriptions(), original.subscriptions());
+    for post in &second_half {
         assert_eq!(
-            restored.churn_stats(),
-            original.churn_stats(),
-            "churn ledger must survive restore"
+            restored.offer(post).delivered_to,
+            original.offer(post).delivered_to,
+            "post-restore decisions diverged"
         );
-        assert_eq!(restored.subscriptions(), original.subscriptions());
-        for post in &second_half {
-            assert_eq!(
-                restored.offer(post).delivered_to,
-                original.offer(post).delivered_to,
-                "{variant:?}: post-restore decisions diverged"
-            );
-        }
     }
 }
 
@@ -397,7 +375,7 @@ fn checkpoint_across_churn_restores_identical_decisions() {
 /// positions (trailing ops applied after the stream), collecting every
 /// decision.
 fn run_interleaved(
-    multi: &mut dyn MultiDiversifier,
+    multi: &mut SharedMulti,
     stream: &[Post],
     trace: &[ChurnTraceEntry],
 ) -> Vec<MultiDecision> {
@@ -439,38 +417,35 @@ proptest! {
         );
         let checkpoint_at = (n_posts / 2) as usize;
 
-        for variant in VARIANTS {
-            let mut reference = build(AlgorithmKind::UniBin, variant, subs(), true);
-            let expected = run_interleaved(reference.as_mut(), &stream, &trace);
-            let mut multi = build(AlgorithmKind::UniBin, variant, subs(), true);
-            let mut got = Vec::with_capacity(stream.len());
-            let mut next = 0;
-            for (i, post) in stream.iter().enumerate() {
-                while next < trace.len() && trace[next].after_posts <= i as u64 {
-                    apply(multi.as_mut(), &trace[next].event);
-                    next += 1;
-                }
-                got.push(multi.offer(post));
-                if i + 1 == checkpoint_at {
-                    // Mid-stream handoff: checkpoint, then continue on a
-                    // freshly built instance restored from those bytes.
-                    let buf = checkpoint_multi_to_vec(multi.as_ref(), 1).unwrap();
-                    let mut restored = build(AlgorithmKind::UniBin, variant, subs(), true);
-                    restore_multi_from_slice(&buf, restored.as_mut()).unwrap();
-                    multi = restored;
-                }
+        let mut reference = build(AlgorithmKind::UniBin, subs(), true);
+        let expected = run_interleaved(&mut reference, &stream, &trace);
+        let mut multi = build(AlgorithmKind::UniBin, subs(), true);
+        let mut got = Vec::with_capacity(stream.len());
+        let mut next = 0;
+        for (i, post) in stream.iter().enumerate() {
+            while next < trace.len() && trace[next].after_posts <= i as u64 {
+                apply(&mut multi, &trace[next].event);
+                next += 1;
             }
-            for entry in &trace[next..] {
-                apply(multi.as_mut(), &entry.event);
+            got.push(multi.offer(post));
+            if i + 1 == checkpoint_at {
+                // Mid-stream handoff: checkpoint, then continue on a
+                // freshly built instance restored from those bytes.
+                let buf = checkpoint_multi_to_vec(&multi, 1).unwrap();
+                let mut restored = build(AlgorithmKind::UniBin, subs(), true);
+                restore_multi_from_slice(&buf, &mut restored).unwrap();
+                multi = restored;
             }
-            prop_assert_eq!(&got, &expected, "{:?}: decisions diverged", variant);
-            prop_assert_eq!(
-                multi.churn_stats(),
-                reference.churn_stats(),
-                "{:?}: churn ledger diverged",
-                variant
-            );
-            prop_assert_eq!(multi.subscriptions(), reference.subscriptions());
         }
+        for entry in &trace[next..] {
+            apply(&mut multi, &entry.event);
+        }
+        prop_assert_eq!(&got, &expected, "decisions diverged");
+        prop_assert_eq!(
+            multi.churn_stats(),
+            reference.churn_stats(),
+            "churn ledger diverged"
+        );
+        prop_assert_eq!(multi.subscriptions(), reference.subscriptions());
     }
 }

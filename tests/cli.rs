@@ -155,13 +155,37 @@ fn helpful_errors() {
         &[
             &["run", "--posts", &missing],
             &multi[..],
-            &["--strategy", "independent", "--shards", "2"],
+            &["--strategy", "shared", "--shards", "2"],
         ]
         .concat(),
     );
     assert!(err.contains("use --strategy sharded[:N]"), "{err}");
     let err = run_err(&[&["serve"], &multi[..], &["--strategy", "parallel:2"]].concat());
     assert!(err.contains("use --strategy sharded[:N]"), "{err}");
+}
+
+/// One engine per user left the service: `--strategy independent` (and its
+/// short form `m`) is refused by name, pointing at the paper reference and
+/// at `shared`, which delivers the same per-user streams.
+#[test]
+fn independent_is_refused_naming_strategy() {
+    let dir = TempDir::new("independent");
+    let missing = dir.path("missing.tsv");
+    let multi = ["--graph", &missing, "--subscriptions", &missing];
+    for command in [&["run", "--posts", &missing][..], &["serve"][..]] {
+        for spec in ["independent", "m"] {
+            let err = run_err(&[command, &multi[..], &["--strategy", spec]].concat());
+            assert!(
+                err.contains("--strategy independent"),
+                "{command:?} {spec}: {err}"
+            );
+            assert!(err.contains("fig16_mspsd"), "{command:?} {spec}: {err}");
+            assert!(
+                err.contains("--strategy shared"),
+                "{command:?} {spec}: {err}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -11,7 +11,9 @@
 //! runner and the shard-worker `Sh_UniBin(2)` executor at the last commit
 //! that had each. The current readers must restore all of them and
 //! continue decision-identically — a format bump must never orphan deployed
-//! checkpoint directories — and the pre-approx FHSNAP04 snapshots must
+//! checkpoint directories — except the per-user `M_UniBin` checkpoint,
+//! whose strategy the service no longer runs and which is refused by name;
+//! and the pre-approx FHSNAP04 snapshots must
 //! restore into [`MemoryMode::Exact`] with byte-identical re-capture, since
 //! exact-mode snapshots are declared byte-stable across the approx release.
 //!
@@ -26,16 +28,14 @@ use std::sync::Arc;
 
 use firehose::core::checkpoint::restore_multi_from_slice;
 use firehose::core::engine::{AlgorithmKind, CliqueBin, Diversifier, NeighborBin, UniBin};
-use firehose::core::multi::{IndependentMulti, MultiDiversifier, SharedMulti, Subscriptions};
+use firehose::core::multi::{SharedMulti, Subscriptions};
 use firehose::core::snapshot::{
     restore_cliquebin, restore_neighborbin, restore_unibin, snapshot_cliquebin,
-    snapshot_neighborbin, snapshot_unibin,
+    snapshot_neighborbin, snapshot_unibin, SnapshotError,
 };
 use firehose::core::{EngineConfig, MemoryMode, Thresholds};
 use firehose::graph::{greedy_clique_cover, UndirectedGraph};
 use firehose::stream::Post;
-
-type MultiFactory = fn() -> Box<dyn MultiDiversifier>;
 
 fn fixture(name: &str) -> Vec<u8> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -117,44 +117,32 @@ fn fhsnap03_engine_snapshots_restore_and_continue() {
 }
 
 /// Multi checkpoints written by code that no longer exists restore into a
-/// freshly built strategy and continue decision-identically: legacy
-/// (pre-FHSNAP04) ones — position-ordered engine blobs with no embedded
+/// freshly built `S_UniBin` and continue decision-identically: the legacy
+/// (pre-FHSNAP04) one — position-ordered engine blobs with no embedded
 /// subscription table — and the `P_UniBin(2)` and `Sh_UniBin(2)` ones,
-/// whose manifests name removed runners of the shared strategy and which
-/// therefore restore into `S_UniBin` (the only remaining reason
-/// `strategy_family` knows `P_` and `Sh_`).
+/// whose manifests name removed runners of the shared strategy (the only
+/// remaining reason `strategy_family` knows `P_` and `Sh_`). The legacy
+/// `M_UniBin` one, written when the service could run one engine per user,
+/// is refused with an error naming both strategy families.
 #[test]
 fn old_multi_checkpoints_restore_and_continue() {
     let stream = posts();
-    let shared: MultiFactory = || {
-        Box::new(SharedMulti::new(
+    let build = || {
+        SharedMulti::new(
             AlgorithmKind::UniBin,
             config(),
             &UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]),
             subscriptions(),
-        ))
+        )
     };
-    let cases: [(&str, MultiFactory, &str); 4] = [
-        ("fhckpt_legacy_s_unibin.bin", shared, "S_UniBin"),
-        (
-            "fhckpt_legacy_m_unibin.bin",
-            || {
-                Box::new(IndependentMulti::new(
-                    AlgorithmKind::UniBin,
-                    config(),
-                    &UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]),
-                    subscriptions(),
-                ))
-            },
-            "M_UniBin",
-        ),
-        ("fhckpt_p_unibin2.bin", shared, "P_UniBin(2)"),
-        ("fhckpt_sh_unibin2.bin", shared, "Sh_UniBin(2)"),
-    ];
-    for (name, build, writer) in cases {
+    for (name, writer) in [
+        ("fhckpt_legacy_s_unibin.bin", "S_UniBin"),
+        ("fhckpt_p_unibin2.bin", "P_UniBin(2)"),
+        ("fhckpt_sh_unibin2.bin", "Sh_UniBin(2)"),
+    ] {
         let bytes = fixture(name);
         let mut restored = build();
-        let manifest = restore_multi_from_slice(&bytes, restored.as_mut())
+        let manifest = restore_multi_from_slice(&bytes, &mut restored)
             .unwrap_or_else(|e| panic!("{name}: restore failed: {e}"));
         assert_eq!(manifest.generation, 5, "{name}");
         assert_eq!(manifest.name, writer, "{name}");
@@ -178,6 +166,21 @@ fn old_multi_checkpoints_restore_and_continue() {
         restored.subscribe(2, 4).unwrap();
         assert_eq!(restored.churn_stats().subscribes, 1, "{name}");
     }
+
+    let err = restore_multi_from_slice(&fixture("fhckpt_legacy_m_unibin.bin"), &mut build())
+        .expect_err("an M_UniBin checkpoint must not restore into S_UniBin");
+    assert!(
+        matches!(
+            &err,
+            SnapshotError::WrongStrategy { found, expected }
+                if found == "M_UniBin" && expected == "S_UniBin"
+        ),
+        "{err:?}"
+    );
+    assert_eq!(
+        err.to_string(),
+        "checkpoint written by M_UniBin; this service runs S_UniBin"
+    );
 }
 
 /// FHSNAP04 snapshots captured *before* the approximate-memory release (no

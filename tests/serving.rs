@@ -303,44 +303,42 @@ fn malformed_and_short_read_requests_never_kill_the_server() {
 #[test]
 fn unknown_author_on_ingest_is_refused_and_decides_nothing() {
     let posts = posts();
-    for strategy in [StrategyKind::Shared, StrategyKind::Independent] {
-        let (addr, handle, join) = boot(strategy);
-        let mut client = HttpClient::connect(addr).unwrap();
+    let (addr, handle, join) = boot(StrategyKind::Shared);
+    let mut client = HttpClient::connect(addr).unwrap();
 
-        // A good line, then an author past the 10-author graph: the whole
-        // request is refused, naming the body line (comments count) and
-        // the author.
-        for author in [500u64, u32::MAX as u64] {
-            let body = format!("# trace\n1\t0\t0\thello\n2\t{author}\t10\thello\n");
-            let bad = client.request("POST", "/ingest", body.as_bytes()).unwrap();
-            assert_eq!(bad.status, 400, "{strategy:?}: {}", bad.text());
-            assert!(
-                bad.text().contains("line 3") && bad.text().contains(&author.to_string()),
-                "{strategy:?}: {}",
-                bad.text()
-            );
-        }
-        let health = client.request("GET", "/healthz", b"").unwrap();
-        assert_eq!(health.status, 200, "{strategy:?}: {}", health.text());
-        assert_eq!(metric(&mut client, "firehose_net_posts_ingested_total"), 0);
-
-        // No post of the refused requests was decided: a good request now
-        // decides exactly as a fresh in-process service does.
-        let mut expected = String::new();
-        service(strategy)
-            .process_batch(posts[..8].iter().cloned(), |p, d| {
-                expected.push_str(&decision_line(p.id, &d.delivered_to));
-            })
-            .unwrap();
-        let mut body = Vec::new();
-        corpus::write_posts(&posts[..8], &mut body).unwrap();
-        let ok = client.request("POST", "/ingest", &body).unwrap();
-        assert_eq!(ok.status, 200, "{strategy:?}: {}", ok.text());
-        assert_eq!(ok.text(), expected, "{strategy:?}");
-
-        handle.shutdown();
-        join.join().unwrap().unwrap();
+    // A good line, then an author past the 10-author graph: the whole
+    // request is refused, naming the body line (comments count) and
+    // the author.
+    for author in [500u64, u32::MAX as u64] {
+        let body = format!("# trace\n1\t0\t0\thello\n2\t{author}\t10\thello\n");
+        let bad = client.request("POST", "/ingest", body.as_bytes()).unwrap();
+        assert_eq!(bad.status, 400, "{}", bad.text());
+        assert!(
+            bad.text().contains("line 3") && bad.text().contains(&author.to_string()),
+            "{}",
+            bad.text()
+        );
     }
+    let health = client.request("GET", "/healthz", b"").unwrap();
+    assert_eq!(health.status, 200, "{}", health.text());
+    assert_eq!(metric(&mut client, "firehose_net_posts_ingested_total"), 0);
+
+    // No post of the refused requests was decided: a good request now
+    // decides exactly as a fresh in-process service does.
+    let mut expected = String::new();
+    service(StrategyKind::Shared)
+        .process_batch(posts[..8].iter().cloned(), |p, d| {
+            expected.push_str(&decision_line(p.id, &d.delivered_to));
+        })
+        .unwrap();
+    let mut body = Vec::new();
+    corpus::write_posts(&posts[..8], &mut body).unwrap();
+    let ok = client.request("POST", "/ingest", &body).unwrap();
+    assert_eq!(ok.status, 200, "{}", ok.text());
+    assert_eq!(ok.text(), expected);
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
 }
 
 #[test]
