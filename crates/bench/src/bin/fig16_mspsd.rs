@@ -1,5 +1,6 @@
 //! Figure 16: M-SPSD — per-user engines (`M_*`) vs shared-component engines
-//! (`S_*`).
+//! (`S_*`), plus the service's labelled window (`L_*`): one window for
+//! every component.
 //!
 //! Every author is also a user (paper Section 6.3). Subscription sets follow
 //! the paper's reported statistics (mean ≈ 130, median ≈ 20 after
@@ -11,9 +12,11 @@
 //!   counterparts;
 //! * `S_UniBin` is the best overall.
 //!
-//! Section 5's identity is asserted, not just reported: both sides fold
-//! every `(post id, delivered_to)` pair into a running hash, and the run
-//! panics unless `M_*` and `S_*` agree for each algorithm.
+//! Section 5's identity is asserted, not just reported: every row folds
+//! each `(post id, delivered_to)` pair into a running hash, and the run
+//! panics unless `M_*`, `S_*` and `L_*` agree for each algorithm. `L_*` is
+//! [`SharedMulti`], which makes the same decisions for every kind through
+//! one scan; its row carries the kind only to line up with the paper's.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -21,8 +24,34 @@ use std::time::Instant;
 
 use firehose_bench::{f1, Dataset, Report, Scale};
 use firehose_core::engine::AlgorithmKind;
-use firehose_core::multi::{IndependentMulti, SharedMulti, Subscriptions};
+use firehose_core::multi::{IndependentMulti, MultiDecision, SharedMulti, Subscriptions};
+use firehose_core::EngineMetrics;
 use firehose_core::{EngineConfig, Thresholds};
+use firehose_stream::Post;
+
+/// One timed pass over `posts`: the running hash of every
+/// `(post id, delivered_to)` pair, and the wall time in milliseconds.
+fn pass(posts: &[Post], mut offer: impl FnMut(&Post) -> MultiDecision) -> (u64, f64) {
+    let mut streams = DefaultHasher::new();
+    let t0 = Instant::now();
+    for post in posts {
+        (post.id, offer(post).delivered_to).hash(&mut streams);
+    }
+    (streams.finish(), t0.elapsed().as_secs_f64() * 1_000.0)
+}
+
+/// Report one strategy's row; returns its peak RAM in MiB.
+fn row(r: &mut Report, name: String, ms: f64, m: &EngineMetrics) -> f64 {
+    let ram = m.peak_memory_bytes as f64 / (1024.0 * 1024.0);
+    r.row(&[
+        name,
+        f1(ms),
+        format!("{ram:.2}"),
+        m.comparisons.to_string(),
+        m.insertions.to_string(),
+    ]);
+    ram
+}
 
 fn main() {
     let scale = Scale::from_env();
@@ -62,58 +91,47 @@ fn main() {
             "insertions",
         ],
     );
-    let mut summary: Vec<(AlgorithmKind, f64, f64)> = Vec::new();
+    let mut summary: Vec<(AlgorithmKind, f64, f64, f64)> = Vec::new();
 
     for kind in AlgorithmKind::ALL {
         // M_*: one engine per user.
         eprintln!("[fig16] building M_{kind} ...");
         let mut m_engine = IndependentMulti::new(kind, config, &graph, subs.clone());
-        let mut m_streams = DefaultHasher::new();
-        let t0 = Instant::now();
-        for post in &data.workload.posts {
-            (post.id, m_engine.offer(post).delivered_to).hash(&mut m_streams);
-        }
-        let m_ms = t0.elapsed().as_secs_f64() * 1_000.0;
-        let m_metrics = m_engine.metrics();
-        let m_ram = m_metrics.peak_memory_bytes as f64 / (1024.0 * 1024.0);
-        r.row(&[
-            m_engine.name(),
-            f1(m_ms),
-            format!("{m_ram:.2}"),
-            m_metrics.comparisons.to_string(),
-            m_metrics.insertions.to_string(),
-        ]);
+        let (m_hash, m_ms) = pass(&data.workload.posts, |p| m_engine.offer(p));
+        let m_ram = row(&mut r, m_engine.name(), m_ms, &m_engine.metrics());
         drop(m_engine);
 
         // S_*: one engine per distinct connected component.
         eprintln!("[fig16] building S_{kind} ...");
-        let mut s_engine = SharedMulti::new(kind, config, &graph, subs.clone());
+        let mut s_engine = IndependentMulti::per_component(kind, config, &graph, subs.clone());
         eprintln!(
             "[fig16] S_{kind}: {} distinct components",
-            s_engine.component_count()
+            s_engine.engine_count()
         );
-        let mut s_streams = DefaultHasher::new();
-        let t0 = Instant::now();
-        for post in &data.workload.posts {
-            (post.id, s_engine.offer(post).delivered_to).hash(&mut s_streams);
-        }
-        let s_ms = t0.elapsed().as_secs_f64() * 1_000.0;
-        let s_metrics = s_engine.metrics();
-        let s_ram = s_metrics.peak_memory_bytes as f64 / (1024.0 * 1024.0);
-        r.row(&[
-            s_engine.name(),
-            f1(s_ms),
-            format!("{s_ram:.2}"),
-            s_metrics.comparisons.to_string(),
-            s_metrics.insertions.to_string(),
-        ]);
+        let (s_hash, s_ms) = pass(&data.workload.posts, |p| s_engine.offer(p));
+        let s_ram = row(&mut r, s_engine.name(), s_ms, &s_engine.metrics());
+        drop(s_engine);
+
+        // L_*: the service's engine, one labelled window for every component.
+        eprintln!("[fig16] building L_{kind} ...");
+        let mut l_engine = SharedMulti::new(kind, config, &graph, subs.clone());
+        let (l_hash, l_ms) = pass(&data.workload.posts, |p| l_engine.offer(p));
+        row(&mut r, format!("L_{kind}"), l_ms, &l_engine.metrics());
 
         assert_eq!(
-            m_streams.finish(),
-            s_streams.finish(),
+            m_hash, s_hash,
             "{kind}: M_* and S_* delivered different per-user streams"
         );
-        summary.push((kind, 1.0 - s_ms / m_ms, 1.0 - s_ram / m_ram));
+        assert_eq!(
+            m_hash, l_hash,
+            "{kind}: M_* and L_* delivered different per-user streams"
+        );
+        summary.push((
+            kind,
+            1.0 - s_ms / m_ms,
+            1.0 - s_ram / m_ram,
+            1.0 - l_ms / m_ms,
+        ));
     }
     r.finish();
 
@@ -124,9 +142,10 @@ fn main() {
             "time_saved_pct",
             "ram_saved_pct",
             "paper_time_saved_pct",
+            "l_time_saved_pct",
         ],
     );
-    for (kind, time_saved, ram_saved) in summary {
+    for (kind, time_saved, ram_saved, l_time_saved) in summary {
         let paper = match kind {
             AlgorithmKind::UniBin => "43",
             AlgorithmKind::NeighborBin => "8",
@@ -137,6 +156,7 @@ fn main() {
             f1(time_saved * 100.0),
             f1(ram_saved * 100.0),
             paper.into(),
+            f1(l_time_saved * 100.0),
         ]);
     }
     s.finish();

@@ -21,7 +21,9 @@
 //!   restores the newest intact one.
 //!
 //! Cadence is policy-driven ([`CheckpointPolicy`]): every N offers and/or
-//! every T milliseconds of wall-clock (only if the engine advanced).
+//! every T milliseconds of wall-clock (only if the engine advanced). Both
+//! the single engine and the multi-user engine count one offer per post, so
+//! N is a number of posts.
 
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -429,7 +431,8 @@ pub fn restore_multi_from_slice(
 /// When to take checkpoints, and how many to retain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
-    /// Checkpoint after this many new offers since the last checkpoint.
+    /// Checkpoint after this many new offers (posts) since the last
+    /// checkpoint.
     pub every_offers: u64,
     /// Also checkpoint after this much wall-clock time — but only if the
     /// engine actually advanced (an idle engine is never re-checkpointed).
@@ -441,7 +444,7 @@ pub struct CheckpointPolicy {
 }
 
 impl Default for CheckpointPolicy {
-    /// Every 100k offers or 5 s, keeping 3 generations. The offer cadence is
+    /// Every 100k posts or 5 s, keeping 3 generations. The post cadence is
     /// sized so that even the largest engine state (NeighborBin duplicates
     /// records per author bin) costs < 5% throughput at firehose rates; the
     /// wall-clock timer bounds staleness on slow streams.
@@ -887,6 +890,39 @@ mod tests {
             vec![3, 4],
             "only the newest `keep` generations remain"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The multi-user engine counts one offer per post, whatever its
+    /// fan-out: a cadence of N checkpoints after N posts.
+    #[test]
+    fn multi_cadence_counts_posts() {
+        let dir = tempdir("multi_cadence");
+        let policy = CheckpointPolicy {
+            every_offers: 10,
+            every_millis: None,
+            keep: 1,
+        };
+        let mut mgr = CheckpointManager::new(&dir, policy).unwrap();
+        // Every author is followed by three users in three components.
+        let g = UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]);
+        let subs = Subscriptions::new(
+            6,
+            vec![vec![0, 1, 3, 5], vec![0, 3, 4], vec![0, 1, 2, 3, 4, 5]],
+        )
+        .unwrap();
+        let mut multi = SharedMulti::new(AlgorithmKind::UniBin, config(), &g, subs);
+        let stream = posts(0..25);
+        for (i, p) in stream.iter().enumerate() {
+            multi.offer(p);
+            let due = (i + 1) % 10 == 0;
+            assert_eq!(
+                mgr.maybe_save_multi(&multi).unwrap().is_some(),
+                due,
+                "post {}",
+                i + 1
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -272,33 +272,6 @@ impl Diversifier for CliqueBin {
         crate::engine::order_window_records_from(out, start);
     }
 
-    fn seed_record(&mut self, record: PostRecord) {
-        let clique_ids = self.cover.cliques_of(record.author);
-        if clique_ids.is_empty() {
-            let hint = self.self_bin_hint();
-            let config = &self.config;
-            let displaced = self
-                .self_bins
-                .entry(record.author)
-                .or_insert_with(|| CoverageBackend::for_config(config, hint))
-                .push(record);
-            if displaced > 0 {
-                self.metrics.on_evict(displaced);
-            }
-            self.metrics.on_insert(1, PostRecord::SIZE_BYTES);
-            return;
-        }
-        let mut displaced = 0u64;
-        for &cid in clique_ids {
-            displaced += self.clique_bins[cid as usize].push(record);
-        }
-        if displaced > 0 {
-            self.metrics.on_evict(displaced);
-        }
-        self.metrics
-            .on_insert(clique_ids.len() as u64, PostRecord::SIZE_BYTES);
-    }
-
     fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
         if !self.config.memory.is_approx() {
             return None;

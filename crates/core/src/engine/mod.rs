@@ -109,18 +109,9 @@ pub trait Diversifier {
     /// Append every **distinct** stored record (the emitted posts whose copy
     /// is still held by some bin) to `out`, in `(timestamp, id)` order.
     /// Engines that store multiple copies per emission report each post once.
-    /// Used by the multi-user layer to warm-start a re-seeded component
-    /// engine after subscription churn.
+    /// Used by the multi-user layer to convert per-component checkpoint
+    /// state into its labelled window.
     fn window_records(&self, out: &mut Vec<PostRecord>);
-
-    /// Insert `record` into the engine's bins as if it had been emitted,
-    /// **without** running the coverage check and without counting a
-    /// processed/emitted post (insertion and copy counters do advance).
-    /// Records must be seeded in non-decreasing timestamp order before any
-    /// live post is offered. This is the warm-start primitive: a re-seeded
-    /// component engine inherits its predecessors' window so recently-shown
-    /// posts keep covering near-duplicates across the churn point.
-    fn seed_record(&mut self, record: PostRecord);
 }
 
 impl<D: Diversifier + ?Sized> Diversifier for Box<D> {
@@ -177,10 +168,6 @@ impl<D: Diversifier + ?Sized> Diversifier for Box<D> {
 
     fn window_records(&self, out: &mut Vec<PostRecord>) {
         (**self).window_records(out)
-    }
-
-    fn seed_record(&mut self, record: PostRecord) {
-        (**self).seed_record(record)
     }
 }
 

@@ -216,19 +216,6 @@ impl Diversifier for NeighborBin {
         crate::engine::order_window_records_from(out, start);
     }
 
-    fn seed_record(&mut self, record: PostRecord) {
-        let mut displaced = self.bins[record.author as usize].push(record);
-        let mut inserted = 1u64;
-        for &nb in self.graph.neighbors(record.author) {
-            displaced += self.bins[nb as usize].push(record);
-            inserted += 1;
-        }
-        if displaced > 0 {
-            self.metrics.on_evict(displaced);
-        }
-        self.metrics.on_insert(inserted, PostRecord::SIZE_BYTES);
-    }
-
     fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
         if !self.config.memory.is_approx() {
             return None;

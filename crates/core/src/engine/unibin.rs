@@ -181,14 +181,6 @@ impl Diversifier for UniBin {
         crate::engine::order_window_records_from(out, start);
     }
 
-    fn seed_record(&mut self, record: PostRecord) {
-        let displaced = self.bin.push(record);
-        if displaced > 0 {
-            self.metrics.on_evict(displaced);
-        }
-        self.metrics.on_insert(1, PostRecord::SIZE_BYTES);
-    }
-
     fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
         self.bin.approx_stats()
     }

@@ -1,6 +1,7 @@
 //! `CompactEngine`: a single-user engine over a dense relabeling of an
-//! author subset — one per distinct component in the registry, one per user
-//! in the `M_*` reference.
+//! author subset — one per user (`M_*`) or per distinct component (`S_*`)
+//! in the static reference, and the decoder of per-component checkpoint
+//! blobs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -75,41 +76,20 @@ impl CompactEngine {
         self.engine.metrics()
     }
 
-    pub(crate) fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
-        self.engine.approx_stats()
-    }
-
     /// Sweep all bins of the wrapped engine.
     pub(crate) fn evict_expired(&mut self, now: firehose_stream::Timestamp) {
         self.engine.evict_expired(now);
     }
 
     /// Append the engine's distinct in-window records to `out` with authors
-    /// translated back to **global** ids — the warm-start handoff format
-    /// (see [`Diversifier::window_records`]).
+    /// translated back to **global** ids, in `(timestamp, id)` order (see
+    /// [`Diversifier::window_records`]).
     pub(crate) fn window_records_into(&self, out: &mut Vec<PostRecord>) {
         let start = out.len();
         self.engine.window_records(out);
         for r in &mut out[start..] {
             r.author = self.members[r.author as usize];
         }
-    }
-
-    /// Seed a record (global author id) into the engine's bins as if it had
-    /// been emitted (see [`Diversifier::seed_record`]). Silently skips
-    /// non-members — callers filter, this is the backstop.
-    pub(crate) fn seed(&mut self, mut record: PostRecord) {
-        let Some(&local) = self.local_id.get(&record.author) else {
-            return;
-        };
-        record.author = local;
-        self.engine.seed_record(record);
-    }
-
-    /// Serialize the wrapped engine's mutable state (see
-    /// [`Diversifier::save_state`]).
-    pub(crate) fn save_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        self.engine.save_state(w)
     }
 
     /// Restore the wrapped engine's mutable state (see

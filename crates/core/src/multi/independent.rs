@@ -1,5 +1,7 @@
-//! `M_*`: one single-user engine per user — the paper's static reference
-//! for Figure 16 and the M = S identity tests. The service never builds it.
+//! The paper's static references for Figure 16 and the M = S = L identity
+//! tests: `M_*` runs one single-user engine per user, `S_*` one per
+//! distinct connected component (Section 5's sharing, engine by engine).
+//! The service never builds either.
 
 use firehose_graph::UndirectedGraph;
 use firehose_stream::Post;
@@ -8,23 +10,30 @@ use crate::config::EngineConfig;
 use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::compact::CompactEngine;
+use crate::multi::shared::user_components;
 use crate::multi::subscriptions::{Subscriptions, UserId};
 use crate::multi::MultiDecision;
 
-/// `M_UniBin` / `M_NeighborBin` / `M_CliqueBin`: every user's stream is
-/// diversified independently. Shared subscriptions are re-processed once per
-/// subscriber — the baseline Section 5 improves upon. The subscription table
-/// is fixed at construction.
+/// `M_UniBin` / `M_NeighborBin` / `M_CliqueBin` ([`new`](Self::new)) or
+/// `S_UniBin` / `S_NeighborBin` / `S_CliqueBin`
+/// ([`per_component`](Self::per_component)) over a subscription table fixed
+/// at construction. `M_*` re-processes shared subscriptions once per
+/// subscriber — the baseline Section 5 improves upon; `S_*` runs one engine
+/// per distinct component and fans its emissions out to the component's
+/// users.
 pub struct IndependentMulti {
     kind: AlgorithmKind,
     config: EngineConfig,
-    subscriptions: Subscriptions,
-    /// One engine per user id. Tombstoned users keep a (member-less) engine
-    /// so indices stay aligned; it receives no offers.
+    /// `"M"` or `"S"`.
+    family: &'static str,
     engines: Vec<CompactEngine>,
+    /// Users served by each engine, ascending.
+    users: Vec<Vec<UserId>>,
+    /// Author → engines whose member set contains it.
+    routes: Vec<Vec<u32>>,
     /// Stream time of the last global eviction sweep. Hosting thousands of
-    /// engines, the multi-user engines sweep idle bins every λt/2 of stream
-    /// time so memory tracks the live window (a timer in a real deployment).
+    /// engines, the references sweep idle bins every λt/2 of stream time so
+    /// memory tracks the live window (a timer in a real deployment).
     last_sweep: firehose_stream::Timestamp,
     /// Record copies currently stored across all sub-engines.
     live_copies: u64,
@@ -35,26 +44,83 @@ pub struct IndependentMulti {
 }
 
 impl IndependentMulti {
-    /// Build one engine per user over the subgraph of `graph` induced by the
-    /// user's subscriptions.
+    /// `M_*`: one engine per user over the subgraph of `graph` induced by
+    /// the user's subscriptions.
     pub fn new(
         kind: AlgorithmKind,
         config: EngineConfig,
         graph: &UndirectedGraph,
         subscriptions: Subscriptions,
     ) -> Self {
-        let engines = (0..subscriptions.user_count() as UserId)
-            .map(|u| CompactEngine::build(kind, config, graph, subscriptions.authors_of(u)))
+        let groups = (0..subscriptions.user_count() as UserId)
+            .filter(|&u| subscriptions.is_active(u))
+            .map(|u| (subscriptions.authors_of(u).to_vec(), vec![u]))
             .collect();
+        Self::from_groups(kind, config, graph, "M", groups)
+    }
+
+    /// `S_*`: one engine per distinct connected component of the users'
+    /// subscription subgraphs, built in (user, smallest member) order.
+    pub fn per_component(
+        kind: AlgorithmKind,
+        config: EngineConfig,
+        graph: &UndirectedGraph,
+        subscriptions: Subscriptions,
+    ) -> Self {
+        let mut index: std::collections::HashMap<Vec<u32>, usize> = Default::default();
+        let mut groups: Vec<(Vec<u32>, Vec<UserId>)> = Vec::new();
+        let mut local = Vec::new();
+        for u in 0..subscriptions.user_count() as UserId {
+            if !subscriptions.is_active(u) {
+                continue;
+            }
+            for members in user_components(graph, subscriptions.authors_of(u), &mut local) {
+                let next = groups.len();
+                let i = *index.entry(members.clone()).or_insert(next);
+                if i == next {
+                    groups.push((members, Vec::new()));
+                }
+                groups[i].1.push(u);
+            }
+        }
+        Self::from_groups(kind, config, graph, "S", groups)
+    }
+
+    /// One engine per `(members, users)` group.
+    fn from_groups(
+        kind: AlgorithmKind,
+        config: EngineConfig,
+        graph: &UndirectedGraph,
+        family: &'static str,
+        groups: Vec<(Vec<u32>, Vec<UserId>)>,
+    ) -> Self {
+        let mut routes = vec![Vec::new(); graph.node_count()];
+        let mut engines = Vec::with_capacity(groups.len());
+        let mut users = Vec::with_capacity(groups.len());
+        for (i, (members, group_users)) in groups.into_iter().enumerate() {
+            for &a in &members {
+                routes[a as usize].push(i as u32);
+            }
+            engines.push(CompactEngine::build(kind, config, graph, &members));
+            users.push(group_users);
+        }
         Self {
             kind,
             config,
-            subscriptions,
+            family,
             engines,
+            users,
+            routes,
             last_sweep: 0,
             live_copies: 0,
             peak_live_copies: 0,
         }
+    }
+
+    /// Number of sub-engines (users for `M_*`, distinct components for
+    /// `S_*`).
+    pub fn engine_count(&self) -> usize {
+        self.engines.len()
     }
 
     /// Offer an arriving post; returns which users receive it. Users not
@@ -80,28 +146,25 @@ impl IndependentMulti {
             self.live_copies = self.engines.iter().map(|e| e.metrics().copies_stored).sum();
         }
 
-        // Fingerprint once, and only when someone subscribes to the author.
+        // Fingerprint once, and only when some engine holds the author.
         let mut record = None;
-        for &u in self.subscriptions.subscribers_of(post.author) {
+        for &i in &self.routes[post.author as usize] {
             let record = *record.get_or_insert_with(|| post.to_record(self.config.simhash));
-            let engine = &mut self.engines[u as usize];
+            let engine = &mut self.engines[i as usize];
             let before = engine.metrics().copies_stored;
-            // The subscription relation says this user's engine contains the
-            // author; if the maps ever disagree, skip the engine rather than
-            // take down the whole stream.
-            let Some(verdict) = engine.offer(record) else {
-                continue;
-            };
+            let emitted = engine.offer(record).is_some_and(|v| v.is_emitted());
             let after = engine.metrics().copies_stored;
             self.live_copies = (self.live_copies + after).saturating_sub(before);
-            if verdict.is_emitted() {
-                out.delivered_to.push(u);
+            if emitted {
+                out.delivered_to.extend_from_slice(&self.users[i as usize]);
             }
         }
+        // A user holds at most one engine containing the author.
+        out.delivered_to.sort_unstable();
         self.peak_live_copies = self.peak_live_copies.max(self.live_copies);
     }
 
-    /// Aggregated counters across all per-user engines, with the tracked
+    /// Aggregated counters across all sub-engines, with the tracked
     /// simultaneous peak (see `peak_live_copies`) in place of the summed
     /// per-engine peaks.
     pub fn metrics(&self) -> EngineMetrics {
@@ -115,9 +178,9 @@ impl IndependentMulti {
         total
     }
 
-    /// Strategy name, e.g. `"M_UniBin"`.
+    /// Strategy name, e.g. `"M_UniBin"` or `"S_UniBin"`.
     pub fn name(&self) -> String {
-        format!("M_{}", self.kind)
+        format!("{}_{}", self.family, self.kind)
     }
 }
 
@@ -177,6 +240,24 @@ mod tests {
         );
         let d = m.offer(&Post::new(1, 1, 0, "nobody subscribes to me".into()));
         assert!(d.delivered_to.is_empty());
+    }
+
+    #[test]
+    fn per_component_shares_engines_and_streams() {
+        // Figure 7: {0,1,5} shared, {3} for u0, {3,4} for u1.
+        let graph = UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]);
+        let subs = Subscriptions::new(6, vec![vec![0, 1, 3, 5], vec![0, 1, 3, 4, 5]]).unwrap();
+        let config = EngineConfig::new(Thresholds::new(18, minutes(30), 0.7).unwrap());
+        let mut s =
+            IndependentMulti::per_component(AlgorithmKind::UniBin, config, &graph, subs.clone());
+        let mut m = IndependentMulti::new(AlgorithmKind::UniBin, config, &graph, subs);
+        assert_eq!(s.engine_count(), 3);
+        assert_eq!(s.name(), "S_UniBin");
+        for i in 0..30u64 {
+            let p = Post::new(i, (i % 6) as u32, i * 5_000, format!("body {}", i % 7));
+            assert_eq!(s.offer(&p), m.offer(&p), "post {i}");
+        }
+        assert!(s.metrics().posts_processed < m.metrics().posts_processed);
     }
 
     #[test]

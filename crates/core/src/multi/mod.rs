@@ -2,25 +2,30 @@
 //! churn.
 //!
 //! A service diversifies each user's stream centrally with
-//! [`SharedMulti`] (`S_UniBin` / `S_NeighborBin` / `S_CliqueBin`), the
-//! paper's optimization: the diversified stream of a *connected component*
-//! of `Gi` is identical for every user whose subscription graph contains
-//! that exact component, so one engine per **distinct component** serves
-//! them all. It supports **live churn** —
+//! [`SharedMulti`], built on the paper's Section 5 observation: the
+//! diversified stream of a *connected component* of `Gi` is identical for
+//! every user whose subscription graph contains that exact component. The
+//! engine goes one step further than one engine per distinct component:
+//! whether a post covers another does not depend on which component asks,
+//! so one window of emitted posts, each labelled with the components that
+//! emitted it, decides every component with a single scan per post. It
+//! supports **live churn** —
 //! [`subscribe`](SharedMulti::subscribe),
 //! [`unsubscribe`](SharedMulti::unsubscribe),
 //! [`add_user`](SharedMulti::add_user) and
 //! [`remove_user`](SharedMulti::remove_user) — by incrementally splitting
 //! and merging the per-user connected components in a refcounted `registry`
-//! instead of rebuilding every engine (see `DESIGN.md` §9).
+//! (see `DESIGN.md` §9).
 //!
-//! [`IndependentMulti`] (`M_UniBin` / `M_NeighborBin` / `M_CliqueBin`) is
-//! the paper's static reference: one single-user engine per user over a
-//! fixed subscription table. Figure 16 and the M = S tests compare against
-//! it; both produce identical per-user streams.
+//! [`IndependentMulti`] is the paper's static reference over a fixed
+//! subscription table: `M_*` runs one single-user engine per user, `S_*` one
+//! per distinct component. Figure 16 and the M = S = L tests compare the
+//! shared engine against both; all three produce identical per-user
+//! streams.
 
 mod compact;
 mod independent;
+mod labelled;
 mod registry;
 mod shared;
 mod subscriptions;
@@ -34,6 +39,7 @@ use std::io::Read;
 use firehose_stream::AuthorId;
 
 use crate::multi::compact::CompactEngine;
+use crate::multi::labelled::WindowState;
 use crate::snapshot::SnapshotError;
 
 /// The verdict of a multi-user engine for one arriving post.
@@ -54,15 +60,16 @@ pub struct ChurnStats {
     pub users_added: u64,
     /// Users tombstoned.
     pub users_removed: u64,
-    /// Component engines spawned by churn (not initial construction).
+    /// Distinct components spawned by churn (not initial construction).
     pub engines_spawned: u64,
-    /// Component engines retired when their last user released them.
+    /// Distinct components retired when their last user released them.
     pub engines_retired: u64,
-    /// Spawned engines warm-started with at least one surviving record.
+    /// Spawned components that inherited at least one record still inside
+    /// λt of the newest offered post.
     pub warm_starts: u64,
-    /// Component engines built at initial construction, before any churn.
+    /// Distinct components built at initial construction, before any churn.
     /// Together with `engines_spawned` this makes the spawn/retire ledger
-    /// symmetric: every live engine was counted exactly once, so
+    /// symmetric: every live component was counted exactly once, so
     /// `engines_retired <= engines_spawned + initial_engines` always holds.
     pub initial_engines: u64,
 }
@@ -136,8 +143,14 @@ pub(crate) fn component_key(members: &[AuthorId]) -> u64 {
     h
 }
 
-/// FHSNAP04 multi-strategy state, parsed. `engines` maps key → state blob.
-pub(crate) struct MultiStateV2 {
+/// FHSNAP04 flags bit 1: the state is one labelled window (churn ledger,
+/// subscription table, window ledger, then the window oldest-first with
+/// each record's labels as component keys) rather than one engine blob per
+/// component. Always written together with bit 0.
+pub(crate) const MULTI_STATE_FLAG_LABELLED: u32 = 2;
+
+/// FHSNAP04 per-component state, parsed. `engines` maps key → state blob.
+pub(crate) struct PerComponentState {
     pub churn: ChurnStats,
     /// Whether the serialized churn ledger carried `initial_engines` (flags
     /// bit 0). When it did not, loaders adopt the freshly rebuilt count as a
@@ -148,46 +161,37 @@ pub(crate) struct MultiStateV2 {
     pub engines: std::collections::HashMap<u64, Vec<u8>>,
 }
 
-/// Either layout [`read_multi_state`] can encounter.
+/// FHSNAP04 labelled state, parsed; labels are still component keys.
+pub(crate) struct LabelledState {
+    pub churn: ChurnStats,
+    pub subscriptions: Subscriptions,
+    pub window: WindowState<u64>,
+}
+
+/// Every layout [`read_multi_state`] can encounter.
 pub(crate) enum MultiState {
     /// Pre-churn layout: engine blobs in construction order plus the
     /// `(last_sweep, live_copies, peak_live_copies)` ledger.
     Legacy(Vec<Vec<u8>>, [u64; 3]),
-    /// The FHSNAP04 layout.
-    V2(MultiStateV2),
+    /// FHSNAP04 written by the per-component releases.
+    PerComponent(PerComponentState),
+    /// FHSNAP04 with flags bit 1: the labelled window.
+    Labelled(LabelledState),
 }
 
-/// Serialize the FHSNAP04 multi state: magic, flags, churn ledger,
-/// subscription table, sweep ledger, then `(key, blob)` engine entries
-/// sorted by key.
-pub(crate) fn write_multi_state(
+/// Serialize the head of the FHSNAP04 labelled layout: magic, flags, churn
+/// ledger and subscription table. The window follows
+/// (`LabelledWindow::write`).
+pub(crate) fn write_labelled_state(
     w: &mut dyn std::io::Write,
     churn: &ChurnStats,
     subscriptions: &Subscriptions,
-    ledger: [u64; 3],
-    engines: &mut [(u64, Vec<u8>)],
 ) -> std::io::Result<()> {
     w.write_all(MULTI_STATE_MAGIC)?;
-    // Flags bit 0: churn ledger carries `initial_engines` (8 fields, not 7).
-    w.write_all(&MULTI_STATE_FLAG_INITIAL_ENGINES.to_le_bytes())?;
+    let flags = MULTI_STATE_FLAG_INITIAL_ENGINES | MULTI_STATE_FLAG_LABELLED;
+    w.write_all(&flags.to_le_bytes())?;
     churn.write(w)?;
-    subscriptions.write_table(w)?;
-    for x in ledger {
-        w.write_all(&x.to_le_bytes())?;
-    }
-    engines.sort_unstable_by_key(|&(k, _)| k);
-    if engines.windows(2).any(|p| p[0].0 == p[1].0) {
-        return Err(std::io::Error::other(
-            "component key collision; cannot serialize unambiguously",
-        ));
-    }
-    w.write_all(&(engines.len() as u32).to_le_bytes())?;
-    for (key, blob) in engines.iter() {
-        w.write_all(&key.to_le_bytes())?;
-        w.write_all(&(blob.len() as u64).to_le_bytes())?;
-        w.write_all(blob)?;
-    }
-    Ok(())
+    subscriptions.write_table(w)
 }
 
 fn read_blob(r: &mut dyn Read) -> Result<Vec<u8>, SnapshotError> {
@@ -214,9 +218,10 @@ fn read_ledger(r: &mut dyn Read) -> Result<[u64; 3], SnapshotError> {
     Ok(ledger)
 }
 
-/// Read a multi-strategy state in either layout, detected from the first 8
-/// bytes (magic → FHSNAP04; anything else → the legacy layout, whose first
-/// 4 bytes are the engine count and whose next 4 belong to the body).
+/// Read a multi-strategy state in any layout, detected from the first 8
+/// bytes (magic → FHSNAP04, whose flags tell labelled from per-component;
+/// anything else → the legacy layout, whose first 4 bytes are the engine
+/// count and whose next 4 belong to the body).
 pub(crate) fn read_multi_state(r: &mut dyn Read) -> Result<MultiState, SnapshotError> {
     let mut head = [0u8; 8];
     r.read_exact(&mut head)?;
@@ -224,7 +229,7 @@ pub(crate) fn read_multi_state(r: &mut dyn Read) -> Result<MultiState, SnapshotE
         let mut b4 = [0u8; 4];
         r.read_exact(&mut b4)?;
         let flags = u32::from_le_bytes(b4);
-        if flags & !MULTI_STATE_FLAG_INITIAL_ENGINES != 0 {
+        if flags & !(MULTI_STATE_FLAG_INITIAL_ENGINES | MULTI_STATE_FLAG_LABELLED) != 0 {
             return Err(SnapshotError::StructureMismatch(
                 "unknown multi-state flags",
             ));
@@ -232,6 +237,18 @@ pub(crate) fn read_multi_state(r: &mut dyn Read) -> Result<MultiState, SnapshotE
         let has_initial = flags & MULTI_STATE_FLAG_INITIAL_ENGINES != 0;
         let churn = ChurnStats::read(r, has_initial)?;
         let subscriptions = Subscriptions::read_table(r)?;
+        if flags & MULTI_STATE_FLAG_LABELLED != 0 {
+            if !has_initial {
+                return Err(SnapshotError::StructureMismatch(
+                    "labelled multi state without the 8-field churn ledger",
+                ));
+            }
+            return Ok(MultiState::Labelled(LabelledState {
+                churn,
+                subscriptions,
+                window: labelled::read_state(r)?,
+            }));
+        }
         let ledger = read_ledger(r)?;
         r.read_exact(&mut b4)?;
         let count = u32::from_le_bytes(b4) as usize;
@@ -248,7 +265,7 @@ pub(crate) fn read_multi_state(r: &mut dyn Read) -> Result<MultiState, SnapshotE
             prev = Some(key);
             engines.insert(key, read_blob(r)?);
         }
-        Ok(MultiState::V2(MultiStateV2 {
+        Ok(MultiState::PerComponent(PerComponentState {
             churn,
             has_initial,
             subscriptions,

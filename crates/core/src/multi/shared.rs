@@ -1,4 +1,5 @@
-//! `S_*`: one engine per distinct connected component (Section 5).
+//! The shared multi-user engine: one labelled window for every distinct
+//! connected component (Section 5).
 //!
 //! Posts from a connected component `g` of a user's similarity subgraph `Gi`
 //! can only be covered by posts from `g`, so the diversified stream of `g` is
@@ -8,13 +9,17 @@
 //! 1. decomposes each user's subscription set into connected components of
 //!    the induced similarity subgraph,
 //! 2. deduplicates components across users by their (sorted) member list,
-//! 3. runs one single-user engine per distinct component, and
-//! 4. delivers an emitted post of component `g` to every user of `g`.
+//! 3. decides every component with one scan of one window, whose records
+//!    carry the components that emitted them (`DESIGN.md` §9), and
+//! 4. delivers a post emitted in component `g` to every user of `g`.
 //!
 //! The decomposition lives in a refcounted `ComponentRegistry` and is
-//! maintained *incrementally* under subscription churn — see `DESIGN.md` §9.
-//! [`SharedMulti`] drives that registry on the calling thread, one post at a
-//! time (`DESIGN.md` §10).
+//! maintained *incrementally* under subscription churn. [`SharedMulti`]
+//! drives that registry on the calling thread, one post at a time
+//! (`DESIGN.md` §10). Its per-user streams are those of
+//! [`IndependentMulti`](crate::multi::IndependentMulti), the static
+//! one-engine-per-component (`S_*`) and one-engine-per-user (`M_*`)
+//! reference.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -23,7 +28,7 @@ use std::time::Instant;
 use firehose_graph::{UndirectedGraph, UnionFind};
 use firehose_stream::{AuthorId, Post};
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, MemoryMode};
 use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::registry::ComponentRegistry;
@@ -33,22 +38,33 @@ use crate::obs::MultiObs;
 
 /// Decompose a user's (sorted) subscription set into connected components of
 /// the similarity subgraph induced on it. Returns sorted member lists,
-/// ordered by smallest member.
-pub(crate) fn user_components(graph: &UndirectedGraph, authors: &[AuthorId]) -> Vec<Vec<AuthorId>> {
-    let local: HashMap<AuthorId, u32> = authors
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| (a, i as u32))
-        .collect();
+/// ordered by smallest member. `local` is an author-indexed scratch buffer,
+/// grown to the graph's node count and left filled with `u32::MAX`, so that
+/// repeated calls cost O(subscriptions + their degrees) and no hashing.
+pub(crate) fn user_components(
+    graph: &UndirectedGraph,
+    authors: &[AuthorId],
+    local: &mut Vec<u32>,
+) -> Vec<Vec<AuthorId>> {
+    if local.len() < graph.node_count() {
+        local.resize(graph.node_count(), u32::MAX);
+    }
+    for (i, &a) in authors.iter().enumerate() {
+        local[a as usize] = i as u32;
+    }
     let mut uf = UnionFind::new(authors.len());
     for (i, &a) in authors.iter().enumerate() {
-        for &b in graph.neighbors(a) {
-            if b > a {
-                if let Some(&j) = local.get(&b) {
-                    uf.union(i as u32, j);
-                }
+        // Each edge once: neighbor lists are sorted, so visit those above `a`.
+        let neighbors = graph.neighbors(a);
+        for &b in &neighbors[neighbors.partition_point(|&b| b < a)..] {
+            let j = local[b as usize];
+            if j != u32::MAX {
+                uf.union(i as u32, j);
             }
         }
+    }
+    for &a in authors {
+        local[a as usize] = u32::MAX;
     }
     let mut groups: HashMap<u32, Vec<AuthorId>> = HashMap::new();
     for (i, &a) in authors.iter().enumerate() {
@@ -70,7 +86,7 @@ pub struct SharedBuilder<'g> {
 }
 
 impl SharedBuilder<'_> {
-    /// Whether engines spawned by churn inherit their predecessors'
+    /// Whether components spawned by churn inherit their predecessors'
     /// in-window records (default `true`). Disable to get cold spawns whose
     /// streams match a freshly built strategy immediately instead of after
     /// λt.
@@ -79,8 +95,16 @@ impl SharedBuilder<'_> {
         self
     }
 
-    /// Build the component decomposition and the per-component engines.
+    /// Build the component decomposition over one empty window.
+    ///
+    /// # Panics
+    /// Panics if the config asks for [`MemoryMode::Approx`]: the window
+    /// stores each in-window post once and exactly (see [`SharedMulti::new`]).
     pub fn build(self) -> SharedMulti {
+        assert!(
+            matches!(self.config.memory, MemoryMode::Exact),
+            "the multi-user engine runs MemoryMode::Exact only"
+        );
         let registry = ComponentRegistry::new(
             self.kind,
             self.config,
@@ -95,17 +119,25 @@ impl SharedBuilder<'_> {
     }
 }
 
-/// The shared-component multi-user engine: `S_UniBin`, `S_NeighborBin`,
-/// `S_CliqueBin`.
+/// The shared multi-user engine. It names itself `S_UniBin`,
+/// `S_NeighborBin` or `S_CliqueBin` after the kind it was built with (the
+/// name checkpoints are matched by); every kind makes the same decisions,
+/// through the same scan.
 pub struct SharedMulti {
-    /// Engines, routing, subscriptions and churn ledger.
+    /// Window, routing, subscriptions and churn ledger.
     registry: ComponentRegistry,
     /// Strategy-level instruments, when attached.
     obs: Option<MultiObs>,
 }
 
 impl SharedMulti {
-    /// Build the component decomposition and the per-component engines.
+    /// Build the component decomposition over one empty window.
+    ///
+    /// # Panics
+    /// Panics if `config.memory` is [`MemoryMode::Approx`]. The window
+    /// stores each in-window post once, which is the saving the approximate
+    /// tier bought for per-component stores; a shared approximate store
+    /// could not keep each component's retention.
     pub fn new(
         kind: AlgorithmKind,
         config: EngineConfig,
@@ -115,7 +147,7 @@ impl SharedMulti {
         Self::builder(kind, config, graph, subscriptions).build()
     }
 
-    /// Start building an `S_*` strategy; see [`SharedBuilder`].
+    /// Start building the shared engine; see [`SharedBuilder`].
     pub fn builder(
         kind: AlgorithmKind,
         config: EngineConfig,
@@ -131,14 +163,14 @@ impl SharedMulti {
         }
     }
 
-    /// Attach strategy-level instruments (offer-latency histogram, sweep
-    /// counter, live-copies gauge) labelled `{strategy="<name>"}` to
+    /// Attach strategy-level instruments (offer-latency histogram,
+    /// live-copies gauge) labelled `{strategy="<name>"}` to
     /// `registry`.
     pub(crate) fn attach_obs(&mut self, registry: &firehose_obs::Registry) {
         self.obs = Some(MultiObs::register(registry, &self.name()));
     }
 
-    /// Number of distinct components (= number of engines).
+    /// Number of distinct components (= labels in use).
     pub fn component_count(&self) -> usize {
         self.registry.component_count()
     }
@@ -156,13 +188,10 @@ impl SharedMulti {
     /// post on the hot path.
     pub fn offer_into(&mut self, post: &Post, out: &mut MultiDecision) {
         let started = self.obs.is_some().then(Instant::now);
-        let swept = self.registry.offer(post, out);
+        self.registry.offer(post, out);
         if let (Some(t0), Some(obs)) = (started, &self.obs) {
-            if swept {
-                obs.sweeps.inc();
-            }
             obs.offer_latency.record_duration(t0.elapsed());
-            obs.live_copies.set(self.registry.live_copies as i64);
+            obs.live_copies.set(self.registry.window.len() as i64);
         }
     }
 
@@ -189,7 +218,7 @@ impl SharedMulti {
     }
 
     /// Tombstone a user: their id stays allocated, they receive nothing, and
-    /// component engines they were the last user of are retired.
+    /// components they were the last user of are retired.
     pub fn remove_user(&mut self, user: UserId) -> Result<(), SubscriptionError> {
         self.registry.remove_user(user)
     }
@@ -204,20 +233,18 @@ impl SharedMulti {
         &self.registry.subscriptions
     }
 
-    /// Aggregated counters across all component engines.
+    /// The window's counters: `posts_processed` counts posts offered (one
+    /// per post, whatever its fan-out), `comparisons` window records
+    /// examined, `insertions` records stored (posts emitted in at least one
+    /// component), and `peak_memory_bytes` the peak of record payload plus
+    /// 4 B per label id.
     pub fn metrics(&self) -> EngineMetrics {
-        self.registry.metrics_total()
+        self.registry.metrics()
     }
 
-    /// Current record payload across all component engines, in bytes.
+    /// Current record payload plus 4 B per label id, in bytes.
     pub fn memory_bytes(&self) -> u64 {
-        self.metrics().memory_bytes()
-    }
-
-    /// Aggregated approximate-backend counters across all component engines;
-    /// `None` when engines run exact.
-    pub fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
-        self.registry.approx_stats_total()
+        self.registry.window.memory_bytes()
     }
 
     /// Strategy name, e.g. `"S_CliqueBin"`.
@@ -225,10 +252,10 @@ impl SharedMulti {
         format!("S_{}", self.registry.kind())
     }
 
-    /// Serialize the mutable state in the FHSNAP04 layout: the churn ledger,
-    /// the **current** subscription relation, the sweep ledger, and every
-    /// live engine's state keyed by its component-membership hash,
-    /// independently of construction history. The bytes round-trip through
+    /// Serialize the mutable state in the FHSNAP04 labelled layout: the
+    /// churn ledger, the **current** subscription relation, and the window
+    /// with its labels as component-membership hashes, independently of
+    /// construction history. The bytes round-trip through
     /// [`load_state`](Self::load_state) on a strategy built with the same
     /// kind and graph — the subscription state at build time does *not* have
     /// to match, because the embedded table replaces it.
@@ -237,10 +264,10 @@ impl SharedMulti {
     }
 
     /// Replace the mutable state with bytes previously produced by
-    /// [`save_state`](Self::save_state) — either the FHSNAP04 layout or the
-    /// legacy pre-churn (FHSNAP03-era) layout, which is detected
-    /// automatically. On error the state is unspecified and the strategy
-    /// must be rebuilt before use.
+    /// [`save_state`](Self::save_state), or by a per-component release
+    /// (FHSNAP04 engine blobs, or the legacy pre-churn layout), which is
+    /// detected and converted. On error the state is unspecified and the
+    /// engine must be rebuilt before use.
     pub(crate) fn load_state(
         &mut self,
         r: &mut dyn std::io::Read,
@@ -269,10 +296,20 @@ mod tests {
     #[test]
     fn user_components_decomposition() {
         let (graph, subs) = figure7();
-        let c1 = user_components(&graph, subs.authors_of(0));
+        let mut local = Vec::new();
+        let c1 = user_components(&graph, subs.authors_of(0), &mut local);
         assert_eq!(c1, vec![vec![0, 1, 5], vec![3]]);
-        let c2 = user_components(&graph, subs.authors_of(1));
+        let c2 = user_components(&graph, subs.authors_of(1), &mut local);
         assert_eq!(c2, vec![vec![0, 1, 5], vec![3, 4]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "MemoryMode::Exact only")]
+    fn approx_memory_panics() {
+        let (graph, subs) = figure7();
+        let mut config = EngineConfig::paper_defaults();
+        config.memory = MemoryMode::Approx(crate::config::ApproxConfig::default());
+        SharedMulti::new(AlgorithmKind::UniBin, config, &graph, subs);
     }
 
     #[test]
@@ -323,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    fn sharing_reduces_work() {
+    fn one_scan_per_post() {
         let (graph, subs) = figure7();
         let config = EngineConfig::new(Thresholds::new(18, minutes(30), 0.7).unwrap());
         let mut s = SharedMulti::new(AlgorithmKind::UniBin, config, &graph, subs.clone());
@@ -339,9 +376,10 @@ mod tests {
             s.offer(&p);
             m.offer(&p);
         }
+        assert_eq!(s.metrics().posts_processed, 10, "one window offer per post");
         assert!(
             s.metrics().posts_processed < m.metrics().posts_processed,
-            "shared engines must process fewer (post, engine) pairs"
+            "the window must process fewer (post, engine) pairs than M_*"
         );
     }
 
@@ -381,7 +419,7 @@ mod tests {
         assert_eq!(s.churn_stats().unsubscribes, 1);
         let d = s.offer(&Post::new(1, 3, 0, "who will cover this now".into()));
         assert_eq!(d.delivered_to, vec![0, 1]);
-        // Both users now hold the same {3} component: one engine serves both.
+        // Both users now hold the same {3} component: one label serves both.
         assert_eq!(s.component_count(), 2); // {0,1,5} and {3}
     }
 }

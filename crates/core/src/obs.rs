@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use firehose_obs::{labels, Counter, Gauge, Histogram, Registry};
+use firehose_obs::{labels, Gauge, Histogram, Registry};
 
 use crate::metrics::EngineMetrics;
 
@@ -56,16 +56,14 @@ impl EngineObs {
 }
 
 /// Instruments for the multi-user engine
-/// ([`SharedMulti`](crate::multi::SharedMulti)): whole-post offer latency,
-/// eviction-sweep count, and the live record-copy footprint.
+/// ([`SharedMulti`](crate::multi::SharedMulti)): whole-post offer latency
+/// and the live record footprint of its window.
 #[derive(Clone)]
 pub(crate) struct MultiObs {
     /// Wall-clock nanoseconds per multi-user `offer` call (fingerprint +
-    /// every sub-engine consulted).
+    /// window scan + fan-out).
     pub offer_latency: Arc<Histogram>,
-    /// Periodic eviction sweeps performed.
-    pub sweeps: Counter,
-    /// Record copies currently live across all sub-engines.
+    /// Records currently held by the window.
     pub live_copies: Gauge,
 }
 
@@ -80,14 +78,9 @@ impl MultiObs {
                 "Wall-clock latency of one multi-user offer, nanoseconds",
                 l.clone(),
             ),
-            sweeps: registry.counter(
-                "firehose_sweeps_total",
-                "Periodic eviction sweeps performed",
-                l.clone(),
-            ),
             live_copies: registry.gauge(
                 "firehose_live_copies",
-                "Record copies currently stored across all sub-engines",
+                "Records currently held by the multi-user window",
                 l,
             ),
         }

@@ -51,7 +51,7 @@ use firehose_stream::{AuthorId, GuardConfig, IngestGuard, Post, QuarantineStats,
 use crate::checkpoint::{
     restore_latest_valid_multi, CheckpointManager, CheckpointPolicy, Manifest, RestoreError,
 };
-use crate::config::{EngineConfig, MemoryMode};
+use crate::config::EngineConfig;
 use crate::engine::AlgorithmKind;
 use crate::metrics::EngineMetrics;
 use crate::multi::{
@@ -407,6 +407,11 @@ pub enum ServiceError {
         /// The configured queue capacity.
         capacity: usize,
     },
+    /// The engine config asks for
+    /// [`MemoryMode::Approx`](crate::MemoryMode::Approx). Only a single
+    /// engine runs it: the multi-user engine stores each in-window post
+    /// once, in one exact window.
+    ApproxMulti,
 }
 
 impl std::fmt::Display for ServiceError {
@@ -421,6 +426,9 @@ impl std::fmt::Display for ServiceError {
                     "admission queue full ({capacity} posts) and policy is reject"
                 )
             }
+            Self::ApproxMulti => f.write_str(
+                "approximate memory is single-engine only; the multi-user engine runs exact",
+            ),
         }
     }
 }
@@ -514,9 +522,13 @@ impl<'g> FirehoseServiceBuilder<'g> {
 
     /// Construct the service: builds the engine, opens the checkpoint
     /// directory, and arms the guard. Both [`StrategyKind`]s build the same
-    /// [`SharedMulti`].
+    /// [`SharedMulti`]; a config asking for
+    /// [`MemoryMode::Approx`](crate::MemoryMode::Approx) is
+    /// refused with [`ServiceError::ApproxMulti`].
     pub fn build(self) -> Result<FirehoseService, ServiceError> {
-        let memory = self.config.memory;
+        if self.config.memory.is_approx() {
+            return Err(ServiceError::ApproxMulti);
+        }
         let mut multi =
             SharedMulti::new(self.algorithm, self.config, self.graph, self.subscriptions);
         if let Some(reg) = self.obs {
@@ -536,7 +548,6 @@ impl<'g> FirehoseServiceBuilder<'g> {
             multi,
             guard,
             manager,
-            memory,
             admitted: Vec::new(),
             decisions: Vec::new(),
             overload: self.overload,
@@ -558,8 +569,6 @@ pub struct FirehoseService {
     multi: SharedMulti,
     guard: Option<IngestGuard>,
     manager: Option<CheckpointManager>,
-    /// Coverage-store memory mode every component engine was built with.
-    memory: MemoryMode,
     /// Guard output scratch, reused across `process` calls.
     admitted: Vec<Post>,
     /// Decision scratch, one per admitted post of a call, reused across
@@ -795,11 +804,10 @@ impl FirehoseService {
     }
 
     /// Restore the newest intact checkpoint generation into the strategy.
-    /// Returns the restored manifest (`manifest.posts_processed` is the
-    /// aggregated per-engine offer counter used for integrity
-    /// cross-checking, *not* a stream position). Corrupt generations are
-    /// skipped (and reported via the error only when *no* generation
-    /// restores).
+    /// Returns the restored manifest (`manifest.posts_processed` counts the
+    /// posts the engine was offered, cross-checked against the restored
+    /// state). Corrupt generations are skipped (and reported via the error
+    /// only when *no* generation restores).
     pub fn restore_latest(&mut self) -> Result<Manifest, ServiceError> {
         let Some(mgr) = &mut self.manager else {
             return Err(ServiceError::NoCheckpointDir);
@@ -820,16 +828,6 @@ impl FirehoseService {
     /// Aggregated engine metrics across all component engines.
     pub fn metrics(&self) -> EngineMetrics {
         self.multi.metrics()
-    }
-
-    /// Coverage-store memory mode every component engine runs with.
-    pub fn memory_mode(&self) -> MemoryMode {
-        self.memory
-    }
-
-    /// Aggregated approximate-backend counters; `None` in exact mode.
-    pub fn approx_stats(&self) -> Option<firehose_stream::ApproxStats> {
-        self.multi.approx_stats()
     }
 
     /// Lifetime churn-operation counters.
@@ -906,6 +904,21 @@ mod tests {
             assert_eq!(service.name(), bare.name(), "{strategy}");
             assert_eq!(service.metrics(), bare.metrics(), "{strategy}");
         }
+    }
+
+    /// Approximate memory is single-engine only: the builder refuses it
+    /// rather than building a multi-user engine that cannot honour it.
+    #[test]
+    fn approx_memory_is_refused() {
+        let mut approx = config();
+        approx.memory = crate::MemoryMode::Approx(crate::ApproxConfig::default());
+        let err = FirehoseService::builder(&graph(), subs())
+            .engine_config(approx)
+            .build()
+            .err()
+            .expect("approx must be refused");
+        assert!(matches!(err, ServiceError::ApproxMulti), "{err:?}");
+        assert!(err.to_string().contains("single-engine"), "{err}");
     }
 
     #[test]

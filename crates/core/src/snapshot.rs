@@ -132,21 +132,21 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn w_u32<W: Write + ?Sized>(w: &mut W, x: u32) -> io::Result<()> {
+pub(crate) fn w_u32<W: Write + ?Sized>(w: &mut W, x: u32) -> io::Result<()> {
     w.write_all(&x.to_le_bytes())
 }
-fn w_u64<W: Write + ?Sized>(w: &mut W, x: u64) -> io::Result<()> {
+pub(crate) fn w_u64<W: Write + ?Sized>(w: &mut W, x: u64) -> io::Result<()> {
     w.write_all(&x.to_le_bytes())
 }
 fn w_f64<W: Write + ?Sized>(w: &mut W, x: f64) -> io::Result<()> {
     w.write_all(&x.to_le_bytes())
 }
-fn r_u32<R: Read + ?Sized>(r: &mut R) -> io::Result<u32> {
+pub(crate) fn r_u32<R: Read + ?Sized>(r: &mut R) -> io::Result<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
     Ok(u32::from_le_bytes(b))
 }
-fn r_u64<R: Read + ?Sized>(r: &mut R) -> io::Result<u64> {
+pub(crate) fn r_u64<R: Read + ?Sized>(r: &mut R) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
@@ -231,7 +231,7 @@ pub(crate) fn read_config<R: Read + ?Sized>(r: &mut R) -> Result<EngineConfig, S
     })
 }
 
-fn write_metrics<W: Write + ?Sized>(w: &mut W, m: &EngineMetrics) -> io::Result<()> {
+pub(crate) fn write_metrics<W: Write + ?Sized>(w: &mut W, m: &EngineMetrics) -> io::Result<()> {
     for x in [
         m.posts_processed,
         m.posts_emitted,
@@ -247,7 +247,7 @@ fn write_metrics<W: Write + ?Sized>(w: &mut W, m: &EngineMetrics) -> io::Result<
     Ok(())
 }
 
-fn read_metrics<R: Read + ?Sized>(r: &mut R) -> io::Result<EngineMetrics> {
+pub(crate) fn read_metrics<R: Read + ?Sized>(r: &mut R) -> io::Result<EngineMetrics> {
     Ok(EngineMetrics {
         posts_processed: r_u64(r)?,
         posts_emitted: r_u64(r)?,

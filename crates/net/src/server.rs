@@ -902,11 +902,8 @@ impl ServiceState {
     /// `GET /metrics`: refresh the exported snapshots and render.
     fn handle_metrics(&mut self) -> Handled {
         firehose_core::export_kernel_info(&self.registry);
-        firehose_core::export_memory_mode(
-            &self.registry,
-            &self.service.memory_mode(),
-            self.service.approx_stats(),
-        );
+        // The multi-user engine runs exact memory only.
+        firehose_core::export_memory_mode(&self.registry, &firehose_core::MemoryMode::Exact, None);
         firehose_core::export_engine_metrics(
             &self.registry,
             &self.service.name(),

@@ -5,9 +5,11 @@
 //! ```
 //!
 //! Builds a synthetic service with hundreds of users, compares the paper's
-//! per-user reference (`M_UniBin`) with the shared-component engine the
-//! service runs (`S_UniBin`, Section 5 of the paper), asserting along the way
-//! that both deliver identical per-user streams.
+//! per-user reference (`M_UniBin`) with the engine the service runs (named
+//! `S_UniBin` after Section 5's component sharing: one window for every
+//! distinct connected component, each post labelled with the components
+//! that emitted it), asserting along the way that both deliver identical
+//! per-user streams.
 
 use std::time::Instant;
 
@@ -61,7 +63,7 @@ fn main() {
         .collect();
     let m_time = t0.elapsed();
 
-    // The service engine: one engine per distinct connected component.
+    // The service engine: one labelled window for every distinct component.
     let mut shared = SharedMulti::new(AlgorithmKind::UniBin, config, &graph, subs.clone());
     let t0 = Instant::now();
     let s_out: Vec<_> = workload.posts.iter().map(|p| shared.offer(p)).collect();
@@ -74,7 +76,7 @@ fn main() {
     println!("\nboth delivered identical per-user streams\n");
     println!(
         "{:<28} {:>10} {:>14} {:>14}",
-        "strategy", "time", "comparisons", "engines"
+        "strategy", "time", "comparisons", "engines/labels"
     );
     println!(
         "{:<28} {:>10.1?} {:>14} {:>14}",

@@ -127,7 +127,7 @@ const COMMANDS: &[(&str, &[&str])] = &[
             "[--out FILE]",
             "[--quiet true]",
             "[--checkpoint-dir DIR]",
-            "[--checkpoint-every OFFERS]",
+            "[--checkpoint-every POSTS]",
             "[--checkpoint-secs S]",
             "[--guard strict|clamp|reorder]",
             "[--reorder-bound-ms N]",
@@ -148,14 +148,14 @@ const COMMANDS: &[(&str, &[&str])] = &[
             "[--lambda-c N]",
             "[--lambda-t-mins N]",
             "[--lambda-a F]",
-            "[--memory exact|approx[:BUDGET]]",
+            "[--memory exact]",
             "[--strategy shared|sharded[:N]]",
             "[--guard strict|clamp|reorder]",
             "[--reorder-bound-ms N]",
             "[--overload block|shed|reject[:CAPACITY]]",
             "[--rate-limit POSTS_PER_SEC]",
             "[--checkpoint-dir DIR]",
-            "[--checkpoint-every OFFERS]",
+            "[--checkpoint-every POSTS]",
             "[--checkpoint-secs S]",
             "[--max-conns N]",
             "[--stream-buffer N]",
@@ -211,6 +211,7 @@ fn usage() -> String {
     }
     out.push_str(
         "\n\nrun: --strategy, --churn-trace, --overload and --rate-limit apply with --subscriptions\
+         \nrun: --memory approx applies without --subscriptions (the multi-user engine is exact)\
          \n--strategy sharded[:N] runs exactly what shared runs; N must be at least 1 and is \
          otherwise unused",
     );
@@ -219,6 +220,10 @@ fn usage() -> String {
 
 const REMOVED_SHARDING: &str =
     "--shards N and --strategy parallel[:N] were removed; use --strategy sharded[:N]";
+
+const APPROX_MULTI: &str = "--memory approx is single-engine only: the multi-user engine \
+     (run --subscriptions, serve) keeps one exact window that stores each post once; use \
+     --memory exact";
 
 const REMOVED_INDEPENDENT: &str = "--strategy independent (and m) was removed: one engine per \
      user is now the paper reference in fig16_mspsd, and --strategy shared delivers the same \
@@ -514,19 +519,31 @@ fn strategy_from(args: &Args) -> Result<StrategyKind, String> {
     spec.parse()
 }
 
+/// The multi-user engine's configuration: [`engine_config_from`], with
+/// `--memory approx` refused (the engine keeps one exact window).
+fn multi_engine_config_from(args: &Args) -> Result<EngineConfig, String> {
+    let config = engine_config_from(args)?;
+    if config.memory != MemoryMode::Exact {
+        return Err(APPROX_MULTI.into());
+    }
+    Ok(config)
+}
+
 /// The multi-user service as `run --subscriptions ...` and `serve` both
-/// configure it: `--algorithm`, thresholds and `--memory`, `--guard`,
-/// `--overload`, `--rate-limit`, `--checkpoint-dir`.
+/// configure it: `--algorithm`, `engine_config` (from
+/// [`multi_engine_config_from`]), `--guard`, `--overload`, `--rate-limit`,
+/// `--checkpoint-dir`.
 fn service_builder_from<'g>(
     args: &Args,
     strategy: StrategyKind,
+    engine_config: EngineConfig,
     graph: &'g UndirectedGraph,
     subscriptions: Subscriptions,
 ) -> Result<FirehoseServiceBuilder<'g>, String> {
     let mut builder = FirehoseService::builder(graph, subscriptions)
         .strategy(strategy)
         .algorithm(algorithm_from(args)?)
-        .engine_config(engine_config_from(args)?);
+        .engine_config(engine_config);
     if let Some(guard) = guard_config_from(args)? {
         builder = builder.guard(guard);
     }
@@ -549,6 +566,7 @@ fn service_builder_from<'g>(
 }
 
 fn checkpoint_policy_from(args: &Args) -> Result<CheckpointPolicy, String> {
+    // Both engines count one offer per post, so the cadence is in posts.
     let every_offers: u64 =
         args.parse_or("checkpoint-every", CheckpointPolicy::default().every_offers)?;
     let secs: u64 = args.parse_or("checkpoint-secs", 5)?;
@@ -570,6 +588,7 @@ fn cmd_run_multi(args: &Args) -> Result<(), String> {
     let subs_path = args.require("subscriptions")?;
     let quiet: bool = args.parse_or("quiet", false)?;
     let strategy = strategy_from(args)?;
+    let engine_config = multi_engine_config_from(args)?;
 
     let posts = corpus::read_posts(&mut open_reader(posts_path)?).map_err(|e| e.to_string())?;
     let graph = load_graph_for_posts(graph_path, &posts)?;
@@ -578,7 +597,7 @@ fn cmd_run_multi(args: &Args) -> Result<(), String> {
     let subscriptions =
         Subscriptions::new(graph.node_count(), sets).map_err(|e| format!("{subs_path}: {e}"))?;
 
-    let mut service = service_builder_from(args, strategy, &graph, subscriptions)?
+    let mut service = service_builder_from(args, strategy, engine_config, &graph, subscriptions)?
         .build()
         .map_err(|e| e.to_string())?;
 
@@ -826,6 +845,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let subs_path = args.require("subscriptions")?;
     let listen = args.get("listen").unwrap_or("127.0.0.1:7878");
     let strategy = strategy_from(args)?;
+    let engine_config = multi_engine_config_from(args)?;
 
     let graph =
         graph_io::read_undirected(&mut open_reader(graph_path)?).map_err(|e| e.to_string())?;
@@ -835,7 +855,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         Subscriptions::new(graph.node_count(), sets).map_err(|e| format!("{subs_path}: {e}"))?;
 
     let registry = Arc::new(Registry::new());
-    let service = service_builder_from(args, strategy, &graph, subscriptions)?
+    let service = service_builder_from(args, strategy, engine_config, &graph, subscriptions)?
         .build()
         .map_err(|e| e.to_string())?;
 

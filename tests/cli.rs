@@ -188,6 +188,43 @@ fn independent_is_refused_naming_strategy() {
     }
 }
 
+/// The multi-user engine keeps one exact window: `--memory approx` is
+/// refused by `run --subscriptions` and `serve`, naming `--memory`, while
+/// single-engine `run` still accepts it.
+#[test]
+fn approx_memory_is_refused_for_multi_user() {
+    let dir = TempDir::new("approx_multi");
+    let missing = dir.path("missing.tsv");
+    let multi = ["--graph", &missing, "--subscriptions", &missing];
+    for command in [&["run", "--posts", &missing][..], &["serve"][..]] {
+        for spec in ["approx", "approx:8"] {
+            let err = run_err(&[command, &multi[..], &["--memory", spec]].concat());
+            assert!(err.contains("--memory"), "{command:?} {spec}: {err}");
+            assert!(err.contains("single-engine"), "{command:?} {spec}: {err}");
+        }
+    }
+
+    let posts = dir.path("posts.tsv");
+    let follower = dir.path("follower.fhf");
+    let graph = dir.path("sim.fhg");
+    let out = dir.path("out.tsv");
+    run_ok(&[
+        "generate",
+        "--authors",
+        "100",
+        "--hours",
+        "1",
+        "--out-posts",
+        &posts,
+        "--out-follower",
+        &follower,
+    ]);
+    run_ok(&["build-graph", "--follower", &follower, "--out", &graph]);
+    run_ok(&[
+        "run", "--posts", &posts, "--graph", &graph, "--memory", "approx", "--out", &out,
+    ]);
+}
+
 #[test]
 fn sharded_zero_is_refused_naming_strategy() {
     let dir = TempDir::new("sharded_zero");

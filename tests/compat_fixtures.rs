@@ -17,6 +17,12 @@
 //! restore into [`MemoryMode::Exact`] with byte-identical re-capture, since
 //! exact-mode snapshots are declared byte-stable across the approx release.
 //!
+//! `fhckpt_s_unibin_churned.bin` is an FHSNAP04 `S_UniBin` checkpoint taken
+//! mid-churn, with warm-started engines live, by the last release that ran
+//! one engine per component; `fhckpt_s_unibin_churned_continuation.tsv` is
+//! what that release delivered after the checkpoint. Both restore through
+//! the per-component → labelled-window conversion.
+//!
 //! Fixture recipe (frozen; do NOT regenerate with current code): 6-author
 //! graph `[(0,1),(0,5),(3,4)]`, thresholds `(18, 30_000 ms, 0.5)`, posts
 //! `id=i, author=i%6, ts=i*5000, text="content group {i%9}"` for `i in
@@ -28,14 +34,15 @@ use std::sync::Arc;
 
 use firehose::core::checkpoint::restore_multi_from_slice;
 use firehose::core::engine::{AlgorithmKind, CliqueBin, Diversifier, NeighborBin, UniBin};
-use firehose::core::multi::{SharedMulti, Subscriptions};
+use firehose::core::multi::{ChurnStats, MultiDecision, SharedMulti, Subscriptions};
 use firehose::core::snapshot::{
     restore_cliquebin, restore_neighborbin, restore_unibin, snapshot_cliquebin,
     snapshot_neighborbin, snapshot_unibin, SnapshotError,
 };
 use firehose::core::{EngineConfig, MemoryMode, Thresholds};
+use firehose::datagen::{generate_churn_trace, ChurnEvent, ChurnGenConfig, ChurnTraceEntry};
 use firehose::graph::{greedy_clique_cover, UndirectedGraph};
-use firehose::stream::Post;
+use firehose::stream::{AuthorId, Post};
 
 fn fixture(name: &str) -> Vec<u8> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -272,5 +279,147 @@ fn current_exact_writer_matches_pre_approx_fixture_bytes() {
             buf, expected,
             "{name}: exact-mode snapshot bytes drifted from the pre-approx writer"
         );
+    }
+}
+
+/// The churned-checkpoint recipe (frozen): 12 authors with edges
+/// `[(0,1),(1,2),(3,4),(5,6),(6,7),(8,9)]`, thresholds `(18, 30_000 ms,
+/// 0.7)`, six users, 160 posts `id=i+1, author=(5i+3)%12, ts=997i`, and a
+/// 40-op churn trace (seed `0x5F0A`). The checkpoint (generation 9) was
+/// taken after post 80 and the ops due by then.
+mod churned {
+    use super::*;
+
+    pub(crate) const CHECKPOINT_AFTER: usize = 80;
+
+    pub(crate) fn graph() -> UndirectedGraph {
+        UndirectedGraph::from_edges(12, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (8, 9)])
+    }
+
+    pub(crate) fn config() -> EngineConfig {
+        EngineConfig::new(Thresholds::new(18, 30_000, 0.7).unwrap())
+    }
+
+    pub(crate) fn initial_sets() -> Vec<Vec<AuthorId>> {
+        vec![
+            vec![0, 1, 3],
+            vec![2, 5],
+            vec![4, 8, 9],
+            vec![10],
+            vec![0, 7, 11],
+            vec![6],
+        ]
+    }
+
+    pub(crate) fn posts() -> Vec<Post> {
+        (0..160u64)
+            .map(|i| {
+                Post::new(
+                    i + 1,
+                    ((i * 5 + 3) % 12) as AuthorId,
+                    i * 997,
+                    format!("breaking news item in content group {}", i % 5),
+                )
+            })
+            .collect()
+    }
+
+    pub(crate) fn trace() -> Vec<ChurnTraceEntry> {
+        generate_churn_trace(
+            12,
+            &initial_sets(),
+            160,
+            ChurnGenConfig {
+                seed: 0x5F0A,
+                ops: 40,
+                ..ChurnGenConfig::default()
+            },
+        )
+    }
+
+    pub(crate) fn apply(multi: &mut SharedMulti, event: &ChurnEvent) {
+        match event {
+            ChurnEvent::Subscribe(u, a) => {
+                multi.subscribe(*u as u32, *a).unwrap();
+            }
+            ChurnEvent::Unsubscribe(u, a) => {
+                multi.unsubscribe(*u as u32, *a).unwrap();
+            }
+            ChurnEvent::AddUser(authors) => {
+                multi.add_user(authors as &[AuthorId]).unwrap();
+            }
+            ChurnEvent::RemoveUser(u) => {
+                multi.remove_user(*u as u32).unwrap();
+            }
+        }
+    }
+
+    /// One `id<TAB>users` line (`-` for nobody).
+    pub(crate) fn line(post: &Post, decision: &MultiDecision) -> String {
+        let users: Vec<String> = decision
+            .delivered_to
+            .iter()
+            .map(|u| u.to_string())
+            .collect();
+        if users.is_empty() {
+            format!("{}\t-", post.id)
+        } else {
+            format!("{}\t{}", post.id, users.join(","))
+        }
+    }
+}
+
+/// A per-component `S_UniBin` checkpoint taken mid-churn, with
+/// warm-started engines live, restores into the labelled window through
+/// the blob conversion (into a strategy built from the *initial* table)
+/// and continues exactly as the per-component engines did, churn included.
+#[test]
+fn per_component_churned_checkpoint_converts_and_continues() {
+    let bytes = fixture("fhckpt_s_unibin_churned.bin");
+    let want = String::from_utf8(fixture("fhckpt_s_unibin_churned_continuation.tsv")).unwrap();
+    let posts = churned::posts();
+    let trace = churned::trace();
+    let mut restored = SharedMulti::new(
+        AlgorithmKind::UniBin,
+        churned::config(),
+        &churned::graph(),
+        Subscriptions::new(12, churned::initial_sets()).unwrap(),
+    );
+    let manifest = restore_multi_from_slice(&bytes, &mut restored).expect("convert and restore");
+    assert_eq!(manifest.generation, 9);
+    assert_eq!(manifest.name, "S_UniBin");
+    assert_eq!(
+        restored.churn_stats(),
+        ChurnStats {
+            subscribes: 9,
+            unsubscribes: 9,
+            users_added: 1,
+            users_removed: 3,
+            engines_spawned: 11,
+            engines_retired: 15,
+            warm_starts: 4,
+            initial_engines: 11,
+        },
+        "the churn ledger is adopted as written"
+    );
+
+    let mut next = trace
+        .iter()
+        .position(|e| e.after_posts >= churned::CHECKPOINT_AFTER as u64)
+        .unwrap_or(trace.len());
+    let mut got = Vec::new();
+    let mut decision = MultiDecision::default();
+    for (i, post) in posts.iter().enumerate().skip(churned::CHECKPOINT_AFTER) {
+        while next < trace.len() && trace[next].after_posts <= i as u64 {
+            churned::apply(&mut restored, &trace[next].event);
+            next += 1;
+        }
+        restored.offer_into(post, &mut decision);
+        got.push(churned::line(post, &decision));
+    }
+    let want: Vec<&str> = want.lines().collect();
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(&want) {
+        assert_eq!(g, w, "continuation diverged from the per-component release");
     }
 }

@@ -7,13 +7,13 @@
 //! deltas, and a real RAM reduction. These tests hold the approximate
 //! engines to that contract on seeded synthetic workloads in the regime
 //! the mode is declared for (λc = 12 near-duplicates over a 24 h window),
-//! and pin down the properties that must stay *exact* even in approximate
-//! mode: decision determinism across mid-stream snapshot/checkpoint/restore,
-//! with and without subscription churn.
+//! and pin down the property that must stay *exact* even in approximate
+//! mode: decision determinism across mid-stream snapshot/restore. The
+//! multi-user engine runs exact only (one window stores each in-window post
+//! once), so approximate mode is a single-engine contract.
 
 use std::sync::Arc;
 
-use firehose::core::checkpoint::{checkpoint_multi_to_vec, restore_multi_from_slice};
 use firehose::core::snapshot::{
     restore_cliquebin, restore_neighborbin, restore_unibin, snapshot_cliquebin,
     snapshot_neighborbin, snapshot_unibin,
@@ -22,7 +22,7 @@ use firehose::core::{evaluate, DeltaBounds, QualityGate};
 use firehose::datagen::{SocialGenConfig, SyntheticSocialGraph, Workload, WorkloadConfig};
 use firehose::graph::build_similarity_graph;
 use firehose::prelude::*;
-use firehose::stream::{hours, AuthorId, Post, PostRecord};
+use firehose::stream::{hours, Post, PostRecord};
 use proptest::prelude::*;
 
 /// Full-recall probe count for λc = 12 (`probes − 1 ≥ λc`, the prefix
@@ -188,199 +188,4 @@ fn approx_snapshot_midstream_is_decision_identical() {
             "{kind}: counters diverged after restore"
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-user strategies: churn + checkpoint in approximate mode.
-// ---------------------------------------------------------------------------
-
-const AUTHORS: usize = 12;
-
-fn multi_graph() -> UndirectedGraph {
-    UndirectedGraph::from_edges(AUTHORS, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7), (8, 9)])
-}
-
-fn multi_subs() -> Subscriptions {
-    Subscriptions::new(
-        AUTHORS,
-        vec![
-            vec![0, 1, 3],
-            vec![2, 5],
-            vec![4, 8, 9],
-            vec![10],
-            vec![0, 7, 11],
-            vec![6],
-        ],
-    )
-    .unwrap()
-}
-
-/// Deterministic multi-user stream in the declared near-duplicate regime:
-/// posts every ~20 s across a 24 h window (so the λt = 24 h window never
-/// expires and the approximate store's retention actually matters), mostly
-/// unique content plus a 25 % rate of short-lag duplicates (4 or 8 minutes
-/// back — inside the active bucket's full-fidelity span). The author cycle
-/// has period 12, so a lag of 12 or 24 posts lands on the *same author* and
-/// the copy is a genuine cover for exact mode too.
-fn multi_posts(n: u64) -> Vec<Post> {
-    let mut posts: Vec<Post> = Vec::with_capacity(n as usize);
-    for i in 0..n {
-        // `i % 5` dup condition with lag 12/24 keeps the base itself unique
-        // (`i - lag ≢ 0 mod 5`): the cover is a freshly delivered post a few
-        // minutes back, not the head of an hours-long duplicate chain.
-        let text = if i % 5 == 0 && i >= 24 {
-            let lag = if i % 10 == 0 { 24 } else { 12 };
-            posts[(i - lag) as usize].text.clone()
-        } else {
-            // Every token is distinct per post — no shared template words,
-            // so distinct posts land ~32 bits apart and only literal copies
-            // fall within λc.
-            format!(
-                "a{}q b{}r c{}s d{}t e{}u",
-                i * 7 % 9_973,
-                i * 13 % 9_973,
-                i * 29 % 9_973,
-                i * 37 % 9_973,
-                i * 53 % 9_973
-            )
-        };
-        posts.push(Post::new(
-            i,
-            ((i * 5 + 3) % AUTHORS as u64) as AuthorId,
-            i * 19_997,
-            text,
-        ));
-    }
-    posts
-}
-
-fn multi_config(memory: MemoryMode) -> EngineConfig {
-    EngineConfig::builder(thresholds()).memory(memory).build()
-}
-
-fn approx_multi(subs: Subscriptions) -> SharedMulti {
-    SharedMulti::new(
-        AlgorithmKind::UniBin,
-        multi_config(MemoryMode::Approx(
-            ApproxConfig::new(PROBES, 8, 16).unwrap(),
-        )),
-        &multi_graph(),
-        subs,
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Churn + mid-stream checkpoint/restore in approximate mode is
-    /// deterministic: a checkpoint taken halfway through a churning stream
-    /// restores (into a strategy built from the *initial* table) to
-    /// delivery-identical decisions on the rest of the stream, including
-    /// further churn applied to both sides.
-    #[test]
-    fn approx_checkpoint_across_churn_is_delivery_identical(
-        ops in proptest::collection::vec((0u32..6, 0u32..AUTHORS as u32, any::<bool>()), 0..24),
-    ) {
-        let posts = multi_posts(600);
-        let mid = posts.len() / 2;
-        let (first_ops, rest_ops) = ops.split_at(ops.len() / 2);
-
-        let mut original = approx_multi(multi_subs());
-        let mut op_stream = first_ops.iter().cycle();
-        for (i, p) in posts[..mid].iter().enumerate() {
-            if i % 40 == 0 && !first_ops.is_empty() {
-                let &(u, a, sub) = op_stream.next().unwrap();
-                if sub {
-                    let _ = original.subscribe(u, a);
-                } else {
-                    let _ = original.unsubscribe(u, a);
-                }
-            }
-            original.offer(p);
-        }
-
-        let bytes = checkpoint_multi_to_vec(&original, 7).unwrap();
-        let mut restored = approx_multi(multi_subs());
-        let manifest = restore_multi_from_slice(&bytes, &mut restored).unwrap();
-        prop_assert_eq!(manifest.generation, 7);
-
-        let mut op_stream = rest_ops.iter().cycle();
-        for (i, p) in posts[mid..].iter().enumerate() {
-            if i % 40 == 0 && !rest_ops.is_empty() {
-                let &(u, a, sub) = op_stream.next().unwrap();
-                if sub {
-                    let _ = original.subscribe(u, a);
-                    let _ = restored.subscribe(u, a);
-                } else {
-                    let _ = original.unsubscribe(u, a);
-                    let _ = restored.unsubscribe(u, a);
-                }
-            }
-            prop_assert_eq!(
-                restored.offer(p).delivered_to,
-                original.offer(p).delivered_to,
-                "restored approx strategy diverged at post {}",
-                p.id
-            );
-        }
-        prop_assert_eq!(original.memory_bytes(), restored.memory_bytes());
-    }
-}
-
-/// Exact vs approximate through the multi-user strategy under live churn:
-/// the total delivered volume stays within the declared delivery-ratio
-/// delta, and the approximate side ends the day with strictly less window
-/// state — the single-engine bounds survive the subscription-churn algebra
-/// (component splits/merges rebuild approximate engines too).
-#[test]
-fn approx_multi_under_churn_stays_within_delivery_delta() {
-    let posts = multi_posts(6_000);
-    let churn: [(u32, u32, bool); 6] = [
-        (3, 4, true),
-        (1, 0, true),
-        (0, 1, false),
-        (5, 6, false),
-        (2, 11, true),
-        (4, 0, false),
-    ];
-
-    let mut exact = SharedMulti::new(
-        AlgorithmKind::UniBin,
-        multi_config(MemoryMode::Exact),
-        &multi_graph(),
-        multi_subs(),
-    );
-    let mut approx = approx_multi(multi_subs());
-
-    let mut exact_deliveries = 0u64;
-    let mut approx_deliveries = 0u64;
-    let mut op_stream = churn.iter().cycle();
-    for (i, p) in posts.iter().enumerate() {
-        if i % 150 == 0 {
-            let &(u, a, sub) = op_stream.next().unwrap();
-            if sub {
-                let _ = exact.subscribe(u, a);
-                let _ = approx.subscribe(u, a);
-            } else {
-                let _ = exact.unsubscribe(u, a);
-                let _ = approx.unsubscribe(u, a);
-            }
-        }
-        exact_deliveries += exact.offer(p).delivered_to.len() as u64;
-        approx_deliveries += approx.offer(p).delivered_to.len() as u64;
-    }
-
-    let delta = (approx_deliveries as f64 - exact_deliveries as f64).abs() / posts.len() as f64;
-    let bound = DeltaBounds::declared().max_delivery_ratio_delta;
-    assert!(
-        delta <= bound,
-        "churned delivery delta {delta:.4} exceeds declared bound {bound} \
-         (exact {exact_deliveries}, approx {approx_deliveries})"
-    );
-    assert!(
-        approx.memory_bytes() < exact.memory_bytes(),
-        "approx mode holds no less window state than exact ({} vs {} bytes)",
-        approx.memory_bytes(),
-        exact.memory_bytes()
-    );
 }
