@@ -113,7 +113,4 @@ pub use engine::{build_engine, AlgorithmKind, Diversifier};
 pub use metrics::EngineMetrics;
 pub use obs::{export_engine_metrics, export_guard_stats, export_kernel_info, export_memory_mode};
 pub use quality::{evaluate, DeltaBounds, GateVerdict, MetricDelta, QualityGate, QualityReport};
-pub use service::{
-    ChurnOp, FirehoseService, OverloadConfig, OverloadPolicy, OverloadStats, RateLimitConfig,
-    ServiceError, StrategyKind,
-};
+pub use service::{ChurnOp, FirehoseService, ServiceError, StrategyKind};

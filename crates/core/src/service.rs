@@ -34,14 +34,15 @@
 //! ```
 //!
 //! [`process`](FirehoseService::process) is the service entry point: posts
-//! pass through the guard (when configured), every admitted post is offered
-//! to the multi-user engine with a reused decision buffer, and checkpoints
-//! are taken at the configured cadence. The churn operations forward to the
-//! live [`SharedMulti`] churn API, and [`ChurnOp`] gives those
-//! operations a text form so traces can be recorded, replayed
-//! (`firehose run --churn-trace`) and generated (`firehose_datagen::generate_churn_trace`).
+//! pass through the rate limiter and the guard (each when configured), every
+//! admitted post is offered to the multi-user engine with a reused decision
+//! buffer, and checkpoints are taken at the configured cadence. The churn
+//! operations forward to the live [`SharedMulti`] churn API, and
+//! [`ChurnOp`] gives those operations a text form so traces can be
+//! recorded, replayed (`firehose run --churn-trace`) and generated
+//! (`firehose_datagen::generate_churn_trace`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufRead};
 use std::path::PathBuf;
 
@@ -113,111 +114,17 @@ impl std::str::FromStr for StrategyKind {
 }
 
 // ---------------------------------------------------------------------
-// Overload control and rate limiting.
+// Rate limiting.
 // ---------------------------------------------------------------------
 
-/// What the service does when an ingest burst overflows the admission
-/// queue (see [`OverloadConfig`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum OverloadPolicy {
-    /// Admit everything; the call simply takes as long as it takes, so
-    /// backpressure falls on the caller. The default.
-    #[default]
-    Block,
-    /// Drop the **oldest** queued post to make room for the new one:
-    /// freshness wins, which matches the diversification model (an old
-    /// uncovered post is less valuable than a fresh one). Shed posts are
-    /// counted in [`OverloadStats::shed`].
-    ShedOldest,
-    /// Refuse the new post with [`ServiceError::Overloaded`]; the caller
-    /// decides whether to retry, buffer, or drop.
-    Reject,
-}
-
-impl std::fmt::Display for OverloadPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Block => f.write_str("block"),
-            Self::ShedOldest => f.write_str("shed"),
-            Self::Reject => f.write_str("reject"),
-        }
-    }
-}
-
-impl std::str::FromStr for OverloadPolicy {
-    type Err = String;
-
-    /// `block` | `shed` (or `shed-oldest`) | `reject`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "block" => Ok(Self::Block),
-            "shed" | "shed-oldest" => Ok(Self::ShedOldest),
-            "reject" => Ok(Self::Reject),
-            other => Err(format!(
-                "unknown overload policy {other:?} (want block|shed|reject)"
-            )),
-        }
-    }
-}
-
-/// Admission-queue configuration: every post entering
-/// [`FirehoseService::process`] / [`process_batch`](FirehoseService::process_batch)
-/// passes through a bounded queue ahead of the strategy; `policy` decides
-/// what happens when one call's burst exceeds `capacity`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OverloadConfig {
-    /// Ring-full behavior.
-    pub policy: OverloadPolicy,
-    /// Maximum queued posts per ingest burst.
-    pub capacity: usize,
-}
-
-impl Default for OverloadConfig {
-    fn default() -> Self {
-        Self {
-            policy: OverloadPolicy::Block,
-            capacity: 4096,
-        }
-    }
-}
-
-/// Per-author token-bucket rate limit, measured in **stream time** (post
-/// timestamps), so admission decisions are deterministic and replayable —
-/// the same stream always sheds the same posts regardless of wall-clock
-/// speed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateLimitConfig {
-    /// Sustained tokens-per-second refill rate.
-    pub posts_per_sec: f64,
-    /// Bucket depth: the largest instantaneous burst admitted.
-    pub burst: f64,
-}
-
-impl RateLimitConfig {
-    /// A limit of `posts_per_sec` sustained with a 2-second burst
-    /// allowance (at least one post).
-    pub fn per_author(posts_per_sec: f64) -> Self {
-        Self {
-            posts_per_sec,
-            burst: (2.0 * posts_per_sec).max(1.0),
-        }
-    }
-}
-
-/// Counters for posts the service refused to hand to the strategy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverloadStats {
-    /// Queued posts dropped by [`OverloadPolicy::ShedOldest`].
-    pub shed: u64,
-    /// Posts refused by [`OverloadPolicy::Reject`].
-    pub rejected: u64,
-    /// Posts dropped by the per-author rate limiter.
-    pub rate_limited: u64,
-}
-
-/// Deterministic stream-time token bucket per author.
+/// Per-author token bucket measured in **stream time** (post timestamps),
+/// so admission is deterministic and replayable: the same stream always
+/// drops the same posts, whatever the wall-clock speed. Each author's
+/// bucket refills at `posts_per_sec` and holds two seconds of it (at least
+/// one post).
 struct RateLimiter {
-    config: RateLimitConfig,
+    posts_per_sec: f64,
+    burst: f64,
     buckets: HashMap<AuthorId, Bucket>,
 }
 
@@ -227,9 +134,10 @@ struct Bucket {
 }
 
 impl RateLimiter {
-    fn new(config: RateLimitConfig) -> Self {
+    fn new(posts_per_sec: f64) -> Self {
         Self {
-            config,
+            posts_per_sec,
+            burst: (2.0 * posts_per_sec).max(1.0),
             buckets: HashMap::new(),
         }
     }
@@ -239,12 +147,12 @@ impl RateLimiter {
     /// never panic (the guard, when configured, enforces ordering anyway).
     fn admit(&mut self, author: AuthorId, now: Timestamp) -> bool {
         let bucket = self.buckets.entry(author).or_insert(Bucket {
-            tokens: self.config.burst,
+            tokens: self.burst,
             last: now,
         });
         let elapsed_ms = now.saturating_sub(bucket.last);
-        bucket.tokens = (bucket.tokens + elapsed_ms as f64 / 1000.0 * self.config.posts_per_sec)
-            .min(self.config.burst);
+        bucket.tokens =
+            (bucket.tokens + elapsed_ms as f64 / 1000.0 * self.posts_per_sec).min(self.burst);
         bucket.last = bucket.last.max(now);
         if bucket.tokens >= 1.0 {
             bucket.tokens -= 1.0;
@@ -401,12 +309,6 @@ pub enum ServiceError {
     /// A checkpoint/restore operation was requested but the service was
     /// built without [`checkpoints`](FirehoseServiceBuilder::checkpoints).
     NoCheckpointDir,
-    /// The admission queue is full and the overload policy is
-    /// [`OverloadPolicy::Reject`].
-    Overloaded {
-        /// The configured queue capacity.
-        capacity: usize,
-    },
     /// The engine config asks for
     /// [`MemoryMode::Approx`](crate::MemoryMode::Approx). Only a single
     /// engine runs it: the multi-user engine stores each in-window post
@@ -420,12 +322,6 @@ impl std::fmt::Display for ServiceError {
             Self::Io(e) => write!(f, "checkpoint I/O: {e}"),
             Self::Restore(e) => write!(f, "restore failed: {e}"),
             Self::NoCheckpointDir => f.write_str("service built without a checkpoint directory"),
-            Self::Overloaded { capacity } => {
-                write!(
-                    f,
-                    "admission queue full ({capacity} posts) and policy is reject"
-                )
-            }
             Self::ApproxMulti => f.write_str(
                 "approximate memory is single-engine only; the multi-user engine runs exact",
             ),
@@ -461,8 +357,7 @@ pub struct FirehoseServiceBuilder<'g> {
     guard: Option<GuardConfig>,
     checkpoints: Option<(PathBuf, CheckpointPolicy)>,
     obs: Option<&'g firehose_obs::Registry>,
-    overload: OverloadConfig,
-    rate_limit: Option<RateLimitConfig>,
+    rate_limit: Option<f64>,
 }
 
 impl<'g> FirehoseServiceBuilder<'g> {
@@ -507,16 +402,15 @@ impl<'g> FirehoseServiceBuilder<'g> {
         self
     }
 
-    /// Configure the admission queue's overload behavior (default:
-    /// [`OverloadPolicy::Block`] at 4096 posts).
-    pub fn overload(mut self, config: OverloadConfig) -> Self {
-        self.overload = config;
-        self
-    }
-
-    /// Enable the deterministic per-author token-bucket rate limiter.
-    pub fn rate_limit(mut self, config: RateLimitConfig) -> Self {
-        self.rate_limit = Some(config);
+    /// Drop each author's posts beyond `posts_per_sec`, measured in stream
+    /// time (post timestamps), before the guard sees them. The per-author
+    /// bucket holds `max(2 * posts_per_sec, 1)` posts, so a burst of two
+    /// seconds' worth passes. Deterministic: the same stream always drops
+    /// the same posts, counted by [`FirehoseService::rate_limited`]. The
+    /// rate should be positive and finite; `firehose --rate-limit` refuses
+    /// anything else.
+    pub fn rate_limit(mut self, posts_per_sec: f64) -> Self {
+        self.rate_limit = Some(posts_per_sec);
         self
     }
 
@@ -550,10 +444,8 @@ impl<'g> FirehoseServiceBuilder<'g> {
             manager,
             admitted: Vec::new(),
             decisions: Vec::new(),
-            overload: self.overload,
             limiter: self.rate_limit.map(RateLimiter::new),
-            overload_stats: OverloadStats::default(),
-            queue: VecDeque::new(),
+            rate_limited: 0,
         })
     }
 }
@@ -574,14 +466,10 @@ pub struct FirehoseService {
     /// Decision scratch, one per admitted post of a call, reused across
     /// calls (the `offer_into` buffer-reuse path).
     decisions: Vec<MultiDecision>,
-    /// Admission-queue overload configuration.
-    overload: OverloadConfig,
     /// Optional per-author token-bucket rate limiter.
     limiter: Option<RateLimiter>,
-    /// Shed / rejected / rate-limited counters.
-    overload_stats: OverloadStats,
-    /// Bounded admission queue between ingest and the strategy.
-    queue: VecDeque<Post>,
+    /// Posts the rate limiter dropped.
+    rate_limited: u64,
 }
 
 impl FirehoseService {
@@ -599,49 +487,51 @@ impl FirehoseService {
             guard: None,
             checkpoints: None,
             obs: None,
-            overload: OverloadConfig::default(),
             rate_limit: None,
         }
     }
 
-    /// Feed one post through the full pipeline: rate limiter, admission
-    /// queue, guard (quarantine / clamp / reorder), strategy, checkpoint
-    /// cadence. `sink` is called for every post the guard admits, with the
-    /// per-user delivery decision — possibly zero times (rate-limited,
-    /// quarantined or buffered for reorder) or several (a reorder release).
-    /// The decision buffer is reused; copy out what you keep.
+    /// Feed one post through the full pipeline: rate limiter, guard
+    /// (quarantine / clamp / reorder), strategy, checkpoint cadence. `sink`
+    /// is called for every post the guard admits, with the per-user
+    /// delivery decision — possibly zero times (rate-limited, quarantined
+    /// or buffered for reorder) or several (a reorder release). The
+    /// decision buffer is reused; copy out what you keep.
     pub fn process(
         &mut self,
         post: Post,
-        mut sink: impl FnMut(&Post, &MultiDecision),
+        sink: impl FnMut(&Post, &MultiDecision),
     ) -> Result<(), ServiceError> {
-        self.admit(post)?;
-        self.run_queue(&mut sink)
+        self.process_batch(std::iter::once(post), sink)
     }
 
     /// Feed a batch of posts through the pipeline in one call. Semantically
     /// identical to calling [`process`](Self::process) per post, but the
     /// checkpoint cadence is polled once at the end instead of per post.
-    /// The admission queue's overload policy applies across the whole
-    /// burst; with [`OverloadPolicy::Reject`] the posts up to the first
-    /// refusal are still processed.
     pub fn process_batch(
         &mut self,
         posts: impl IntoIterator<Item = Post>,
         mut sink: impl FnMut(&Post, &MultiDecision),
     ) -> Result<(), ServiceError> {
-        let mut refused = None;
+        let mut admitted = std::mem::take(&mut self.admitted);
+        admitted.clear();
         for post in posts {
-            if let Err(e) = self.admit(post) {
-                refused = Some(e);
-                break;
+            if let Some(limiter) = &mut self.limiter {
+                if !limiter.admit(post.author, post.timestamp) {
+                    self.rate_limited += 1;
+                    continue;
+                }
+            }
+            match &mut self.guard {
+                None => admitted.push(post),
+                Some(guard) => {
+                    guard.offer_into(post, &mut admitted);
+                }
             }
         }
-        self.run_queue(&mut sink)?;
-        match refused {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.offer_admitted(&mut admitted, &mut sink);
+        self.admitted = admitted;
+        self.maybe_checkpoint()
     }
 
     /// Release any posts still held by the guard's reorder buffer (call at
@@ -659,56 +549,6 @@ impl FirehoseService {
             guard.flush_into(&mut admitted);
         }
         self.offer_admitted(&mut admitted, &mut sink);
-        self.admitted = admitted;
-        self.maybe_checkpoint()
-    }
-
-    /// Rate-limit and enqueue one post under the overload policy.
-    fn admit(&mut self, post: Post) -> Result<(), ServiceError> {
-        if let Some(limiter) = &mut self.limiter {
-            if !limiter.admit(post.author, post.timestamp) {
-                self.overload_stats.rate_limited += 1;
-                return Ok(());
-            }
-        }
-        if self.queue.len() >= self.overload.capacity {
-            match self.overload.policy {
-                // Backpressure falls on the caller: the synchronous drain
-                // in `run_queue` is the "block".
-                OverloadPolicy::Block => {}
-                OverloadPolicy::ShedOldest => {
-                    self.queue.pop_front();
-                    self.overload_stats.shed += 1;
-                }
-                OverloadPolicy::Reject => {
-                    self.overload_stats.rejected += 1;
-                    return Err(ServiceError::Overloaded {
-                        capacity: self.overload.capacity,
-                    });
-                }
-            }
-        }
-        self.queue.push_back(post);
-        Ok(())
-    }
-
-    /// Drain the admission queue through the guard and offer everything
-    /// admitted, then poll the checkpoint cadence.
-    fn run_queue(
-        &mut self,
-        sink: &mut dyn FnMut(&Post, &MultiDecision),
-    ) -> Result<(), ServiceError> {
-        let mut admitted = std::mem::take(&mut self.admitted);
-        admitted.clear();
-        while let Some(post) = self.queue.pop_front() {
-            match &mut self.guard {
-                None => admitted.push(post),
-                Some(guard) => {
-                    guard.offer_into(post, &mut admitted);
-                }
-            }
-        }
-        self.offer_admitted(&mut admitted, sink);
         self.admitted = admitted;
         self.maybe_checkpoint()
     }
@@ -742,12 +582,6 @@ impl FirehoseService {
             mgr.maybe_save_multi(&self.multi)?;
         }
         Ok(())
-    }
-
-    /// Offer a post directly to the strategy, bypassing guard and
-    /// checkpoint cadence. For pre-sanitized streams and tests.
-    pub fn offer(&mut self, post: &Post) -> MultiDecision {
-        self.multi.offer(post)
     }
 
     // --- live churn -------------------------------------------------
@@ -845,9 +679,10 @@ impl FirehoseService {
         self.guard.as_ref().map(|g| g.stats())
     }
 
-    /// Shed / rejected / rate-limited admission counters.
-    pub fn overload_stats(&self) -> OverloadStats {
-        self.overload_stats
+    /// Posts the rate limiter dropped (see
+    /// [`rate_limit`](FirehoseServiceBuilder::rate_limit)).
+    pub fn rate_limited(&self) -> u64 {
+        self.rate_limited
     }
 }
 
@@ -996,12 +831,16 @@ mod tests {
         assert_eq!(manifest.generation, generation);
         assert_eq!(manifest.posts_processed, service.metrics().posts_processed);
         // Continuations agree decision-for-decision.
+        let (mut want, mut got) = (Vec::new(), Vec::new());
         for post in stream.iter().skip(30) {
-            assert_eq!(
-                restored.offer(post).delivered_to,
-                service.offer(post).delivered_to
-            );
+            service
+                .process(post.clone(), |_, d| want.push(d.delivered_to.clone()))
+                .unwrap();
+            restored
+                .process(post.clone(), |_, d| got.push(d.delivered_to.clone()))
+                .unwrap();
         }
+        assert_eq!(got, want);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1092,71 +931,13 @@ mod tests {
     }
 
     #[test]
-    fn overload_policies_shed_and_reject() {
-        let stream = posts(40);
-        // Shed-oldest: a 40-post burst through a 10-slot queue keeps the
-        // newest 10 and counts 30 shed.
-        let mut shed = FirehoseService::builder(&graph(), subs())
-            .engine_config(config())
-            .overload(OverloadConfig {
-                policy: OverloadPolicy::ShedOldest,
-                capacity: 10,
-            })
-            .build()
-            .unwrap();
-        let mut seen = Vec::new();
-        shed.process_batch(stream.iter().cloned(), |p, _| seen.push(p.id))
-            .unwrap();
-        assert_eq!(seen.len(), 10);
-        assert_eq!(seen, (31..=40).collect::<Vec<_>>(), "newest posts kept");
-        assert_eq!(shed.overload_stats().shed, 30);
-
-        // Reject: the burst errors at the first refusal but the admitted
-        // prefix is still processed.
-        let mut reject = FirehoseService::builder(&graph(), subs())
-            .engine_config(config())
-            .overload(OverloadConfig {
-                policy: OverloadPolicy::Reject,
-                capacity: 10,
-            })
-            .build()
-            .unwrap();
-        let mut seen = 0u64;
-        let err = reject
-            .process_batch(stream.iter().cloned(), |_, _| seen += 1)
-            .expect_err("burst past capacity must be rejected");
-        assert!(matches!(err, ServiceError::Overloaded { capacity: 10 }));
-        assert_eq!(seen, 10);
-        assert_eq!(reject.overload_stats().rejected, 1);
-
-        // Block admits everything.
-        let mut block = FirehoseService::builder(&graph(), subs())
-            .engine_config(config())
-            .overload(OverloadConfig {
-                policy: OverloadPolicy::Block,
-                capacity: 10,
-            })
-            .build()
-            .unwrap();
-        let mut seen = 0u64;
-        block
-            .process_batch(stream.iter().cloned(), |_, _| seen += 1)
-            .unwrap();
-        assert_eq!(seen, 40);
-        assert_eq!(block.overload_stats(), OverloadStats::default());
-    }
-
-    #[test]
     fn rate_limiter_is_deterministic_in_stream_time() {
-        // Author 0 posts every 100ms; at 2 posts/sec with burst 2, the
-        // bucket admits the first two then one per 500ms.
+        // Author 0 posts every 100ms; at 2 posts/sec the bucket holds 4,
+        // so it admits the first four then one per 500ms.
         let build = || {
             FirehoseService::builder(&graph(), subs())
                 .engine_config(config())
-                .rate_limit(RateLimitConfig {
-                    posts_per_sec: 2.0,
-                    burst: 2.0,
-                })
+                .rate_limit(2.0)
                 .build()
                 .unwrap()
         };
@@ -1169,7 +950,7 @@ mod tests {
             for post in stream.iter().cloned() {
                 service.process(post, |p, _| admitted.push(p.id)).unwrap();
             }
-            (admitted, service.overload_stats().rate_limited)
+            (admitted, service.rate_limited())
         };
         let (first, limited) = run();
         assert!(limited > 0, "a 10x-over-limit burst must be throttled");
@@ -1184,52 +965,46 @@ mod tests {
     }
 
     #[test]
-    fn overload_policy_parses() {
-        assert_eq!("block".parse::<OverloadPolicy>(), Ok(OverloadPolicy::Block));
-        assert_eq!(
-            "shed".parse::<OverloadPolicy>(),
-            Ok(OverloadPolicy::ShedOldest)
-        );
-        assert_eq!(
-            "shed-oldest".parse::<OverloadPolicy>(),
-            Ok(OverloadPolicy::ShedOldest)
-        );
-        assert_eq!(
-            "reject".parse::<OverloadPolicy>(),
-            Ok(OverloadPolicy::Reject)
-        );
-        assert!("drop".parse::<OverloadPolicy>().is_err());
-        assert_eq!(OverloadPolicy::ShedOldest.to_string(), "shed");
-    }
-
-    #[test]
     fn process_batch_matches_per_post_process() {
-        let stream = posts(80);
-        let build = || {
-            FirehoseService::builder(&graph(), subs())
-                .engine_config(config())
-                .guard(GuardConfig::default())
+        let (graph, stream) = (graph(), posts(80));
+        // Each author posts once a minute; 0.01 posts/s drops about half.
+        for rate_limit in [None, Some(0.01)] {
+            let build = || {
+                let builder = FirehoseService::builder(&graph, subs())
+                    .engine_config(config())
+                    .guard(GuardConfig::default());
+                match rate_limit {
+                    Some(rate) => builder.rate_limit(rate),
+                    None => builder,
+                }
                 .build()
                 .unwrap()
-        };
-        let mut per_post = build();
-        let mut expected = Vec::new();
-        for post in stream.iter().cloned() {
-            per_post
-                .process(post, |p, d| expected.push((p.id, d.delivered_to.clone())))
+            };
+            let mut per_post = build();
+            let mut expected = Vec::new();
+            for post in stream.iter().cloned() {
+                per_post
+                    .process(post, |p, d| expected.push((p.id, d.delivered_to.clone())))
+                    .unwrap();
+            }
+            let mut batched = build();
+            let mut got = Vec::new();
+            batched
+                .process_batch(stream.iter().cloned(), |p, d| {
+                    got.push((p.id, d.delivered_to.clone()));
+                })
                 .unwrap();
+            assert_eq!(got, expected, "{rate_limit:?}");
+            assert_eq!(
+                batched.metrics().posts_processed,
+                per_post.metrics().posts_processed
+            );
+            assert_eq!(batched.rate_limited(), per_post.rate_limited());
+            assert_eq!(
+                per_post.rate_limited() > 0,
+                rate_limit.is_some(),
+                "{rate_limit:?}"
+            );
         }
-        let mut batched = build();
-        let mut got = Vec::new();
-        batched
-            .process_batch(stream.iter().cloned(), |p, d| {
-                got.push((p.id, d.delivered_to.clone()));
-            })
-            .unwrap();
-        assert_eq!(got, expected);
-        assert_eq!(
-            batched.metrics().posts_processed,
-            per_post.metrics().posts_processed
-        );
     }
 }

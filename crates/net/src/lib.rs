@@ -18,8 +18,7 @@
 //! `tests/serving.rs`).
 //!
 //! - [`server`] — the event loop, router, per-user delivery rings, and
-//!   backpressure bridging (service overload policy ⇄ HTTP 503 / connection
-//!   caps / ring eviction).
+//!   backpressure (connection caps / ring eviction).
 //! - [`http`] — incremental request parsing and response formatting.
 //! - [`HttpClient`] — a minimal blocking client used by the loopback tests and
 //!   `benchmark/`'s wire workloads.

@@ -22,17 +22,15 @@
 //!
 //! ## Backpressure
 //!
-//! Admission control composes three layers. The service's own overload
-//! machinery ([`OverloadPolicy`](firehose_core::service::OverloadPolicy)
-//! queue + per-author token buckets) decides per *post*; `Reject` surfaces
-//! as HTTP 503 with `Retry-After`, shed and rate-limited posts are counted
-//! in `/healthz` and `/metrics`. Per *connection*, the listener refuses
+//! Admission control composes three layers. Per *post*, the service's
+//! optional per-author rate limiter drops a flooding author's excess posts
+//! in stream time, exactly as in process; the drops are counted in
+//! `/healthz` (`rate_limited`). Per *connection*, the listener refuses
 //! sockets beyond [`ServerConfig::max_connections`] with an immediate 503,
 //! and request header/body caps bound memory per connection. Per *reader*,
 //! each user's delivery ring holds the last [`ServerConfig::stream_buffer`]
 //! emitted posts — a reader that cannot keep up loses the oldest deliveries
-//! (counted, never blocking ingest), which is the same freshness-first
-//! stance as [`OverloadPolicy::ShedOldest`](firehose_core::service::OverloadPolicy::ShedOldest).
+//! (counted, never blocking ingest).
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -41,7 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use firehose_core::service::{ChurnOp, FirehoseService, ServiceError};
+use firehose_core::service::{ChurnOp, FirehoseService};
 use firehose_obs::{labels, Counter, Gauge, Registry};
 use firehose_stream::{corpus, Post};
 
@@ -398,7 +396,6 @@ enum Handled {
         status: u16,
         content_type: &'static str,
         body: Vec<u8>,
-        extra_headers: Vec<(&'static str, String)>,
     },
     /// Begin a chunked long-poll stream.
     StartStream {
@@ -541,19 +538,14 @@ impl Server {
                                     status,
                                     content_type,
                                     body,
-                                    extra_headers,
                                 } => {
-                                    let extras: Vec<(&str, &str)> = extra_headers
-                                        .iter()
-                                        .map(|(n, v)| (*n, v.as_str()))
-                                        .collect();
                                     conn.out.extend_from_slice(
                                         response_head(
                                             status,
                                             content_type,
                                             Some(body.len()),
                                             keep_alive,
-                                            &extras,
+                                            &[],
                                         )
                                         .as_bytes(),
                                     );
@@ -784,27 +776,6 @@ impl ServiceState {
                     status: 200,
                     content_type: "text/plain; charset=utf-8",
                     body,
-                    extra_headers: Vec::new(),
-                }
-            }
-            Err(ServiceError::Overloaded { capacity }) => {
-                // The posts before the refusal were still processed; their
-                // decision lines ride along so the client can account for
-                // them before retrying the rest, and they count as ingested
-                // (one line per decided post).
-                let decided = body.iter().filter(|&&b| b == b'\n').count();
-                self.obs.posts_ingested.add(decided as u64);
-                Handled::Respond {
-                    status: 503,
-                    content_type: "text/plain; charset=utf-8",
-                    body,
-                    extra_headers: vec![
-                        ("Retry-After", "1".to_string()),
-                        (
-                            "X-Firehose-Error",
-                            format!("overloaded capacity={capacity}"),
-                        ),
-                    ],
                 }
             }
             Err(e) => respond(500, &format!("service error: {e}\n")),
@@ -917,26 +888,22 @@ impl ServiceState {
             status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
             body: text.into_bytes(),
-            extra_headers: Vec::new(),
         }
     }
 
     /// `GET /healthz`: a JSON health document.
     fn handle_healthz(&mut self) -> Handled {
-        let o = self.service.overload_stats();
         let c = self.service.churn_stats();
         let body = format!(
             "{{\"status\":\"ok\",\"strategy\":{},\"users\":{},\"active_users\":{},\
-             \"uptime_ms\":{},\"connections\":{},\"shed\":{},\"rejected\":{},\
-             \"rate_limited\":{},\"churn_ops\":{},\"posts_ingested\":{}}}\n",
+             \"uptime_ms\":{},\"connections\":{},\"rate_limited\":{},\
+             \"churn_ops\":{},\"posts_ingested\":{}}}\n",
             json_str(&self.service.name()),
             self.service.subscriptions().user_count(),
             self.service.subscriptions().active_user_count(),
             self.started.elapsed().as_millis(),
             self.obs.connections.get(),
-            o.shed,
-            o.rejected,
-            o.rate_limited,
+            self.service.rate_limited(),
             c.ops_total(),
             self.obs.posts_ingested.get(),
         );
@@ -944,7 +911,6 @@ impl ServiceState {
             status: 200,
             content_type: "application/json",
             body: body.into_bytes(),
-            extra_headers: Vec::new(),
         }
     }
 
@@ -1017,7 +983,6 @@ fn respond(status: u16, body: &str) -> Handled {
             "text/plain; charset=utf-8"
         },
         body: body.as_bytes().to_vec(),
-        extra_headers: Vec::new(),
     }
 }
 

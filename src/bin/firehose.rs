@@ -23,8 +23,7 @@ use firehose::core::engine::{build_engine, AlgorithmKind, Diversifier};
 use firehose::core::evaluate;
 use firehose::core::multi::Subscriptions;
 use firehose::core::service::{
-    read_churn_trace, FirehoseService, FirehoseServiceBuilder, OverloadConfig, OverloadPolicy,
-    RateLimitConfig, StrategyKind, TracedOp,
+    read_churn_trace, FirehoseService, FirehoseServiceBuilder, StrategyKind, TracedOp,
 };
 use firehose::core::{
     explain, restore_latest_valid, EngineConfig, MemoryMode, RestoreError, Thresholds,
@@ -134,7 +133,6 @@ const COMMANDS: &[(&str, &[&str])] = &[
             "[--subscriptions FILE]",
             "[--strategy shared|sharded[:N]]",
             "[--churn-trace FILE]",
-            "[--overload block|shed|reject[:CAPACITY]]",
             "[--rate-limit POSTS_PER_SEC]",
         ],
     ),
@@ -152,7 +150,6 @@ const COMMANDS: &[(&str, &[&str])] = &[
             "[--strategy shared|sharded[:N]]",
             "[--guard strict|clamp|reorder]",
             "[--reorder-bound-ms N]",
-            "[--overload block|shed|reject[:CAPACITY]]",
             "[--rate-limit POSTS_PER_SEC]",
             "[--checkpoint-dir DIR]",
             "[--checkpoint-every POSTS]",
@@ -210,7 +207,7 @@ fn usage() -> String {
         out.push_str(&line);
     }
     out.push_str(
-        "\n\nrun: --strategy, --churn-trace, --overload and --rate-limit apply with --subscriptions\
+        "\n\nrun: --strategy, --churn-trace and --rate-limit apply with --subscriptions\
          \nrun: --memory approx applies without --subscriptions (the multi-user engine is exact)\
          \n--strategy sharded[:N] runs exactly what shared runs; N must be at least 1 and is \
          otherwise unused",
@@ -480,30 +477,6 @@ fn guard_config_from(args: &Args) -> Result<Option<GuardConfig>, String> {
     Ok(Some(GuardConfig::new(policy)))
 }
 
-/// `--overload block|shed|reject[:CAPACITY]` — admission policy for the
-/// service ingest queue, with an optional queue capacity suffix.
-fn overload_config_from(args: &Args) -> Result<Option<OverloadConfig>, String> {
-    let Some(spec) = args.get("overload") else {
-        return Ok(None);
-    };
-    let (policy, capacity) = match spec.split_once(':') {
-        Some((p, cap)) => {
-            let capacity: usize = cap
-                .parse()
-                .map_err(|e| format!("bad --overload capacity {cap:?}: {e}"))?;
-            if capacity == 0 {
-                return Err("--overload capacity must be at least 1".into());
-            }
-            (p, capacity)
-        }
-        None => (spec, OverloadConfig::default().capacity),
-    };
-    let policy: OverloadPolicy = policy
-        .parse()
-        .map_err(|e| format!("bad --overload {spec:?}: {e}"))?;
-    Ok(Some(OverloadConfig { policy, capacity }))
-}
-
 /// `--strategy shared|sharded[:N]` (default `shared`); `sharded[:N]` builds
 /// exactly what `shared` builds. The removed `--strategy parallel[:N]` and
 /// `--strategy independent` are refused by name rather than reported as an
@@ -531,7 +504,7 @@ fn multi_engine_config_from(args: &Args) -> Result<EngineConfig, String> {
 
 /// The multi-user service as `run --subscriptions ...` and `serve` both
 /// configure it: `--algorithm`, `engine_config` (from
-/// [`multi_engine_config_from`]), `--guard`, `--overload`, `--rate-limit`,
+/// [`multi_engine_config_from`]), `--guard`, `--rate-limit`,
 /// `--checkpoint-dir`.
 fn service_builder_from<'g>(
     args: &Args,
@@ -547,9 +520,6 @@ fn service_builder_from<'g>(
     if let Some(guard) = guard_config_from(args)? {
         builder = builder.guard(guard);
     }
-    if let Some(overload) = overload_config_from(args)? {
-        builder = builder.overload(overload);
-    }
     if let Some(pps) = args.get("rate-limit") {
         let pps: f64 = pps
             .parse()
@@ -557,7 +527,7 @@ fn service_builder_from<'g>(
         if !pps.is_finite() || pps <= 0.0 {
             return Err("--rate-limit must be a positive posts-per-second rate".into());
         }
-        builder = builder.rate_limit(RateLimitConfig::per_author(pps));
+        builder = builder.rate_limit(pps);
     }
     if let Some(dir) = args.get("checkpoint-dir") {
         builder = builder.checkpoints(dir, checkpoint_policy_from(args)?);
@@ -651,12 +621,8 @@ fn cmd_run_multi(args: &Args) -> Result<(), String> {
             stats.reordered
         );
     }
-    let o = service.overload_stats();
-    if o.shed + o.rejected + o.rate_limited > 0 {
-        eprintln!(
-            "overload: {} shed, {} rejected, {} rate limited",
-            o.shed, o.rejected, o.rate_limited
-        );
+    if service.rate_limited() > 0 {
+        eprintln!("rate limited: {}", service.rate_limited());
     }
     if let Some(out) = args.get("out") {
         corpus::write_posts(&emitted, &mut create_writer(out)?).map_err(|e| e.to_string())?;
@@ -838,7 +804,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 
 /// `serve`: put the multi-user service behind the TCP/HTTP front end. The
 /// service is configured exactly like `run --subscriptions ...` (same
-/// strategy/guard/overload/checkpoint flags), so decisions over the wire are
+/// strategy/guard/rate-limit/checkpoint flags), so decisions over the wire are
 /// byte-identical to the in-process path on the same trace.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let graph_path = args.require("graph")?;

@@ -69,8 +69,13 @@ pub use firehose_text as text;
 /// let mut service = FirehoseService::builder(&graph, subscriptions)
 ///     .build()
 ///     .unwrap();
-/// let seen = service.offer(&Post::new(1, 0, 0, "hello stream".into()));
-/// assert_eq!(seen.delivered_to, [0]);
+/// let mut delivered = Vec::new();
+/// service
+///     .process(Post::new(1, 0, 0, "hello stream".into()), |_, decision| {
+///         delivered = decision.delivered_to.clone();
+///     })
+///     .unwrap();
+/// assert_eq!(delivered, [0]);
 /// ```
 pub mod prelude {
     pub use firehose_core::prelude::*;

@@ -305,6 +305,167 @@ fn sharded_runs_exactly_what_shared_runs() {
     assert_eq!(sharded_err, shared_err);
 }
 
+/// The admission queue is gone: `--overload` is an unknown flag on both
+/// multi-user commands.
+#[test]
+fn overload_is_refused_as_unknown_flag() {
+    let dir = TempDir::new("overload");
+    let missing = dir.path("missing.tsv");
+    let multi = ["--graph", &missing, "--subscriptions", &missing];
+    for (command, policy) in [
+        (&["run", "--posts", &missing][..], "shed"),
+        (&["serve"][..], "reject"),
+    ] {
+        let err = run_err(&[command, &multi[..], &["--overload", policy]].concat());
+        assert!(err.contains("--overload"), "{command:?}: {err}");
+    }
+}
+
+/// `--rate-limit` takes a positive finite rate; a tripped limit prints
+/// `rate limited: N`, and the drops are the same on every run.
+#[test]
+fn rate_limit_is_validated_and_deterministic() {
+    let dir = TempDir::new("rate_limit");
+    let posts = dir.path("posts.tsv");
+    let follower = dir.path("follower.fhf");
+    let subs = dir.path("subs.tsv");
+    let graph = dir.path("sim.fhg");
+    run_ok(&[
+        "generate",
+        "--authors",
+        "300",
+        "--hours",
+        "1",
+        "--users",
+        "10",
+        "--out-subscriptions",
+        &subs,
+        "--out-posts",
+        &posts,
+        "--out-follower",
+        &follower,
+    ]);
+    run_ok(&["build-graph", "--follower", &follower, "--out", &graph]);
+    let multi = [
+        "run",
+        "--posts",
+        &posts,
+        "--graph",
+        &graph,
+        "--subscriptions",
+        &subs,
+    ];
+
+    for rate in ["0", "nan"] {
+        let err = run_err(&[&multi[..], &["--rate-limit", rate]].concat());
+        assert!(err.contains("--rate-limit"), "{rate}: {err}");
+    }
+
+    let run = |tag: &str| {
+        let out = dir.path(&format!("out-{tag}.tsv"));
+        let (_, err) = run_ok(&[&multi[..], &["--rate-limit", "0.001", "--out", &out]].concat());
+        let limited: u64 = err
+            .lines()
+            .find_map(|l| l.strip_prefix("rate limited: "))
+            .unwrap_or_else(|| panic!("no `rate limited` line in:\n{err}"))
+            .parse()
+            .expect("a count");
+        (std::fs::read(&out).expect("output written"), limited)
+    };
+    let (first, limited) = run("a");
+    assert!(limited > 0);
+    assert_eq!(run("b"), (first, limited));
+}
+
+/// Every `firehose <cmd> --flag` in a fenced `sh` block of the README and
+/// the verify skill names a flag `firehose help` lists for `<cmd>`.
+#[test]
+fn doc_commands_use_live_flags() {
+    let (help, _) = run_ok(&["help"]);
+    // After the `usage:` line, one section per command up to the next blank
+    // line; continuation lines are indented.
+    let mut accepted: Vec<(String, Vec<String>)> = Vec::new();
+    let sections = help
+        .lines()
+        .skip(1)
+        .skip_while(|l| l.trim().is_empty())
+        .take_while(|l| !l.trim().is_empty());
+    for line in sections {
+        let mut tokens = line.split_whitespace();
+        if !line.starts_with(' ') {
+            let name = tokens.next().expect("a command name").to_string();
+            accepted.push((name, Vec::new()));
+        }
+        let flags = &mut accepted.last_mut().expect("a command section").1;
+        flags.extend(
+            tokens.filter_map(|t| Some(flag_of(t.strip_prefix('[').unwrap_or(t))?.to_string())),
+        );
+    }
+    assert!(accepted.iter().any(|(name, _)| name == "serve"), "{help}");
+
+    let root = env!("CARGO_MANIFEST_DIR");
+    let mut checked = 0;
+    for doc in ["README.md", ".claude/skills/verify/SKILL.md"] {
+        let text = std::fs::read_to_string(format!("{root}/{doc}")).expect("read doc");
+        for command in sh_commands(&text) {
+            let mut tokens = command.split_whitespace();
+            let is_cli = tokens
+                .next()
+                .is_some_and(|t| t == "firehose" || t.ends_with("/firehose"));
+            let Some(cmd) = tokens.next().filter(|_| is_cli) else {
+                continue;
+            };
+            let (_, flags) = accepted
+                .iter()
+                .find(|(name, _)| name == cmd)
+                .unwrap_or_else(|| panic!("{doc}: `firehose {cmd}` is not a command: {command}"));
+            for flag in tokens.filter_map(flag_of) {
+                assert!(
+                    flags.iter().any(|f| f == flag),
+                    "{doc}: `firehose {cmd}` takes no --{flag}: {command}"
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert!(checked >= 10, "only {checked} doc commands found");
+}
+
+/// `--name` of a `--name`, `--name=value` or `--name]` token.
+fn flag_of(token: &str) -> Option<&str> {
+    let name = token.strip_prefix("--")?;
+    name.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .next()
+        .filter(|n| !n.is_empty())
+}
+
+/// The commands of every fenced `sh` block, `\` continuations joined and
+/// trailing `#` comments dropped.
+fn sh_commands(markdown: &str) -> Vec<String> {
+    let mut commands = Vec::new();
+    let mut in_sh = false;
+    let mut pending = String::new();
+    for line in markdown.lines() {
+        let fence = line.trim_start();
+        if fence.starts_with("```") {
+            in_sh = !in_sh && fence == "```sh";
+            continue;
+        }
+        if !in_sh {
+            continue;
+        }
+        let line = line.split(" #").next().unwrap_or(line).trim_end();
+        match line.strip_suffix('\\') {
+            Some(head) => pending.push_str(head),
+            None => {
+                pending.push_str(line);
+                commands.push(std::mem::take(&mut pending).trim().to_string());
+            }
+        }
+    }
+    commands
+}
+
 #[test]
 fn run_rejects_mismatched_graph() {
     let dir = TempDir::new("mismatch");

@@ -7,8 +7,9 @@
 //! `sharded:2` spelling. Plus a fuzz case: malformed, truncated, and
 //! oversized requests get typed protocol errors and cost the peer its
 //! connection, never the server; an `/ingest` naming an author outside the
-//! graph is refused whole; and the shedding paths: the connection cap, an
-//! overloaded `/ingest`, a user removed under a parked reader.
+//! graph is refused whole; a rate-limited `/ingest` burst answers 200 and
+//! drops exactly what the in-process limiter drops; and the shedding paths:
+//! the connection cap and a user removed under a parked reader.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use firehose::core::multi::Subscriptions;
-use firehose::core::service::{FirehoseService, OverloadConfig, OverloadPolicy, StrategyKind};
+use firehose::core::service::{FirehoseService, StrategyKind};
 use firehose::core::{EngineConfig, Thresholds};
 use firehose::graph::UndirectedGraph;
 use firehose::net::server::{decision_line, delivery_line};
@@ -434,39 +435,58 @@ fn connection_cap_answers_503_and_recovers_when_sockets_close() {
     assert!(report.connections_rejected >= 1, "{report:?}");
 }
 
+/// Per-post admission on the wire is the rate limiter alone: a burst over
+/// the limit answers 200 with the decision lines an in-process service with
+/// the same limit emits, and `/healthz` counts the same drops.
 #[test]
-fn overloaded_ingest_counts_the_posts_it_decided() {
-    const CAPACITY: usize = 4;
-    let svc = FirehoseService::builder(&graph(), subscriptions())
-        .engine_config(engine_config())
-        .overload(OverloadConfig {
-            policy: OverloadPolicy::Reject,
-            capacity: CAPACITY,
-        })
-        .build()
-        .unwrap();
-    let (addr, handle, join) = boot_with(ServerConfig::default(), svc);
-    let mut client = HttpClient::connect(addr).unwrap();
+fn rate_limited_ingest_answers_200_and_counts_in_healthz() {
+    const POSTS_PER_SEC: f64 = 1.0;
+    let limited = || {
+        FirehoseService::builder(&graph(), subscriptions())
+            .engine_config(engine_config())
+            .rate_limit(POSTS_PER_SEC)
+            .build()
+            .unwrap()
+    };
+    // Four authors, one post every 100 ms between them: each author posts
+    // 2.5 times a second, so the limiter drops some of each author's posts.
+    let burst: Vec<Post> = posts()
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| Post::new(p.id, (i % 4) as u32, i as u64 * 100, p.text))
+        .collect();
 
-    let mut body = Vec::new();
-    corpus::write_posts(&posts()[..10], &mut body).unwrap();
-    let resp = client.request("POST", "/ingest", &body).unwrap();
-    assert_eq!(resp.status, 503, "{}", resp.text());
-    assert_eq!(resp.header("Retry-After"), Some("1"));
-    assert_eq!(
-        resp.text().lines().count(),
-        CAPACITY,
-        "decision lines for the posts admitted before the refusal"
+    let mut reference = limited();
+    let mut expected = String::new();
+    reference
+        .process_batch(burst.iter().cloned(), |p, d| {
+            expected.push_str(&decision_line(p.id, &d.delivered_to));
+        })
+        .unwrap();
+    assert!(
+        reference.rate_limited() > 0,
+        "the burst must trip the limit"
     );
+
+    let (addr, handle, join) = boot_with(ServerConfig::default(), limited());
+    let mut client = HttpClient::connect(addr).unwrap();
+    let mut body = Vec::new();
+    corpus::write_posts(&burst, &mut body).unwrap();
+    let resp = client.request("POST", "/ingest", &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    assert_eq!(resp.text(), expected);
+
+    let health = client.request("GET", "/healthz", b"").unwrap().text();
+    let rate_limited = format!("\"rate_limited\":{},", reference.rate_limited());
+    assert!(health.contains(&rate_limited), "{health}");
     assert_eq!(
         metric(&mut client, "firehose_net_posts_ingested_total"),
-        CAPACITY as u64,
-        "decided posts are counted even though the request answered 503"
+        burst.len() as u64
     );
 
     handle.shutdown();
     let report = join.join().unwrap().unwrap();
-    assert_eq!(report.posts_ingested, CAPACITY as u64);
+    assert_eq!(report.posts_ingested, burst.len() as u64);
 }
 
 #[test]
