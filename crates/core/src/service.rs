@@ -51,6 +51,7 @@ use firehose_stream::{AuthorId, GuardConfig, IngestGuard, Post, QuarantineStats,
 
 use crate::checkpoint::{
     restore_latest_valid_multi, CheckpointManager, CheckpointPolicy, Manifest, RestoreError,
+    SkippedGeneration,
 };
 use crate::config::EngineConfig;
 use crate::engine::AlgorithmKind;
@@ -640,16 +641,18 @@ impl FirehoseService {
     /// Restore the newest intact checkpoint generation into the strategy.
     /// Returns the restored manifest (`manifest.posts_processed` counts the
     /// posts the engine was offered, cross-checked against the restored
-    /// state). Corrupt generations are skipped (and reported via the error
-    /// only when *no* generation restores).
-    pub fn restore_latest(&mut self) -> Result<Manifest, ServiceError> {
+    /// state) and the newer, corrupt generations skipped on the way, newest
+    /// first. When *no* generation restores, the error lists them all, and
+    /// the strategy may hold a partial restore: build a fresh service to
+    /// start cold.
+    pub fn restore_latest(&mut self) -> Result<(Manifest, Vec<SkippedGeneration>), ServiceError> {
         let Some(mgr) = &mut self.manager else {
             return Err(ServiceError::NoCheckpointDir);
         };
         let dir = mgr.dir().to_path_buf();
-        let (manifest, _skipped) = restore_latest_valid_multi(&dir, &mut self.multi)?;
+        let (manifest, skipped) = restore_latest_valid_multi(&dir, &mut self.multi)?;
         mgr.note_restored(&manifest);
-        Ok(manifest)
+        Ok((manifest, skipped))
     }
 
     // --- introspection ----------------------------------------------
@@ -827,7 +830,8 @@ mod tests {
         let generation = service.checkpoint_now().unwrap();
 
         let mut restored = build();
-        let manifest = restored.restore_latest().unwrap();
+        let (manifest, skipped) = restored.restore_latest().unwrap();
+        assert!(skipped.is_empty());
         assert_eq!(manifest.generation, generation);
         assert_eq!(manifest.posts_processed, service.metrics().posts_processed);
         // Continuations agree decision-for-decision.

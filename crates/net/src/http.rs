@@ -3,7 +3,7 @@
 //! The server speaks the small, boring subset of HTTP/1.1 the firehose wire
 //! protocol needs: `GET`/`POST`, `Content-Length` request bodies, keep-alive
 //! connections, and chunked transfer encoding on responses (the per-user
-//! streaming endpoint). Requests arrive over non-blocking sockets, so the
+//! streaming endpoint). A connection's bytes arrive in pieces, so the
 //! parser is incremental: [`parse_request`] either consumes one complete
 //! request from the front of the buffer, reports that more bytes are needed,
 //! or returns a typed [`ProtoError`] — it never panics on malformed or
@@ -356,21 +356,25 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Format a response head. `content_length: None` means chunked transfer
-/// encoding (the streaming endpoint).
-pub(crate) fn response_head(
+/// The content type of every plain-text response.
+pub(crate) const TEXT: &str = "text/plain; charset=utf-8";
+
+/// Format a response in one buffer, so it goes out in one write.
+/// `body: None` formats only the head of a chunked response (the streaming
+/// endpoint).
+pub(crate) fn response(
     status: u16,
     content_type: &str,
-    content_length: Option<usize>,
+    body: Option<&[u8]>,
     keep_alive: bool,
     extra_headers: &[(&str, &str)],
-) -> String {
+) -> Vec<u8> {
     use std::fmt::Write as _;
     let mut head = format!("HTTP/1.1 {status} {}\r\n", reason(status));
     let _ = write!(head, "Content-Type: {content_type}\r\n");
-    match content_length {
-        Some(n) => {
-            let _ = write!(head, "Content-Length: {n}\r\n");
+    match body {
+        Some(body) => {
+            let _ = write!(head, "Content-Length: {}\r\n", body.len());
         }
         None => head.push_str("Transfer-Encoding: chunked\r\n"),
     }
@@ -383,7 +387,9 @@ pub(crate) fn response_head(
         let _ = write!(head, "{name}: {value}\r\n");
     }
     head.push_str("\r\n");
-    head
+    let mut out = head.into_bytes();
+    out.extend_from_slice(body.unwrap_or_default());
+    out
 }
 
 /// Append one chunked-transfer chunk (`<hex len>\r\n<data>\r\n`) to `out`.

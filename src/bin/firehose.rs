@@ -18,12 +18,12 @@ use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use firehose::core::checkpoint::{CheckpointManager, CheckpointPolicy};
+use firehose::core::checkpoint::{CheckpointManager, CheckpointPolicy, SkippedGeneration};
 use firehose::core::engine::{build_engine, AlgorithmKind, Diversifier};
 use firehose::core::evaluate;
 use firehose::core::multi::Subscriptions;
 use firehose::core::service::{
-    read_churn_trace, FirehoseService, FirehoseServiceBuilder, StrategyKind, TracedOp,
+    read_churn_trace, FirehoseService, FirehoseServiceBuilder, ServiceError, StrategyKind, TracedOp,
 };
 use firehose::core::{
     explain, restore_latest_valid, EngineConfig, MemoryMode, RestoreError, Thresholds,
@@ -719,12 +719,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                 None,
             ) {
                 Ok(restored) => {
-                    for s in &restored.skipped {
-                        eprintln!(
-                            "warning: skipped corrupt checkpoint generation {}: {}",
-                            s.generation, s.error
-                        );
-                    }
+                    warn_skipped(&restored.skipped);
                     resume_at = (restored.manifest.posts_processed as usize).min(posts.len());
                     mgr.note_restored(&restored.manifest);
                     eprintln!(
@@ -734,12 +729,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
                     restored.engine
                 }
                 Err(RestoreError::NoValidCheckpoint { skipped }) => {
-                    for s in &skipped {
-                        eprintln!(
-                            "warning: skipped corrupt checkpoint generation {}: {}",
-                            s.generation, s.error
-                        );
-                    }
+                    warn_skipped(&skipped);
                     build_engine(algorithm, engine_config, graph)
                 }
                 Err(RestoreError::Io(e)) => {
@@ -812,6 +802,14 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let listen = args.get("listen").unwrap_or("127.0.0.1:7878");
     let strategy = strategy_from(args)?;
     let engine_config = multi_engine_config_from(args)?;
+    let defaults = ServerConfig::default();
+    let config = ServerConfig {
+        max_connections: positive(args, "max-conns", defaults.max_connections)?,
+        stream_buffer: positive(args, "stream-buffer", defaults.stream_buffer)?,
+        idle_timeout: std::time::Duration::from_secs(positive(args, "idle-secs", 60)?),
+        allow_shutdown: args.parse_or("allow-shutdown", false)?,
+        ..defaults
+    };
 
     let graph =
         graph_io::read_undirected(&mut open_reader(graph_path)?).map_err(|e| e.to_string())?;
@@ -821,17 +819,33 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         Subscriptions::new(graph.node_count(), sets).map_err(|e| format!("{subs_path}: {e}"))?;
 
     let registry = Arc::new(Registry::new());
-    let service = service_builder_from(args, strategy, engine_config, &graph, subscriptions)?
-        .build()
-        .map_err(|e| e.to_string())?;
-
-    let config = ServerConfig {
-        max_connections: args.parse_or("max-conns", ServerConfig::default().max_connections)?,
-        stream_buffer: args.parse_or("stream-buffer", ServerConfig::default().stream_buffer)?,
-        idle_timeout: std::time::Duration::from_secs(args.parse_or("idle-secs", 60u64)?),
-        allow_shutdown: args.parse_or("allow-shutdown", false)?,
-        ..ServerConfig::default()
+    let build = || {
+        service_builder_from(args, strategy, engine_config, &graph, subscriptions.clone())?
+            .build()
+            .map_err(|e| e.to_string())
     };
+    let mut service = build()?;
+    // Resume from the newest valid checkpoint generation, as `run` does.
+    if let Some(dir) = args.get("checkpoint-dir") {
+        match service.restore_latest() {
+            Ok((manifest, skipped)) => {
+                warn_skipped(&skipped);
+                eprintln!(
+                    "resumed from checkpoint generation {} ({} posts already processed)",
+                    manifest.generation, manifest.posts_processed
+                );
+            }
+            Err(ServiceError::Restore(RestoreError::NoValidCheckpoint { skipped })) => {
+                warn_skipped(&skipped);
+                // A rejected generation may have been partly loaded.
+                if !skipped.is_empty() {
+                    service = build()?;
+                }
+            }
+            Err(e) => return Err(format!("cannot restore from {dir}: {e}")),
+        }
+    }
+
     let server = Server::bind(listen, config).map_err(|e| e.to_string())?;
     eprintln!(
         "serving {} ({} users) on http://{}  endpoints: POST /ingest /churn [/shutdown], GET /stream/<user> /metrics /healthz",
@@ -851,6 +865,28 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         report.protocol_errors
     );
     Ok(())
+}
+
+fn warn_skipped(skipped: &[SkippedGeneration]) {
+    for s in skipped {
+        eprintln!(
+            "warning: skipped corrupt checkpoint generation {}: {}",
+            s.generation, s.error
+        );
+    }
+}
+
+/// A `--flag` that must be at least 1.
+fn positive<T>(args: &Args, flag: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialEq + From<u8>,
+    T::Err: std::fmt::Display,
+{
+    let value = args.parse_or(flag, default)?;
+    if value == T::from(0) {
+        return Err(format!("--{flag} must be at least 1"));
+    }
+    Ok(value)
 }
 
 fn cmd_quality(args: &Args) -> Result<(), String> {

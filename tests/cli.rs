@@ -539,3 +539,186 @@ fn generate_rejects_too_few_authors() {
     assert!(err.contains("--authors 50"), "{err}");
     assert!(err.contains("at least 79 authors"), "{err}");
 }
+
+/// A `firehose serve` child on an ephemeral loopback port, killed on drop
+/// if the test did not shut it down.
+struct Serving {
+    child: std::process::Child,
+    addr: std::net::SocketAddr,
+}
+
+impl Serving {
+    fn start(args: &[&str]) -> Self {
+        use std::io::BufRead;
+        let mut child = Command::new(BIN)
+            .arg("serve")
+            .args(args)
+            .args(["--listen", "127.0.0.1:0", "--allow-shutdown", "true"])
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn serve");
+        let mut stderr = std::io::BufReader::new(child.stderr.take().unwrap());
+        let mut seen = String::new();
+        let addr = loop {
+            let mut line = String::new();
+            if stderr.read_line(&mut line).unwrap() == 0 {
+                panic!("serve exited before listening:\n{seen}");
+            }
+            seen.push_str(&line);
+            if let Some(rest) = line.split("on http://").nth(1) {
+                break rest.split_whitespace().next().unwrap().parse().unwrap();
+            }
+        };
+        // Keep draining stderr so the child never blocks on a full pipe.
+        std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
+        Self { child, addr }
+    }
+
+    fn client(&self) -> firehose::net::HttpClient {
+        firehose::net::HttpClient::connect(self.addr).expect("connect")
+    }
+
+    /// `POST /shutdown`, then wait for the process to exit cleanly.
+    fn shutdown(mut self) {
+        let resp = self.client().request("POST", "/shutdown", b"").unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        assert!(self.child.wait().unwrap().success());
+    }
+}
+
+impl Drop for Serving {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// A graph over 100 generated authors and ten users who all follow author
+/// 0, for the `serve` tests.
+fn serve_inputs(dir: &TempDir) -> (String, String) {
+    let follower = dir.path("follower.fhf");
+    let graph = dir.path("sim.fhg");
+    let subs = dir.path("subs.tsv");
+    run_ok(&[
+        "generate",
+        "--authors",
+        "100",
+        "--hours",
+        "1",
+        "--out-posts",
+        &dir.path("posts.tsv"),
+        "--out-follower",
+        &follower,
+    ]);
+    run_ok(&["build-graph", "--follower", &follower, "--out", &graph]);
+    std::fs::write(&subs, "0,1\n".repeat(10)).unwrap();
+    (graph, subs)
+}
+
+/// `serve --checkpoint-dir` resumes where the last graceful shutdown left
+/// off: the final checkpoint holds the window and the churned users, so a
+/// near-duplicate of a post ingested before the restart is suppressed, as
+/// it is within one process.
+#[test]
+fn serve_resumes_from_its_final_checkpoint() {
+    let dir = TempDir::new("serve_restart");
+    let (graph, subs) = serve_inputs(&dir);
+    let ckpt = dir.path("ckpt");
+    let args = [
+        "--graph",
+        &graph,
+        "--subscriptions",
+        &subs,
+        "--checkpoint-dir",
+        &ckpt,
+    ];
+
+    let server = Serving::start(&args);
+    let mut client = server.client();
+    let q = client
+        .request(
+            "POST",
+            "/ingest",
+            b"1\t0\t1000\tthe quick brown fox jumps over the lazy dog\n",
+        )
+        .unwrap();
+    assert_eq!(q.text(), "1\t0,1,2,3,4,5,6,7,8,9\n");
+    let churn = client.request("POST", "/churn", b"add-user\t5\n").unwrap();
+    assert_eq!(churn.text(), "ok\t10\n");
+    drop(client);
+    server.shutdown();
+    assert!(
+        std::path::Path::new(&ckpt).join("gen-00000000").is_dir(),
+        "the graceful shutdown wrote a checkpoint"
+    );
+
+    let server = Serving::start(&args);
+    let mut client = server.client();
+    let near_duplicate = client
+        .request(
+            "POST",
+            "/ingest",
+            b"2\t0\t2000\tthe quick brown fox jumps over the lazy dog\n",
+        )
+        .unwrap();
+    assert_eq!(near_duplicate.text(), "2\t-\n");
+    let health = client.request("GET", "/healthz", b"").unwrap().text();
+    assert!(health.contains("\"users\":11,"), "{health}");
+    drop(client);
+    server.shutdown();
+}
+
+/// `serve` refuses the zero values that would leave it unable to serve:
+/// no connection slot, no ring slot, or no idle time.
+#[test]
+fn serve_refuses_zero_limits_naming_the_flag() {
+    let dir = TempDir::new("serve_zero");
+    let missing = dir.path("missing.tsv");
+    for flag in ["--max-conns", "--stream-buffer", "--idle-secs"] {
+        let err = run_err(&[
+            "serve",
+            "--graph",
+            &missing,
+            "--subscriptions",
+            &missing,
+            flag,
+            "0",
+        ]);
+        assert!(err.contains(flag), "{flag}: {err}");
+    }
+}
+
+/// An idle `serve` with one open keep-alive connection blocks in `accept`,
+/// `read` and `recv`: it does not wake up to poll.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_serve_does_not_wake() {
+    /// Context switches so far, summed over the process's threads.
+    fn context_switches(pid: u32) -> u64 {
+        let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).unwrap();
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("status")).ok())
+            .map(|status| {
+                status
+                    .lines()
+                    .filter(|l| l.contains("ctxt_switches:"))
+                    .filter_map(|l| l.split_whitespace().nth(1)?.parse::<u64>().ok())
+                    .sum::<u64>()
+            })
+            .sum()
+    }
+
+    let dir = TempDir::new("serve_idle");
+    let (graph, subs) = serve_inputs(&dir);
+    let server = Serving::start(&["--graph", &graph, "--subscriptions", &subs]);
+    let mut idle = server.client();
+    assert_eq!(idle.request("GET", "/healthz", b"").unwrap().status, 200);
+    std::thread::sleep(std::time::Duration::from_millis(100));
+
+    let pid = server.child.id();
+    let before = context_switches(pid);
+    std::thread::sleep(std::time::Duration::from_secs(1));
+    let woke = context_switches(pid) - before;
+    assert!(woke < 50, "an idle server woke {woke} times in a second");
+    server.shutdown();
+}

@@ -529,3 +529,161 @@ fn removing_a_user_ends_its_parked_stream() {
     handle.shutdown();
     join.join().unwrap().unwrap();
 }
+
+/// Bytes from `stream` until the peer closes, and when the first byte and
+/// the close arrived (measured from `since`).
+fn read_until_close(stream: &mut TcpStream, since: Instant) -> (Vec<u8>, Duration) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut bytes = Vec::new();
+    stream.read_to_end(&mut bytes).unwrap();
+    (bytes, since.elapsed())
+}
+
+/// The status codes of consecutive responses in `text`, in order.
+fn statuses(text: &str) -> Vec<&str> {
+    text.match_indices("HTTP/1.1 ")
+        .map(|(i, _)| &text[i + 9..i + 12])
+        .collect()
+}
+
+/// Two requests written in one `write` get two responses, in order: the
+/// health document already counts the posts the first request ingested.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let posts = posts();
+    let mut expected = String::new();
+    service(StrategyKind::Shared)
+        .process_batch(posts[..2].iter().cloned(), |p, d| {
+            expected.push_str(&decision_line(p.id, &d.delivered_to));
+        })
+        .unwrap();
+    let (addr, handle, join) = boot(StrategyKind::Shared);
+    let mut body = Vec::new();
+    corpus::write_posts(&posts[..2], &mut body).unwrap();
+    let mut both = format!(
+        "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    both.extend_from_slice(&body);
+    both.extend_from_slice(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.write_all(&both).unwrap();
+    let (bytes, _) = read_until_close(&mut s, Instant::now());
+    let text = String::from_utf8_lossy(&bytes);
+    assert_eq!(statuses(&text), ["200", "200"], "{text}");
+    let (ingest, health) = text.split_at(text.rfind("HTTP/1.1 ").unwrap());
+    assert!(ingest.ends_with(&format!("\r\n\r\n{expected}")), "{ingest}");
+    assert!(health.contains("\"posts_ingested\":2}"), "{health}");
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// A request pipelined behind a parked long-poll waits for that stream's
+/// terminal chunk: a connection answers one request at a time.
+#[test]
+fn request_behind_a_parked_stream_waits_for_its_terminal_chunk() {
+    let (addr, handle, join) = boot(StrategyKind::Shared);
+    let mut s = TcpStream::connect(addr).unwrap();
+    let sent = Instant::now();
+    s.write_all(
+        b"GET /stream/0?wait_ms=300 HTTP/1.1\r\n\r\n\
+          GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+    )
+    .unwrap();
+    let (bytes, closed_after) = read_until_close(&mut s, sent);
+    let text = String::from_utf8_lossy(&bytes);
+    assert_eq!(statuses(&text), ["200", "200"], "{text}");
+    let (stream, health) = text.split_at(text.rfind("HTTP/1.1 ").unwrap());
+    assert!(stream.contains("Transfer-Encoding: chunked"), "{stream}");
+    assert!(
+        stream.ends_with("\r\n\r\n0\r\n\r\n"),
+        "no delivery, then the terminal chunk: {stream}"
+    );
+    assert!(health.contains("\"status\":\"ok\""), "{health}");
+    assert!(
+        closed_after >= Duration::from_millis(300),
+        "the pipelined request was answered before the stream's deadline: {closed_after:?}"
+    );
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// `idle_timeout` closes a keep-alive connection that sends nothing, but
+/// never a connection whose long-poll is parked: that one ends at its own
+/// deadline, with the terminal chunk.
+#[test]
+fn idle_timeout_closes_idle_connections_but_not_parked_streams() {
+    let (addr, handle, join) = boot_with(
+        ServerConfig {
+            idle_timeout: Duration::from_secs(1),
+            ..ServerConfig::default()
+        },
+        service(StrategyKind::Shared),
+    );
+    let parked = std::thread::spawn(move || {
+        let mut client = HttpClient::connect(addr).unwrap();
+        let asked = Instant::now();
+        let resp = client
+            .request("GET", "/stream/0?wait_ms=3000", b"")
+            .unwrap();
+        (resp, asked.elapsed())
+    });
+
+    let mut idle = TcpStream::connect(addr).unwrap();
+    let (bytes, closed_after) = read_until_close(&mut idle, Instant::now());
+    assert!(bytes.is_empty(), "{}", String::from_utf8_lossy(&bytes));
+    assert!(
+        closed_after >= Duration::from_millis(900) && closed_after < Duration::from_secs(5),
+        "idle connection closed after {closed_after:?}"
+    );
+
+    let (resp, waited) = parked.join().unwrap();
+    assert_eq!(resp.status, 200);
+    assert!(resp.body.is_empty(), "{}", resp.text());
+    assert!(
+        waited >= Duration::from_millis(2_900),
+        "the parked stream ended early: {waited:?}"
+    );
+
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+}
+
+/// `ShutdownHandle::shutdown` returns `serve` promptly while one
+/// connection sits idle and another holds a parked long-poll, and the
+/// report counts both connections.
+#[test]
+fn shutdown_returns_promptly_with_idle_and_parked_connections() {
+    let (addr, handle, join) = boot(StrategyKind::Shared);
+    let mut idle = HttpClient::connect(addr).unwrap();
+    let parked = std::thread::spawn(move || {
+        let mut client = HttpClient::connect(addr).unwrap();
+        client.set_read_timeout(Duration::from_secs(30)).unwrap();
+        client.request("GET", "/stream/0?wait_ms=60000", b"")
+    });
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while metric(&mut idle, "firehose_net_streams_parked") != 1 {
+        assert!(Instant::now() < deadline, "reader never parked");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let asked = Instant::now();
+    handle.shutdown();
+    let report = join.join().unwrap().unwrap();
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "serve took {:?} to return",
+        asked.elapsed()
+    );
+    assert_eq!(report.connections_accepted, 2, "{report:?}");
+    assert!(
+        parked.join().unwrap().is_err(),
+        "the parked stream is cut, not completed"
+    );
+}
