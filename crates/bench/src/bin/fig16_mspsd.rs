@@ -24,9 +24,10 @@ use std::time::Instant;
 
 use firehose_bench::{f1, Dataset, Report, Scale};
 use firehose_core::engine::AlgorithmKind;
-use firehose_core::multi::{IndependentMulti, MultiDecision, SharedMulti, Subscriptions};
+use firehose_core::multi::{MultiDecision, SharedMulti, Subscriptions};
 use firehose_core::EngineMetrics;
 use firehose_core::{EngineConfig, Thresholds};
+use firehose_reference::IndependentMulti;
 use firehose_stream::Post;
 
 /// One timed pass over `posts`: the running hash of every

@@ -9,8 +9,9 @@
 //! within a small constant factor validates it.
 
 use firehose_bench::{Dataset, Report, Scale};
-use firehose_core::{CostInputs, Thresholds};
+use firehose_core::Thresholds;
 use firehose_graph::{greedy_clique_cover, GraphTopology};
+use firehose_reference::CostInputs;
 
 fn main() {
     let data = Dataset::generate(Scale::from_env());

@@ -13,8 +13,8 @@
 //! | moderate λt, sparse G, high throughput (Twitter) | CliqueBin |
 
 use firehose_bench::{f1, Dataset, Report, Scale};
-use firehose_core::advisor::{recommend, AdvisorInputs, ThroughputClass};
 use firehose_core::Thresholds;
+use firehose_reference::{recommend, AdvisorInputs, ThroughputClass};
 use firehose_stream::{hours, minutes};
 
 struct Regime {

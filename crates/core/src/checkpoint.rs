@@ -385,10 +385,11 @@ fn strategy_family(name: &str) -> String {
 /// Load a multi-user checkpoint into an already-constructed engine of the
 /// same shape (same kind, graph and subscriptions; see `strategy_family` for
 /// the older names that restore into `S_X`). Cross-checks the manifest's
-/// strategy family and `posts_processed` against the target.
+/// strategy family and `posts_processed` against the restored state.
 ///
-/// On error the engine's state is unspecified and it must be rebuilt or
-/// re-restored before use.
+/// All or nothing: the state is decoded into a candidate engine, and
+/// `multi` takes it over only when every check passes. On error `multi` is
+/// unchanged.
 pub fn restore_multi_from_slice(
     buf: &[u8],
     multi: &mut SharedMulti,
@@ -408,19 +409,20 @@ pub fn restore_multi_from_slice(
     }
     let state_sec = find_section(&sections, SEC_STATE)?;
     let mut sr: &[u8] = state_sec.payload;
-    multi.load_state(&mut sr)?;
+    let candidate = multi.restored(&mut sr)?;
     if !sr.is_empty() {
         return Err(SnapshotError::Corrupt {
             section: "state",
             offset: state_sec.offset,
         });
     }
-    if multi.metrics().posts_processed != manifest.posts_processed {
+    if candidate.metrics().posts_processed != manifest.posts_processed {
         return Err(SnapshotError::Corrupt {
             section: "manifest",
             offset: 12,
         });
     }
+    multi.adopt(candidate);
     Ok(manifest)
 }
 
@@ -485,6 +487,8 @@ pub struct CheckpointManager {
     next_generation: u64,
     /// `posts_processed` at the last checkpoint (cadence baseline).
     last_offers: u64,
+    /// `posts_processed` at the last cadence poll.
+    last_polled: u64,
     last_save: Instant,
 }
 
@@ -503,6 +507,7 @@ impl CheckpointManager {
             policy,
             next_generation,
             last_offers: 0,
+            last_polled: 0,
             last_save: Instant::now(),
         })
     }
@@ -603,18 +608,22 @@ impl CheckpointManager {
         }
     }
 
-    fn due(&self, posts_processed: u64) -> bool {
+    fn due(&mut self, posts_processed: u64) -> bool {
         let advanced = posts_processed.saturating_sub(self.last_offers);
+        let polled = std::mem::replace(&mut self.last_polled, posts_processed)
+            .saturating_sub(self.last_offers);
         if advanced == 0 {
             return false;
         }
         if advanced >= self.policy.every_offers {
             return true;
         }
-        // Consult the wall clock only every 64 offers: `maybe_save` sits on
-        // the per-offer hot path, and an unconditional clock read there is
-        // measurable overhead for a timer whose resolution is seconds.
-        if advanced & 63 != 0 {
+        // Consult the wall clock only when the offers since the last
+        // checkpoint crossed a multiple of 64 since the last poll: `maybe_save`
+        // sits on the per-offer hot path, where an unconditional clock read is
+        // measurable overhead for a timer whose resolution is seconds, and a
+        // batch-polled caller can skip any single multiple.
+        if advanced / 64 == polled / 64 {
             return false;
         }
         match self.policy.every_millis {
@@ -721,13 +730,9 @@ pub fn restore_latest_valid(
 }
 
 /// Multi-user counterpart of [`restore_latest_valid`]: loads the newest
-/// intact generation into `multi` (which must be freshly constructed with
-/// the same kind, graph and subscriptions). Returns the restored manifest
-/// and the skipped generations.
-///
-/// A failed attempt may leave `multi` partially written, but a subsequent
-/// successful attempt overwrites every engine's state wholesale, so the
-/// returned state is always exactly the restored checkpoint's.
+/// intact generation into `multi` (built with the same kind and graph; see
+/// [`restore_multi_from_slice`]). Returns the restored manifest and the
+/// skipped generations. A rejected generation leaves `multi` unchanged.
 pub fn restore_latest_valid_multi(
     dir: &Path,
     multi: &mut SharedMulti,
@@ -755,6 +760,7 @@ mod tests {
     use super::*;
     use crate::config::Thresholds;
     use crate::multi::{SharedMulti, Subscriptions};
+    use crate::service::{FirehoseService, ServiceError};
     use crate::EngineConfig;
     use firehose_stream::{minutes, Post};
 
@@ -1067,6 +1073,119 @@ mod tests {
             err.to_string(),
             "checkpoint written by S_UniBin; this service runs S_CliqueBin"
         );
+    }
+
+    /// The wall-clock cadence is read whenever a poll crosses a multiple of
+    /// 64 offers since the last checkpoint, however the polls fall: after a
+    /// 3-post batch, a service polling once per 64-post batch never lands on
+    /// a multiple, and must still checkpoint on time.
+    #[test]
+    fn wall_clock_cadence_survives_unaligned_batches() {
+        let dir = tempdir("unaligned_batches");
+        let policy = CheckpointPolicy {
+            every_offers: 1_000_000,
+            every_millis: Some(0),
+            keep: 3,
+        };
+        let subs = Subscriptions::new(4, vec![vec![0, 1, 2, 3]]).unwrap();
+        let mut service = FirehoseService::builder(&graph(), subs)
+            .engine_config(config())
+            .checkpoints(&dir, policy)
+            .build()
+            .unwrap();
+        let stream = posts(0..3 + 20 * 64);
+        service
+            .process_batch(stream[..3].iter().cloned(), |_, _| {})
+            .unwrap();
+        for batch in stream[3..].chunks(64) {
+            service
+                .process_batch(batch.iter().cloned(), |_, _| {})
+                .unwrap();
+        }
+        let gens = list_generations(&dir).unwrap();
+        assert_eq!(
+            gens.last().map(|&(g, _)| g + 1),
+            Some(20),
+            "one generation per 64-post batch"
+        );
+        assert_eq!(gens.len(), 3, "pruned to `keep`");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Restore is all or nothing: a CRC-valid generation whose manifest
+    /// disagrees with its state is refused, and the service it was offered
+    /// to decides exactly like a freshly built one.
+    #[test]
+    fn rejected_multi_generation_leaves_the_service_as_built() {
+        let dir = tempdir("all_or_nothing");
+        let policy = CheckpointPolicy {
+            every_offers: u64::MAX,
+            every_millis: None,
+            keep: 3,
+        };
+        let g = UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]);
+        let subs = Subscriptions::new(6, vec![vec![0, 1, 3, 5], vec![0, 1, 3, 4, 5]]).unwrap();
+        let build = || {
+            FirehoseService::builder(&g, subs.clone())
+                .engine_config(config())
+                .checkpoints(&dir, policy)
+                .build()
+                .unwrap()
+        };
+        let stream = posts(0..60);
+        let mut written = SharedMulti::new(AlgorithmKind::UniBin, config(), &g, subs.clone());
+        for p in &stream[..30] {
+            written.offer(p);
+        }
+        written.subscribe(0, 4).unwrap();
+        let mut mbuf = Vec::new();
+        write_manifest(
+            &mut mbuf,
+            &Manifest {
+                tag: TAG_MULTI,
+                generation: 0,
+                posts_processed: written.metrics().posts_processed + 1,
+                name: written.name(),
+            },
+        );
+        let mut sbuf = Vec::new();
+        written.save_state(&mut sbuf).unwrap();
+        let bytes = assemble(&[(SEC_MANIFEST, &mbuf), (SEC_STATE, &sbuf)]);
+        assert!(parse_sections(&bytes).is_ok(), "every CRC holds");
+        CheckpointManager::new(&dir, policy)
+            .unwrap()
+            .save_bytes(&bytes)
+            .unwrap();
+
+        let mut service = build();
+        let err = service.restore_latest().unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ServiceError::Restore(RestoreError::NoValidCheckpoint { skipped })
+                    if skipped.len() == 1
+                        && matches!(
+                            skipped[0].error,
+                            SnapshotError::Corrupt { section: "manifest", .. }
+                        )
+            ),
+            "{err:?}"
+        );
+        let mut fresh = build();
+        assert_eq!(service.subscriptions(), fresh.subscriptions());
+        assert_eq!(service.churn_stats(), fresh.churn_stats());
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for p in &stream[30..] {
+            service
+                .process(p.clone(), |_, d| got.push(d.delivered_to.clone()))
+                .unwrap();
+            fresh
+                .process(p.clone(), |_, d| want.push(d.delivered_to.clone()))
+                .unwrap();
+        }
+        assert_eq!(got, want);
+        assert_eq!(service.metrics(), fresh.metrics());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,25 +22,24 @@
 //!   edge cover. The middle ground.
 //!
 //! All three emit the **same** sub-stream; the choice is purely a
-//! performance trade-off (Table 3 / Table 4 of the paper, encoded in
-//! [`advisor`]).
+//! performance trade-off (Table 3 / Table 4 of the paper; the
+//! `firehose-reference` crate encodes Table 4's advisor).
 //!
 //! # Many users (M-SPSD)
 //!
 //! [`multi`] scales the model to a whole service: the `S_*` engine shares
 //! one engine per distinct connected component of the users' author-similarity
-//! subgraphs (Section 5). `M_*`, one engine per user, stays as the paper's
-//! static reference it is checked against.
+//! subgraphs (Section 5). The paper's static `M_*` and `S_*` references it is
+//! checked against live in the `firehose-reference` crate.
 //!
 //! # Modules
 //!
-//! The crate root re-exports the configuration, decision, metrics, quality
-//! and cost-model types. The modules callers name by path are [`engine`]
-//! (the three SPSD engines), [`multi`] (the M-SPSD engine, its `M_*`
-//! reference and the subscription table), [`service`] (the
-//! [`FirehoseService`] facade and its churn trace format), [`checkpoint`]
-//! and [`snapshot`] (crash-safe state), [`coverage`] (the coverage predicate
-//! the engines implement), [`advisor`] (Table 4) and [`prelude`].
+//! The crate root re-exports the configuration, decision, metrics and
+//! quality types. The modules callers name by path are [`engine`] (the
+//! three SPSD engines), [`multi`] (the M-SPSD engine and the subscription
+//! table), [`service`] (the [`FirehoseService`] facade and its churn trace
+//! format), [`checkpoint`] and [`snapshot`] (crash-safe state), [`coverage`]
+//! (the coverage predicate the engines implement) and [`prelude`].
 //!
 //! # Quickstart
 //!
@@ -64,12 +63,9 @@
 //! assert!(engine.offer(&p3).is_emitted());       // author 2 is NOT similar -> emitted
 //! ```
 
-pub mod advisor;
 mod backend;
-mod baseline;
 pub mod checkpoint;
 mod config;
-mod costmodel;
 pub mod coverage;
 mod decision;
 pub mod engine;
@@ -93,12 +89,10 @@ pub mod prelude {
         build_engine, AlgorithmKind, CliqueBin, Diversifier, NeighborBin, UniBin,
     };
     pub use crate::metrics::EngineMetrics;
-    pub use crate::multi::{IndependentMulti, MultiDecision, SharedMulti, Subscriptions};
+    pub use crate::multi::{MultiDecision, SharedMulti, Subscriptions};
     pub use crate::service::{FirehoseService, StrategyKind};
 }
 
-pub use advisor::{recommend, AdvisorInputs, ThroughputClass};
-pub use baseline::MaxMinDiversifier;
 pub use checkpoint::{
     restore_latest_valid, restore_latest_valid_multi, CheckpointManager, CheckpointPolicy,
     RestoreError, RestoredEngine,
@@ -106,7 +100,6 @@ pub use checkpoint::{
 pub use config::{
     ApproxConfig, ConfigError, EngineConfig, EngineConfigBuilder, MemoryMode, Thresholds,
 };
-pub use costmodel::{CostInputs, CostPrediction};
 pub use coverage::{covers, explain, CoverageExplanation};
 pub use decision::Decision;
 pub use engine::{build_engine, AlgorithmKind, Diversifier};

@@ -70,9 +70,9 @@ impl EngineMetrics {
         }
     }
 
-    /// Merge counters from another engine (used by the multi-user engines to
-    /// aggregate across sub-engines).
-    pub(crate) fn merge(&mut self, other: &EngineMetrics) {
+    /// Merge counters from another engine (used to aggregate across
+    /// per-component or per-user sub-engines).
+    pub fn merge(&mut self, other: &EngineMetrics) {
         self.posts_processed += other.posts_processed;
         self.posts_emitted += other.posts_emitted;
         self.comparisons += other.comparisons;

@@ -1,7 +1,7 @@
 //! `CompactEngine`: a single-user engine over a dense relabeling of an
 //! author subset — one per user (`M_*`) or per distinct component (`S_*`)
-//! in the static reference, and the decoder of per-component checkpoint
-//! blobs.
+//! in the static references of the `firehose-reference` crate, and the
+//! decoder of per-component checkpoint blobs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use crate::metrics::EngineMetrics;
 /// Per-user (and per-component) engines must not allocate `m`-sized bin
 /// tables for a handful of subscriptions, so the author subset is relabeled
 /// to dense local ids `0..k` and the engine runs on the induced subgraph.
-pub(crate) struct CompactEngine {
+pub struct CompactEngine {
     engine: Box<dyn Diversifier + Send>,
     local_id: HashMap<AuthorId, u32>,
     /// Sorted member list; `members[local]` reverses `local_id`.
@@ -29,7 +29,7 @@ pub(crate) struct CompactEngine {
 impl CompactEngine {
     /// Build an engine of `kind` over the subgraph of `global` induced by
     /// `members` (sorted, deduplicated author ids).
-    pub(crate) fn build(
+    pub fn build(
         kind: AlgorithmKind,
         mut config: EngineConfig,
         global: &UndirectedGraph,
@@ -66,18 +66,19 @@ impl CompactEngine {
 
     /// Offer a record whose author is translated to the local id space.
     /// Returns `None` when the author is not a member (not subscribed).
-    pub(crate) fn offer(&mut self, mut record: PostRecord) -> Option<Decision> {
+    pub fn offer(&mut self, mut record: PostRecord) -> Option<Decision> {
         let &local = self.local_id.get(&record.author)?;
         record.author = local;
         Some(self.engine.offer_record(record))
     }
 
-    pub(crate) fn metrics(&self) -> &EngineMetrics {
+    /// The wrapped engine's counters.
+    pub fn metrics(&self) -> &EngineMetrics {
         self.engine.metrics()
     }
 
     /// Sweep all bins of the wrapped engine.
-    pub(crate) fn evict_expired(&mut self, now: firehose_stream::Timestamp) {
+    pub fn evict_expired(&mut self, now: firehose_stream::Timestamp) {
         self.engine.evict_expired(now);
     }
 

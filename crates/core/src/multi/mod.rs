@@ -17,28 +17,26 @@
 //! and merging the per-user connected components in a refcounted `registry`
 //! (see `DESIGN.md` §9).
 //!
-//! [`IndependentMulti`] is the paper's static reference over a fixed
-//! subscription table: `M_*` runs one single-user engine per user, `S_*` one
-//! per distinct component. Figure 16 and the M = S = L tests compare the
-//! shared engine against both; all three produce identical per-user
-//! streams.
+//! The paper's static references over a fixed subscription table (`M_*`,
+//! one single-user engine per user; `S_*`, one per distinct component) live
+//! in the `firehose-reference` crate, built from [`CompactEngine`] and
+//! [`user_components`]. Figure 16 and the M = S = L tests compare the shared
+//! engine against both; all three produce identical per-user streams.
 
 mod compact;
-mod independent;
 mod labelled;
 mod registry;
 mod shared;
 mod subscriptions;
 
-pub use independent::IndependentMulti;
-pub use shared::{SharedBuilder, SharedMulti};
+pub use compact::CompactEngine;
+pub use shared::{user_components, SharedMulti};
 pub use subscriptions::{SubscriptionError, Subscriptions, UserId};
 
 use std::io::Read;
 
 use firehose_stream::AuthorId;
 
-use crate::multi::compact::CompactEngine;
 use crate::multi::labelled::WindowState;
 use crate::snapshot::SnapshotError;
 

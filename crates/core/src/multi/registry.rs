@@ -23,7 +23,7 @@
 //! of the components they replace, restricted to their own members, so
 //! recently shown posts keep covering near-duplicates across the churn
 //! point. Within λt of the churn a warm-started stream may differ from a
-//! cold rebuild (by design — the user *did* see those posts); after λt they
+//! fresh build (by design — the user *did* see those posts); after λt they
 //! are indistinguishable.
 
 use std::collections::{HashMap, HashSet};
@@ -72,8 +72,6 @@ pub(crate) struct ComponentRegistry {
     author_components: Vec<Vec<u32>>,
     /// User → slots of the user's decomposition.
     user_components: Vec<Vec<u32>>,
-    /// Warm-start newly spawned components from their predecessors' records.
-    warm_start: bool,
     pub(crate) churn: ChurnStats,
     /// Every emitted post in the λt window, labelled by component slot.
     pub(crate) window: LabelledWindow,
@@ -93,7 +91,6 @@ impl ComponentRegistry {
         config: EngineConfig,
         graph: Arc<UndirectedGraph>,
         subscriptions: Subscriptions,
-        warm_start: bool,
     ) -> Self {
         let mut reg = Self {
             kind,
@@ -106,7 +103,6 @@ impl ComponentRegistry {
             slots: Vec::new(),
             free: Vec::new(),
             key_to_id: HashMap::new(),
-            warm_start,
             churn: ChurnStats::default(),
             emitted: Vec::new(),
             local: Vec::new(),
@@ -147,10 +143,7 @@ impl ComponentRegistry {
                         (self.slots.len() - 1) as u32
                     }
                 };
-                if self.warm_start
-                    && !released.is_empty()
-                    && self.window.inherit(cid, released, &members)
-                {
+                if !released.is_empty() && self.window.inherit(cid, released, &members) {
                     self.churn.warm_starts += 1;
                 }
                 for &a in &members {
@@ -369,18 +362,20 @@ impl ComponentRegistry {
         })
     }
 
-    /// Restore any layout. FHSNAP04 states rebuild the registry from the
-    /// embedded subscription table, so the receiving registry's
-    /// subscription state is irrelevant: a labelled window maps its keys to
-    /// the rebuilt slots, and per-component engine blobs are matched by key
-    /// and converted. The legacy layout has no keys: it converts by
-    /// position and therefore requires a freshly built registry over the
-    /// same subscriptions (the only way legacy state was ever produced).
-    pub(crate) fn load_state(&mut self, r: &mut dyn std::io::Read) -> Result<(), SnapshotError> {
+    /// Restore any layout into a new registry of this kind over this graph;
+    /// `self` is untouched. FHSNAP04 states rebuild the registry from the
+    /// embedded subscription table, so this registry's subscription state
+    /// is irrelevant: a labelled window maps its keys to the rebuilt slots,
+    /// and per-component engine blobs are matched by key and converted. The
+    /// legacy layout has no keys: it converts by position into a fresh
+    /// build over this registry's subscriptions, which must be the ones the
+    /// state was written with (the only way legacy state was ever produced).
+    pub(crate) fn restored(&self, r: &mut dyn std::io::Read) -> Result<Self, SnapshotError> {
         match read_multi_state(r)? {
             MultiState::Legacy(blobs, ledger) => {
-                let slots: Vec<u32> = (0..self.slots.len() as u32)
-                    .filter(|&cid| self.slots[cid as usize].is_some())
+                let mut fresh = self.rebuilt(self.subscriptions.clone());
+                let slots: Vec<u32> = (0..fresh.slots.len() as u32)
+                    .filter(|&cid| fresh.slots[cid as usize].is_some())
                     .collect();
                 if blobs.len() != slots.len() {
                     return Err(SnapshotError::StructureMismatch(
@@ -388,7 +383,8 @@ impl ComponentRegistry {
                     ));
                 }
                 let engines: Vec<(u32, Vec<u8>)> = slots.into_iter().zip(blobs).collect();
-                self.convert(engines, ledger)
+                fresh.convert(engines, ledger)?;
+                Ok(fresh)
             }
             MultiState::PerComponent(state) => {
                 let mut fresh = self.rebuilt(state.subscriptions);
@@ -408,8 +404,7 @@ impl ComponentRegistry {
                 }
                 fresh.convert(engines, state.ledger)?;
                 fresh.adopt_churn(state.churn, state.has_initial);
-                *self = fresh;
-                Ok(())
+                Ok(fresh)
             }
             MultiState::Labelled(state) => {
                 let mut fresh = self.rebuilt(state.subscriptions);
@@ -440,8 +435,7 @@ impl ComponentRegistry {
                     },
                 )?;
                 fresh.adopt_churn(state.churn, true);
-                *self = fresh;
-                Ok(())
+                Ok(fresh)
             }
         }
     }
@@ -453,7 +447,6 @@ impl ComponentRegistry {
             self.config,
             Arc::clone(&self.graph),
             subscriptions,
-            self.warm_start,
         )
     }
 
@@ -541,7 +534,7 @@ mod tests {
     fn figure7_registry() -> ComponentRegistry {
         let graph = Arc::new(UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]));
         let subs = Subscriptions::new(6, vec![vec![0, 1, 3, 5], vec![0, 1, 3, 4, 5]]).unwrap();
-        ComponentRegistry::new(AlgorithmKind::UniBin, config(), graph, subs, true)
+        ComponentRegistry::new(AlgorithmKind::UniBin, config(), graph, subs)
     }
 
     #[test]
@@ -649,7 +642,7 @@ mod tests {
     fn registry(edges: &[(u32, u32)], sets: Vec<Vec<AuthorId>>) -> ComponentRegistry {
         let graph = Arc::new(UndirectedGraph::from_edges(6, edges.iter().copied()));
         let subs = Subscriptions::new(6, sets).unwrap();
-        ComponentRegistry::new(AlgorithmKind::UniBin, config(), graph, subs, true)
+        ComponentRegistry::new(AlgorithmKind::UniBin, config(), graph, subs)
     }
 
     /// A slot recycled by a new component must not be suppressed by the
@@ -749,12 +742,14 @@ mod tests {
         offer(&mut reg, &post(1, 0, 0, "storm closes the bridge"));
         let mut buf = Vec::new();
         reg.save_state(&mut buf).unwrap();
-        assert!(figure7_registry().load_state(&mut &buf[..]).is_ok());
+        assert!(figure7_registry().restored(&mut &buf[..]).is_ok());
 
         let mut buf = Vec::new();
         write_labelled_state(&mut buf, &reg.churn, &reg.subscriptions).unwrap();
         reg.window.write(&mut buf, |_| 42).unwrap();
-        let err = figure7_registry().load_state(&mut &buf[..]).unwrap_err();
+        let Err(err) = figure7_registry().restored(&mut &buf[..]) else {
+            panic!("an unknown label must be refused");
+        };
         assert!(
             matches!(err, SnapshotError::StructureMismatch(_)),
             "{err:?}"

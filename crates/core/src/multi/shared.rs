@@ -16,10 +16,9 @@
 //! The decomposition lives in a refcounted `ComponentRegistry` and is
 //! maintained *incrementally* under subscription churn. [`SharedMulti`]
 //! drives that registry on the calling thread, one post at a time
-//! (`DESIGN.md` §10). Its per-user streams are those of
-//! [`IndependentMulti`](crate::multi::IndependentMulti), the static
+//! (`DESIGN.md` §10). Its per-user streams are those of the static
 //! one-engine-per-component (`S_*`) and one-engine-per-user (`M_*`)
-//! reference.
+//! references in the `firehose-reference` crate.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -41,7 +40,7 @@ use crate::obs::MultiObs;
 /// ordered by smallest member. `local` is an author-indexed scratch buffer,
 /// grown to the graph's node count and left filled with `u32::MAX`, so that
 /// repeated calls cost O(subscriptions + their degrees) and no hashing.
-pub(crate) fn user_components(
+pub fn user_components(
     graph: &UndirectedGraph,
     authors: &[AuthorId],
     local: &mut Vec<u32>,
@@ -76,49 +75,6 @@ pub(crate) fn user_components(
     comps
 }
 
-/// Builder for [`SharedMulti`]; see [`SharedMulti::builder`].
-pub struct SharedBuilder<'g> {
-    kind: AlgorithmKind,
-    config: EngineConfig,
-    graph: &'g UndirectedGraph,
-    subscriptions: Subscriptions,
-    warm_start: bool,
-}
-
-impl SharedBuilder<'_> {
-    /// Whether components spawned by churn inherit their predecessors'
-    /// in-window records (default `true`). Disable to get cold spawns whose
-    /// streams match a freshly built strategy immediately instead of after
-    /// λt.
-    pub fn warm_start(mut self, warm_start: bool) -> Self {
-        self.warm_start = warm_start;
-        self
-    }
-
-    /// Build the component decomposition over one empty window.
-    ///
-    /// # Panics
-    /// Panics if the config asks for [`MemoryMode::Approx`]: the window
-    /// stores each in-window post once and exactly (see [`SharedMulti::new`]).
-    pub fn build(self) -> SharedMulti {
-        assert!(
-            matches!(self.config.memory, MemoryMode::Exact),
-            "the multi-user engine runs MemoryMode::Exact only"
-        );
-        let registry = ComponentRegistry::new(
-            self.kind,
-            self.config,
-            Arc::new(self.graph.clone()),
-            self.subscriptions,
-            self.warm_start,
-        );
-        SharedMulti {
-            registry,
-            obs: None,
-        }
-    }
-}
-
 /// The shared multi-user engine. It names itself `S_UniBin`,
 /// `S_NeighborBin` or `S_CliqueBin` after the kind it was built with (the
 /// name checkpoints are matched by); every kind makes the same decisions,
@@ -144,22 +100,14 @@ impl SharedMulti {
         graph: &UndirectedGraph,
         subscriptions: Subscriptions,
     ) -> Self {
-        Self::builder(kind, config, graph, subscriptions).build()
-    }
-
-    /// Start building the shared engine; see [`SharedBuilder`].
-    pub fn builder(
-        kind: AlgorithmKind,
-        config: EngineConfig,
-        graph: &UndirectedGraph,
-        subscriptions: Subscriptions,
-    ) -> SharedBuilder<'_> {
-        SharedBuilder {
-            kind,
-            config,
-            graph,
-            subscriptions,
-            warm_start: true,
+        assert!(
+            matches!(config.memory, MemoryMode::Exact),
+            "the multi-user engine runs MemoryMode::Exact only"
+        );
+        let registry = ComponentRegistry::new(kind, config, Arc::new(graph.clone()), subscriptions);
+        SharedMulti {
+            registry,
+            obs: None,
         }
     }
 
@@ -256,23 +204,31 @@ impl SharedMulti {
     /// churn ledger, the **current** subscription relation, and the window
     /// with its labels as component-membership hashes, independently of
     /// construction history. The bytes round-trip through
-    /// [`load_state`](Self::load_state) on a strategy built with the same
+    /// [`restored`](Self::restored) on a strategy built with the same
     /// kind and graph — the subscription state at build time does *not* have
     /// to match, because the embedded table replaces it.
     pub(crate) fn save_state(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
         self.registry.save_state(w)
     }
 
-    /// Replace the mutable state with bytes previously produced by
-    /// [`save_state`](Self::save_state), or by a per-component release
-    /// (FHSNAP04 engine blobs, or the legacy pre-churn layout), which is
-    /// detected and converted. On error the state is unspecified and the
-    /// engine must be rebuilt before use.
-    pub(crate) fn load_state(
-        &mut self,
+    /// Decode bytes previously produced by [`save_state`](Self::save_state),
+    /// or by a per-component release (FHSNAP04 engine blobs, or the legacy
+    /// pre-churn layout, which are detected and converted), into a new
+    /// engine of this kind over this graph. `self` is untouched; the new
+    /// engine has no instruments until [`adopt`](Self::adopt)ed.
+    pub(crate) fn restored(
+        &self,
         r: &mut dyn std::io::Read,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.registry.load_state(r)
+    ) -> Result<SharedMulti, crate::snapshot::SnapshotError> {
+        Ok(SharedMulti {
+            registry: self.registry.restored(r)?,
+            obs: None,
+        })
+    }
+
+    /// Take over `restored`'s state, keeping this engine's instruments.
+    pub(crate) fn adopt(&mut self, restored: SharedMulti) {
+        self.registry = restored.registry;
     }
 }
 
@@ -357,30 +313,6 @@ mod tests {
         // Near-duplicate by similar author 1: covered for both.
         let d = s.offer(&Post::new(2, 1, 1_000, "shared component news item".into()));
         assert!(d.delivered_to.is_empty());
-    }
-
-    #[test]
-    fn one_scan_per_post() {
-        let (graph, subs) = figure7();
-        let config = EngineConfig::new(Thresholds::new(18, minutes(30), 0.7).unwrap());
-        let mut s = SharedMulti::new(AlgorithmKind::UniBin, config, &graph, subs.clone());
-        let mut m =
-            crate::multi::IndependentMulti::new(AlgorithmKind::UniBin, config, &graph, subs);
-        for i in 0..10u64 {
-            let p = Post::new(
-                i,
-                (i % 6) as u32,
-                i * 10_000,
-                format!("post number {i} body"),
-            );
-            s.offer(&p);
-            m.offer(&p);
-        }
-        assert_eq!(s.metrics().posts_processed, 10, "one window offer per post");
-        assert!(
-            s.metrics().posts_processed < m.metrics().posts_processed,
-            "the window must process fewer (post, engine) pairs than M_*"
-        );
     }
 
     #[test]

@@ -642,9 +642,8 @@ impl FirehoseService {
     /// Returns the restored manifest (`manifest.posts_processed` counts the
     /// posts the engine was offered, cross-checked against the restored
     /// state) and the newer, corrupt generations skipped on the way, newest
-    /// first. When *no* generation restores, the error lists them all, and
-    /// the strategy may hold a partial restore: build a fresh service to
-    /// start cold.
+    /// first. When *no* generation restores, the error lists them all and
+    /// the strategy is unchanged.
     pub fn restore_latest(&mut self) -> Result<(Manifest, Vec<SkippedGeneration>), ServiceError> {
         let Some(mgr) = &mut self.manager else {
             return Err(ServiceError::NoCheckpointDir);

@@ -11,9 +11,8 @@
 //! [`recommend`] encodes the matrix with explicit, overridable regime
 //! boundaries.
 
+use firehose_core::engine::AlgorithmKind;
 use firehose_stream::{hours, minutes, Timestamp};
-
-use crate::engine::AlgorithmKind;
 
 /// Coarse stream-rate classes. "Low" throughput is the Google-Scholar /
 /// small-subscription regime where UniBin's single bin stays tiny; "High" is

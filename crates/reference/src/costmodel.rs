@@ -14,7 +14,7 @@
 //! The `table2_cost_model` benchmark checks these predictions against the
 //! engines' measured counters.
 
-use crate::engine::AlgorithmKind;
+use firehose_core::engine::AlgorithmKind;
 
 /// Model inputs, either assumed or measured from a workload.
 #[derive(Debug, Clone, Copy, PartialEq)]

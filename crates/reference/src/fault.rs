@@ -21,7 +21,7 @@ use std::io::{self, Write};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::post::{Post, Timestamp};
+use firehose_stream::{Post, Timestamp};
 
 /// What to break, and where. Offsets are absolute byte positions in the
 /// wrapped stream.
@@ -304,7 +304,7 @@ mod tests {
             "expected drops"
         );
         assert!(
-            !crate::is_time_ordered(&out),
+            !firehose_stream::is_time_ordered(&out),
             "expected out-of-order arrivals"
         );
     }

@@ -3,16 +3,11 @@
 //! distinct connected component (Section 5's sharing, engine by engine).
 //! The service never builds either.
 
+use firehose_core::engine::AlgorithmKind;
+use firehose_core::multi::{user_components, CompactEngine, MultiDecision, Subscriptions, UserId};
+use firehose_core::{EngineConfig, EngineMetrics};
 use firehose_graph::UndirectedGraph;
 use firehose_stream::Post;
-
-use crate::config::EngineConfig;
-use crate::engine::AlgorithmKind;
-use crate::metrics::EngineMetrics;
-use crate::multi::compact::CompactEngine;
-use crate::multi::shared::user_components;
-use crate::multi::subscriptions::{Subscriptions, UserId};
-use crate::multi::MultiDecision;
 
 /// `M_UniBin` / `M_NeighborBin` / `M_CliqueBin` ([`new`](Self::new)) or
 /// `S_UniBin` / `S_NeighborBin` / `S_CliqueBin`
@@ -187,7 +182,8 @@ impl IndependentMulti {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Thresholds;
+    use firehose_core::multi::SharedMulti;
+    use firehose_core::Thresholds;
     use firehose_stream::minutes;
 
     fn setup(kind: AlgorithmKind) -> IndependentMulti {
@@ -258,6 +254,30 @@ mod tests {
             assert_eq!(s.offer(&p), m.offer(&p), "post {i}");
         }
         assert!(s.metrics().posts_processed < m.metrics().posts_processed);
+    }
+
+    #[test]
+    fn one_scan_per_post() {
+        let graph = UndirectedGraph::from_edges(6, [(0, 1), (0, 5), (3, 4)]);
+        let subs = Subscriptions::new(6, vec![vec![0, 1, 3, 5], vec![0, 1, 3, 4, 5]]).unwrap();
+        let config = EngineConfig::new(Thresholds::new(18, minutes(30), 0.7).unwrap());
+        let mut s = SharedMulti::new(AlgorithmKind::UniBin, config, &graph, subs.clone());
+        let mut m = IndependentMulti::new(AlgorithmKind::UniBin, config, &graph, subs);
+        for i in 0..10u64 {
+            let p = Post::new(
+                i,
+                (i % 6) as u32,
+                i * 10_000,
+                format!("post number {i} body"),
+            );
+            s.offer(&p);
+            m.offer(&p);
+        }
+        assert_eq!(s.metrics().posts_processed, 10, "one window offer per post");
+        assert!(
+            s.metrics().posts_processed < m.metrics().posts_processed,
+            "the window must process fewer (post, engine) pairs than M_*"
+        );
     }
 
     #[test]

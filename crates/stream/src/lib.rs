@@ -20,14 +20,10 @@
 //!   exchange post streams;
 //! * [`IngestGuard`], the hostile-stream admission filter (ordering,
 //!   duplicates, author range, text bounds) with per-reason quarantine
-//!   counters;
-//! * deterministic fault injection for crash-safety and robustness tests:
-//!   the [`ChaosWriter`] torn-write and bit-flip wrapper and [`Perturbator`]
-//!   stream corruption.
+//!   counters.
 
 mod approx;
 pub mod corpus;
-mod fault;
 mod guard;
 mod post;
 mod time;
@@ -35,7 +31,6 @@ mod window;
 
 pub use approx::{ApproxCandidate, ApproxParams, ApproxStats, ApproxWindowBin, StoreOutcome};
 pub use corpus::{read_posts, write_posts, CorpusError};
-pub use fault::{ChaosWriter, FaultPlan, Perturbator};
 pub use guard::{
     guard_stream, GuardConfig, GuardPolicy, IngestGuard, QuarantineStats, RejectReason,
 };

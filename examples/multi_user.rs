@@ -19,6 +19,7 @@ use firehose::datagen::{
 };
 use firehose::graph::build_similarity_graph;
 use firehose::prelude::*;
+use firehose_reference::IndependentMulti;
 
 fn main() {
     let social = SyntheticSocialGraph::generate(SocialGenConfig::test_scale().with_authors(600));

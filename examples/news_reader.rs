@@ -12,8 +12,8 @@
 
 use std::sync::Arc;
 
-use firehose::core::advisor::{recommend, AdvisorInputs, ThroughputClass};
 use firehose::prelude::*;
+use firehose_reference::{recommend, AdvisorInputs, ThroughputClass};
 
 fn main() {
     // Two dense clusters of outlets: {0,1,2} and {3,4}.

@@ -11,9 +11,9 @@
 
 use std::sync::Arc;
 
-use firehose::core::advisor::{recommend, AdvisorInputs, ThroughputClass};
 use firehose::prelude::*;
 use firehose::stream::days;
+use firehose_reference::{recommend, AdvisorInputs, ThroughputClass};
 
 fn main() {
     // Research groups: 0,1 share most co-authors; 2 is an unrelated lab.

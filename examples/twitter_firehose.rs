@@ -14,10 +14,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use firehose::core::advisor::{recommend, AdvisorInputs, ThroughputClass};
 use firehose::datagen::{SocialGenConfig, SyntheticSocialGraph, Workload, WorkloadConfig};
 use firehose::graph::build_similarity_graph;
 use firehose::prelude::*;
+use firehose_reference::{recommend, AdvisorInputs, ThroughputClass};
 
 fn main() {
     // A scaled-down firehose so the example finishes in seconds; bump

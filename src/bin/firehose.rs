@@ -819,12 +819,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         Subscriptions::new(graph.node_count(), sets).map_err(|e| format!("{subs_path}: {e}"))?;
 
     let registry = Arc::new(Registry::new());
-    let build = || {
-        service_builder_from(args, strategy, engine_config, &graph, subscriptions.clone())?
-            .build()
-            .map_err(|e| e.to_string())
-    };
-    let mut service = build()?;
+    let mut service = service_builder_from(args, strategy, engine_config, &graph, subscriptions)?
+        .build()
+        .map_err(|e| e.to_string())?;
     // Resume from the newest valid checkpoint generation, as `run` does.
     if let Some(dir) = args.get("checkpoint-dir") {
         match service.restore_latest() {
@@ -837,10 +834,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             }
             Err(ServiceError::Restore(RestoreError::NoValidCheckpoint { skipped })) => {
                 warn_skipped(&skipped);
-                // A rejected generation may have been partly loaded.
-                if !skipped.is_empty() {
-                    service = build()?;
-                }
             }
             Err(e) => return Err(format!("cannot restore from {dir}: {e}")),
         }

@@ -11,21 +11,25 @@
 //! This crate is a façade re-exporting the workspace members:
 //!
 //! * [`core`] — the SPSD/M-SPSD engines (UniBin, NeighborBin, CliqueBin and
-//!   their multi-user `M_*`/`S_*` variants), the Table 2 cost model and the
-//!   Table 4 advisor;
+//!   the shared multi-user engine), the service facade and checkpoints;
 //! * [`text`] — normalization, tokenization, TF-cosine;
 //! * [`simhash`] — 64-bit fingerprints, Hamming utilities, the Manku
 //!   permuted-table index;
 //! * [`graph`] — follower graphs, author similarity, connected components,
 //!   greedy clique edge covers;
-//! * [`stream`] — the post model, λt-window bins, the ingest guard and the
-//!   fault-injection wrappers the robustness tests use;
+//! * [`stream`] — the post model, λt-window bins and the ingest guard;
 //! * [`datagen`] — synthetic Twitter-like workloads and the surrogate user
 //!   study;
 //! * [`net`] — the zero-dependency TCP/HTTP front end serving ingest,
 //!   per-user streams, churn, `/metrics` and `/healthz` over real sockets
 //!   (`firehose serve`);
 //! * [`obs`] — the dependency-free metrics registry behind `/metrics`.
+//!
+//! The paper's references — brute-force oracles, the static `M_*`/`S_*`
+//! strategies, the Table 2 cost model, the Table 4 advisor, the MaxMin
+//! baseline and fault injection — are the `firehose-reference` crate, which
+//! the tests, examples and experiment binaries use and this crate does not
+//! re-export.
 //!
 //! See `README.md` for a walkthrough, `DESIGN.md` for the system inventory
 //! and `EXPERIMENTS.md` for paper-vs-measured results.

@@ -10,7 +10,7 @@
 //!    decisions once `λt` of stream time separates the churn from the probe
 //!    (stale window records cannot cover across the gap).
 //! 3. **Warm-start window** — inside `λt` of a churn op, a warm-started
-//!    engine may legitimately diverge from a cold rebuild: affected users
+//!    engine may legitimately diverge from a fresh build: affected users
 //!    keep their recently-shown posts as coverage.
 //!
 //! Plus checkpoint-across-churn: a checkpoint taken mid-churn restores (into
@@ -22,11 +22,12 @@
 
 use firehose::core::checkpoint::{checkpoint_multi_to_vec, restore_multi_from_slice};
 use firehose::core::engine::AlgorithmKind;
-use firehose::core::multi::{IndependentMulti, MultiDecision, SharedMulti, Subscriptions};
+use firehose::core::multi::{MultiDecision, SharedMulti, Subscriptions};
 use firehose::core::{EngineConfig, Thresholds};
 use firehose::datagen::{generate_churn_trace, ChurnEvent, ChurnGenConfig, ChurnTraceEntry};
 use firehose::graph::UndirectedGraph;
 use firehose::stream::{AuthorId, Post};
+use firehose_reference::IndependentMulti;
 use proptest::prelude::*;
 
 const AUTHORS: usize = 12;
@@ -70,10 +71,8 @@ fn posts(n: u64, first_id: u64, start_ts: u64) -> Vec<Post> {
         .collect()
 }
 
-fn build(kind: AlgorithmKind, subscriptions: Subscriptions, warm: bool) -> SharedMulti {
-    SharedMulti::builder(kind, config(), &graph(), subscriptions)
-        .warm_start(warm)
-        .build()
+fn build(kind: AlgorithmKind, subscriptions: Subscriptions) -> SharedMulti {
+    SharedMulti::new(kind, config(), &graph(), subscriptions)
 }
 
 fn apply(multi: &mut SharedMulti, event: &ChurnEvent) {
@@ -107,8 +106,7 @@ fn offer_all(multi: &mut SharedMulti, posts: &[Post]) -> Vec<MultiDecision> {
 
 /// Level 1: any seeded op sequence applied before the first post is
 /// decision-identical to a fresh build from the resulting table — every
-/// kind, warm and cold — and to the static per-user `M_*` reference built
-/// on that table.
+/// kind — and to the static per-user `M_*` reference built on that table.
 #[test]
 fn churn_before_posts_matches_fresh_build() {
     let trace = generate_churn_trace(
@@ -122,28 +120,26 @@ fn churn_before_posts_matches_fresh_build() {
     );
     let stream = posts(150, 1, 0);
     for kind in AlgorithmKind::ALL {
-        for warm in [true, false] {
-            let mut churned = build(kind, subs(), warm);
-            for entry in &trace {
-                apply(&mut churned, &entry.event);
-            }
-            assert!(churned.churn_stats().ops_total() > 0);
-
-            let mut fresh = build(kind, churned.subscriptions().clone(), warm);
-            let mut reference =
-                IndependentMulti::new(kind, config(), &graph(), churned.subscriptions().clone());
-            let got = offer_all(&mut churned, &stream);
-            let want: Vec<MultiDecision> = stream.iter().map(|p| fresh.offer(p)).collect();
-            assert_eq!(
-                got, want,
-                "{kind} warm={warm}: churned-then-stream diverged from fresh build"
-            );
-            let per_user: Vec<MultiDecision> = stream.iter().map(|p| reference.offer(p)).collect();
-            assert_eq!(
-                got, per_user,
-                "{kind} warm={warm}: churned S_* diverged from M_* on the final table"
-            );
+        let mut churned = build(kind, subs());
+        for entry in &trace {
+            apply(&mut churned, &entry.event);
         }
+        assert!(churned.churn_stats().ops_total() > 0);
+
+        let mut fresh = build(kind, churned.subscriptions().clone());
+        let mut reference =
+            IndependentMulti::new(kind, config(), &graph(), churned.subscriptions().clone());
+        let got = offer_all(&mut churned, &stream);
+        let want: Vec<MultiDecision> = stream.iter().map(|p| fresh.offer(p)).collect();
+        assert_eq!(
+            got, want,
+            "{kind}: churned-then-stream diverged from fresh build"
+        );
+        let per_user: Vec<MultiDecision> = stream.iter().map(|p| reference.offer(p)).collect();
+        assert_eq!(
+            got, per_user,
+            "{kind}: churned S_* diverged from M_* on the final table"
+        );
     }
 }
 
@@ -166,62 +162,60 @@ fn churn_mid_stream_matches_fresh_after_quiet_gap() {
     let second_half = posts(120, 1_000, gap_start);
 
     for kind in AlgorithmKind::ALL {
-        for warm in [true, false] {
-            let mut churned = build(kind, subs(), warm);
-            let mut next = 0;
-            for (i, post) in first_half.iter().enumerate() {
-                while next < trace.len() && trace[next].after_posts <= i as u64 {
-                    apply(&mut churned, &trace[next].event);
-                    next += 1;
-                }
-                churned.offer(post);
+        let mut churned = build(kind, subs());
+        let mut next = 0;
+        for (i, post) in first_half.iter().enumerate() {
+            while next < trace.len() && trace[next].after_posts <= i as u64 {
+                apply(&mut churned, &trace[next].event);
+                next += 1;
             }
-            for entry in &trace[next..] {
-                apply(&mut churned, &entry.event);
-            }
-
-            let mut fresh = build(kind, churned.subscriptions().clone(), warm);
-            let got = offer_all(&mut churned, &second_half);
-            let want: Vec<MultiDecision> = second_half.iter().map(|p| fresh.offer(p)).collect();
-            assert_eq!(
-                got, want,
-                "{kind} warm={warm}: post-gap stream diverged from fresh build"
-            );
+            churned.offer(post);
         }
+        for entry in &trace[next..] {
+            apply(&mut churned, &entry.event);
+        }
+
+        let mut fresh = build(kind, churned.subscriptions().clone());
+        let got = offer_all(&mut churned, &second_half);
+        let want: Vec<MultiDecision> = second_half.iter().map(|p| fresh.offer(p)).collect();
+        assert_eq!(
+            got, want,
+            "{kind}: post-gap stream diverged from fresh build"
+        );
     }
 }
 
 /// Level 3: inside λt, warm start is a *feature* — the newly wired engine
 /// keeps the user's recently-shown posts as coverage, so a near-duplicate
-/// right after a subscribe is suppressed where a cold rebuild re-shows it.
+/// right after a subscribe is suppressed where a fresh build over the
+/// churned table, which never saw post 1, re-shows it.
 #[test]
 fn warm_start_diverges_from_cold_within_lambda_t() {
-    let subscriptions = Subscriptions::new(2, [vec![0]]).unwrap();
     let graph = UndirectedGraph::from_edges(2, [(0, 1)]);
-    let run = |warm: bool| {
-        let mut multi = SharedMulti::builder(
-            AlgorithmKind::UniBin,
-            config(),
-            &graph,
-            subscriptions.clone(),
-        )
-        .warm_start(warm)
-        .build();
-        let seen = multi.offer(&Post::new(1, 0, 0, "identical breaking story".into()));
-        assert_eq!(seen.delivered_to, [0]);
-        multi.subscribe(0, 1).unwrap();
-        // Near-duplicate from the newly-followed, similar author, within λt.
-        multi.offer(&Post::new(2, 1, 5_000, "identical breaking story".into()))
-    };
+    let seen = Post::new(1, 0, 0, "identical breaking story".into());
+    // Near-duplicate from the newly-followed, similar author, within λt.
+    let probe = Post::new(2, 1, 5_000, "identical breaking story".into());
+
+    let subscriptions = Subscriptions::new(2, [vec![0]]).unwrap();
+    let mut churned = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph, subscriptions);
+    assert_eq!(churned.offer(&seen).delivered_to, [0]);
+    churned.subscribe(0, 1).unwrap();
     assert_eq!(
-        run(true).delivered_to,
+        churned.offer(&probe).delivered_to,
         Vec::<u32>::new(),
         "warm start must keep post 1 as coverage"
     );
+
+    let mut fresh = SharedMulti::new(
+        AlgorithmKind::UniBin,
+        config(),
+        &graph,
+        churned.subscriptions().clone(),
+    );
     assert_eq!(
-        run(false).delivered_to,
+        fresh.offer(&probe).delivered_to,
         [0],
-        "cold rebuild forgets the window and re-delivers"
+        "a fresh build has no window and delivers"
     );
 }
 
@@ -295,7 +289,7 @@ fn merge_inducing_subscribe_records_warm_start() {
     let seed_post = || Post::new(1, 0, 1_000, "breaking story everyone reposts".into());
     for kind in AlgorithmKind::ALL {
         let subscriptions = Subscriptions::new(AUTHORS, [vec![0]]).unwrap();
-        let mut multi = build(kind, subscriptions, true);
+        let mut multi = build(kind, subscriptions);
         assert_eq!(multi.offer(&seed_post()).delivered_to, [0]);
         assert_eq!(multi.churn_stats().warm_starts, 0);
         // Graph edge (0, 1): adding author 1 merges it into user 0's
@@ -342,7 +336,7 @@ fn checkpoint_across_churn_restores_identical_decisions() {
             ..Default::default()
         },
     );
-    let mut original = build(AlgorithmKind::UniBin, subs(), true);
+    let mut original = build(AlgorithmKind::UniBin, subs());
     for post in &first_half {
         original.offer(post);
     }
@@ -353,7 +347,7 @@ fn checkpoint_across_churn_restores_identical_decisions() {
 
     // The restore target starts from the INITIAL table; the checkpoint
     // carries the churned one.
-    let mut restored = build(AlgorithmKind::UniBin, subs(), true);
+    let mut restored = build(AlgorithmKind::UniBin, subs());
     let manifest = restore_multi_from_slice(&buf, &mut restored).unwrap();
     assert_eq!(manifest.generation, 7);
     assert_eq!(
@@ -417,9 +411,9 @@ proptest! {
         );
         let checkpoint_at = (n_posts / 2) as usize;
 
-        let mut reference = build(AlgorithmKind::UniBin, subs(), true);
+        let mut reference = build(AlgorithmKind::UniBin, subs());
         let expected = run_interleaved(&mut reference, &stream, &trace);
-        let mut multi = build(AlgorithmKind::UniBin, subs(), true);
+        let mut multi = build(AlgorithmKind::UniBin, subs());
         let mut got = Vec::with_capacity(stream.len());
         let mut next = 0;
         for (i, post) in stream.iter().enumerate() {
@@ -432,7 +426,7 @@ proptest! {
                 // Mid-stream handoff: checkpoint, then continue on a
                 // freshly built instance restored from those bytes.
                 let buf = checkpoint_multi_to_vec(&multi, 1).unwrap();
-                let mut restored = build(AlgorithmKind::UniBin, subs(), true);
+                let mut restored = build(AlgorithmKind::UniBin, subs());
                 restore_multi_from_slice(&buf, &mut restored).unwrap();
                 multi = restored;
             }

@@ -1,33 +1,14 @@
 //! The central correctness property of Section 4: UniBin, NeighborBin and
 //! CliqueBin are *exact* index optimizations — all three must emit the same
-//! diversified sub-stream, and that sub-stream must match a brute-force
-//! reference implementation of the coverage semantics.
+//! diversified sub-stream, and that sub-stream must match the brute-force
+//! SPSD oracle of the coverage semantics.
 
 use std::sync::Arc;
 
-use firehose::core::covers;
 use firehose::prelude::*;
 use firehose::stream::PostRecord;
+use firehose_reference::oracle;
 use proptest::prelude::*;
-
-/// Brute-force SPSD: scan all previously emitted records.
-fn reference_spsd(
-    records: &[PostRecord],
-    thresholds: &Thresholds,
-    graph: &UndirectedGraph,
-) -> Vec<bool> {
-    let mut emitted: Vec<PostRecord> = Vec::new();
-    records
-        .iter()
-        .map(|r| {
-            let covered = emitted.iter().any(|e| covers(e, r, thresholds, graph));
-            if !covered {
-                emitted.push(*r);
-            }
-            !covered
-        })
-        .collect()
-}
 
 fn run_engine(
     kind: AlgorithmKind,
@@ -90,7 +71,7 @@ proptest! {
         ) {
         let thresholds = Thresholds::new(lambda_c, lambda_t, 0.7).unwrap();
         let graph = Arc::new(graph);
-        let expected = reference_spsd(&records, &thresholds, &graph);
+        let expected = oracle::spsd(&records, &thresholds, &graph);
         for kind in AlgorithmKind::ALL {
             let got = run_engine(kind, &records, thresholds, &graph);
             prop_assert_eq!(&got, &expected, "{} diverged from reference", kind);
@@ -99,7 +80,8 @@ proptest! {
 
     /// The coverage invariant: every pruned post is covered by an *earlier
     /// emitted* post within the window; no emitted post is covered by an
-    /// earlier emitted post.
+    /// earlier emitted post. The oracle's decisions are exactly the ones
+    /// that satisfy it.
     #[test]
     fn coverage_invariant_holds(
         records in stream_strategy(10),
@@ -109,24 +91,16 @@ proptest! {
         let thresholds = Thresholds::new(8, lambda_t, 0.7).unwrap();
         let graph = Arc::new(graph);
         let decisions = run_engine(AlgorithmKind::UniBin, &records, thresholds, &graph);
-
-        let mut emitted: Vec<PostRecord> = Vec::new();
-        for (r, &keep) in records.iter().zip(&decisions) {
-            let covered_by_earlier = emitted.iter().any(|e| covers(e, r, &thresholds, &graph));
-            if keep {
-                prop_assert!(
-                    !covered_by_earlier,
-                    "emitted post {} is covered by an earlier emission",
-                    r.id
-                );
-                emitted.push(*r);
-            } else {
-                prop_assert!(
-                    covered_by_earlier,
-                    "pruned post {} has no covering emission",
-                    r.id
-                );
-            }
+        for (r, (got, want)) in records
+            .iter()
+            .zip(decisions.iter().zip(oracle::spsd(&records, &thresholds, &graph)))
+        {
+            prop_assert_eq!(
+                *got,
+                want,
+                "post {}: the engine's decision breaks the coverage invariant",
+                r.id
+            );
         }
     }
 

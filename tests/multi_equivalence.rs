@@ -1,11 +1,10 @@
 //! M-SPSD correctness: the per-user (`M_*`) and shared-component (`S_*`)
 //! strategies must deliver identical per-user streams for every algorithm
-//! kind — and each user's stream must equal what a dedicated single-user
-//! engine over her subscriptions would produce.
-
-use std::sync::Arc;
+//! kind — and each user's stream must equal the brute-force M-SPSD oracle's
+//! stream for that user's subscriptions.
 
 use firehose::prelude::*;
+use firehose_reference::{oracle, IndependentMulti};
 use proptest::prelude::*;
 
 fn posts_strategy(m: u32) -> impl Strategy<Value = Vec<Post>> {
@@ -70,8 +69,8 @@ proptest! {
         }
     }
 
-    /// Each user's multi-engine stream equals a dedicated single-user engine
-    /// over the subgraph induced by her subscriptions.
+    /// Each user's multi-engine stream equals the M-SPSD oracle's stream
+    /// over the user's subscriptions.
     #[test]
     fn per_user_streams_match_dedicated_engines(
         posts in posts_strategy(8),
@@ -84,18 +83,11 @@ proptest! {
             SharedMulti::new(AlgorithmKind::UniBin, config, &graph, subs.clone());
         let deliveries: Vec<_> = posts.iter().map(|p| shared.offer(p)).collect();
 
-        let graph = Arc::new(graph);
-        for u in 0..subs.user_count() as u32 {
-            // Dedicated engine over the user's induced similarity subgraph.
-            let gi = Arc::new(graph.induced_subgraph(subs.authors_of(u)));
-            let mut engine =
-                build_engine(AlgorithmKind::UniBin, config, gi);
-            let expected: Vec<u64> = posts
-                .iter()
-                .filter(|p| subs.is_subscribed(u, p.author))
-                .filter(|p| engine.offer(p).is_emitted())
-                .map(|p| p.id)
-                .collect();
+        let records: Vec<_> = posts.iter().map(|p| p.to_record(config.simhash)).collect();
+        let users: Vec<u32> = (0..subs.user_count() as u32).collect();
+        let follows: Vec<Vec<u32>> = users.iter().map(|&u| subs.authors_of(u).to_vec()).collect();
+        let streams = oracle::mspsd(&records, &follows, &users, &config.thresholds, &graph);
+        for (u, expected) in users.into_iter().zip(streams) {
             let got: Vec<u64> = posts
                 .iter()
                 .zip(&deliveries)

@@ -18,9 +18,8 @@ use firehose_core::multi::{SharedMulti, Subscriptions};
 use firehose_core::snapshot::{restore_unibin, snapshot_unibin};
 use firehose_core::{Decision, EngineConfig, Thresholds};
 use firehose_graph::UndirectedGraph;
-use firehose_stream::{
-    guard_stream, minutes, ChaosWriter, FaultPlan, GuardConfig, GuardPolicy, Perturbator, Post,
-};
+use firehose_reference::{ChaosWriter, FaultPlan, Perturbator};
+use firehose_stream::{guard_stream, minutes, GuardConfig, GuardPolicy, Post};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
