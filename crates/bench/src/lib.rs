@@ -20,7 +20,7 @@ use std::time::Instant;
 use firehose_core::engine::{build_engine, AlgorithmKind};
 use firehose_core::{EngineConfig, EngineMetrics, Thresholds};
 use firehose_datagen::{SocialGenConfig, SyntheticSocialGraph, Workload, WorkloadConfig};
-use firehose_graph::{build_similarity_graph_parallel, UndirectedGraph};
+use firehose_graph::{build_similarity_graph, UndirectedGraph};
 use firehose_stream::Post;
 
 /// Experiment sizing.
@@ -125,8 +125,7 @@ impl Dataset {
     /// Build (and log) the author similarity graph at `lambda_a`.
     pub fn similarity_graph(&self, lambda_a: f64) -> Arc<UndirectedGraph> {
         let t0 = Instant::now();
-        let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-        let g = build_similarity_graph_parallel(&self.social.graph, lambda_a, threads);
+        let g = build_similarity_graph(&self.social.graph, lambda_a);
         eprintln!(
             "[dataset] similarity graph λa={lambda_a}: {} edges, avg degree {:.1} ({:.1?})",
             g.edge_count(),

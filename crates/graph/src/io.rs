@@ -189,7 +189,11 @@ pub fn read_follower<R: Read>(r: &mut R) -> Result<FollowerGraph, IoError> {
     let mut g = FollowerGraph::new(n as usize);
     for u in 0..n {
         for v in read_sorted_list(r, n)? {
-            g.add_follow(u, v);
+            // The list is strictly ascending, so a refused follow is a
+            // self-follow, which `write_follower` never writes.
+            if !g.add_follow(u, v) {
+                return Err(IoError::Inconsistent("self-follow"));
+            }
         }
     }
     Ok(g)
@@ -327,6 +331,21 @@ mod tests {
         assert!(matches!(
             read_follower(&mut buf.as_slice()),
             Err(IoError::NotSorted)
+        ));
+    }
+
+    #[test]
+    fn self_follow_rejected() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC_FOLLOWER);
+        buf.extend_from_slice(&2u32.to_le_bytes()); // n = 2
+        buf.extend_from_slice(&2u32.to_le_bytes()); // node 0: degree 2
+        buf.extend_from_slice(&0u32.to_le_bytes()); // 0 follows itself
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes()); // node 1: degree 0
+        assert!(matches!(
+            read_follower(&mut buf.as_slice()),
+            Err(IoError::Inconsistent("self-follow"))
         ));
     }
 

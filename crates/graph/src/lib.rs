@@ -12,8 +12,8 @@
 //! * [`FollowerGraph`] — the directed follower/followee graph from which
 //!   friend vectors are read;
 //! * [`build_similarity_graph`] — cosine similarity over followee sets
-//!   ([`followee_cosine`]), all-pairs similarity-graph construction via an
-//!   inverted co-follow index, and the similarity CCDF of Figure 9
+//!   ([`followee_cosine`]), all-pairs similarity-graph construction as an
+//!   exact row-at-a-time self-join, and the similarity CCDF of Figure 9
 //!   ([`similarity_ccdf`]);
 //! * [`UndirectedGraph`] — the adjacency representation of `G` itself;
 //! * [`AdjacencyBitsets`] — lazily-built per-node adjacency bitmasks, the
@@ -42,9 +42,7 @@ pub use clique_cover::{greedy_clique_cover, naive_edge_cover, CliqueCover};
 pub use components::{connected_components, ComponentMap, UnionFind};
 pub use follower::FollowerGraph;
 pub use io::IoError;
-pub use similarity::{
-    build_similarity_graph, build_similarity_graph_parallel, followee_cosine, similarity_ccdf,
-};
+pub use similarity::{build_similarity_graph, followee_cosine, similarity_ccdf};
 pub use stats::GraphTopology;
 pub use undirected::UndirectedGraph;
 

@@ -6,13 +6,12 @@
 //! `|F(a) ∩ F(b)| / √(|F(a)|·|F(b)|)`.
 //!
 //! Building the full similarity graph naively costs `O(m²)` set
-//! intersections; we instead sweep an inverted index: only author pairs that
-//! co-follow at least one account can have nonzero similarity, so for every
-//! account `f` we enumerate the pairs of its followers and accumulate the
-//! intersection counts. This is the standard "computing all pairwise author
-//! similarity" step the paper performs offline for its 20,150 authors.
-
-use std::collections::HashMap;
+//! intersections; we instead run the exact all-pairs self-join one row at a
+//! time: only author pairs that co-follow at least one account can have
+//! nonzero similarity, so row `a` walks the followers of each account `a`
+//! follows and counts the intersections into a dense accumulator. This is
+//! the "computing all pairwise author similarity" step the paper performs
+//! offline for its 20,150 authors.
 
 use crate::follower::FollowerGraph;
 use crate::undirected::UndirectedGraph;
@@ -52,23 +51,34 @@ pub fn followee_cosine(graph: &FollowerGraph, a: NodeId, b: NodeId) -> f64 {
     inter as f64 / ((fa.len() as f64) * (fb.len() as f64)).sqrt()
 }
 
-/// Accumulate `|F(a) ∩ F(b)|` for every author pair sharing ≥1 followee.
+/// The similarity self-join's row kernel: a sparse `A·Aᵀ` one row at a
+/// time. For each author `a` in ascending order it calls
+/// `emit(a, b, |F(a) ∩ F(b)|)` for every `b > a` sharing ≥1 followee, in
+/// ascending `b`.
 ///
-/// Keys are packed `(min << 32) | max`. This is the quadratic-in-popularity
-/// inverted sweep; it is exact.
-fn co_follow_counts(graph: &FollowerGraph) -> HashMap<u64, u32> {
-    let mut counts: HashMap<u64, u32> = HashMap::new();
-    for f in 0..graph.node_count() as NodeId {
-        let followers = graph.followers(f);
-        for (i, &a) in followers.iter().enumerate() {
-            for &b in &followers[i + 1..] {
-                // followers lists are sorted ascending, so a < b.
-                let key = (u64::from(a) << 32) | u64::from(b);
-                *counts.entry(key).or_insert(0) += 1;
+/// Row `a` walks the follower list of each followee of `a` past `a` and
+/// counts into a dense accumulator; the touched list names the non-zero
+/// slots, so a row costs its co-follow pairs and never `O(n)`.
+fn for_each_co_follow(graph: &FollowerGraph, mut emit: impl FnMut(NodeId, NodeId, u32)) {
+    let mut counts = vec![0u32; graph.node_count()];
+    let mut touched: Vec<NodeId> = Vec::new();
+    for a in 0..graph.node_count() as NodeId {
+        for &f in graph.followees(a) {
+            let followers = graph.followers(f);
+            for &b in &followers[followers.partition_point(|&b| b <= a)..] {
+                let slot = &mut counts[b as usize];
+                if *slot == 0 {
+                    touched.push(b);
+                }
+                *slot += 1;
             }
         }
+        touched.sort_unstable();
+        for &b in &touched {
+            emit(a, b, std::mem::take(&mut counts[b as usize]));
+        }
+        touched.clear();
     }
-    counts
 }
 
 /// Build the author similarity graph `G`: an edge joins authors whose
@@ -79,90 +89,17 @@ fn co_follow_counts(graph: &FollowerGraph) -> HashMap<u64, u32> {
 /// cosine similarity between their followee vectors is ≥ 0.3".
 pub fn build_similarity_graph(graph: &FollowerGraph, lambda_a: f64) -> UndirectedGraph {
     let min_sim = 1.0 - lambda_a;
-    let mut g = UndirectedGraph::new(graph.node_count());
-    for (key, inter) in co_follow_counts(graph) {
-        let a = (key >> 32) as NodeId;
-        let b = (key & 0xFFFF_FFFF) as NodeId;
+    // Rows arrive in ascending `a` with ascending `b > a`, so appending
+    // keeps every adjacency list sorted.
+    let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); graph.node_count()];
+    for_each_co_follow(graph, |a, b, inter| {
         let sim = cosine(inter, graph.followees(a).len(), graph.followees(b).len());
         if sim >= min_sim && sim > 0.0 {
-            g.add_edge(a, b);
+            adj[a as usize].push(b);
+            adj[b as usize].push(a);
         }
-    }
-    g
-}
-
-/// Multi-threaded [`build_similarity_graph`]: the inverted co-follow sweep
-/// partitions the *followee* accounts across `threads` workers (each pair's
-/// intersection count is summed across workers during the merge), then
-/// thresholds exactly like the sequential build. Produces the identical
-/// graph; worth it because the offline all-pairs step dominates setup time
-/// at paper scale.
-pub fn build_similarity_graph_parallel(
-    graph: &FollowerGraph,
-    lambda_a: f64,
-    threads: usize,
-) -> UndirectedGraph {
-    let threads = threads.max(1);
-    if threads == 1 || graph.node_count() < 2 * threads {
-        return build_similarity_graph(graph, lambda_a);
-    }
-
-    let n = graph.node_count();
-    let chunk = n.div_ceil(threads);
-    let partials: Vec<HashMap<u64, u32>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                scope.spawn(move || {
-                    let mut counts: HashMap<u64, u32> = HashMap::new();
-                    for f in lo as NodeId..hi as NodeId {
-                        let followers = graph.followers(f);
-                        for (i, &a) in followers.iter().enumerate() {
-                            for &b in &followers[i + 1..] {
-                                let key = (u64::from(a) << 32) | u64::from(b);
-                                *counts.entry(key).or_insert(0) += 1;
-                            }
-                        }
-                    }
-                    counts
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
     });
-
-    // Merge into the largest partial to avoid one full rehash.
-    let mut iter = partials.into_iter();
-    let mut counts = iter.next().unwrap_or_default();
-    for partial in iter {
-        if partial.len() > counts.len() {
-            // Swap so we always extend the bigger map.
-            let smaller = std::mem::replace(&mut counts, partial);
-            for (k, v) in smaller {
-                *counts.entry(k).or_insert(0) += v;
-            }
-        } else {
-            for (k, v) in partial {
-                *counts.entry(k).or_insert(0) += v;
-            }
-        }
-    }
-
-    let min_sim = 1.0 - lambda_a;
-    let mut g = UndirectedGraph::new(n);
-    for (key, inter) in counts {
-        let a = (key >> 32) as NodeId;
-        let b = (key & 0xFFFF_FFFF) as NodeId;
-        let sim = cosine(inter, graph.followees(a).len(), graph.followees(b).len());
-        if sim >= min_sim && sim > 0.0 {
-            g.add_edge(a, b);
-        }
-    }
-    g
+    UndirectedGraph::from_sorted_adjacency(adj)
 }
 
 /// Complementary CDF of pairwise author similarity (Figure 9): for each
@@ -179,15 +116,14 @@ pub fn similarity_ccdf(graph: &FollowerGraph, thresholds: &[f64]) -> Vec<(f64, f
     }
 
     // All nonzero similarities.
-    let counts = co_follow_counts(graph);
-    let mut sims: Vec<f64> = counts
-        .into_iter()
-        .map(|(key, inter)| {
-            let a = (key >> 32) as NodeId;
-            let b = (key & 0xFFFF_FFFF) as NodeId;
-            cosine(inter, graph.followees(a).len(), graph.followees(b).len())
-        })
-        .collect();
+    let mut sims: Vec<f64> = Vec::new();
+    for_each_co_follow(graph, |a, b, inter| {
+        sims.push(cosine(
+            inter,
+            graph.followees(a).len(),
+            graph.followees(b).len(),
+        ));
+    });
     sims.sort_unstable_by(|x, y| x.partial_cmp(y).expect("similarities are finite"));
 
     thresholds
@@ -206,6 +142,7 @@ pub fn similarity_ccdf(graph: &FollowerGraph, thresholds: &[f64]) -> Vec<(f64, f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Star topology: authors 0 and 1 both follow {2, 3}; author 4 follows {5}.
     fn sample() -> FollowerGraph {
@@ -306,36 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_sequential() {
-        let g = FollowerGraph::from_edges(
-            40,
-            (0u32..40).flat_map(|u| {
-                // Each account follows the next 6 on a ring.
-                (1..=6u32).map(move |k| (u, (u + k) % 40))
-            }),
-        );
-        for lambda_a in [0.5, 0.7, 0.9] {
-            let seq = build_similarity_graph(&g, lambda_a);
-            for threads in [1, 2, 3, 8, 64] {
-                let par = build_similarity_graph_parallel(&g, lambda_a, threads);
-                assert_eq!(par, seq, "λa={lambda_a} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_handles_tiny_graphs() {
-        let g = FollowerGraph::from_edges(2, [(0, 1)]);
-        let seq = build_similarity_graph(&g, 0.7);
-        assert_eq!(build_similarity_graph_parallel(&g, 0.7, 8), seq);
-        let empty = FollowerGraph::new(0);
-        assert_eq!(
-            build_similarity_graph_parallel(&empty, 0.7, 4).node_count(),
-            0
-        );
-    }
-
-    #[test]
     fn ccdf_monotone_nonincreasing() {
         let g = sample();
         let ccdf = similarity_ccdf(&g, &[0.0, 0.1, 0.3, 0.5, 0.9, 1.0]);
@@ -358,5 +265,63 @@ mod tests {
         let g = FollowerGraph::new(0);
         let ccdf = similarity_ccdf(&g, &[0.2]);
         assert_eq!(ccdf[0].1, 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The row kernel against brute force over every pair: random
+        /// follows among the first `n − isolated` nodes (so some follow
+        /// nobody and the rest are isolated), plus a hub everyone follows
+        /// when `hub < n − isolated`.
+        #[test]
+        fn join_matches_brute_force(
+            n in 1u32..41,
+            isolated in 0u32..4,
+            follows in proptest::collection::vec((0u32..40, 0u32..40), 0..160),
+            hub in 0u32..80,
+        ) {
+            let active = n.saturating_sub(isolated).max(1);
+            let mut g = FollowerGraph::new(n as usize);
+            for (u, v) in follows {
+                g.add_follow(u % active, v % active);
+            }
+            if hub < active {
+                for u in 0..active {
+                    g.add_follow(u, hub);
+                }
+            }
+            let pairs: Vec<(NodeId, NodeId, f64)> = (0..n)
+                .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+                .map(|(a, b)| (a, b, followee_cosine(&g, a, b)))
+                .collect();
+
+            let lambdas = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0];
+            for lambda_a in lambdas {
+                let expected = UndirectedGraph::from_edges(
+                    n as usize,
+                    pairs
+                        .iter()
+                        .filter(|&&(_, _, s)| s >= 1.0 - lambda_a && s > 0.0)
+                        .map(|&(a, b, _)| (a, b)),
+                );
+                prop_assert_eq!(build_similarity_graph(&g, lambda_a), expected);
+            }
+
+            let thresholds: Vec<f64> = lambdas.iter().map(|l| 1.0 - l).chain([1.0]).collect();
+            let expected: Vec<(f64, f64)> = thresholds
+                .iter()
+                .map(|&t| {
+                    let hits = pairs.iter().filter(|&&(_, _, s)| s >= t).count();
+                    let fraction = if pairs.is_empty() {
+                        0.0
+                    } else {
+                        hits as f64 / pairs.len() as f64
+                    };
+                    (t, fraction)
+                })
+                .collect();
+            prop_assert_eq!(similarity_ccdf(&g, &thresholds), expected);
+        }
     }
 }

@@ -35,6 +35,20 @@ impl UndirectedGraph {
         g
     }
 
+    /// Build from adjacency lists that are already symmetric, strictly
+    /// ascending and free of self-loops, as the similarity join appends
+    /// them.
+    pub(crate) fn from_sorted_adjacency(adj: Vec<Vec<NodeId>>) -> Self {
+        debug_assert!(
+            adj.iter().enumerate().all(|(u, ns)| {
+                ns.windows(2).all(|w| w[0] < w[1]) && !ns.contains(&(u as NodeId))
+            }),
+            "adjacency lists must be strictly ascending without self-loops"
+        );
+        let edges = adj.iter().map(Vec::len).sum::<usize>() / 2;
+        Self { adj, edges }
+    }
+
     /// The complete graph `K_n`: every pair of nodes adjacent. Used to
     /// *disable* the author diversity dimension (all authors similar), e.g.
     /// in the Figure 10 ablation. Memory is `O(n²)` — fine for tens of

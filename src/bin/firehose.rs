@@ -33,7 +33,7 @@ use firehose::datagen::{
     SubscriptionGenConfig, SyntheticSocialGraph, Workload, WorkloadConfig,
 };
 use firehose::graph::io as graph_io;
-use firehose::graph::{build_similarity_graph_parallel, greedy_clique_cover, UndirectedGraph};
+use firehose::graph::{build_similarity_graph, greedy_clique_cover, UndirectedGraph};
 use firehose::net::{Server, ServerConfig};
 use firehose::obs::Registry;
 use firehose::simhash::SimHashOptions;
@@ -105,12 +105,7 @@ const COMMANDS: &[(&str, &[&str])] = &[
     ),
     (
         "build-graph",
-        &[
-            "--follower FILE",
-            "--out FILE",
-            "[--lambda-a F]",
-            "[--threads N]",
-        ],
+        &["--follower FILE", "--out FILE", "[--lambda-a F]"],
     ),
     ("cover", &["--graph FILE", "--out FILE"]),
     (
@@ -405,14 +400,10 @@ fn cmd_build_graph(args: &Args) -> Result<(), String> {
     let follower_path = args.require("follower")?;
     let out = args.require("out")?;
     let lambda_a: f64 = args.parse_or("lambda-a", 0.7)?;
-    let threads: usize = args.parse_or(
-        "threads",
-        std::thread::available_parallelism().map_or(4, |n| n.get()),
-    )?;
 
     let follower =
         graph_io::read_follower(&mut open_reader(follower_path)?).map_err(|e| e.to_string())?;
-    let graph = build_similarity_graph_parallel(&follower, lambda_a, threads);
+    let graph = build_similarity_graph(&follower, lambda_a);
     graph_io::write_undirected(&graph, &mut create_writer(out)?).map_err(|e| e.to_string())?;
     eprintln!(
         "similarity graph at λa={lambda_a}: {} authors, {} edges, avg degree {:.1} -> {out}",

@@ -522,6 +522,21 @@ fn misspelled_and_repeated_flags_are_refused() {
         "0.7",
     ]);
     assert!(err.contains("unknown flag --lambda-a for `cover`"), "{err}");
+
+    // The similarity join is single-threaded: `build-graph` dropped `--threads`.
+    let err = run_err(&[
+        "build-graph",
+        "--follower",
+        &posts,
+        "--out",
+        &graph,
+        "--threads",
+        "2",
+    ]);
+    assert!(
+        err.contains("unknown flag --threads for `build-graph`"),
+        "{err}"
+    );
 }
 
 #[test]
