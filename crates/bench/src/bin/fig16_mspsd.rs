@@ -1,6 +1,6 @@
 //! Figure 16: M-SPSD — per-user engines (`M_*`) vs shared-component engines
 //! (`S_*`), plus the service's labelled window (`L_*`): one window for
-//! every component.
+//! every user, each record labelled with the users it reached.
 //!
 //! Every author is also a user (paper Section 6.3). Subscription sets follow
 //! the paper's reported statistics (mean ≈ 130, median ≈ 20 after
@@ -113,7 +113,7 @@ fn main() {
         let s_ram = row(&mut r, s_engine.name(), s_ms, &s_engine.metrics());
         drop(s_engine);
 
-        // L_*: the service's engine, one labelled window for every component.
+        // L_*: the service's engine, one user-labelled window for everyone.
         eprintln!("[fig16] building L_{kind} ...");
         let mut l_engine = SharedMulti::new(kind, config, &graph, subs.clone());
         let (l_hash, l_ms) = pass(&data.workload.posts, |p| l_engine.offer(p));

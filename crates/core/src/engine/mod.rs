@@ -110,7 +110,7 @@ pub trait Diversifier {
     /// is still held by some bin) to `out`, in `(timestamp, id)` order.
     /// Engines that store multiple copies per emission report each post once.
     /// Used by the multi-user layer to convert per-component checkpoint
-    /// state into its labelled window.
+    /// state into its user-labelled window.
     fn window_records(&self, out: &mut Vec<PostRecord>);
 }
 
@@ -172,8 +172,8 @@ impl<D: Diversifier + ?Sized> Diversifier for Box<D> {
 }
 
 /// Canonical order for [`Diversifier::window_records`] output: dedup by post
-/// id, then sort by `(timestamp, id)` — the replay order warm-start seeding
-/// expects.
+/// id, then sort by `(timestamp, id)` — the oldest-first order the
+/// labelled window stores records in.
 pub(crate) fn order_window_records(out: &mut Vec<PostRecord>) {
     order_window_records_from(out, 0);
 }

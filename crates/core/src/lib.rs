@@ -27,10 +27,11 @@
 //!
 //! # Many users (M-SPSD)
 //!
-//! [`multi`] scales the model to a whole service: the `S_*` engine shares
-//! one engine per distinct connected component of the users' author-similarity
-//! subgraphs (Section 5). The paper's static `M_*` and `S_*` references it is
-//! checked against live in the `firehose-reference` crate.
+//! [`multi`] scales the model to a whole service: the `S_*` engine decides
+//! every user with one scan of one window, whose records carry the users
+//! they were delivered to (Section 5's sharing, taken to the post). The
+//! paper's static `M_*` and `S_*` references it is checked against live in
+//! the `firehose-reference` crate.
 //!
 //! # Modules
 //!

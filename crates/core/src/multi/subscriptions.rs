@@ -2,8 +2,8 @@
 //!
 //! Since the live-churn redesign the relation is **mutable**: users can be
 //! added, removed (tombstoned — user ids are stable and never reused), and
-//! individual follow edges can be flipped at runtime. The multi-user
-//! strategies mirror every mutation into their component registries.
+//! individual follow edges can be flipped at runtime. The multi-user engine
+//! routes every post through it and keeps no other copy of it.
 
 use firehose_stream::AuthorId;
 
@@ -120,9 +120,10 @@ impl Subscriptions {
         &self.per_user[u as usize]
     }
 
-    /// Sorted users following author `a` (post routing).
+    /// Sorted users following author `a` (post routing); empty for an
+    /// author outside the universe.
     pub fn subscribers_of(&self, a: AuthorId) -> &[UserId] {
-        &self.subscribers[a as usize]
+        self.subscribers.get(a as usize).map_or(&[], Vec::as_slice)
     }
 
     /// `true` iff user `u` follows author `a`.

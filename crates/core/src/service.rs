@@ -68,7 +68,7 @@ use crate::multi::{
 /// variants build the same [`SharedMulti`] (Section 5's `S_*`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
-    /// One engine per distinct connected component ([`SharedMulti`], `S_*`).
+    /// One user-labelled window for every user ([`SharedMulti`], `S_*`).
     Shared,
     /// Another spelling of [`Shared`](Self::Shared) that builds exactly what
     /// `Shared` builds. It stays because the benchmark serves
@@ -369,7 +369,7 @@ impl<'g> FirehoseServiceBuilder<'g> {
         self
     }
 
-    /// Pick the per-component engine algorithm (default
+    /// Pick the engine algorithm, which names it (default
     /// [`AlgorithmKind::UniBin`]).
     pub fn algorithm(mut self, algorithm: AlgorithmKind) -> Self {
         self.algorithm = algorithm;
@@ -661,7 +661,7 @@ impl FirehoseService {
         self.multi.name()
     }
 
-    /// Aggregated engine metrics across all component engines.
+    /// The engine's window counters (see [`SharedMulti::metrics`]).
     pub fn metrics(&self) -> EngineMetrics {
         self.multi.metrics()
     }

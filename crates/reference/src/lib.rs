@@ -4,7 +4,8 @@
 //! serves a post: the bench binaries, the examples and the tests use it,
 //! and no product crate depends on it.
 //!
-//! * [`oracle`] — brute-force SPSD and M-SPSD over the coverage predicate.
+//! * [`oracle`] — brute-force SPSD and M-SPSD over the coverage predicate,
+//!   and M-SPSD under subscription churn.
 //! * [`IndependentMulti`] — the paper's static multi-user strategies: `M_*`
 //!   (one engine per user) and `S_*` (one engine per distinct component),
 //!   which Figure 16 and the M = S = L tests compare the service against.

@@ -1,14 +1,15 @@
 //! Brute-force SPSD and M-SPSD: the semantics every engine must reproduce.
 //!
-//! Both are O(n × window) over [`covers`], with no bins, no kernels and no
-//! component sharing: a post is suppressed iff an earlier *emitted* post of
-//! the same reader, still within λt, covers it on content, time and author
-//! at once.
+//! All three are O(n × window) over [`covers`], with no bins, no kernels and
+//! no sharing between readers: a post is suppressed iff an earlier *emitted*
+//! post of the same reader, still within λt, covers it on content, time and
+//! author at once. [`mspsd_churn`] adds live subscription churn: a reader's
+//! follows change with each op, and its window is what it was shown.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use firehose_core::coverage::covers;
-use firehose_core::Thresholds;
+use firehose_core::{ChurnOp, Thresholds};
 use firehose_graph::UndirectedGraph;
 use firehose_stream::{AuthorId, PostId, PostRecord};
 
@@ -68,6 +69,67 @@ pub fn mspsd(
     delivered
 }
 
+/// M-SPSD under churn: for each record, the users it is delivered to,
+/// ascending. Users start with `follows` (user `u` follows `follows[u]`);
+/// each `(before, op)` in `ops` is applied once `before` records have been
+/// offered, in order, and ops due after the last record change nothing
+/// delivered. A user's window keeps what it was shown whatever it follows
+/// later; `AddUser` appends a user with an empty window; a removed user
+/// receives nothing. An op the service would refuse (on a removed user)
+/// changes nothing here either.
+pub fn mspsd_churn(
+    records: &[PostRecord],
+    follows: &[Vec<AuthorId>],
+    ops: &[(usize, ChurnOp)],
+    th: &Thresholds,
+    graph: &UndirectedGraph,
+) -> Vec<Vec<u32>> {
+    // `None` = removed.
+    let mut users: Vec<Option<BTreeSet<AuthorId>>> = follows
+        .iter()
+        .map(|f| Some(f.iter().copied().collect()))
+        .collect();
+    let mut windows: Vec<Window> = users.iter().map(|_| Window::default()).collect();
+    let mut ops = ops.iter().peekable();
+    let mut delivered = Vec::with_capacity(records.len());
+    for (i, record) in records.iter().enumerate() {
+        while let Some((_, op)) = ops.next_if(|(before, _)| *before <= i) {
+            match op {
+                ChurnOp::Subscribe(u, a) => {
+                    if let Some(Some(f)) = users.get_mut(*u as usize) {
+                        f.insert(*a);
+                    }
+                }
+                ChurnOp::Unsubscribe(u, a) => {
+                    if let Some(Some(f)) = users.get_mut(*u as usize) {
+                        f.remove(a);
+                    }
+                }
+                ChurnOp::AddUser(authors) => {
+                    users.push(Some(authors.iter().copied().collect()));
+                    windows.push(Window::default());
+                }
+                ChurnOp::RemoveUser(u) => {
+                    if let Some(f) = users.get_mut(*u as usize) {
+                        *f = None;
+                    }
+                }
+            }
+        }
+        let to: Vec<u32> = (0..users.len())
+            .filter(|&u| {
+                users[u]
+                    .as_ref()
+                    .is_some_and(|f| f.contains(&record.author))
+                    && windows[u].offer(record, th, graph)
+            })
+            .map(|u| u as u32)
+            .collect();
+        delivered.push(to);
+    }
+    delivered
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,5 +178,76 @@ mod tests {
             mspsd(&records, &follows, &[2], &th, &graph),
             [vec![1, 4, 6]]
         );
+    }
+
+    /// Authors 0 and 1 are unrelated; two near-identical posts by author
+    /// 0, one second apart.
+    fn unrelated() -> (Vec<PostRecord>, Thresholds, UndirectedGraph) {
+        let rec = |id, timestamp| PostRecord {
+            id,
+            author: 0,
+            timestamp,
+            fingerprint: id,
+        };
+        let th = Thresholds::new(3, 100_000, 0.7).unwrap();
+        (
+            vec![rec(1, 0), rec(2, 1_000)],
+            th,
+            UndirectedGraph::from_edges(2, []),
+        )
+    }
+
+    #[test]
+    fn mspsd_churn_without_ops_is_mspsd() {
+        let (records, th, graph) = trace();
+        let follows = vec![vec![0, 1], vec![1, 2], vec![0], vec![]];
+        let per_user = mspsd(&records, &follows, &[0, 1, 2, 3], &th, &graph);
+        let per_post = mspsd_churn(&records, &follows, &[], &th, &graph);
+        for (record, to) in records.iter().zip(&per_post) {
+            let want: Vec<u32> = (0..4u32)
+                .filter(|&u| per_user[u as usize].contains(&record.id))
+                .collect();
+            assert_eq!(to, &want, "post {}", record.id);
+        }
+    }
+
+    /// A user who follows an author starts from what they were shown, not
+    /// from what the author's other followers were shown.
+    #[test]
+    fn mspsd_churn_new_follower_has_seen_nothing() {
+        let (records, th, graph) = unrelated();
+        let follows = vec![vec![0], vec![1]];
+        let ops = [(1, ChurnOp::Subscribe(1, 0))];
+        let got = mspsd_churn(&records, &follows, &ops, &th, &graph);
+        assert_eq!(got, [vec![0], vec![1]]);
+    }
+
+    /// Unfollowing keeps what the user was shown as coverage.
+    #[test]
+    fn mspsd_churn_unfollow_keeps_the_window() {
+        let (mut records, th, _) = unrelated();
+        records[1].author = 1;
+        let graph = UndirectedGraph::from_edges(2, [(0, 1)]);
+        let follows = vec![vec![0, 1]];
+        let ops = [(1, ChurnOp::Unsubscribe(0, 0))];
+        let got = mspsd_churn(&records, &follows, &ops, &th, &graph);
+        assert_eq!(got, [vec![0], vec![]]);
+    }
+
+    /// A removed user receives nothing and ops on them change nothing; an
+    /// added user gets the next id and an empty window; ops due after the
+    /// stream are ignored.
+    #[test]
+    fn mspsd_churn_add_and_remove() {
+        let (records, th, graph) = unrelated();
+        let follows = vec![vec![0], vec![0]];
+        let ops = [
+            (0, ChurnOp::RemoveUser(0)),
+            (0, ChurnOp::Subscribe(0, 1)),
+            (1, ChurnOp::AddUser(vec![0])),
+            (9, ChurnOp::RemoveUser(1)),
+        ];
+        let got = mspsd_churn(&records, &follows, &ops, &th, &graph);
+        assert_eq!(got, [vec![1], vec![2]]);
     }
 }

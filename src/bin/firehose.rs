@@ -633,15 +633,12 @@ fn cmd_run_multi(args: &Args) -> Result<(), String> {
     let c = service.churn_stats();
     if c.ops_total() > 0 {
         eprintln!(
-            "churn: {} ops ({} subscribes, {} unsubscribes, {} users added, {} removed); {} engines spawned, {} retired, {} warm starts",
+            "churn: {} ops ({} subscribes, {} unsubscribes, {} users added, {} removed)",
             c.ops_total(),
             c.subscribes,
             c.unsubscribes,
             c.users_added,
-            c.users_removed,
-            c.engines_spawned,
-            c.engines_retired,
-            c.warm_starts
+            c.users_removed
         );
     }
     let m = service.metrics();

@@ -1,33 +1,32 @@
-//! Churn equivalence: live subscription management must converge to exactly
-//! what a freshly built strategy over the final subscription table produces.
+//! Churn equivalence: under live subscription churn, every user's stream
+//! must be exactly what the per-user churn oracle
+//! (`firehose_reference::oracle::mspsd_churn`) delivers — one brute-force
+//! window per user, follows changing with each op, a removed user receiving
+//! nothing.
 //!
-//! Three levels, from strongest to weakest guarantee:
+//! Beside the oracle itself, three consequences are pinned:
 //!
-//! 1. **Structural** — churn applied *before any posts* yields a strategy
-//!    whose entire stream is decision-identical to a fresh build from the
-//!    final table (the component split/merge algebra is exact).
-//! 2. **Post-quiet-gap** — churn interleaved *mid-stream* yields identical
-//!    decisions once `λt` of stream time separates the churn from the probe
-//!    (stale window records cannot cover across the gap).
-//! 3. **Warm-start window** — inside `λt` of a churn op, a warm-started
-//!    engine may legitimately diverge from a fresh build: affected users
-//!    keep their recently-shown posts as coverage.
+//! 1. **Before posts** — churn applied before the first post is
+//!    decision-identical to a fresh build from the final table, and to the
+//!    static per-user `M_*` reference built on it.
+//! 2. **After a quiet gap** — churn interleaved mid-stream yields identical
+//!    decisions to a fresh build once `λt` of stream time separates the
+//!    churn from the probe (no record can cover across the gap).
+//! 3. **Inside λt** — a user keeps what they were shown as coverage across
+//!    their own follows and unfollows, and gains nothing from what other
+//!    users were shown; a fresh build, which saw nothing, differs.
 //!
 //! Plus checkpoint-across-churn: a checkpoint taken mid-churn restores (into
-//! a strategy built from the *initial* table) to identical future decisions.
-//!
-//! Churn runs on `S_*`, the engine the service builds. The paper's M = S
-//! identity under churn is kept by comparing the churned `S_*` against a
-//! static `M_*` built on the final table.
+//! an engine built from the *initial* table) to identical future decisions.
 
 use firehose::core::checkpoint::{checkpoint_multi_to_vec, restore_multi_from_slice};
 use firehose::core::engine::AlgorithmKind;
-use firehose::core::multi::{MultiDecision, SharedMulti, Subscriptions};
-use firehose::core::{EngineConfig, Thresholds};
+use firehose::core::multi::{MultiDecision, SharedMulti, Subscriptions, UserId};
+use firehose::core::{ChurnOp, EngineConfig, Thresholds};
 use firehose::datagen::{generate_churn_trace, ChurnEvent, ChurnGenConfig, ChurnTraceEntry};
 use firehose::graph::UndirectedGraph;
 use firehose::stream::{AuthorId, Post};
-use firehose_reference::IndependentMulti;
+use firehose_reference::{oracle, IndependentMulti};
 use proptest::prelude::*;
 
 const AUTHORS: usize = 12;
@@ -138,13 +137,13 @@ fn churn_before_posts_matches_fresh_build() {
         let per_user: Vec<MultiDecision> = stream.iter().map(|p| reference.offer(p)).collect();
         assert_eq!(
             got, per_user,
-            "{kind}: churned S_* diverged from M_* on the final table"
+            "{kind}: churned engine diverged from M_* on the final table"
         );
     }
 }
 
 /// Level 2: churn interleaved mid-stream converges — after a λt quiet gap,
-/// the churned strategy's decisions equal a fresh build from the final
+/// the churned engine's decisions equal a fresh build from the final
 /// table (which never saw the pre-gap stream at all).
 #[test]
 fn churn_mid_stream_matches_fresh_after_quiet_gap() {
@@ -185,12 +184,67 @@ fn churn_mid_stream_matches_fresh_after_quiet_gap() {
     }
 }
 
-/// Level 3: inside λt, warm start is a *feature* — the newly wired engine
-/// keeps the user's recently-shown posts as coverage, so a near-duplicate
-/// right after a subscribe is suppressed where a fresh build over the
-/// churned table, which never saw post 1, re-shows it.
+/// Every post's `delivered_to` under `trace`, from the per-user churn
+/// oracle, over the initial table.
+fn oracle_streams(stream: &[Post], trace: &[ChurnTraceEntry]) -> Vec<Vec<UserId>> {
+    let records: Vec<_> = stream
+        .iter()
+        .map(|p| p.to_record(config().simhash))
+        .collect();
+    let ops: Vec<(usize, ChurnOp)> = trace
+        .iter()
+        .map(|e| (e.after_posts as usize, e.event.to_string().parse().unwrap()))
+        .collect();
+    oracle::mspsd_churn(
+        &records,
+        &initial_sets(),
+        &ops,
+        &config().thresholds,
+        &graph(),
+    )
+}
+
+/// Every user gets exactly the oracle's stream, for every kind, under
+/// seeded churn traces woven into the stream. Seed `0x5F0A` with 40 ops
+/// over 160 posts is the recipe of the churned compat fixture, on which the
+/// component engine delivered 18 posts differently.
 #[test]
-fn warm_start_diverges_from_cold_within_lambda_t() {
+fn interleaved_churn_matches_the_per_user_oracle() {
+    for (seed, ops, n) in [(0x5F0A, 40, 160), (1, 30, 150), (7, 60, 200), (99, 12, 90)] {
+        let stream = posts(n, 1, 0);
+        let trace = generate_churn_trace(
+            AUTHORS,
+            &initial_sets(),
+            n,
+            ChurnGenConfig {
+                seed,
+                ops,
+                ..Default::default()
+            },
+        );
+        let want = oracle_streams(&stream, &trace);
+        for kind in AlgorithmKind::ALL {
+            let got = run_interleaved(&mut build(kind, subs()), &stream, &trace);
+            let divergent: Vec<u64> = stream
+                .iter()
+                .zip(got.iter().zip(&want))
+                .filter(|(_, (g, w))| &g.delivered_to != *w)
+                .map(|(p, _)| p.id)
+                .collect();
+            assert!(
+                divergent.is_empty(),
+                "{kind}, seed {seed:#x}: posts {divergent:?} differ from the oracle"
+            );
+        }
+    }
+}
+
+/// Inside λt a user keeps what they were shown: after user 0 follows author
+/// 1, a near-duplicate from author 1 is covered by the post user 0 already
+/// received from similar author 0, where a fresh build over the churned
+/// table, which never saw post 1, shows it.
+#[test]
+fn shown_posts_keep_covering_across_churn_within_lambda_t() {
     let graph = UndirectedGraph::from_edges(2, [(0, 1)]);
     let seen = Post::new(1, 0, 0, "identical breaking story".into());
     // Near-duplicate from the newly-followed, similar author, within λt.
@@ -203,7 +257,7 @@ fn warm_start_diverges_from_cold_within_lambda_t() {
     assert_eq!(
         churned.offer(&probe).delivered_to,
         Vec::<u32>::new(),
-        "warm start must keep post 1 as coverage"
+        "user 0 saw post 1, which covers the probe"
     );
 
     let mut fresh = SharedMulti::new(
@@ -219,50 +273,24 @@ fn warm_start_diverges_from_cold_within_lambda_t() {
     );
 }
 
-/// A subscribe that bridges two populated singleton components must gather
-/// warm-start seeds from BOTH released engines. Regression test: each
-/// engine's `window_records` used to sort the *whole* shared buffer, so the
-/// second engine's pass shuffled the first engine's already-globalized
-/// records into its own translation range — an out-of-bounds panic (or a
-/// silent mistranslation) whenever post ids interleaved across components.
+/// A subscribe that bridges two of a user's populated components keeps
+/// both histories as coverage: a near-duplicate of each post, by the
+/// bridging author within λt, is covered for the user.
 #[test]
-fn merge_collects_seeds_from_two_released_engines() {
+fn subscribe_bridging_two_components_keeps_both_histories() {
     let graph = UndirectedGraph::from_edges(6, [(3, 4), (4, 5)]);
     let subscriptions = Subscriptions::new(6, [vec![3, 5]]).unwrap();
     let mut multi = SharedMulti::new(AlgorithmKind::UniBin, config(), &graph, subscriptions);
-    // Components {3} and {5}; ids 1 and 3 land in {3}, id 2 in {5}, so the
-    // id-sorted seed buffer interleaves the two engines' records.
-    let delivered = [
-        multi.offer(&Post::new(
-            1,
-            3,
-            0,
-            "quarterly earnings call transcript".into(),
-        )),
-        multi.offer(&Post::new(
-            2,
-            5,
-            1_000,
-            "marathon route closes downtown".into(),
-        )),
-        multi.offer(&Post::new(
-            3,
-            3,
-            2_000,
-            "volcano erupts on remote island".into(),
-        )),
-    ];
-    for d in &delivered {
-        assert_eq!(d.delivered_to, [0], "every setup post must enter a window");
+    for (id, author, text) in [
+        (1, 3, "quarterly earnings call transcript"),
+        (2, 5, "marathon route closes downtown"),
+        (3, 3, "volcano erupts on remote island"),
+    ] {
+        let d = multi.offer(&Post::new(id, author, (id - 1) * 1_000, text.into()));
+        assert_eq!(d.delivered_to, [0], "post {id} must reach user 0");
     }
 
     multi.subscribe(0, 4).unwrap();
-    let stats = multi.churn_stats();
-    assert_eq!(stats.engines_spawned, 1);
-    assert_eq!(stats.engines_retired, 2);
-    assert_eq!(stats.warm_starts, 1);
-    // The merged engine inherited all three records: a near-duplicate of
-    // each, posted by the bridging author within λt, is suppressed.
     for (id, text) in [
         (4, "quarterly earnings call transcript"),
         (5, "marathon route closes downtown"),
@@ -273,51 +301,84 @@ fn merge_collects_seeds_from_two_released_engines() {
                 .offer(&Post::new(id, 4, 3_000 + id, text.into()))
                 .delivered_to,
             Vec::<u32>::new(),
-            "post {id} must be covered by an inherited seed"
+            "post {id} must be covered by what user 0 was shown"
         );
     }
 }
 
-/// Regression: a merge-inducing subscribe against *live window content*
-/// must register a warm start — for every kind and through the
-/// `FirehoseService` facade. The churn bench reported `warm_starts: 0`
-/// across 1,642 spawns for several releases because it replayed churn
-/// against an idle service (empty windows yield no seeds, so the warm path
-/// never fired); this pins the behavior the bench now measures.
-#[test]
-fn merge_inducing_subscribe_records_warm_start() {
-    let seed_post = || Post::new(1, 0, 1_000, "breaking story everyone reposts".into());
-    for kind in AlgorithmKind::ALL {
-        let subscriptions = Subscriptions::new(AUTHORS, [vec![0]]).unwrap();
-        let mut multi = build(kind, subscriptions);
-        assert_eq!(multi.offer(&seed_post()).delivered_to, [0]);
-        assert_eq!(multi.churn_stats().warm_starts, 0);
-        // Graph edge (0, 1): adding author 1 merges it into user 0's
-        // populated component, spawning a seeded replacement engine.
-        multi.subscribe(0, 1).unwrap();
-        let stats = multi.churn_stats();
-        assert!(
-            stats.warm_starts > 0,
-            "{kind}: spawned {} engines but warm-started none",
-            stats.engines_spawned
-        );
-    }
+/// Both near-identical posts of the regression cases, one second apart.
+fn near_duplicates(first: u32, second: u32) -> [Post; 2] {
+    [
+        Post::new(1, first, 0, "ferry service suspended after storm".into()),
+        Post::new(
+            2,
+            second,
+            1_000,
+            "ferry service suspended after storm".into(),
+        ),
+    ]
+}
 
-    // Same scenario through the service facade.
-    let mut service = firehose::core::FirehoseService::builder(
-        &graph(),
-        Subscriptions::new(AUTHORS, [vec![0]]).unwrap(),
-    )
-    .engine_config(config())
-    .build()
-    .unwrap();
-    service.process(seed_post(), |_, _| {}).unwrap();
-    assert_eq!(service.churn_stats().warm_starts, 0);
-    service.subscribe(0, 1).unwrap();
-    assert!(
-        service.churn_stats().warm_starts > 0,
-        "service facade must warm-start the merged engine"
+/// Offer `posts[0]`, apply `op`, offer `posts[1]`: the second post's
+/// delivery from the engine and from the oracle.
+fn around_one_op(
+    graph: &UndirectedGraph,
+    follows: Vec<Vec<AuthorId>>,
+    posts: &[Post; 2],
+    op: ChurnOp,
+) -> (Vec<UserId>, Vec<UserId>) {
+    let subscriptions = Subscriptions::new(graph.node_count(), follows.clone()).unwrap();
+    let mut multi = SharedMulti::new(AlgorithmKind::UniBin, config(), graph, subscriptions);
+    multi.offer(&posts[0]);
+    match &op {
+        ChurnOp::Subscribe(u, a) => assert!(multi.subscribe(*u, *a).unwrap()),
+        ChurnOp::Unsubscribe(u, a) => assert!(multi.unsubscribe(*u, *a).unwrap()),
+        _ => unreachable!("the regression cases edit follows"),
+    }
+    let got = multi.offer(&posts[1]).delivered_to;
+    let records: Vec<_> = posts
+        .iter()
+        .map(|p| p.to_record(config().simhash))
+        .collect();
+    let want = oracle::mspsd_churn(&records, &follows, &[(1, op)], &config().thresholds, graph);
+    (got, want[1].clone())
+}
+
+/// Regression: a user who follows an author a live component already
+/// served must not be covered by posts they never received. Authors 0 and
+/// 1 are unrelated; user 0 follows {0}, user 1 follows {1}. Post 1 by
+/// author 0 reaches user 0 only; user 1 then follows author 0, and a
+/// near-duplicate by author 0 is new to user 1. The component engine joined
+/// user 1 to user 0's live component {0} and delivered it to nobody.
+#[test]
+fn new_follower_is_not_covered_by_posts_it_never_received() {
+    let graph = UndirectedGraph::from_edges(2, []);
+    let (got, want) = around_one_op(
+        &graph,
+        vec![vec![0], vec![1]],
+        &near_duplicates(0, 0),
+        ChurnOp::Subscribe(1, 0),
     );
+    assert_eq!(want, [1], "the per-user oracle");
+    assert_eq!(got, want);
+}
+
+/// Regression: unfollowing an author keeps what the user was shown from
+/// them as coverage. Authors 0 and 1 are similar; user 0 follows both.
+/// Post 1 by author 0 reaches user 0, who then unfollows author 0; a
+/// near-duplicate by author 1 is covered by post 1. The component engine
+/// split user 0 onto a fresh component {1} and delivered it again.
+#[test]
+fn unsubscribe_keeps_the_users_history() {
+    let graph = UndirectedGraph::from_edges(2, [(0, 1)]);
+    let (got, want) = around_one_op(
+        &graph,
+        vec![vec![0, 1]],
+        &near_duplicates(0, 1),
+        ChurnOp::Unsubscribe(0, 0),
+    );
+    assert!(want.is_empty(), "the per-user oracle: {want:?}");
+    assert_eq!(got, want);
 }
 
 /// Checkpoint-across-churn: a checkpoint taken after posts + churn restores
@@ -395,7 +456,8 @@ proptest! {
     /// traces woven into the post stream, a run interrupted by a mid-stream
     /// checkpoint that restores into a *fresh* instance (built from the
     /// initial table), which then finishes the stream, is decision-for-
-    /// decision and ledger-identical to an uninterrupted run.
+    /// decision and ledger-identical to an uninterrupted run, and both are
+    /// the per-user oracle's streams.
     #[test]
     fn interleaved_churn_survives_checkpoint_handoff(
         seed in 0u64..1_000_000,
@@ -435,6 +497,10 @@ proptest! {
             apply(&mut multi, &entry.event);
         }
         prop_assert_eq!(&got, &expected, "decisions diverged");
+        let want = oracle_streams(&stream, &trace);
+        for (d, w) in expected.iter().zip(&want) {
+            prop_assert_eq!(&d.delivered_to, w, "diverged from the oracle");
+        }
         prop_assert_eq!(
             multi.churn_stats(),
             reference.churn_stats(),

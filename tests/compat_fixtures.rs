@@ -19,9 +19,9 @@
 //!
 //! `fhckpt_s_unibin_churned.bin` is an FHSNAP04 `S_UniBin` checkpoint taken
 //! mid-churn, with warm-started engines live, by the last release that ran
-//! one engine per component; `fhckpt_s_unibin_churned_continuation.tsv` is
-//! what that release delivered after the checkpoint. Both restore through
-//! the per-component → labelled-window conversion.
+//! one engine per component. It restores through the per-component →
+//! user-labelled window conversion, and continues as the per-user churn
+//! oracle delivers over the whole recipe.
 //!
 //! Fixture recipe (frozen; do NOT regenerate with current code): 6-author
 //! graph `[(0,1),(0,5),(3,4)]`, thresholds `(18, 30_000 ms, 0.5)`, posts
@@ -39,10 +39,11 @@ use firehose::core::snapshot::{
     restore_cliquebin, restore_neighborbin, restore_unibin, snapshot_cliquebin,
     snapshot_neighborbin, snapshot_unibin, SnapshotError,
 };
-use firehose::core::{EngineConfig, MemoryMode, Thresholds};
+use firehose::core::{ChurnOp, EngineConfig, MemoryMode, Thresholds};
 use firehose::datagen::{generate_churn_trace, ChurnEvent, ChurnGenConfig, ChurnTraceEntry};
 use firehose::graph::{greedy_clique_cover, UndirectedGraph};
 use firehose::stream::{AuthorId, Post};
+use firehose_reference::oracle;
 
 fn fixture(name: &str) -> Vec<u8> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -354,29 +355,35 @@ mod churned {
         }
     }
 
-    /// One `id<TAB>users` line (`-` for nobody).
-    pub(crate) fn line(post: &Post, decision: &MultiDecision) -> String {
-        let users: Vec<String> = decision
-            .delivered_to
+    /// Every post's `delivered_to` over the whole recipe, from the
+    /// per-user churn oracle.
+    pub(crate) fn oracle() -> Vec<Vec<u32>> {
+        let records: Vec<_> = posts()
             .iter()
-            .map(|u| u.to_string())
+            .map(|p| p.to_record(config().simhash))
             .collect();
-        if users.is_empty() {
-            format!("{}\t-", post.id)
-        } else {
-            format!("{}\t{}", post.id, users.join(","))
-        }
+        let ops: Vec<(usize, ChurnOp)> = trace()
+            .iter()
+            .map(|e| (e.after_posts as usize, e.event.to_string().parse().unwrap()))
+            .collect();
+        oracle::mspsd_churn(
+            &records,
+            &initial_sets(),
+            &ops,
+            &config().thresholds,
+            &graph(),
+        )
     }
 }
 
 /// A per-component `S_UniBin` checkpoint taken mid-churn, with
-/// warm-started engines live, restores into the labelled window through
-/// the blob conversion (into a strategy built from the *initial* table)
-/// and continues exactly as the per-component engines did, churn included.
+/// warm-started engines live, restores into the user-labelled window
+/// through the blob conversion (into an engine built from the *initial*
+/// table) and continues, churn included, exactly as the per-user churn
+/// oracle delivers posts 81–160 of the whole recipe.
 #[test]
 fn per_component_churned_checkpoint_converts_and_continues() {
     let bytes = fixture("fhckpt_s_unibin_churned.bin");
-    let want = String::from_utf8(fixture("fhckpt_s_unibin_churned_continuation.tsv")).unwrap();
     let posts = churned::posts();
     let trace = churned::trace();
     let mut restored = SharedMulti::new(
@@ -407,7 +414,7 @@ fn per_component_churned_checkpoint_converts_and_continues() {
         .iter()
         .position(|e| e.after_posts >= churned::CHECKPOINT_AFTER as u64)
         .unwrap_or(trace.len());
-    let mut got = Vec::new();
+    let want = churned::oracle();
     let mut decision = MultiDecision::default();
     for (i, post) in posts.iter().enumerate().skip(churned::CHECKPOINT_AFTER) {
         while next < trace.len() && trace[next].after_posts <= i as u64 {
@@ -415,11 +422,10 @@ fn per_component_churned_checkpoint_converts_and_continues() {
             next += 1;
         }
         restored.offer_into(post, &mut decision);
-        got.push(churned::line(post, &decision));
-    }
-    let want: Vec<&str> = want.lines().collect();
-    assert_eq!(got.len(), want.len());
-    for (g, w) in got.iter().zip(&want) {
-        assert_eq!(g, w, "continuation diverged from the per-component release");
+        assert_eq!(
+            decision.delivered_to, want[i],
+            "post {}: the continuation diverged from the per-user oracle",
+            post.id
+        );
     }
 }

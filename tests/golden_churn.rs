@@ -3,29 +3,31 @@
 //! `tests/fixtures/golden_s_unibin_churn.tsv` holds every post's
 //! `delivered_to` list as produced by the per-component `S_UniBin` engines
 //! (one `CompactEngine` per distinct component) on a seeded datagen stream
-//! with a seeded churn trace interleaved, warm starts on. The trace spawns,
-//! retires and recycles component slots. The shared engine now runs one
-//! labelled window instead, and must reproduce that file byte for byte, for
-//! every algorithm kind.
+//! with a seeded churn trace interleaved. On these inputs those engines
+//! delivered exactly what the per-user churn oracle
+//! (`firehose_reference::oracle::mspsd_churn`) delivers, so the file pins
+//! both: the user-labelled engine must reproduce it byte for byte, for
+//! every algorithm kind, and the oracle must agree with it line for line.
 //!
 //! The fixture is frozen: it was captured from the per-component
 //! implementation and must not be regenerated with current code. Its
-//! header carries that run's final churn ledger; everything except
-//! `warm_starts` must match (see `DESIGN.md` §9 for the warm-start counting
-//! rule).
+//! header carries that run's final churn ledger, of which the four op
+//! counts must match; the component counters it also records no longer
+//! exist.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use firehose::core::engine::AlgorithmKind;
-use firehose::core::multi::{ChurnStats, MultiDecision, SharedMulti, Subscriptions};
-use firehose::core::EngineConfig;
+use firehose::core::multi::{ChurnStats, MultiDecision, SharedMulti, Subscriptions, UserId};
+use firehose::core::{ChurnOp, EngineConfig};
 use firehose::datagen::{
     generate_churn_trace, generate_subscriptions, ChurnEvent, ChurnGenConfig, ChurnTraceEntry,
     SocialGenConfig, SubscriptionGenConfig, SyntheticSocialGraph, Workload, WorkloadConfig,
 };
 use firehose::graph::{build_similarity_graph, UndirectedGraph};
 use firehose::stream::{hours, AuthorId, Post};
+use firehose_reference::oracle;
 
 const FIXTURE: &str = "golden_s_unibin_churn.tsv";
 
@@ -33,6 +35,7 @@ const FIXTURE: &str = "golden_s_unibin_churn.tsv";
 /// posts with viral bursts, 80 users and 150 churn ops.
 struct Inputs {
     graph: UndirectedGraph,
+    sets: Vec<Vec<AuthorId>>,
     subscriptions: Subscriptions,
     posts: Vec<Post>,
     trace: Vec<ChurnTraceEntry>,
@@ -70,7 +73,8 @@ fn inputs() -> Inputs {
         },
     );
     Inputs {
-        subscriptions: Subscriptions::new(authors, sets).expect("valid subscriptions"),
+        subscriptions: Subscriptions::new(authors, sets.clone()).expect("valid subscriptions"),
+        sets,
         graph,
         posts: workload.posts,
         trace,
@@ -94,9 +98,23 @@ fn apply(multi: &mut SharedMulti, event: &ChurnEvent) {
     }
 }
 
+/// The fixture body: one `id<TAB>users` line per post (`-` for nobody).
+fn body(posts: &[Post], delivered: &[Vec<UserId>]) -> String {
+    let mut body = String::new();
+    for (post, users) in posts.iter().zip(delivered) {
+        let users: Vec<String> = users.iter().map(|u| u.to_string()).collect();
+        let users = if users.is_empty() {
+            "-".to_string()
+        } else {
+            users.join(",")
+        };
+        writeln!(body, "{}\t{users}", post.id).unwrap();
+    }
+    body
+}
+
 /// Replay the stream with the trace interleaved at its recorded positions
-/// and render the fixture: a churn-ledger header, then one
-/// `id<TAB>users` line per post (`-` for nobody).
+/// and render the fixture body, plus the final churn ledger.
 fn render(kind: AlgorithmKind, inputs: &Inputs) -> (String, ChurnStats) {
     let mut multi = SharedMulti::new(
         kind,
@@ -104,7 +122,7 @@ fn render(kind: AlgorithmKind, inputs: &Inputs) -> (String, ChurnStats) {
         &inputs.graph,
         inputs.subscriptions.clone(),
     );
-    let mut body = String::new();
+    let mut delivered = Vec::with_capacity(inputs.posts.len());
     let mut decision = MultiDecision::default();
     let mut next = 0;
     for (i, post) in inputs.posts.iter().enumerate() {
@@ -113,47 +131,60 @@ fn render(kind: AlgorithmKind, inputs: &Inputs) -> (String, ChurnStats) {
             next += 1;
         }
         multi.offer_into(post, &mut decision);
-        let users: Vec<String> = decision
-            .delivered_to
-            .iter()
-            .map(|u| u.to_string())
-            .collect();
-        let users = if users.is_empty() {
-            "-".to_string()
-        } else {
-            users.join(",")
-        };
-        writeln!(body, "{}\t{users}", post.id).unwrap();
+        delivered.push(std::mem::take(&mut decision.delivered_to));
     }
     for entry in &inputs.trace[next..] {
         apply(&mut multi, &entry.event);
     }
+    let body = body(&inputs.posts, &delivered);
     (body, multi.churn_stats())
 }
 
-fn header(c: &ChurnStats) -> String {
+/// The fixture body as the per-user churn oracle delivers it.
+fn render_oracle(inputs: &Inputs) -> String {
+    let config = EngineConfig::paper_defaults();
+    let records: Vec<_> = inputs
+        .posts
+        .iter()
+        .map(|p| p.to_record(config.simhash))
+        .collect();
+    let ops: Vec<(usize, ChurnOp)> = inputs
+        .trace
+        .iter()
+        .map(|e| (e.after_posts as usize, e.event.to_string().parse().unwrap()))
+        .collect();
+    let delivered = oracle::mspsd_churn(
+        &records,
+        &inputs.sets,
+        &ops,
+        &config.thresholds,
+        &inputs.graph,
+    );
+    body(&inputs.posts, &delivered)
+}
+
+/// The four op counts, as the fixture header spells them.
+fn op_counts(c: &ChurnStats) -> String {
     format!(
-        "# subscribes={} unsubscribes={} users_added={} users_removed={} \
-         engines_spawned={} engines_retired={} warm_starts={} initial_engines={}\n",
-        c.subscribes,
-        c.unsubscribes,
-        c.users_added,
-        c.users_removed,
-        c.engines_spawned,
-        c.engines_retired,
-        c.warm_starts,
-        c.initial_engines
+        "subscribes={} unsubscribes={} users_added={} users_removed={}",
+        c.subscribes, c.unsubscribes, c.users_added, c.users_removed
     )
 }
 
-/// The header with `warm_starts` dropped: the one ledger field allowed to
-/// differ from the per-component run.
-fn without_warm_starts(header: &str) -> String {
-    header
-        .split_whitespace()
-        .filter(|field| !field.starts_with("warm_starts="))
-        .collect::<Vec<_>>()
-        .join(" ")
+/// The first line where `got` and `want` differ, 1-based in the fixture
+/// (after its header), with both lines.
+fn first_difference(got: &str, want: &str) -> String {
+    let line = got
+        .lines()
+        .zip(want.lines())
+        .position(|(a, b)| a != b)
+        .unwrap_or(got.lines().count().min(want.lines().count()));
+    format!(
+        "line {}: got {:?}, want {:?}",
+        line + 2,
+        got.lines().nth(line),
+        want.lines().nth(line)
+    )
 }
 
 #[test]
@@ -165,29 +196,23 @@ fn labelled_engine_reproduces_per_component_streams() {
         .unwrap_or_else(|e| panic!("cannot read fixture {}: {e}", path.display()));
     let (want_header, want_body) = fixture.split_once('\n').expect("header line");
     let inputs = inputs();
+    let oracle_body = render_oracle(&inputs);
+    assert!(
+        oracle_body == want_body,
+        "the per-user oracle diverged from the fixture at {}",
+        first_difference(&oracle_body, want_body)
+    );
     for kind in AlgorithmKind::ALL {
         let (body, churn) = render(kind, &inputs);
         assert!(
-            churn.engines_spawned > 0 && churn.engines_retired > 0 && churn.warm_starts > 0,
-            "{kind}: the trace must spawn, retire and warm-start engines: {churn:?}"
+            want_header.starts_with(&format!("# {} ", op_counts(&churn))),
+            "{kind}: churn op counts drifted: {} against {want_header}",
+            op_counts(&churn)
         );
-        assert_eq!(
-            without_warm_starts(header(&churn).trim_end()),
-            without_warm_starts(want_header),
-            "{kind}: churn ledger drifted"
+        assert!(
+            body == want_body,
+            "{kind}: stream diverged from the fixture at {}",
+            first_difference(&body, want_body)
         );
-        if body != want_body {
-            let line = body
-                .lines()
-                .zip(want_body.lines())
-                .position(|(a, b)| a != b)
-                .unwrap_or(body.lines().count().min(want_body.lines().count()));
-            panic!(
-                "{kind}: stream diverged from the per-component fixture at line {}: got {:?}, want {:?}",
-                line + 2,
-                body.lines().nth(line),
-                want_body.lines().nth(line)
-            );
-        }
     }
 }
