@@ -8,7 +8,9 @@
 //! produce near-independent fingerprints whose distance concentrates around
 //! 32 (Figure 2 of the paper).
 
-use firehose_text::{fnv1a_64, normalize, tokens, NormalizeOptions, TokenWeights};
+use std::collections::VecDeque;
+
+use firehose_text::{for_each_token, NormalizeOptions, TokenWeights};
 
 /// A 64-bit SimHash fingerprint.
 pub type Fingerprint = u64;
@@ -64,12 +66,6 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Token hash used by the fingerprint: FNV-1a then SplitMix64 finalization.
-#[inline]
-pub(crate) fn token_hash(token: &str) -> u64 {
-    mix64(fnv1a_64(token.as_bytes()))
-}
-
 /// Combine two token hashes into an n-gram hash (order-sensitive).
 #[inline]
 fn combine(h: u64, next: u64) -> u64 {
@@ -97,248 +93,324 @@ pub fn empty_text_fingerprint(id: u64) -> Fingerprint {
 ///
 /// Empty or token-free text maps to fingerprint `0`. (Such posts are filtered
 /// out upstream, mirroring the paper's removal of sub-two-word tweets.)
+///
+/// One pass over `text` normalizes, splits, classifies, hashes and votes:
+/// the normalized text and its token list are never built.
 pub fn simhash(text: &str, options: SimHashOptions) -> Fingerprint {
-    let normalized = normalize(text, options.normalize);
-    let w = options.weights;
-    if w.word == 1.0 && w.hashtag == 1.0 && w.mention == 1.0 && w.url == 1.0 {
-        // Unit-weight fast path (the paper's setting, and every engine
-        // default): ±1.0 votes accumulate to exact small integers in f64, so
-        // counting set bits per position gives bit-identical fingerprints at
-        // a fraction of the cost of the 64-lane float loop.
-        return simhash_tokens_unit(
-            tokens(&normalized).map(|t| token_hash(t.text)),
-            options.ngram,
-        );
+    if options.weights == TokenWeights::uniform() {
+        // The paper's setting, and every engine default.
+        let votes = UnitVotes {
+            lanes: [0; 8],
+            pending: 0,
+            ones: [0; 64],
+            n: 0,
+        };
+        fingerprint(text, options, votes)
+    } else {
+        fingerprint(text, options, WeightedVotes([0.0; 64]))
     }
-    simhash_tokens(
-        tokens(&normalized).map(|t| (token_hash(t.text), options.weights.weight(t.kind))),
-        options.ngram,
-    )
 }
 
-/// [`simhash_tokens`] specialized to unit weights: every token votes `±1`,
-/// so the per-bit accumulator is an integer set-bit count and the sign test
-/// `votes[i] > 0.0` becomes `2·ones[i] > n`. Bit-identical to the float
-/// path for weight `1.0` (±1.0 sums are exact in `f64` far beyond any
-/// realistic token count).
-pub(crate) fn simhash_tokens_unit<I>(token_hashes: I, ngram: usize) -> Fingerprint
-where
-    I: Iterator<Item = u64>,
-{
-    if ngram <= 1 {
-        return vote_unit(token_hashes);
-    }
-    // Sliding n-gram window over the hashed token sequence.
-    let hs: Vec<u64> = token_hashes.collect();
-    if hs.len() >= ngram {
-        vote_unit(hs.windows(ngram).map(|window| {
-            let mut h = window[0];
-            for &nh in &window[1..] {
-                h = combine(h, nh);
+/// The walk behind [`simhash`]: each token with positive weight is hashed
+/// and, for `ngram > 1`, combined with the `ngram − 1` tokens before it; the
+/// (combined) hash votes with the weight of its first token.
+fn fingerprint<V: Votes>(text: &str, options: SimHashOptions, mut votes: V) -> Fingerprint {
+    let n = options.ngram;
+    // For n-grams, the last `n` (hash, weight) pairs, oldest first.
+    let mut last = VecDeque::new();
+    let gram = |last: &VecDeque<(u64, f64)>| {
+        let h = last
+            .iter()
+            .skip(1)
+            .fold(last[0].0, |h, &(next, _)| combine(h, next));
+        (h, last[0].1)
+    };
+    for_each_token(text, options.normalize, |fnv, kind| {
+        let w = options.weights.weight(kind);
+        if w > 0.0 {
+            if n <= 1 {
+                votes.add(mix64(fnv), w);
+                return;
             }
-            h
-        }))
-    } else if !hs.is_empty() {
+            if last.len() == n {
+                last.pop_front();
+            }
+            last.push_back((mix64(fnv), w));
+            if last.len() == n {
+                let (h, w) = gram(&last);
+                votes.add(h, w);
+            }
+        }
+    });
+    if !last.is_empty() && last.len() < n {
         // Shorter than one n-gram: hash the whole sequence as a unit so
         // short posts still produce a signal.
-        let mut h = hs[0];
-        for &nh in &hs[1..] {
-            h = combine(h, nh);
-        }
-        vote_unit(std::iter::once(h))
-    } else {
-        0
+        let (h, w) = gram(&last);
+        votes.add(h, w);
     }
+    votes.finish()
 }
 
-/// Integer majority vote over hashed tokens: bit `i` of the result is set
-/// iff more than half the hashes have bit `i` set. Zero hashes yield the
-/// empty-text fingerprint `0`.
-///
-/// On x86_64 with AVX2 (and unless `FIREHOSE_KERNEL=scalar` forces the
-/// portable path, see [`crate::kernels`]), the per-bit counting runs in the
-/// SIMD accumulator below; the counts — and therefore the fingerprint — are
-/// identical to the scalar loop's.
-fn vote_unit<I: Iterator<Item = u64>>(hashes: I) -> Fingerprint {
-    #[cfg(target_arch = "x86_64")]
-    if crate::kernels::active_kernel() == crate::kernels::KernelKind::Avx2 {
-        return vote_unit_x86(hashes);
-    }
-    vote_unit_scalar(hashes)
+/// A per-bit vote accumulator: every set bit of `h` votes `+w` for its
+/// fingerprint bit, every clear bit `−w`; a bit is 1 iff its sum is positive.
+trait Votes {
+    fn add(&mut self, h: u64, w: f64);
+    fn finish(self) -> Fingerprint;
 }
 
-fn vote_unit_scalar<I: Iterator<Item = u64>>(hashes: I) -> Fingerprint {
-    let mut ones = [0u32; 64];
-    let mut n = 0u64;
-    for h in hashes {
-        n += 1;
-        for (i, c) in ones.iter_mut().enumerate() {
-            *c += ((h >> i) & 1) as u32;
-        }
-    }
-    assemble_majority(&ones, n)
-}
+/// Votes of any weight, summed in `f64` in token order.
+struct WeightedVotes([f64; 64]);
 
-/// Bit `i` set iff `2·ones[i] > n` — the exact sign test of the ±1 float
-/// vote.
-fn assemble_majority(ones: &[u32; 64], n: u64) -> Fingerprint {
-    if n == 0 {
-        return 0;
-    }
-    let mut fp: u64 = 0;
-    for (i, &c) in ones.iter().enumerate() {
-        // votes[i] = ones − (n − ones); positive iff 2·ones > n.
-        fp |= u64::from(2 * u64::from(c) > n) << i;
-    }
-    fp
-}
-
-/// AVX2 vote path: hashes stream through a 64-word stack buffer; each full
-/// buffer is bit-counted by [`x86_vote::accumulate`] into the same `ones`
-/// histogram the scalar loop fills.
-#[cfg(target_arch = "x86_64")]
-fn vote_unit_x86<I: Iterator<Item = u64>>(hashes: I) -> Fingerprint {
-    let mut ones = [0u32; 64];
-    let mut n = 0u64;
-    let mut buf = [0u64; 64];
-    let mut fill = 0usize;
-    for h in hashes {
-        buf[fill] = h;
-        fill += 1;
-        if fill == buf.len() {
-            // SAFETY: only reached when `active_kernel()` is Avx2, which
-            // requires runtime AVX2 support.
-            unsafe { x86_vote::accumulate(&buf[..fill], &mut ones) };
-            n += fill as u64;
-            fill = 0;
-        }
-    }
-    if fill > 0 {
-        // SAFETY: only reached when `active_kernel()` is Avx2, which
-        // requires runtime AVX2 support.
-        unsafe { x86_vote::accumulate(&buf[..fill], &mut ones) };
-        n += fill as u64;
-    }
-    assemble_majority(&ones, n)
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86_vote {
-    use core::arch::x86_64::*;
-
-    /// Add each hash's per-bit 0/1 votes into `ones`. For every 16-bit
-    /// quarter of a hash, the quarter is broadcast to 16 lanes, ANDed with
-    /// the per-lane bit masks `[1<<0 … 1<<15]`, and compared for equality —
-    /// all-ones lanes (−1) are subtracted from a `u16` counter vector, i.e.
-    /// counted. `hashes.len() ≤ 64` keeps the `u16` counters far from
-    /// overflow (the caller streams through a 64-word buffer).
-    #[target_feature(enable = "avx2")]
-    pub(super) fn accumulate(hashes: &[u64], ones: &mut [u32; 64]) {
-        debug_assert!(hashes.len() <= u16::MAX as usize);
-        let masks = _mm256_setr_epi16(
-            1,
-            1 << 1,
-            1 << 2,
-            1 << 3,
-            1 << 4,
-            1 << 5,
-            1 << 6,
-            1 << 7,
-            1 << 8,
-            1 << 9,
-            1 << 10,
-            1 << 11,
-            1 << 12,
-            1 << 13,
-            1 << 14,
-            i16::MIN, // 1 << 15 as i16
-        );
-        let mut acc = [_mm256_setzero_si256(); 4];
-        for &h in hashes {
-            for (g, a) in acc.iter_mut().enumerate() {
-                let quarter = _mm256_set1_epi16((h >> (16 * g)) as i16);
-                let hit = _mm256_cmpeq_epi16(_mm256_and_si256(quarter, masks), masks);
-                *a = _mm256_sub_epi16(*a, hit);
-            }
-        }
-        for (g, a) in acc.iter().enumerate() {
-            let mut lanes = [0u16; 16];
-            // SAFETY: `lanes` is 32 bytes, matching the unaligned store.
-            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), *a) };
-            for (j, &count) in lanes.iter().enumerate() {
-                ones[16 * g + j] += u32::from(count);
-            }
-        }
-    }
-}
-
-/// Compute a SimHash from pre-hashed, pre-weighted tokens.
-///
-/// This is the allocation-free core used by the engines; `ngram == 1` feeds
-/// votes straight from the iterator, larger `ngram` slides a window of
-/// combined hashes carrying the weight of the window's first token.
-pub(crate) fn simhash_tokens<I>(token_hashes: I, ngram: usize) -> Fingerprint
-where
-    I: Iterator<Item = (u64, f64)>,
-{
-    let mut votes = [0.0f64; 64];
-    let mut any = false;
-
-    let mut vote = |h: u64, w: f64| {
-        any = true;
-        for (i, v) in votes.iter_mut().enumerate() {
+impl Votes for WeightedVotes {
+    #[inline]
+    fn add(&mut self, h: u64, w: f64) {
+        for (i, v) in self.0.iter_mut().enumerate() {
             if (h >> i) & 1 == 1 {
                 *v += w;
             } else {
                 *v -= w;
             }
         }
-    };
-
-    if ngram <= 1 {
-        for (h, w) in token_hashes {
-            if w > 0.0 {
-                vote(h, w);
-            }
-        }
-    } else {
-        // Sliding n-gram window over the hashed token sequence.
-        let hs: Vec<(u64, f64)> = token_hashes.filter(|&(_, w)| w > 0.0).collect();
-        if hs.len() >= ngram {
-            for window in hs.windows(ngram) {
-                let mut h = window[0].0;
-                for &(nh, _) in &window[1..] {
-                    h = combine(h, nh);
-                }
-                vote(h, window[0].1);
-            }
-        } else if !hs.is_empty() {
-            // Shorter than one n-gram: hash the whole sequence as a unit so
-            // short posts still produce a signal.
-            let mut h = hs[0].0;
-            for &(nh, _) in &hs[1..] {
-                h = combine(h, nh);
-            }
-            vote(h, hs[0].1);
-        }
     }
 
-    if !any {
-        return 0;
+    fn finish(self) -> Fingerprint {
+        (0..64).fold(0, |fp, i| fp | u64::from(self.0[i] > 0.0) << i)
     }
-    let mut fp: u64 = 0;
-    for (i, &v) in votes.iter().enumerate() {
-        if v > 0.0 {
-            fp |= 1 << i;
+}
+
+/// Unit votes as set-bit counts: the `±1` sum of bit `i` over `n` tokens is
+/// positive iff `2·ones[i] > n`, which is exact where the `f64` sum is too.
+///
+/// Counting runs in eight `u64` byte-lane counters, 8 adds per token
+/// instead of 64: byte `k` of `lanes[j]` counts bit `8k + j`. A byte holds
+/// 255, so every 255 tokens the lanes are flushed into `ones`.
+struct UnitVotes {
+    lanes: [u64; 8],
+    /// Tokens in `lanes` not yet flushed into `ones`.
+    pending: u32,
+    ones: [u32; 64],
+    n: u64,
+}
+
+impl UnitVotes {
+    fn flush(&mut self) {
+        for (j, lane) in self.lanes.iter_mut().enumerate() {
+            for k in 0..8 {
+                self.ones[8 * k + j] += ((*lane >> (8 * k)) & 0xff) as u32;
+            }
+            *lane = 0;
+        }
+        self.n += u64::from(self.pending);
+        self.pending = 0;
+    }
+}
+
+impl Votes for UnitVotes {
+    #[inline]
+    fn add(&mut self, h: u64, _: f64) {
+        for (j, lane) in self.lanes.iter_mut().enumerate() {
+            *lane += (h >> j) & 0x0101_0101_0101_0101;
+        }
+        self.pending += 1;
+        if self.pending == 255 {
+            self.flush();
         }
     }
-    fp
+
+    fn finish(mut self) -> Fingerprint {
+        self.flush();
+        (0..64).fold(0, |fp, i| {
+            fp | u64::from(2 * u64::from(self.ones[i]) > self.n) << i
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hamming::hamming_distance;
+    use firehose_text::{fnv1a_64, normalize, tokens};
+
+    /// Token hash used by the fingerprint: FNV-1a then SplitMix64
+    /// finalization.
+    fn token_hash(token: &str) -> u64 {
+        mix64(fnv1a_64(token.as_bytes()))
+    }
+
+    /// The reference [`simhash`] must reproduce bit for bit: build the
+    /// normalized string, split it with [`tokens`], and vote in `f64` over
+    /// the collected token hashes.
+    fn reference(text: &str, options: SimHashOptions) -> Fingerprint {
+        let normalized = normalize(text, options.normalize);
+        let hashed =
+            tokens(&normalized).map(|t| (token_hash(t.text), options.weights.weight(t.kind)));
+        simhash_tokens(hashed, options.ngram)
+    }
+
+    /// SimHash over pre-hashed, pre-weighted tokens: `ngram == 1` votes each
+    /// token, larger `ngram` slides a window of combined hashes carrying the
+    /// weight of the window's first token.
+    fn simhash_tokens<I>(token_hashes: I, ngram: usize) -> Fingerprint
+    where
+        I: Iterator<Item = (u64, f64)>,
+    {
+        let mut votes = [0.0f64; 64];
+        let mut any = false;
+
+        let mut vote = |h: u64, w: f64| {
+            any = true;
+            for (i, v) in votes.iter_mut().enumerate() {
+                if (h >> i) & 1 == 1 {
+                    *v += w;
+                } else {
+                    *v -= w;
+                }
+            }
+        };
+
+        if ngram <= 1 {
+            for (h, w) in token_hashes {
+                if w > 0.0 {
+                    vote(h, w);
+                }
+            }
+        } else {
+            let hs: Vec<(u64, f64)> = token_hashes.filter(|&(_, w)| w > 0.0).collect();
+            if hs.len() >= ngram {
+                for window in hs.windows(ngram) {
+                    let mut h = window[0].0;
+                    for &(nh, _) in &window[1..] {
+                        h = combine(h, nh);
+                    }
+                    vote(h, window[0].1);
+                }
+            } else if !hs.is_empty() {
+                let mut h = hs[0].0;
+                for &(nh, _) in &hs[1..] {
+                    h = combine(h, nh);
+                }
+                vote(h, hs[0].1);
+            }
+        }
+
+        if !any {
+            return 0;
+        }
+        let mut fp: u64 = 0;
+        for (i, &v) in votes.iter().enumerate() {
+            if v > 0.0 {
+                fp |= 1 << i;
+            }
+        }
+        fp
+    }
+
+    fn options_from_bits(bits: u8) -> NormalizeOptions {
+        NormalizeOptions {
+            lowercase: bits & 1 != 0,
+            collapse_whitespace: bits & 2 != 0,
+            strip_non_alphanumeric: bits & 4 != 0,
+            keep_social_sigils: bits & 8 != 0,
+        }
+    }
+
+    /// Uniform, a zeroed class (hashtags; words, which the paper's options
+    /// make every token), and classes boosted to fractional weights.
+    fn weight_sets() -> [TokenWeights; 4] {
+        [
+            TokenWeights::uniform(),
+            TokenWeights {
+                hashtag: 0.0,
+                ..TokenWeights::uniform()
+            },
+            TokenWeights {
+                word: 0.0,
+                ..TokenWeights::uniform()
+            },
+            TokenWeights {
+                word: 0.7,
+                hashtag: 2.5,
+                mention: 3.0,
+                url: 1.0,
+            },
+        ]
+    }
+
+    /// Text with URL and sigil prefixes, multi-char lowercase expansions
+    /// (İ, ǅ), ß, Unicode whitespace, the ASCII separators U+001C–U+001F
+    /// (not `char::is_whitespace`), the Kelvin sign (lowercases to ASCII
+    /// `k`), and random code points.
+    fn post_text() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        const PIECES: &[&str] = &[
+            "http://", "https://", "#", "@", "a", "Z", "7", "tie", " ", "  ", "\t", "\n", "-", ".",
+            "İ", "ǅ", "ß", "é", "\u{a0}", "\u{85}", "\u{2028}", "\u{3000}", "\u{1c}", "\u{1f}",
+            "\u{212a}", "🔥",
+        ];
+        let piece = (
+            0u8..4,
+            proptest::sample::select(PIECES.to_vec()),
+            0u32..0x11_0000,
+        )
+            .prop_map(|(pick, piece, cp)| match pick {
+                0 => char::from_u32(cp).unwrap_or('\u{fffd}').to_string(),
+                _ => piece.to_string(),
+            });
+        proptest::collection::vec(piece, 0..60).prop_map(|pieces| pieces.concat())
+    }
+
+    #[test]
+    fn simhash_matches_reference_proptest() {
+        use proptest::prelude::*;
+        proptest! {
+            fn inner(text in post_text(), bits in 0u8..16, ngram in 1usize..5) {
+                for weights in weight_sets() {
+                    let options = SimHashOptions {
+                        normalize: options_from_bits(bits),
+                        weights,
+                        ngram,
+                    };
+                    prop_assert_eq!(
+                        simhash(&text, options),
+                        reference(&text, options),
+                        "options={:?} text={:?}", options, text
+                    );
+                }
+            }
+        }
+        inner();
+    }
+
+    #[test]
+    fn byte_lane_flush_matches_reference() {
+        // A byte lane holds 255 votes, so the flush must run by the 255th
+        // token; a 70,000-token post crosses it 274 times. One repeated
+        // token sets the same bits every time, so a late flush overflows a
+        // lane; the mixed words exercise the n-gram buffer and every class.
+        let mixed = ["alpha", "beta", "#gamma", "@delta", "http://e.co/x", "zeta"];
+        for len in [254, 255, 256, 70_000] {
+            let repeated = vec!["tie"; len].join(" ");
+            let mixed: Vec<&str> = (0..len)
+                .map(|i| mixed[(i * 7 + i / 3) % mixed.len()])
+                .collect();
+            for text in [repeated, mixed.join(" ")] {
+                for ngram in 1..=2 {
+                    for normalize in [NormalizeOptions::paper(), NormalizeOptions::raw()] {
+                        let options = SimHashOptions {
+                            normalize,
+                            weights: TokenWeights::uniform(),
+                            ngram,
+                        };
+                        assert_eq!(
+                            simhash(&text, options),
+                            reference(&text, options),
+                            "len={len} ngram={ngram}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic() {
@@ -399,7 +471,6 @@ mod tests {
 
     #[test]
     fn heavier_weight_dominates_fingerprint() {
-        use firehose_text::TokenWeights;
         let boosted = SimHashOptions {
             weights: TokenWeights {
                 hashtag: 100.0,
@@ -410,18 +481,12 @@ mod tests {
         // keep_social_sigils=false strips '#', so use raw normalization to
         // retain hashtag classification.
         let boosted = SimHashOptions {
-            normalize: NormalizeOptions_raw(),
+            normalize: NormalizeOptions::raw(),
             ..boosted
         };
         let only_tag = simhash("#breaking", boosted);
         let tag_plus_noise = simhash("#breaking unrelated words here now", boosted);
         assert!(hamming_distance(only_tag, tag_plus_noise) <= 8);
-    }
-
-    // helper: NormalizeOptions::raw() via function to dodge the import dance
-    #[allow(non_snake_case)]
-    fn NormalizeOptions_raw() -> firehose_text::NormalizeOptions {
-        firehose_text::NormalizeOptions::raw()
     }
 
     #[test]
@@ -458,72 +523,6 @@ mod tests {
             for &b in &fps[i + 1..] {
                 let d = hamming_distance(a, b);
                 assert!(d >= 8, "ids too close: distance {d}");
-            }
-        }
-    }
-
-    #[test]
-    fn unit_fast_path_matches_float_path() {
-        use proptest::prelude::*;
-        proptest! {
-            fn inner(
-                hashes in proptest::collection::vec(any::<u64>(), 0..40),
-                ngram in 1usize..4,
-            ) {
-                let float = simhash_tokens(hashes.iter().map(|&h| (h, 1.0)), ngram);
-                let unit = simhash_tokens_unit(hashes.iter().copied(), ngram);
-                prop_assert_eq!(unit, float, "ngram={}", ngram);
-            }
-        }
-        inner();
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_vote_matches_scalar_vote() {
-        use proptest::prelude::*;
-        if !crate::kernels::KernelKind::Avx2.is_supported() {
-            return;
-        }
-        proptest! {
-            fn inner(
-                // Cross the 64-word buffer boundary so flush + tail both run.
-                hashes in proptest::collection::vec(any::<u64>(), 0..200),
-            ) {
-                prop_assert_eq!(
-                    vote_unit_x86(hashes.iter().copied()),
-                    vote_unit_scalar(hashes.iter().copied())
-                );
-            }
-        }
-        inner();
-    }
-
-    #[test]
-    fn simhash_uses_same_votes_as_generic_path() {
-        // The uniform-weight fast path inside `simhash` must agree with the
-        // generic weighted accumulator on real text, for every ngram size.
-        let texts = [
-            "Over 300 people missing after South Korean ferry sinks Reuters",
-            "breaking #news from @cnn http://t.co/x",
-            "a",
-            "tie tie tie tie", // repeated token: every vote identical
-            "",
-        ];
-        for ngram in 1..4 {
-            for text in texts {
-                let opts = SimHashOptions {
-                    ngram,
-                    ..SimHashOptions::paper()
-                };
-                let via_fast = simhash(text, opts);
-                let normalized = firehose_text::normalize(text, opts.normalize);
-                let via_float = simhash_tokens(
-                    firehose_text::tokens(&normalized)
-                        .map(|t| (token_hash(t.text), opts.weights.weight(t.kind))),
-                    ngram,
-                );
-                assert_eq!(via_fast, via_float, "ngram={ngram} text={text:?}");
             }
         }
     }

@@ -1,5 +1,7 @@
 //! Runtime kernel selection for the batched Hamming scans.
 //!
+//! Only the Hamming scans have kernels: fingerprint construction
+//! ([`crate::simhash`]) is one portable loop whatever is selected here.
 //! The window-scan kernels in [`crate::hamming`] exist in three bodies: an
 //! AVX2 implementation (x86_64, `vpshufb` nibble-popcount), a NEON
 //! implementation (aarch64, `vcntq_u8`), and the portable batched-scalar
@@ -92,11 +94,12 @@ pub fn supported_kernels() -> Vec<KernelKind> {
     kernels
 }
 
-/// The kernel the dispatching entry points use, decided once per process.
+/// The kernel the dispatching Hamming scans use, decided once per process.
 ///
-/// `FIREHOSE_KERNEL=scalar` forces the portable loop (the CI cross-check
-/// job); `avx2`/`neon` force a SIMD body *if supported*, and any other or
-/// unsupported value falls back to auto-detection (best supported kernel).
+/// `FIREHOSE_KERNEL=scalar` forces the portable scan loop (the CI
+/// cross-check job); `avx2`/`neon` force a SIMD body *if supported*, and any
+/// other or unsupported value falls back to auto-detection (best supported
+/// kernel). It selects nothing else: [`crate::simhash`] has one body.
 pub fn active_kernel() -> KernelKind {
     static ACTIVE: OnceLock<KernelKind> = OnceLock::new();
     *ACTIVE.get_or_init(|| {

@@ -32,6 +32,8 @@
 //! ```
 
 mod fingerprint;
+// The SIMD kernel bodies: the workspace's only `unsafe` code.
+#[allow(unsafe_code)]
 mod hamming;
 mod index;
 mod kernels;

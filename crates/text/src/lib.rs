@@ -12,7 +12,9 @@
 //! * [`tokenize()`] / [`tokens`] — whitespace tokenization with
 //!   social-media-aware token classification (hashtags, mentions, URLs),
 //!   plus optional token weighting (the paper experimented with boosting
-//!   hashtags/mentions by creating artificial copies).
+//!   hashtags/mentions by creating artificial copies);
+//! * [`for_each_token`] — the hashed, classified tokens of the normalized
+//!   text in one pass over the raw text, which is how SimHash reads a post.
 //! * [`TfVector`] / [`cosine_similarity`] — sparse term-frequency vectors and
 //!   exact cosine similarity, the "slow but accurate" baseline that SimHash
 //!   approximates;
@@ -31,4 +33,4 @@ mod tokenize;
 pub use abbrev::expand_abbreviations;
 pub use normalize::{normalize, NormalizeOptions};
 pub use tf::{cosine_similarity, fnv1a_64, TfVector};
-pub use tokenize::{tokenize, tokens, Token, TokenKind, TokenWeights};
+pub use tokenize::{for_each_token, tokenize, tokens, Token, TokenKind, TokenWeights};

@@ -70,6 +70,26 @@ impl NormalizeOptions {
 /// ```
 pub fn normalize(text: &str, options: NormalizeOptions) -> String {
     let mut out = String::with_capacity(text.len());
+    walk(text, options, &mut out);
+    out
+}
+
+/// Where [`walk`] writes the normalized text.
+pub(crate) trait Sink {
+    /// Append `ch`.
+    fn put(&mut self, ch: char);
+}
+
+impl Sink for String {
+    #[inline]
+    fn put(&mut self, ch: char) {
+        self.push(ch);
+    }
+}
+
+/// Feed the characters of `normalize(text, options)` to `sink`, in order,
+/// without building the string.
+pub(crate) fn walk<S: Sink>(text: &str, options: NormalizeOptions, sink: &mut S) {
     let mut pending_space = false;
     let mut emitted_any = false;
 
@@ -84,7 +104,7 @@ pub fn normalize(text: &str, options: NormalizeOptions) -> String {
                 if options.collapse_whitespace {
                     pending_space = true;
                 } else {
-                    out.push(ch);
+                    sink.put(ch);
                 }
             } else {
                 let keep = if options.strip_non_alphanumeric {
@@ -98,18 +118,18 @@ pub fn normalize(text: &str, options: NormalizeOptions) -> String {
                     if options.collapse_whitespace {
                         pending_space = true;
                     } else {
-                        out.push(' ');
+                        sink.put(' ');
                     }
                 } else {
                     if pending_space && emitted_any {
-                        out.push(' ');
+                        sink.put(' ');
                     }
                     pending_space = false;
                     emitted_any = true;
                     if options.lowercase {
                         $push_lower;
                     } else {
-                        out.push(ch);
+                        sink.put(ch);
                     }
                 }
             }
@@ -122,27 +142,25 @@ pub fn normalize(text: &str, options: NormalizeOptions) -> String {
         let b = bytes[i];
         if b < 0x80 {
             i += 1;
-            let ch = b as char;
             step!(
-                ch,
+                char::from(b),
                 // The ASCII subset of the White_Space property.
                 matches!(b, b'\t'..=b'\r' | b' '),
                 b.is_ascii_alphanumeric(),
-                out.push(ch.to_ascii_lowercase())
+                sink.put(char::from(b.to_ascii_lowercase()))
             );
         } else {
             // Multi-byte scalar: decode and run the general Unicode rules.
             let ch = text[i..].chars().next().expect("valid UTF-8 boundary");
             i += ch.len_utf8();
-            step!(ch, ch.is_whitespace(), ch.is_alphanumeric(), {
-                for lc in ch.to_lowercase() {
-                    out.push(lc);
-                }
-            });
+            step!(
+                ch,
+                ch.is_whitespace(),
+                ch.is_alphanumeric(),
+                ch.to_lowercase().for_each(|lc| sink.put(lc))
+            );
         }
     }
-
-    out
 }
 
 #[cfg(test)]
@@ -247,11 +265,7 @@ mod tests {
         use proptest::prelude::*;
         proptest! {
             fn inner(text in ".{0,60}") {
-                for options in [
-                    NormalizeOptions::paper(),
-                    NormalizeOptions::raw(),
-                    NormalizeOptions { keep_social_sigils: true, ..NormalizeOptions::paper() },
-                ] {
+                for options in all_option_combos() {
                     prop_assert_eq!(
                         normalize(&text, options),
                         normalize_reference(&text, options)

@@ -27,14 +27,16 @@ pub struct TfVector {
 /// dependency-free and stable across platforms.
 #[inline]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv1a_byte(h, b))
+}
+
+/// The FNV-1a hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step: `h` extended by byte `b`.
+#[inline]
+pub(crate) fn fnv1a_byte(h: u64, b: u8) -> u64 {
+    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 impl TfVector {
