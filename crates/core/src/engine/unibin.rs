@@ -29,8 +29,8 @@ pub struct UniBin {
     adjacency: AdjacencyBitsets,
     /// Reusable lookup-result buffer, so the hot path never allocates.
     scan: ScanBuffer,
-    /// Hamming kernel selected once at construction (AVX2/NEON when the
-    /// host supports it, batched scalar otherwise).
+    /// Hamming kernel selected once at construction (AVX2 when the host
+    /// supports it, batched scalar otherwise).
     kernel: KernelKind,
     metrics: EngineMetrics,
     obs: Option<EngineObs>,

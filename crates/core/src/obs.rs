@@ -134,7 +134,7 @@ pub fn export_engine_metrics(registry: &Registry, engine: &str, m: &EngineMetric
 }
 
 /// Export the identity of the active Hamming kernel into `registry` as an
-/// info-style gauge `firehose_kernel_info{kernel="avx2|neon|scalar"} 1`, so
+/// info-style gauge `firehose_kernel_info{kernel="avx2|scalar"} 1`, so
 /// scraped metrics record which code path produced a run's numbers. One gauge per kernel name; re-export is idempotent.
 pub fn export_kernel_info(registry: &Registry) -> &'static str {
     let kernel = firehose_simhash::active_kernel().name();
@@ -343,7 +343,7 @@ mod tests {
     fn kernel_info_exported_once_per_kernel() {
         let r = Registry::new();
         let kernel = export_kernel_info(&r);
-        assert!(["avx2", "neon", "scalar"].contains(&kernel));
+        assert!(["avx2", "scalar"].contains(&kernel));
         let text = r.render_prometheus();
         assert!(
             text.contains(&format!("firehose_kernel_info{{kernel=\"{kernel}\"}} 1")),

@@ -2,22 +2,26 @@
 //! batched window-scan kernels ([`filter_within`], [`rfind_within`]) that the
 //! SPSD engines run over a bin's contiguous fingerprint column.
 //!
-//! The scan kernels come in three bodies — AVX2, NEON, and the portable
-//! batched-scalar loop — selected at runtime (see [`crate::kernels`]). All
-//! bodies produce identical output: the positions the scalar newest-first
-//! `within_distance` walk would report, in the same order. The `*_pruned_*`
-//! variants additionally take a parallel popcount column and skip records
-//! whose set-bit count alone proves the Hamming threshold can't be met
-//! (`hamming(a, b) ≥ |popcount(a) − popcount(b)|`), without loading the
-//! fingerprint; pruning is conservative, so output is again identical.
+//! The scan is one loop (`rfind_body`: the newest match, tested 8 records at
+//! a time), and a filter is that loop repeated below each match. It is
+//! written once, with no intrinsics, and compiled per target by
+//! `scan_bodies!`: for the build's baseline target, and inside
+//! `#[target_feature(enable = "avx2")]` functions, where LLVM lowers the
+//! 8-lane XOR + popcount + compare to the AVX2 nibble-LUT popcount by
+//! itself. Which build runs is selected at runtime (see [`crate::kernels`]);
+//! both produce the positions the scalar newest-first `within_distance` walk
+//! would report, in the same order. Given a parallel popcount column, the
+//! scan also skips every 8-record block whose set-bit counts alone prove the
+//! Hamming threshold can't be met
+//! (`hamming(a, b) ≥ |popcount(a) − popcount(b)|`), without loading its
+//! fingerprints; pruning is conservative, so output is again identical.
 
 use crate::fingerprint::Fingerprint;
 use crate::kernels::KernelKind;
 
 /// Lane count of the batched kernels: fingerprints are processed in blocks of
-/// eight so the XOR+POPCNT loop has a fixed trip count — two 256-bit vectors
-/// for the AVX2 body, four 128-bit vectors for NEON, and an unrollable
-/// fixed-trip loop for the scalar fallback.
+/// eight so the XOR+POPCNT loop has a fixed trip count the compiler unrolls
+/// and vectorizes for whichever target features the scan is compiled with.
 pub(crate) const KERNEL_LANES: usize = 8;
 
 /// Number of differing bits between two fingerprints (0..=64).
@@ -44,7 +48,7 @@ pub fn within_distance(a: Fingerprint, b: Fingerprint, threshold: u32) -> bool {
 /// The popcount-class window admitted by `threshold` around `query`:
 /// a fingerprint whose popcount falls outside `[lo, hi]` cannot be within
 /// `threshold` of `query` (triangle inequality via the all-zeros word), so
-/// the pruned kernels reject it without loading the fingerprint.
+/// a scan given a popcount column rejects it without loading the fingerprint.
 #[inline]
 pub(crate) fn popcount_class_bounds(query: Fingerprint, threshold: u32) -> (u8, u8) {
     let qpc = query.count_ones();
@@ -53,275 +57,142 @@ pub(crate) fn popcount_class_bounds(query: Fingerprint, threshold: u32) -> (u8, 
     (lo, hi)
 }
 
-/// Bit `j` set iff `block[j]` is within `threshold` of `query` — the
-/// portable body. The fixed-size block and branch-free body let the compiler
-/// unroll and vectorize the XOR + popcount + compare across all lanes.
-#[inline]
-fn block_mask_scalar(
+/// `true` iff some fingerprint of `block` is within `threshold` of `query`.
+/// The fixed-size block and branch-free body let the compiler unroll and
+/// vectorize the XOR + popcount + compare across all lanes. The compare is
+/// on 64-bit lanes, the width the vector popcount produces, so no lane is
+/// narrowed before the test.
+#[inline(always)]
+fn block_any_within(
     query: Fingerprint,
     block: &[Fingerprint; KERNEL_LANES],
     threshold: u32,
-) -> u32 {
-    let mut mask = 0u32;
-    for (j, &fp) in block.iter().enumerate() {
-        mask |= u32::from((fp ^ query).count_ones() <= threshold) << j;
+) -> bool {
+    let mut any = false;
+    for &fp in block {
+        any |= u64::from((fp ^ query).count_ones()) <= u64::from(threshold);
     }
-    mask
+    any
 }
 
-/// Stamps the four scan-loop bodies (filter / rfind, plain / pruned) around
-/// a given 8-lane block-mask function. The loops are identical across
-/// kernels; only the mask body differs, and the optional attribute
-/// (`#[target_feature(..)]`) lets the SIMD instantiations inline their mask
-/// into a feature-enabled caller.
+/// `false` iff the popcount column proves that no record of the block at
+/// `start` lies in the popcount class `[lo, hi]`; always `true` without a
+/// column.
+#[inline(always)]
+fn block_admissible(prefilter: Option<(&[u8], (u8, u8))>, start: usize) -> bool {
+    prefilter.is_none_or(|(pcs, (lo, hi))| {
+        pcs[start..start + KERNEL_LANES]
+            .iter()
+            .fold(false, |any, &pc| any | (pc >= lo && pc <= hi))
+    })
+}
+
+/// Position of the newest fingerprint within `threshold` of `query`,
+/// skipping the blocks `popcounts` rules out: the one scan loop every
+/// kernel runs. Blocks are aligned to the newest record, so a filter that
+/// resumes below a match tests the rest of that block as one block again.
+#[inline(always)]
+fn rfind_body(
+    query: Fingerprint,
+    fingerprints: &[Fingerprint],
+    popcounts: Option<&[u8]>,
+    threshold: u32,
+) -> Option<usize> {
+    let prefilter = popcounts.map(|pcs| (pcs, popcount_class_bounds(query, threshold)));
+    let blocks = fingerprints.rchunks_exact(KERNEL_LANES);
+    let head = blocks.remainder().len();
+    for (k, block) in blocks.enumerate() {
+        let start = fingerprints.len() - (k + 1) * KERNEL_LANES;
+        let block: &[Fingerprint; KERNEL_LANES] = block.try_into().expect("exact chunk");
+        if block_admissible(prefilter, start) && block_any_within(query, block, threshold) {
+            return (0..KERNEL_LANES)
+                .rev()
+                .find(|&j| within_distance(block[j], query, threshold))
+                .map(|j| start + j);
+        }
+    }
+    // The ragged head holds the oldest records: scan it last, scalar.
+    (0..head)
+        .rev()
+        .find(|&i| within_distance(fingerprints[i], query, threshold))
+}
+
+/// Append the positions within `threshold` of `query`, newest-first and
+/// offset by `base`: [`rfind_body`] repeated below each match.
+#[inline(always)]
+fn filter_body(
+    query: Fingerprint,
+    fingerprints: &[Fingerprint],
+    popcounts: Option<&[u8]>,
+    threshold: u32,
+    base: u32,
+    out: &mut Vec<u32>,
+) {
+    let mut end = fingerprints.len();
+    while let Some(i) = rfind_body(
+        query,
+        &fingerprints[..end],
+        popcounts.map(|pcs| &pcs[..end]),
+        threshold,
+    ) {
+        out.push(base + i as u32);
+        end = i;
+    }
+}
+
+/// Compiles [`filter_body`] and [`rfind_body`] with the given attributes.
+/// Both bodies are `#[inline(always)]`, so each instantiation compiles them
+/// with its own target features: under `#[target_feature(enable = "avx2")]`
+/// LLVM vectorizes the block test with the `vpshufb` nibble-LUT popcount. A
+/// closure passed into a `#[target_feature]` function would not do: it is
+/// compiled without the feature.
 macro_rules! scan_bodies {
-    ($(#[$attr:meta])* mask = $mask:path) => {
-        /// Append positions within `threshold` of `query`, newest-first,
-        /// offset by `base`.
+    ($(#[$attr:meta])*) => {
         $(#[$attr])*
         pub(super) fn filter_append(
             query: u64,
             fingerprints: &[u64],
+            popcounts: Option<&[u8]>,
             threshold: u32,
             base: u32,
             out: &mut Vec<u32>,
         ) {
-            let split = fingerprints.len() - fingerprints.len() % super::KERNEL_LANES;
-            // The ragged tail holds the newest records: scan it first, scalar.
-            for i in (split..fingerprints.len()).rev() {
-                if super::within_distance(fingerprints[i], query, threshold) {
-                    out.push(base + i as u32);
-                }
-            }
-            // Full blocks, newest block first.
-            let blocks = fingerprints[..split].chunks_exact(super::KERNEL_LANES);
-            for (bi, block) in blocks.enumerate().rev() {
-                let mask = $mask(query, block.try_into().expect("exact chunk"), threshold);
-                if mask != 0 {
-                    let block_base = base + (bi * super::KERNEL_LANES) as u32;
-                    for j in (0..super::KERNEL_LANES).rev() {
-                        if mask & (1 << j) != 0 {
-                            out.push(block_base + j as u32);
-                        }
-                    }
-                }
-            }
+            super::filter_body(query, fingerprints, popcounts, threshold, base, out)
         }
 
-        /// Position of the newest fingerprint within `threshold` of `query`.
         $(#[$attr])*
-        pub(super) fn rfind(query: u64, fingerprints: &[u64], threshold: u32) -> Option<usize> {
-            let split = fingerprints.len() - fingerprints.len() % super::KERNEL_LANES;
-            for i in (split..fingerprints.len()).rev() {
-                if super::within_distance(fingerprints[i], query, threshold) {
-                    return Some(i);
-                }
-            }
-            let blocks = fingerprints[..split].chunks_exact(super::KERNEL_LANES);
-            for (bi, block) in blocks.enumerate().rev() {
-                let mask = $mask(query, block.try_into().expect("exact chunk"), threshold);
-                if mask != 0 {
-                    // Highest set lane = newest record in the block.
-                    return Some(
-                        bi * super::KERNEL_LANES + (u32::BITS - 1 - mask.leading_zeros()) as usize,
-                    );
-                }
-            }
-            None
-        }
-
-        /// [`filter_append`] with the popcount-class prefilter: a block whose
-        /// eight stored popcounts all fall outside `[lo, hi]` is skipped
-        /// without touching the fingerprint column.
-        $(#[$attr])*
-        #[allow(clippy::too_many_arguments)]
-        pub(super) fn filter_pruned_append(
+        pub(super) fn rfind(
             query: u64,
             fingerprints: &[u64],
-            popcounts: &[u8],
+            popcounts: Option<&[u8]>,
             threshold: u32,
-            lo: u8,
-            hi: u8,
-            base: u32,
-            out: &mut Vec<u32>,
-        ) {
-            debug_assert_eq!(fingerprints.len(), popcounts.len());
-            let split = fingerprints.len() - fingerprints.len() % super::KERNEL_LANES;
-            for i in (split..fingerprints.len()).rev() {
-                let pc = popcounts[i];
-                if pc < lo || pc > hi {
-                    continue;
-                }
-                if super::within_distance(fingerprints[i], query, threshold) {
-                    out.push(base + i as u32);
-                }
-            }
-            let blocks = fingerprints[..split].chunks_exact(super::KERNEL_LANES);
-            for (bi, block) in blocks.enumerate().rev() {
-                let pcs = &popcounts[bi * super::KERNEL_LANES..(bi + 1) * super::KERNEL_LANES];
-                let mut admissible = false;
-                for &pc in pcs {
-                    admissible |= pc >= lo && pc <= hi;
-                }
-                if !admissible {
-                    continue;
-                }
-                let mask = $mask(query, block.try_into().expect("exact chunk"), threshold);
-                if mask != 0 {
-                    let block_base = base + (bi * super::KERNEL_LANES) as u32;
-                    for j in (0..super::KERNEL_LANES).rev() {
-                        if mask & (1 << j) != 0 {
-                            out.push(block_base + j as u32);
-                        }
-                    }
-                }
-            }
-        }
-
-        /// [`rfind`] with the popcount-class prefilter.
-        $(#[$attr])*
-        pub(super) fn rfind_pruned(
-            query: u64,
-            fingerprints: &[u64],
-            popcounts: &[u8],
-            threshold: u32,
-            lo: u8,
-            hi: u8,
         ) -> Option<usize> {
-            debug_assert_eq!(fingerprints.len(), popcounts.len());
-            let split = fingerprints.len() - fingerprints.len() % super::KERNEL_LANES;
-            for i in (split..fingerprints.len()).rev() {
-                let pc = popcounts[i];
-                if pc < lo || pc > hi {
-                    continue;
-                }
-                if super::within_distance(fingerprints[i], query, threshold) {
-                    return Some(i);
-                }
-            }
-            let blocks = fingerprints[..split].chunks_exact(super::KERNEL_LANES);
-            for (bi, block) in blocks.enumerate().rev() {
-                let pcs = &popcounts[bi * super::KERNEL_LANES..(bi + 1) * super::KERNEL_LANES];
-                let mut admissible = false;
-                for &pc in pcs {
-                    admissible |= pc >= lo && pc <= hi;
-                }
-                if !admissible {
-                    continue;
-                }
-                let mask = $mask(query, block.try_into().expect("exact chunk"), threshold);
-                if mask != 0 {
-                    return Some(
-                        bi * super::KERNEL_LANES + (u32::BITS - 1 - mask.leading_zeros()) as usize,
-                    );
-                }
-            }
-            None
+            super::rfind_body(query, fingerprints, popcounts, threshold)
         }
     };
 }
 
-mod scalar_body {
-    scan_bodies!(mask = super::block_mask_scalar);
+/// The scan for the build's baseline target (on aarch64 that includes
+/// NEON).
+mod baseline_body {
+    scan_bodies!();
 }
 
+/// The scan with AVX2 enabled.
 #[cfg(target_arch = "x86_64")]
 mod avx2_body {
-    use core::arch::x86_64::*;
-
-    /// Four 64-bit popcounts: `vpshufb` nibble LUT (Mula's algorithm — AVX2
-    /// has no `vpopcntq`) summed per qword by `vpsadbw`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn popcount_epi64(x: __m256i) -> __m256i {
-        let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, //
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        );
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let lo = _mm256_and_si256(x, low_mask);
-        let hi = _mm256_and_si256(_mm256_srli_epi32::<4>(x), low_mask);
-        let cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-        _mm256_sad_epu8(cnt, _mm256_setzero_si256())
-    }
-
-    /// Bit `j` set iff `block[j]` is within `threshold` of `query`: two
-    /// 256-bit XOR+popcount+compare steps, mask extracted via the qword
-    /// sign bits (`threshold < 64`, so `pc > threshold` never overflows the
-    /// signed compare).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn block_mask_avx2(query: u64, block: &[u64; super::KERNEL_LANES], threshold: u32) -> u32 {
-        // SAFETY: AVX2 is enabled for this function, and `block` holds
-        // `KERNEL_LANES` = 8 u64s, so both 32-byte unaligned loads (lanes
-        // 0..4 and 4..8) stay inside it.
-        unsafe {
-            let q = _mm256_set1_epi64x(query as i64);
-            let thr = _mm256_set1_epi64x(threshold as i64);
-            let v0 = _mm256_loadu_si256(block.as_ptr().cast());
-            let v1 = _mm256_loadu_si256(block.as_ptr().add(4).cast());
-            let gt0 = _mm256_cmpgt_epi64(popcount_epi64(_mm256_xor_si256(v0, q)), thr);
-            let gt1 = _mm256_cmpgt_epi64(popcount_epi64(_mm256_xor_si256(v1, q)), thr);
-            // Sign bit of lane j == "distance exceeds threshold"; invert for
-            // the within-mask. Lane 0 is the lowest address = oldest record.
-            let m0 = _mm256_movemask_pd(_mm256_castsi256_pd(gt0)) as u32;
-            let m1 = _mm256_movemask_pd(_mm256_castsi256_pd(gt1)) as u32;
-            (!m0 & 0xF) | ((!m1 & 0xF) << 4)
-        }
-    }
-
-    scan_bodies!(
-        #[target_feature(enable = "avx2")]
-        mask = block_mask_avx2
-    );
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon_body {
-    use core::arch::aarch64::*;
-
-    /// Bit `j` set iff `block[j]` is within `threshold` of `query`: four
-    /// 128-bit steps of `vcnt` byte-popcount widened pairwise to u64 lane
-    /// sums, compared against the threshold.
-    #[inline]
-    #[target_feature(enable = "neon")]
-    fn block_mask_neon(query: u64, block: &[u64; super::KERNEL_LANES], threshold: u32) -> u32 {
-        // SAFETY: NEON is enabled for this function, and each 16-byte load
-        // at lane `j` (`j + 2 <= KERNEL_LANES`) stays inside `block`.
-        unsafe {
-            let q = vdupq_n_u64(query);
-            let thr = vdupq_n_u64(u64::from(threshold));
-            let mut mask = 0u32;
-            let mut j = 0;
-            while j < super::KERNEL_LANES {
-                let v = vld1q_u64(block.as_ptr().add(j));
-                let x = veorq_u64(v, q);
-                let cnt = vcntq_u8(vreinterpretq_u8_u64(x));
-                let pc = vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(cnt)));
-                let le = vcleq_u64(pc, thr);
-                mask |= ((vgetq_lane_u64::<0>(le) & 1) as u32) << j;
-                mask |= ((vgetq_lane_u64::<1>(le) & 1) as u32) << (j + 1);
-                j += 2;
-            }
-            mask
-        }
-    }
-
-    scan_bodies!(
-        #[target_feature(enable = "neon")]
-        mask = block_mask_neon
-    );
+    scan_bodies!(#[target_feature(enable = "avx2")]);
 }
 
 /// Resolve `kernel` to a body this process can actually execute: requesting
-/// a SIMD kernel on a host without the feature falls back to the scalar
+/// the AVX2 kernel on a host without the feature falls back to the scalar
 /// body rather than executing illegal instructions.
 #[inline]
 fn runnable(kernel: KernelKind) -> KernelKind {
-    match kernel {
-        KernelKind::BatchedScalar => KernelKind::BatchedScalar,
-        k if k.is_supported() => k,
-        _ => KernelKind::BatchedScalar,
+    if kernel.is_supported() {
+        kernel
+    } else {
+        KernelKind::BatchedScalar
     }
 }
 
@@ -335,133 +206,54 @@ pub fn filter_within_into_using(
     out: &mut Vec<u32>,
 ) {
     out.clear();
-    filter_within_append_using(kernel, query, fingerprints, threshold, 0, out);
+    filter_within_append_using(kernel, query, fingerprints, None, threshold, 0, out);
 }
 
 /// Append positions in `fingerprints` within `threshold` of `query`,
 /// newest-first, each offset by `base`, **without** clearing `out` — the
 /// building block for segmented scans (sub-bin pruning walks a window as
 /// several slices but must emit one newest-first position list).
+///
+/// With `popcounts` — where `popcounts[i]` must equal
+/// `fingerprints[i].count_ones()` — an 8-record block whose popcounts prove
+/// the threshold unreachable is skipped without loading its fingerprints;
+/// the output is identical either way.
 pub fn filter_within_append_using(
     kernel: KernelKind,
     query: Fingerprint,
     fingerprints: &[Fingerprint],
+    popcounts: Option<&[u8]>,
     threshold: u32,
     base: u32,
     out: &mut Vec<u32>,
 ) {
     debug_assert!(fingerprints.len() <= u32::MAX as usize - base as usize);
+    debug_assert!(popcounts.is_none_or(|pcs| pcs.len() == fingerprints.len()));
     match runnable(kernel) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `runnable` verified AVX2 is available on this CPU.
         KernelKind::Avx2 => unsafe {
-            avx2_body::filter_append(query, fingerprints, threshold, base, out)
+            avx2_body::filter_append(query, fingerprints, popcounts, threshold, base, out)
         },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `runnable` verified NEON is available on this CPU.
-        KernelKind::Neon => unsafe {
-            neon_body::filter_append(query, fingerprints, threshold, base, out)
-        },
-        _ => scalar_body::filter_append(query, fingerprints, threshold, base, out),
+        _ => baseline_body::filter_append(query, fingerprints, popcounts, threshold, base, out),
     }
 }
 
-/// [`rfind_within`] with an explicit kernel.
+/// [`rfind_within`] with an explicit kernel and, as in
+/// [`filter_within_append_using`], an optional popcount column to prune by.
 pub fn rfind_within_using(
     kernel: KernelKind,
     query: Fingerprint,
     fingerprints: &[Fingerprint],
+    popcounts: Option<&[u8]>,
     threshold: u32,
 ) -> Option<usize> {
+    debug_assert!(popcounts.is_none_or(|pcs| pcs.len() == fingerprints.len()));
     match runnable(kernel) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `runnable` verified AVX2 is available on this CPU.
-        KernelKind::Avx2 => unsafe { avx2_body::rfind(query, fingerprints, threshold) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `runnable` verified NEON is available on this CPU.
-        KernelKind::Neon => unsafe { neon_body::rfind(query, fingerprints, threshold) },
-        _ => scalar_body::rfind(query, fingerprints, threshold),
-    }
-}
-
-/// [`filter_within_append_using`] with the popcount-class prefilter:
-/// `popcounts[i]` must equal `fingerprints[i].count_ones()`. Records whose
-/// popcount proves the threshold unreachable are skipped without loading
-/// the fingerprint; the output is identical to the unpruned scan.
-#[allow(clippy::too_many_arguments)]
-pub fn filter_within_pruned_append_using(
-    kernel: KernelKind,
-    query: Fingerprint,
-    fingerprints: &[Fingerprint],
-    popcounts: &[u8],
-    threshold: u32,
-    base: u32,
-    out: &mut Vec<u32>,
-) {
-    let (lo, hi) = popcount_class_bounds(query, threshold);
-    match runnable(kernel) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` verified AVX2 is available on this CPU.
-        KernelKind::Avx2 => unsafe {
-            avx2_body::filter_pruned_append(
-                query,
-                fingerprints,
-                popcounts,
-                threshold,
-                lo,
-                hi,
-                base,
-                out,
-            )
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `runnable` verified NEON is available on this CPU.
-        KernelKind::Neon => unsafe {
-            neon_body::filter_pruned_append(
-                query,
-                fingerprints,
-                popcounts,
-                threshold,
-                lo,
-                hi,
-                base,
-                out,
-            )
-        },
-        _ => scalar_body::filter_pruned_append(
-            query,
-            fingerprints,
-            popcounts,
-            threshold,
-            lo,
-            hi,
-            base,
-            out,
-        ),
-    }
-}
-
-/// [`rfind_within_using`] with the popcount-class prefilter.
-pub fn rfind_within_pruned_using(
-    kernel: KernelKind,
-    query: Fingerprint,
-    fingerprints: &[Fingerprint],
-    popcounts: &[u8],
-    threshold: u32,
-) -> Option<usize> {
-    let (lo, hi) = popcount_class_bounds(query, threshold);
-    match runnable(kernel) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` verified AVX2 is available on this CPU.
-        KernelKind::Avx2 => unsafe {
-            avx2_body::rfind_pruned(query, fingerprints, popcounts, threshold, lo, hi)
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: `runnable` verified NEON is available on this CPU.
-        KernelKind::Neon => unsafe {
-            neon_body::rfind_pruned(query, fingerprints, popcounts, threshold, lo, hi)
-        },
-        _ => scalar_body::rfind_pruned(query, fingerprints, popcounts, threshold, lo, hi),
+        KernelKind::Avx2 => unsafe { avx2_body::rfind(query, fingerprints, popcounts, threshold) },
+        _ => baseline_body::rfind(query, fingerprints, popcounts, threshold),
     }
 }
 
@@ -476,10 +268,10 @@ pub fn rfind_within_pruned_using(
 ///
 /// Work per fingerprint is one XOR, one POPCNT and one compare, identical to
 /// [`within_distance`]; the difference is purely mechanical: blocks of
-/// 8 contiguous words are distance-checked branch-free into a
-/// bitmask by the process-wide [`crate::kernels::active_kernel`], and the
-/// (rare) per-candidate pushes branch once per block instead of once per
-/// record.
+/// 8 contiguous words are distance-checked branch-free by the process-wide
+/// [`crate::kernels::active_kernel`], so the scan branches once per block
+/// instead of once per record, and only a block that holds a match (rare)
+/// is walked lane by lane.
 ///
 /// Positions are `u32`: a λt window holding ≥ 2³² live posts is out of scope
 /// by orders of magnitude (debug-asserted).
@@ -527,6 +319,7 @@ pub fn rfind_within(
         crate::kernels::active_kernel(),
         query,
         fingerprints,
+        None,
         threshold,
     )
 }
@@ -599,34 +392,32 @@ mod tests {
         fps.iter().map(|fp| fp.count_ones() as u8).collect()
     }
 
-    /// Assert every kernel body the host supports (plus the pruned variants)
-    /// agrees with the scalar reference on this input.
+    /// Assert every kernel body the host supports agrees with the scalar
+    /// reference on this input, with the popcount column and without it.
     fn assert_all_kernels_match(query: u64, fps: &[u64], threshold: u32) {
         let expected = scalar_filter(query, fps, threshold);
         let expected_first = expected.first().map(|&p| p as usize);
         let pcs = popcounts_of(fps);
         let mut out = Vec::new();
         for kernel in supported_kernels() {
+            for popcounts in [None, Some(&pcs[..])] {
+                let pruned = popcounts.is_some();
+                out.clear();
+                filter_within_append_using(kernel, query, fps, popcounts, threshold, 0, &mut out);
+                assert_eq!(
+                    out, expected,
+                    "filter kernel={kernel} pruned={pruned} threshold={threshold}"
+                );
+                assert_eq!(
+                    rfind_within_using(kernel, query, fps, popcounts, threshold),
+                    expected_first,
+                    "rfind kernel={kernel} pruned={pruned} threshold={threshold}"
+                );
+            }
             filter_within_into_using(kernel, query, fps, threshold, &mut out);
             assert_eq!(
                 out, expected,
-                "filter kernel={kernel} threshold={threshold}"
-            );
-            assert_eq!(
-                rfind_within_using(kernel, query, fps, threshold),
-                expected_first,
-                "rfind kernel={kernel} threshold={threshold}"
-            );
-            out.clear();
-            filter_within_pruned_append_using(kernel, query, fps, &pcs, threshold, 0, &mut out);
-            assert_eq!(
-                out, expected,
-                "pruned filter kernel={kernel} threshold={threshold}"
-            );
-            assert_eq!(
-                rfind_within_pruned_using(kernel, query, fps, &pcs, threshold),
-                expected_first,
-                "pruned rfind kernel={kernel} threshold={threshold}"
+                "filter_into kernel={kernel} threshold={threshold}"
             );
         }
     }
@@ -661,14 +452,14 @@ mod tests {
         let mut out = vec![7u32];
         for kernel in supported_kernels() {
             out.truncate(1);
-            filter_within_append_using(kernel, 0, &[0, 1, 0], 0, 100, &mut out);
+            filter_within_append_using(kernel, 0, &[0, 1, 0], None, 0, 100, &mut out);
             assert_eq!(out, vec![7, 102, 100], "kernel={kernel}");
         }
     }
 
     /// All remainder lengths around the 8-wide block size: 0..=2 blocks plus
-    /// one lane, so the scalar tail, a single full block, and the
-    /// multi-block path are each exercised at every tail length — on every
+    /// one lane, so the scalar head, a single full block, and the
+    /// multi-block path are each exercised at every head length — on every
     /// supported kernel.
     #[test]
     fn filter_within_all_remainder_lengths() {
@@ -700,7 +491,7 @@ mod tests {
     }
 
     /// Window lengths straddling the 8-lane block boundary with all-identical
-    /// fingerprints: the densest possible match pattern at every tail shape.
+    /// fingerprints: the densest possible match pattern at every head shape.
     #[test]
     fn block_boundary_lengths_all_identical() {
         for len in [7usize, 8, 9, 15, 16, 17] {
@@ -731,7 +522,7 @@ mod tests {
         /// The batched prefilter returns exactly the positions the scalar
         /// `within_distance` loop would, newest-first, for any threshold a
         /// 64-bit fingerprint admits and any slice length (the `0..40` range
-        /// crosses several 8-wide block boundaries and every tail length) —
+        /// crosses several 8-wide block boundaries and every head length) —
         /// differentially on every kernel body the host supports, pruned and
         /// unpruned.
         #[test]
@@ -756,8 +547,8 @@ mod tests {
             assert_all_kernels_match(1u64, &fps, threshold);
         }
 
-        /// Skewed popcounts (low/high set-bit density) so the pruned kernels
-        /// actually reject blocks, not just pass everything through.
+        /// Skewed popcounts (low/high set-bit density) so the popcount
+        /// column actually rejects blocks, not just passes everything through.
         #[test]
         fn pruned_kernels_match_on_skewed_popcounts(
             fps in proptest::collection::vec(

@@ -2,50 +2,48 @@
 //!
 //! Only the Hamming scans have kernels: fingerprint construction
 //! ([`crate::simhash`]) is one portable loop whatever is selected here.
-//! The window-scan kernels in [`crate::hamming`] exist in three bodies: an
-//! AVX2 implementation (x86_64, `vpshufb` nibble-popcount), a NEON
-//! implementation (aarch64, `vcntq_u8`), and the portable batched-scalar
-//! loop the compiler autovectorizes as best it can. Which body runs is a
-//! process-wide decision made once — engines capture
-//! [`active_kernel`] at construction and pass it down to every scan — so the
-//! hot path pays no repeated feature detection.
+//! The window scan in [`crate::hamming`] is written once, with no
+//! intrinsics, and compiled twice: inside `#[target_feature(enable =
+//! "avx2")]` functions (x86_64), where LLVM vectorizes its popcount with the
+//! AVX2 nibble LUT, and for the build's baseline target. The baseline build
+//! is the batched-scalar kernel; on aarch64, whose baseline includes NEON,
+//! it is already the NEON build. Which body runs is a process-wide decision
+//! made once — engines capture [`active_kernel`] at construction and pass it
+//! down to every scan — so the hot path pays no repeated feature detection.
 //!
-//! Selection order: the `FIREHOSE_KERNEL` environment variable (`scalar`,
-//! `avx2`, `neon`; an unsupported or unknown value falls back to detection)
-//! wins, then the best kernel the host supports. CI runs the whole test
-//! suite once with `FIREHOSE_KERNEL=scalar` so both dispatch paths stay
-//! green, and every `benchmark/` result records which kernel produced it
+//! Selection order: the `FIREHOSE_KERNEL` environment variable (`scalar` or
+//! `avx2`; an unsupported or unknown value falls back to detection) wins,
+//! then the best kernel the host supports. CI runs the whole test suite once
+//! with `FIREHOSE_KERNEL=scalar` so both dispatch paths stay green, and
+//! every `benchmark/` result records which kernel produced it
 //! (`simhash.kernel`).
 
 use std::sync::OnceLock;
 
-/// Identity of a batched Hamming kernel body.
+/// Identity of a compiled Hamming scan body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// AVX2 `vpshufb` nibble-LUT popcount, 8 fingerprints per step
+    /// The scan compiled with AVX2 enabled, 8 fingerprints per step
     /// (x86_64 with the `avx2` feature).
     Avx2,
-    /// NEON `vcntq_u8` popcount, 8 fingerprints per step (aarch64).
-    Neon,
-    /// The portable 8-lane scalar loop (XOR + `count_ones`), available
-    /// everywhere.
+    /// The scan compiled for the build's baseline target (XOR +
+    /// `count_ones` over 8 lanes), available everywhere.
     BatchedScalar,
 }
 
 impl KernelKind {
     /// Stable lowercase name, as recorded in benchmark results and on
-    /// `/metrics` (`"avx2"` / `"neon"` / `"scalar"`).
+    /// `/metrics` (`"avx2"` / `"scalar"`).
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Avx2 => "avx2",
-            KernelKind::Neon => "neon",
             KernelKind::BatchedScalar => "scalar",
         }
     }
 
     /// Whether this process can execute the kernel body. The scalar kernel
-    /// is always supported; SIMD kernels require the right architecture
-    /// *and* runtime CPU feature.
+    /// is always supported; the AVX2 kernel requires x86_64 *and* the
+    /// runtime CPU feature.
     pub(crate) fn is_supported(self) -> bool {
         match self {
             KernelKind::BatchedScalar => true,
@@ -55,16 +53,6 @@ impl KernelKind {
                     std::arch::is_x86_feature_detected!("avx2")
                 }
                 #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
-            }
-            KernelKind::Neon => {
-                #[cfg(target_arch = "aarch64")]
-                {
-                    std::arch::is_aarch64_feature_detected!("neon")
-                }
-                #[cfg(not(target_arch = "aarch64"))]
                 {
                     false
                 }
@@ -81,42 +69,40 @@ impl std::fmt::Display for KernelKind {
 
 /// Every kernel this process can execute, best first. Always ends with
 /// [`KernelKind::BatchedScalar`]. Differential tests iterate this list to
-/// cross-check each supported SIMD body against the scalar reference.
+/// cross-check each supported body against the scalar reference.
 pub fn supported_kernels() -> Vec<KernelKind> {
     let mut kernels = Vec::with_capacity(2);
     if KernelKind::Avx2.is_supported() {
         kernels.push(KernelKind::Avx2);
     }
-    if KernelKind::Neon.is_supported() {
-        kernels.push(KernelKind::Neon);
-    }
     kernels.push(KernelKind::BatchedScalar);
     kernels
 }
 
+/// The kernel a `FIREHOSE_KERNEL` value names, or `None` (detect) for any
+/// other value.
+fn forced_kernel(value: &str) -> Option<KernelKind> {
+    match value {
+        "scalar" => Some(KernelKind::BatchedScalar),
+        "avx2" => Some(KernelKind::Avx2),
+        _ => None,
+    }
+}
+
 /// The kernel the dispatching Hamming scans use, decided once per process.
 ///
-/// `FIREHOSE_KERNEL=scalar` forces the portable scan loop (the CI
-/// cross-check job); `avx2`/`neon` force a SIMD body *if supported*, and any
+/// `FIREHOSE_KERNEL=scalar` forces the baseline build of the scan (the CI
+/// cross-check job); `avx2` forces the AVX2 build *if supported*, and any
 /// other or unsupported value falls back to auto-detection (best supported
 /// kernel). It selects nothing else: [`crate::simhash`] has one body.
 pub fn active_kernel() -> KernelKind {
     static ACTIVE: OnceLock<KernelKind> = OnceLock::new();
     *ACTIVE.get_or_init(|| {
-        if let Ok(forced) = std::env::var("FIREHOSE_KERNEL") {
-            let forced = match forced.as_str() {
-                "scalar" => Some(KernelKind::BatchedScalar),
-                "avx2" => Some(KernelKind::Avx2),
-                "neon" => Some(KernelKind::Neon),
-                _ => None,
-            };
-            if let Some(k) = forced {
-                if k.is_supported() {
-                    return k;
-                }
-            }
-        }
-        supported_kernels()[0]
+        std::env::var("FIREHOSE_KERNEL")
+            .ok()
+            .and_then(|value| forced_kernel(&value))
+            .filter(|k| k.is_supported())
+            .unwrap_or_else(|| supported_kernels()[0])
     })
 }
 
@@ -148,15 +134,17 @@ mod tests {
     }
 
     #[test]
-    fn names_are_stable() {
-        assert_eq!(KernelKind::Avx2.name(), "avx2");
-        assert_eq!(KernelKind::Neon.name(), "neon");
-        assert_eq!(KernelKind::BatchedScalar.to_string(), "scalar");
+    fn forced_kernel_names_only_the_two_builds() {
+        assert_eq!(forced_kernel("scalar"), Some(KernelKind::BatchedScalar));
+        assert_eq!(forced_kernel("avx2"), Some(KernelKind::Avx2));
+        for detect in ["neon", "", "bogus"] {
+            assert_eq!(forced_kernel(detect), None, "{detect:?}");
+        }
     }
 
     #[test]
-    fn at_most_one_simd_kernel_on_any_host() {
-        // x86_64 can't have NEON and aarch64 can't have AVX2.
-        assert!(!(KernelKind::Avx2.is_supported() && KernelKind::Neon.is_supported()));
+    fn names_are_stable() {
+        assert_eq!(KernelKind::Avx2.name(), "avx2");
+        assert_eq!(KernelKind::BatchedScalar.to_string(), "scalar");
     }
 }

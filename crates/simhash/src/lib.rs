@@ -32,7 +32,9 @@
 //! ```
 
 mod fingerprint;
-// The SIMD kernel bodies: the workspace's only `unsafe` code.
+// The window scan, compiled for the baseline target and with AVX2 enabled:
+// its two calls into the AVX2 build (filter and rfind) are the workspace's
+// only `unsafe` code.
 #[allow(unsafe_code)]
 mod hamming;
 mod index;
@@ -41,8 +43,7 @@ mod kernels;
 pub use fingerprint::{empty_text_fingerprint, simhash, Fingerprint, SimHashOptions};
 pub use hamming::{
     filter_within, filter_within_append_using, filter_within_into, filter_within_into_using,
-    filter_within_pruned_append_using, hamming_distance, rfind_within, rfind_within_pruned_using,
-    rfind_within_using, within_distance,
+    hamming_distance, rfind_within, rfind_within_using, within_distance,
 };
 pub use index::{HammingIndex, IndexError, IndexPlan};
 pub use kernels::{active_kernel, supported_kernels, KernelKind};

@@ -19,10 +19,7 @@
 //! pointer-chasing record iteration.
 
 use crate::post::{PostRecord, Timestamp};
-use firehose_simhash::{
-    filter_within_append_using, filter_within_pruned_append_using, rfind_within_pruned_using,
-    rfind_within_using, KernelKind,
-};
+use firehose_simhash::{filter_within_append_using, rfind_within_using, KernelKind};
 
 /// Fixed sub-bin span, in records. The bin's columns are partitioned into
 /// aligned spans of this many consecutive arrivals (= a contiguous timestamp
@@ -97,11 +94,12 @@ impl WindowView<'_> {
     /// The scan walks the view's sub-bins newest-first. A sub-bin whose
     /// stored popcount range misses the query's admissible class
     /// `[popcount(query) − threshold, popcount(query) + threshold]` is
-    /// skipped wholesale; one fully inside runs the plain kernel (its
-    /// prefilter can reject nothing); only a straddling sub-bin pays for the
-    /// per-record popcount prefilter. Output is identical to the unpruned
-    /// scan — the prefilter is conservative (triangle inequality) and the
-    /// traversal order is the same newest-first order.
+    /// skipped wholesale; one fully inside is scanned without its popcount
+    /// column (the column could reject nothing); only a straddling sub-bin
+    /// passes the column, so the scan skips the 8-record blocks it rules
+    /// out. Output is identical to the unpruned scan — the prefilter is
+    /// conservative (triangle inequality) and the traversal order is the
+    /// same newest-first order.
     pub fn filter_within_into(
         &self,
         kernel: KernelKind,
@@ -115,26 +113,15 @@ impl WindowView<'_> {
             if meta.max_pc < lo || meta.min_pc > hi {
                 return true; // no record in the span can match
             }
-            if meta.min_pc >= lo && meta.max_pc <= hi {
-                filter_within_append_using(
-                    kernel,
-                    query,
-                    &self.fingerprints[s..e],
-                    threshold,
-                    s as u32,
-                    out,
-                );
-            } else {
-                filter_within_pruned_append_using(
-                    kernel,
-                    query,
-                    &self.fingerprints[s..e],
-                    &self.popcounts[s..e],
-                    threshold,
-                    s as u32,
-                    out,
-                );
-            }
+            filter_within_append_using(
+                kernel,
+                query,
+                &self.fingerprints[s..e],
+                self.prefilter(s, e, meta, lo, hi),
+                threshold,
+                s as u32,
+                out,
+            );
             true
         });
     }
@@ -150,17 +137,13 @@ impl WindowView<'_> {
             if meta.max_pc < lo || meta.min_pc > hi {
                 return true;
             }
-            let hit = if meta.min_pc >= lo && meta.max_pc <= hi {
-                rfind_within_using(kernel, query, &self.fingerprints[s..e], threshold)
-            } else {
-                rfind_within_pruned_using(
-                    kernel,
-                    query,
-                    &self.fingerprints[s..e],
-                    &self.popcounts[s..e],
-                    threshold,
-                )
-            };
+            let hit = rfind_within_using(
+                kernel,
+                query,
+                &self.fingerprints[s..e],
+                self.prefilter(s, e, meta, lo, hi),
+                threshold,
+            );
             if let Some(p) = hit {
                 found = Some(s + p);
                 return false; // newest match found — stop
@@ -168,6 +151,13 @@ impl WindowView<'_> {
             true
         });
         found
+    }
+
+    /// The popcount column of segment `[s, e)` when it can reject records:
+    /// `None` for a sub-bin wholly inside the class `[lo, hi]`.
+    #[inline]
+    fn prefilter(&self, s: usize, e: usize, meta: SubBin, lo: u8, hi: u8) -> Option<&[u8]> {
+        (meta.min_pc < lo || meta.max_pc > hi).then(|| &self.popcounts[s..e])
     }
 
     /// Drive `f` over the view's sub-bin segments, newest segment first.
@@ -598,9 +588,41 @@ mod tests {
             .collect()
     }
 
+    /// The view's sub-bin-pruned scans, and the kernel entry points over its
+    /// whole fingerprint column with and without the popcount column, all
+    /// equal the reference on every kernel the host supports.
+    fn assert_view_scans_match(view: &WindowView<'_>, query: u64, threshold: u32) {
+        let expected = reference_scan(view.fingerprints, query, threshold);
+        let first = expected.first().map(|&p| p as usize);
+        let mut got = vec![99u32];
+        for kernel in firehose_simhash::supported_kernels() {
+            view.filter_within_into(kernel, query, threshold, &mut got);
+            assert_eq!(got, expected, "view kernel={kernel} threshold={threshold}");
+            assert_eq!(
+                view.rfind_within(kernel, query, threshold),
+                first,
+                "view kernel={kernel} threshold={threshold}"
+            );
+            for popcounts in [None, Some(view.popcounts)] {
+                let pruned = popcounts.is_some();
+                got.clear();
+                let fps = view.fingerprints;
+                filter_within_append_using(kernel, query, fps, popcounts, threshold, 0, &mut got);
+                assert_eq!(
+                    got, expected,
+                    "column kernel={kernel} pruned={pruned} threshold={threshold}"
+                );
+                assert_eq!(
+                    rfind_within_using(kernel, query, fps, popcounts, threshold),
+                    first,
+                    "column kernel={kernel} pruned={pruned} threshold={threshold}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn view_scans_match_reference_across_subbin_boundaries() {
-        use firehose_simhash::supported_kernels;
         // Enough records to span several sub-bins, with skewed popcounts so
         // whole-span skipping actually triggers at small thresholds.
         let mut bin = TimeWindowBin::new();
@@ -624,20 +646,7 @@ mod tests {
             let view = bin.window(now, lambda_t);
             for query in [0u64, u64::MAX, 0xFF, 42u64.wrapping_mul(0x9E37)] {
                 for threshold in [0u32, 4, 18, 64] {
-                    let expected = reference_scan(view.fingerprints, query, threshold);
-                    let mut got = vec![99u32];
-                    for kernel in supported_kernels() {
-                        view.filter_within_into(kernel, query, threshold, &mut got);
-                        assert_eq!(
-                            got, expected,
-                            "kernel={kernel} λt={lambda_t} threshold={threshold}"
-                        );
-                        assert_eq!(
-                            view.rfind_within(kernel, query, threshold),
-                            expected.first().map(|&p| p as usize),
-                            "kernel={kernel} λt={lambda_t} threshold={threshold}"
-                        );
-                    }
+                    assert_view_scans_match(&view, query, threshold);
                 }
             }
         }
@@ -670,17 +679,7 @@ mod tests {
                     }
                 }
             }
-            let view = bin.window(now, lambda_t);
-            let expected = reference_scan(view.fingerprints, query, threshold);
-            let mut got = Vec::new();
-            for kernel in firehose_simhash::supported_kernels() {
-                view.filter_within_into(kernel, query, threshold, &mut got);
-                prop_assert_eq!(&got, &expected);
-                prop_assert_eq!(
-                    view.rfind_within(kernel, query, threshold),
-                    expected.first().map(|&p| p as usize)
-                );
-            }
+            assert_view_scans_match(&bin.window(now, lambda_t), query, threshold);
         }
 
         /// After eviction at (now, λt), no stored record is outside the
