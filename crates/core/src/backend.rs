@@ -11,7 +11,8 @@
 //!
 //! * [`scan_into`](CoverageBackend::scan_into) — UniBin's shape: collect
 //!   *all* content candidates so the engine can run its own author
-//!   admission check over them (lazily building adjacency rows).
+//!   admission check over them (marking the arriving author's neighbours
+//!   once, then one load per candidate).
 //! * [`find_newest_within`](CoverageBackend::find_newest_within) —
 //!   NeighborBin/CliqueBin's shape: bins are author-homogeneous, so the
 //!   newest content match *is* the covering post; the exact arm keeps the

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use firehose_graph::{AdjacencyBitsets, UndirectedGraph};
+use firehose_graph::UndirectedGraph;
 use firehose_simhash::{active_kernel, KernelKind};
 use firehose_stream::PostRecord;
 
@@ -10,6 +10,7 @@ use crate::backend::{CoverageBackend, ScanBuffer};
 use crate::config::EngineConfig;
 use crate::decision::Decision;
 use crate::engine::Diversifier;
+use crate::epoch_set::EpochSet;
 use crate::metrics::EngineMetrics;
 use crate::obs::EngineObs;
 
@@ -25,8 +26,9 @@ pub struct UniBin {
     config: EngineConfig,
     graph: Arc<UndirectedGraph>,
     bin: CoverageBackend,
-    /// O(1) author-similarity rows, built lazily per probed author.
-    adjacency: AdjacencyBitsets,
+    /// The arriving author and their neighbours in `G`, opened once the
+    /// scan finds a content candidate: the O(1) author check.
+    similar: EpochSet,
     /// Reusable lookup-result buffer, so the hot path never allocates.
     scan: ScanBuffer,
     /// Hamming kernel selected once at construction (AVX2 when the host
@@ -40,17 +42,7 @@ impl UniBin {
     /// New engine over the author similarity graph `G`.
     pub fn new(config: EngineConfig, graph: Arc<UndirectedGraph>) -> Self {
         let bin = CoverageBackend::for_config(&config, config.window_capacity_hint());
-        let adjacency = AdjacencyBitsets::new(graph.node_count());
-        Self {
-            config,
-            graph,
-            bin,
-            adjacency,
-            scan: ScanBuffer::new(),
-            kernel: active_kernel(),
-            metrics: EngineMetrics::default(),
-            obs: None,
-        }
+        Self::from_parts(config, graph, bin, EngineMetrics::default())
     }
 
     /// Snapshot internals (see `crate::snapshot`).
@@ -65,12 +57,11 @@ impl UniBin {
         bin: CoverageBackend,
         metrics: EngineMetrics,
     ) -> Self {
-        let adjacency = AdjacencyBitsets::new(graph.node_count());
         Self {
             config,
+            similar: EpochSet::with_len(graph.node_count()),
             graph,
             bin,
-            adjacency,
             scan: ScanBuffer::new(),
             kernel: active_kernel(),
             metrics,
@@ -90,15 +81,14 @@ impl UniBin {
         // batched Hamming prefilter over the contiguous fingerprint column
         // (with popcount-class sub-bin pruning), the approximate backend its
         // prefix-bucket probes; either way candidates arrive newest-first
-        // and the first one passing the O(1) bitset author check is exactly
-        // where the scalar walk would have stopped.
+        // and the first one passing the O(1) author check is exactly where
+        // the scalar walk would have stopped.
         self.bin.scan_into(self.kernel, &record, t, &mut self.scan);
         let mut verdict = None;
         if !self.scan.is_empty() {
-            let row = self.adjacency.row(&self.graph, record.author);
+            self.similar.open_neighbourhood(&self.graph, record.author);
             for i in 0..self.scan.len() {
-                let author = self.scan.author(i);
-                if author == record.author || AdjacencyBitsets::test(row, author) {
+                if self.similar.contains(self.scan.author(i)) {
                     verdict = Some((self.scan.id(i), i));
                     break;
                 }

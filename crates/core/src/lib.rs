@@ -70,6 +70,7 @@ mod config;
 pub mod coverage;
 mod decision;
 pub mod engine;
+mod epoch_set;
 mod metrics;
 pub mod multi;
 mod obs;

@@ -27,11 +27,12 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
-use firehose_graph::{AdjacencyBitsets, UndirectedGraph};
+use firehose_graph::UndirectedGraph;
 use firehose_simhash::{active_kernel, KernelKind};
 use firehose_stream::{PostRecord, TimeWindowBin, Timestamp};
 
 use crate::config::{EngineConfig, Thresholds};
+use crate::epoch_set::EpochSet;
 use crate::metrics::EngineMetrics;
 use crate::multi::subscriptions::UserId;
 use crate::snapshot::{
@@ -50,16 +51,15 @@ pub(crate) struct LabelledWindow {
     labels: VecDeque<Vec<UserId>>,
     /// Label ids currently stored across all records.
     label_ids: u64,
-    /// O(1) author-similarity rows, built lazily per probed author.
-    adjacency: AdjacencyBitsets,
+    /// The arriving author and their neighbours in `G`, opened once the
+    /// scan finds a content candidate: the O(1) author check.
+    similar: EpochSet,
     kernel: KernelKind,
     /// Content-candidate positions of the current scan, newest first.
     positions: Vec<u32>,
-    /// `open[user] == epoch` iff `user` follows the arriving post's author
-    /// and no cover delivered to them has been found yet. Stamping with a
-    /// per-post epoch avoids clearing the array between posts.
-    open: Vec<u32>,
-    epoch: u32,
+    /// The followers of the arriving post's author for whom no cover
+    /// delivered to them has been found yet.
+    open: EpochSet,
     metrics: EngineMetrics,
 }
 
@@ -70,11 +70,10 @@ impl LabelledWindow {
             bin: TimeWindowBin::with_capacity(config.window_capacity_hint()),
             labels: VecDeque::new(),
             label_ids: 0,
-            adjacency: AdjacencyBitsets::new(node_count),
+            similar: EpochSet::with_len(node_count),
             kernel: active_kernel(),
             positions: Vec::new(),
-            open: Vec::new(),
-            epoch: 0,
+            open: EpochSet::with_len(0),
             metrics: EngineMetrics::default(),
         }
     }
@@ -115,19 +114,10 @@ impl LabelledWindow {
     ) {
         self.metrics.posts_processed += 1;
         self.evict(record.timestamp);
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.open.fill(0);
-            self.epoch = 1;
-        }
-        let epoch = self.epoch;
-        if let Some(&last) = users.last() {
-            if last as usize >= self.open.len() {
-                self.open.resize(last as usize + 1, 0);
-            }
-        }
+        self.open.reset();
+        self.open.grow(users.last().map_or(0, |&u| u as usize + 1));
         for &user in users {
-            self.open[user as usize] = epoch;
+            self.open.insert(user);
         }
         let mut open_left = users.len();
 
@@ -144,18 +134,14 @@ impl LabelledWindow {
         );
         let mut stop = None;
         if !self.positions.is_empty() {
-            let row = self.adjacency.row(graph, record.author);
+            self.similar.open_neighbourhood(graph, record.author);
             for &pos in &self.positions {
-                let author = view.authors[pos as usize];
-                if author != record.author && !AdjacencyBitsets::test(row, author) {
+                if !self.similar.contains(view.authors[pos as usize]) {
                     continue;
                 }
                 for &label in &self.labels[pos as usize] {
-                    if let Some(mark) = self.open.get_mut(label as usize) {
-                        if *mark == epoch {
-                            *mark = 0;
-                            open_left -= 1;
-                        }
+                    if self.open.remove(label) {
+                        open_left -= 1;
                     }
                 }
                 if open_left == 0 {
@@ -176,7 +162,7 @@ impl LabelledWindow {
             users
                 .iter()
                 .copied()
-                .filter(|&user| self.open[user as usize] == epoch),
+                .filter(|&user| self.open.contains(user)),
         );
         if !delivered.is_empty() {
             self.metrics.posts_emitted += 1;

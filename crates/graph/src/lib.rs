@@ -15,9 +15,8 @@
 //!   ([`followee_cosine`]), all-pairs similarity-graph construction as an
 //!   exact row-at-a-time self-join, and the similarity CCDF of Figure 9
 //!   ([`similarity_ccdf`]);
-//! * [`UndirectedGraph`] — the adjacency representation of `G` itself;
-//! * [`AdjacencyBitsets`] — lazily-built per-node adjacency bitmasks, the
-//!   O(1) similarity probe on the engines' coverage hot path;
+//! * [`UndirectedGraph`] — `G` itself as sorted neighbour lists, which the
+//!   engines' author check reads once per arriving author;
 //! * [`connected_components`] / [`UnionFind`] — union-find connected
 //!   components (Section 5's sharing criterion for M-SPSD);
 //! * [`greedy_clique_cover`] — the greedy clique edge cover heuristic behind
@@ -28,7 +27,6 @@
 //! * [`io`] — binary persistence for the precomputed artifacts (the paper's
 //!   offline weekly pipeline writes them; the online engines load them).
 
-mod bitset;
 mod clique_cover;
 mod components;
 mod follower;
@@ -37,7 +35,6 @@ mod similarity;
 mod stats;
 mod undirected;
 
-pub use bitset::AdjacencyBitsets;
 pub use clique_cover::{greedy_clique_cover, naive_edge_cover, CliqueCover};
 pub use components::{connected_components, ComponentMap, UnionFind};
 pub use follower::FollowerGraph;

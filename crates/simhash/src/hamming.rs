@@ -6,11 +6,11 @@
 //! a time), and a filter is that loop repeated below each match. It is
 //! written once, with no intrinsics, and compiled per target by
 //! `scan_bodies!`: for the build's baseline target, and inside
-//! `#[target_feature(enable = "avx2")]` functions, where LLVM lowers the
-//! 8-lane XOR + popcount + compare to the AVX2 nibble-LUT popcount by
-//! itself. Which build runs is selected at runtime (see [`crate::kernels`]);
-//! both produce the positions the scalar newest-first `within_distance` walk
-//! would report, in the same order. Given a parallel popcount column, the
+//! `#[target_feature(enable = "avx2,popcnt")]` functions, where LLVM lowers
+//! the 8-lane XOR + popcount + compare to the AVX2 nibble-LUT popcount by
+//! itself and the scalar tails to `popcnt`. Which build runs is selected at
+//! runtime (see [`crate::kernels`]); both produce the positions the scalar
+//! newest-first `within_distance` walk would report, in the same order. Given a parallel popcount column, the
 //! scan also skips every 8-record block whose set-bit counts alone prove the
 //! Hamming threshold can't be met
 //! (`hamming(a, b) ≥ |popcount(a) − popcount(b)|`), without loading its
@@ -50,7 +50,7 @@ pub fn within_distance(a: Fingerprint, b: Fingerprint, threshold: u32) -> bool {
 /// `threshold` of `query` (triangle inequality via the all-zeros word), so
 /// a scan given a popcount column rejects it without loading the fingerprint.
 #[inline]
-pub(crate) fn popcount_class_bounds(query: Fingerprint, threshold: u32) -> (u8, u8) {
+pub fn popcount_class_bounds(query: Fingerprint, threshold: u32) -> (u8, u8) {
     let qpc = query.count_ones();
     let lo = qpc.saturating_sub(threshold) as u8;
     let hi = (qpc + threshold).min(64) as u8;
@@ -142,8 +142,9 @@ fn filter_body(
 
 /// Compiles [`filter_body`] and [`rfind_body`] with the given attributes.
 /// Both bodies are `#[inline(always)]`, so each instantiation compiles them
-/// with its own target features: under `#[target_feature(enable = "avx2")]`
-/// LLVM vectorizes the block test with the `vpshufb` nibble-LUT popcount. A
+/// with its own target features: under `#[target_feature(enable =
+/// "avx2,popcnt")]` LLVM vectorizes the block test with the `vpshufb`
+/// nibble-LUT popcount and counts the scalar tails with `popcnt`. A
 /// closure passed into a `#[target_feature]` function would not do: it is
 /// compiled without the feature.
 macro_rules! scan_bodies {
@@ -178,14 +179,14 @@ mod baseline_body {
     scan_bodies!();
 }
 
-/// The scan with AVX2 enabled.
+/// The scan with AVX2 and POPCNT enabled.
 #[cfg(target_arch = "x86_64")]
 mod avx2_body {
-    scan_bodies!(#[target_feature(enable = "avx2")]);
+    scan_bodies!(#[target_feature(enable = "avx2,popcnt")]);
 }
 
 /// Resolve `kernel` to a body this process can actually execute: requesting
-/// the AVX2 kernel on a host without the feature falls back to the scalar
+/// the AVX2 kernel on a host without its features falls back to the scalar
 /// body rather than executing illegal instructions.
 #[inline]
 fn runnable(kernel: KernelKind) -> KernelKind {
@@ -231,7 +232,7 @@ pub fn filter_within_append_using(
     debug_assert!(popcounts.is_none_or(|pcs| pcs.len() == fingerprints.len()));
     match runnable(kernel) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` verified AVX2 is available on this CPU.
+        // SAFETY: `runnable` verified AVX2 and POPCNT are available on this CPU.
         KernelKind::Avx2 => unsafe {
             avx2_body::filter_append(query, fingerprints, popcounts, threshold, base, out)
         },
@@ -251,7 +252,7 @@ pub fn rfind_within_using(
     debug_assert!(popcounts.is_none_or(|pcs| pcs.len() == fingerprints.len()));
     match runnable(kernel) {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `runnable` verified AVX2 is available on this CPU.
+        // SAFETY: `runnable` verified AVX2 and POPCNT are available on this CPU.
         KernelKind::Avx2 => unsafe { avx2_body::rfind(query, fingerprints, popcounts, threshold) },
         _ => baseline_body::rfind(query, fingerprints, popcounts, threshold),
     }

@@ -4,10 +4,10 @@
 //! ([`crate::simhash`]) is one portable loop whatever is selected here.
 //! The window scan in [`crate::hamming`] is written once, with no
 //! intrinsics, and compiled twice: inside `#[target_feature(enable =
-//! "avx2")]` functions (x86_64), where LLVM vectorizes its popcount with the
-//! AVX2 nibble LUT, and for the build's baseline target. The baseline build
-//! is the batched-scalar kernel; on aarch64, whose baseline includes NEON,
-//! it is already the NEON build. Which body runs is a process-wide decision
+//! "avx2,popcnt")]` functions (x86_64), where LLVM vectorizes its popcount
+//! with the AVX2 nibble LUT, and for the build's baseline target. The
+//! baseline build is the batched-scalar kernel; on aarch64, whose baseline
+//! includes NEON, it is already the NEON build. Which body runs is a process-wide decision
 //! made once — engines capture [`active_kernel`] at construction and pass it
 //! down to every scan — so the hot path pays no repeated feature detection.
 //!
@@ -24,7 +24,7 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// The scan compiled with AVX2 enabled, 8 fingerprints per step
-    /// (x86_64 with the `avx2` feature).
+    /// (x86_64 with the `avx2` and `popcnt` features).
     Avx2,
     /// The scan compiled for the build's baseline target (XOR +
     /// `count_ones` over 8 lanes), available everywhere.
@@ -43,7 +43,7 @@ impl KernelKind {
 
     /// Whether this process can execute the kernel body. The scalar kernel
     /// is always supported; the AVX2 kernel requires x86_64 *and* the
-    /// runtime CPU feature.
+    /// runtime CPU features it is compiled with (AVX2 and POPCNT).
     pub(crate) fn is_supported(self) -> bool {
         match self {
             KernelKind::BatchedScalar => true,
@@ -51,6 +51,7 @@ impl KernelKind {
                 #[cfg(target_arch = "x86_64")]
                 {
                     std::arch::is_x86_feature_detected!("avx2")
+                        && std::arch::is_x86_feature_detected!("popcnt")
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 {

@@ -43,7 +43,7 @@ mod kernels;
 pub use fingerprint::{empty_text_fingerprint, simhash, Fingerprint, SimHashOptions};
 pub use hamming::{
     filter_within, filter_within_append_using, filter_within_into, filter_within_into_using,
-    hamming_distance, rfind_within, rfind_within_using, within_distance,
+    hamming_distance, popcount_class_bounds, rfind_within, rfind_within_using, within_distance,
 };
 pub use index::{HammingIndex, IndexError, IndexPlan};
 pub use kernels::{active_kernel, supported_kernels, KernelKind};

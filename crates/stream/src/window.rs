@@ -19,7 +19,9 @@
 //! pointer-chasing record iteration.
 
 use crate::post::{PostRecord, Timestamp};
-use firehose_simhash::{filter_within_append_using, rfind_within_using, KernelKind};
+use firehose_simhash::{
+    filter_within_append_using, popcount_class_bounds, rfind_within_using, KernelKind,
+};
 
 /// Fixed sub-bin span, in records. The bin's columns are partitioned into
 /// aligned spans of this many consecutive arrivals (= a contiguous timestamp
@@ -108,7 +110,7 @@ impl WindowView<'_> {
         out: &mut Vec<u32>,
     ) {
         out.clear();
-        let (lo, hi) = popcount_class(query, threshold);
+        let (lo, hi) = popcount_class_bounds(query, threshold);
         self.for_each_segment_rev(|s, e, meta| {
             if meta.max_pc < lo || meta.min_pc > hi {
                 return true; // no record in the span can match
@@ -131,7 +133,7 @@ impl WindowView<'_> {
     /// `rfind_within` over the whole fingerprint column, with the same
     /// sub-bin skipping as [`filter_within_into`](Self::filter_within_into).
     pub fn rfind_within(&self, kernel: KernelKind, query: u64, threshold: u32) -> Option<usize> {
-        let (lo, hi) = popcount_class(query, threshold);
+        let (lo, hi) = popcount_class_bounds(query, threshold);
         let mut found = None;
         self.for_each_segment_rev(|s, e, meta| {
             if meta.max_pc < lo || meta.min_pc > hi {
@@ -183,17 +185,6 @@ impl WindowView<'_> {
             }
         }
     }
-}
-
-/// The popcount range a match must fall in: `hamming(a, b) ≥
-/// |popcount(a) − popcount(b)|`.
-#[inline]
-fn popcount_class(query: u64, threshold: u32) -> (u8, u8) {
-    let qpc = query.count_ones();
-    (
-        qpc.saturating_sub(threshold) as u8,
-        (qpc + threshold).min(64) as u8,
-    )
 }
 
 /// A time-ordered bin of post records with λt-window eviction, stored as
